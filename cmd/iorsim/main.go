@@ -62,15 +62,11 @@ func main() {
 		hbTimeout  = flag.Float64("hb-timeout", 0, "silence before a target is probably-offline (default 2x -hb-interval)")
 		hbOffline  = flag.Float64("hb-offline", 0, "silence before a target is declared offline (default 5x -hb-interval)")
 		rpcTimeout = flag.Float64("rpc-timeout", 0, "extra delay a client pays per RPC issued against a stale target view")
-
-		hier    = flag.Int("hier", 0, "hierarchical solver workers (0 = off; exact mode is bit-identical to the flat solver)")
-		hierErr = flag.Float64("hier-err", 0, "hierarchical bounded-error mode: max relative rate error (0 = exact; needs -hier > 0)")
 	)
 	flag.Parse()
 	hb := heartbeatConfig{Interval: *hbInterval, Timeout: *hbTimeout, Offline: *hbOffline, RPCTimeout: *rpcTimeout}
-	hc := hierConfig{Workers: *hier, MaxRelErr: *hierErr}
 	oc := obsConfig{Metrics: *metrics, Prom: *prom, Influx: *influx, Trace: *trace, UtilCSV: *utilCSV, Serve: *serve, Linger: *linger}
-	if err := run(*api, *bStr, *tStr, *segments, *fpp, *write, *read, *reps, *out, *scenario, *nodes, *ppn, *count, *seed, *workers, oc, hb, hc); err != nil {
+	if err := run(*api, *bStr, *tStr, *segments, *fpp, *write, *read, *reps, *out, *scenario, *nodes, *ppn, *count, *seed, *workers, oc, hb); err != nil {
 		fmt.Fprintln(os.Stderr, "iorsim:", err)
 		os.Exit(1)
 	}
@@ -120,17 +116,7 @@ type heartbeatConfig struct {
 	Interval, Timeout, Offline, RPCTimeout float64
 }
 
-// hierConfig carries the optional hierarchical-solver flags. On the
-// single-fabric PlaFRIM platforms the only declared separator is the
-// client-stack ramp, so the solver usually declines the partition and
-// falls back flat — the flags mainly exist so the exact mode's
-// bit-identity contract can be spot-checked from the command line.
-type hierConfig struct {
-	Workers   int
-	MaxRelErr float64
-}
-
-func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, out string, scenario, nodes, ppn, count int, seed uint64, workers int, oc obsConfig, hb heartbeatConfig, hc hierConfig) error {
+func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, out string, scenario, nodes, ppn, count int, seed uint64, workers int, oc obsConfig, hb heartbeatConfig) error {
 	if !strings.EqualFold(api, "POSIX") {
 		return fmt.Errorf("only -a POSIX is supported (the paper's configuration)")
 	}
@@ -164,12 +150,6 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 		return fmt.Errorf("-hb-interval must be positive")
 	} else if hb.Timeout > 0 || hb.Offline > 0 || hb.RPCTimeout > 0 {
 		return fmt.Errorf("-hb-timeout/-hb-offline/-rpc-timeout need -hb-interval > 0")
-	}
-	if hc.Workers < 0 {
-		return fmt.Errorf("-hier must be >= 0")
-	}
-	if hc.MaxRelErr < 0 || (hc.MaxRelErr > 0 && hc.Workers == 0) {
-		return fmt.Errorf("-hier-err needs -hier > 0 and a non-negative bound")
 	}
 	params := ior.Params{
 		Nodes: nodes, PPN: ppn,
@@ -237,9 +217,6 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 		dep, err := p.Deploy()
 		if err != nil {
 			return err
-		}
-		if hc.Workers > 0 {
-			dep.Net.SetHierarchical(hc.Workers, hc.MaxRelErr)
 		}
 		// A nil pipeline hands out a nil collector whose methods no-op, so
 		// the disabled path stays a pointer check per site.

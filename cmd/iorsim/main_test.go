@@ -33,51 +33,40 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run("MPIIO", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{}); err == nil {
+	if err := run("MPIIO", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}); err == nil {
 		t.Fatal("non-POSIX api accepted")
 	}
-	if err := run("POSIX", "1g", "1m", 1, false, false, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{}); err == nil {
+	if err := run("POSIX", "1g", "1m", 1, false, false, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}); err == nil {
 		t.Fatal("-w=false accepted")
 	}
-	if err := run("POSIX", "bogus", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{}); err == nil {
+	if err := run("POSIX", "bogus", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}); err == nil {
 		t.Fatal("bad block size accepted")
 	}
-	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 3, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{}); err == nil {
+	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 3, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}); err == nil {
 		t.Fatal("scenario 3 accepted")
 	}
-	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{Timeout: 1}, hierConfig{}); err == nil {
+	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{Timeout: 1}); err == nil {
 		t.Fatal("heartbeat timeout without interval accepted")
 	}
-	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{Interval: -0.5}, hierConfig{}); err == nil {
+	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{Interval: -0.5}); err == nil {
 		t.Fatal("negative heartbeat interval accepted")
-	}
-	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{Workers: -1}); err == nil {
-		t.Fatal("negative -hier accepted")
-	}
-	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}, hierConfig{MaxRelErr: 0.01}); err == nil {
-		t.Fatal("-hier-err without -hier accepted")
 	}
 }
 
 func TestRunEndToEndWithHeartbeats(t *testing.T) {
 	// Healthy runs must work identically with the heartbeat state machine on.
 	hb := heartbeatConfig{Interval: 0.5, Timeout: 1.0, Offline: 2.5, RPCTimeout: 0.25}
-	if err := run("POSIX", "64m", "1m", 1, false, true, true, 2, "/t", 1, 2, 2, 4, 7, 1, obsConfig{}, hb, hierConfig{}); err != nil {
+	if err := run("POSIX", "64m", "1m", 1, false, true, true, 2, "/t", 1, 2, 2, 4, 7, 1, obsConfig{}, hb); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
 	// A tiny write+read run through the real CLI path, serial and pooled.
-	if err := run("POSIX", "64m", "1m", 1, false, true, true, 2, "/t", 1, 2, 2, 4, 7, 1, obsConfig{}, heartbeatConfig{}, hierConfig{}); err != nil {
+	if err := run("POSIX", "64m", "1m", 1, false, true, true, 2, "/t", 1, 2, 2, 4, 7, 1, obsConfig{}, heartbeatConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("POSIX", "64m", "1m", 1, false, true, true, 4, "/t", 1, 2, 2, 4, 7, 4, obsConfig{}, heartbeatConfig{}, hierConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	// Hierarchical exact mode on PlaFRIM declines the partition (the ramp
-	// is the only separator) and must run flat-identically.
-	if err := run("POSIX", "64m", "1m", 1, false, true, true, 2, "/t", 1, 2, 2, 4, 7, 1, obsConfig{}, heartbeatConfig{}, hierConfig{Workers: 2}); err != nil {
+	if err := run("POSIX", "64m", "1m", 1, false, true, true, 4, "/t", 1, 2, 2, 4, 7, 4, obsConfig{}, heartbeatConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,9 +59,6 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("simnet/waterfill_passes", n.Passes)
 	reg.MergeHist("simnet/freezes_per_pass", &n.FreezesPerPass)
 	reg.MergeHist("simnet/component_flows", &n.ComponentFlows)
-	reg.Add("simnet/warmstart_hits", n.WarmHits)
-	reg.Add("simnet/warmstart_misses", n.WarmMisses)
-	reg.Add("simnet/warmstart_replayed_passes", n.WarmReplayedPasses)
 	// Batched-mode counters; all zero when SetBatching is off. Like every
 	// simnet counter they are worker-count-independent (ParallelSolves is
 	// defined by batch shape, not by pool execution), so the registry stays
@@ -73,14 +70,8 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	// Hierarchical-mode counters; all zero when SetHierarchical is off.
 	reg.Add("simnet/hier_solves", n.HierSolves)
 	reg.Add("simnet/hier_fallbacks", n.HierFallbacks)
-	reg.Add("simnet/hier_outer_rounds", n.HierOuterRounds)
-	reg.Add("simnet/hier_exact_fallbacks", n.HierExactFallbacks)
 	reg.MergeHist("simnet/hier_groups", &n.HierGroups)
 	reg.MergeHist("simnet/hier_group_flows", &n.HierGroupFlows)
-	// The registry carries uint64 quantities, so the measured bounded-mode
-	// residual (a float in [0, maxRelErr]) is exported in parts per
-	// billion, max-merged like the underlying stat. 0 ppb = exact.
-	reg.Max("simnet/hier_max_rel_err", uint64(n.HierMaxRelErr*1e9))
 	// Per-solve wall-clock latency is host-dependent; the runtime/
 	// namespace keeps it out of the deterministic portion of the export.
 	reg.MergeHist(obs.RuntimePrefix+"simnet/solve_latency_ns", &n.SolveLatencyNs)
@@ -121,13 +112,11 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 func (d *Deployment) AttachTracer(t *obs.Tracer) {
 	d.Net.ObserveSolves(func(at simkernel.Time, info simnet.SolveInfo) {
 		t.Instant("solver", "solve/"+info.Trigger.String(), float64(at), map[string]any{
-			"flows":           info.Flows,
-			"resources":       info.Resources,
-			"live_passes":     info.LivePasses,
-			"warm_start":      info.WarmStart,
-			"replayed_passes": info.ReplayedPasses,
-			"hierarchical":    info.Hierarchical,
-			"groups":          info.Groups,
+			"flows":        info.Flows,
+			"resources":    info.Resources,
+			"live_passes":  info.LivePasses,
+			"hierarchical": info.Hierarchical,
+			"groups":       info.Groups,
 		})
 	})
 	d.Net.ObserveBatches(func(at simkernel.Time, info simnet.BatchInfo) {

@@ -2,14 +2,11 @@
 // the over-subscribed FatTreeCore fabric, where cross-rack "drain" traffic
 // through a shared core switch fuses every rack into one connected flow
 // component — the worst case for the flat waterfill and the regime the
-// hierarchical solver decomposes. Each topology runs three times on the
-// identical workload: flat (batched solver, PR 7 baseline), hier-exact
-// (partitioned solve, bit-identical contract) and hier-approx
-// (bounded-error coordination, measured residual must stay within the
-// bound). Like ExtScale the campaign is an experiment and a differential
-// test at once: flat vs hier-exact extends the fuzzer's 0-ULP oracle to
-// whole campaigns, and hier-approx turns Stats.HierMaxRelErr from a
-// counter into an enforced acceptance criterion.
+// hierarchical solver decomposes. Each topology runs twice on the
+// identical workload: flat (the batched flat solver) and hier-exact (the
+// partitioned solve, bit-identical contract). Like ExtScale the campaign
+// is an experiment and a differential test at once: flat vs hier-exact
+// extends the fuzzer's 0-ULP oracle to whole campaigns.
 package experiments
 
 import (
@@ -26,26 +23,16 @@ import (
 	"repro/internal/storagesim"
 )
 
-const (
-	// hierScaleWorkers is the hierarchical worker-pool width. Fixed (not
-	// tied to Options.Workers) for the same reason as scaleBatchWorkers:
-	// rows must be identical at any -workers setting. Eight matches the
-	// BenchmarkScaleChurn10k speedup target cell.
-	hierScaleWorkers = 8
-	// hierScaleBound is the hier-approx mode's configured relative error
-	// bound; the campaign fails if the measured residual ever exceeds it.
-	hierScaleBound = 0.01
-	// hierScaleMinFlows lowers the hierarchical engagement threshold so
-	// the partitioned path runs even at the campaign's CI size (-reps 2
-	// builds components of tens of flows, not the >=192 the perf-tuned
-	// default waits for).
-	hierScaleMinFlows = 8
-)
+// hierScaleMinFlows lowers the hierarchical engagement threshold so the
+// partitioned path runs even at the campaign's CI size (-reps 2 builds
+// components of tens of flows, not the >=192 the perf-tuned default waits
+// for).
+const hierScaleMinFlows = 8
 
 // ExtHierScaleRow is one (topology, solver mode) cell of the campaign.
 type ExtHierScaleRow struct {
 	Topology string
-	Mode     string // "flat", "hier-exact" or "hier-approx"
+	Mode     string // "flat" or "hier-exact"
 	Racks    int
 	Targets  int
 	// Jobs counts completed jobs (rack-local writers plus cross-rack
@@ -62,14 +49,6 @@ type ExtHierScaleRow struct {
 	// too-small component). Zero in flat mode.
 	HierSolves    uint64
 	HierFallbacks uint64
-	// OuterRounds sums bounded-error coordination rounds;
-	// ExactFallbacks counts bounded solves that hit the round cap without
-	// converging and re-ran exactly; MaxRelErr is the campaign-wide
-	// maximum measured residual (0 in flat and exact modes, <=
-	// hierScaleBound in approx mode — enforced).
-	OuterRounds    uint64
-	ExactFallbacks uint64
-	MaxRelErr      float64
 	// Wall-clock measurements; excluded from Deterministic and the CSV.
 	WallSec      float64
 	EventsPerSec float64
@@ -144,12 +123,10 @@ type hierScaleJob struct {
 	pending int
 }
 
-// runHierScaleCell simulates one (topology, mode) cell. hierWorkers == 0
-// is flat mode; otherwise SetHierarchical(hierWorkers, maxRelErr).
-// batchWorkers feeds SetBatching (0 = unbatched; the churn benchmark uses
-// the unbatched path, where a single fused component gives the
-// hierarchical solver's internal parallelism the cores).
-func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, hierWorkers int, maxRelErr float64, jobs int, seed uint64) (ExtHierScaleRow, error) {
+// runHierScaleCell simulates one (topology, mode) cell; mode "hier-exact"
+// turns on SetHierarchical, "flat" leaves it off. batchWorkers feeds
+// SetBatching (0 = unbatched, the path the churn benchmark times).
+func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, jobs int, seed uint64) (ExtHierScaleRow, error) {
 	p, err := cluster.FatTreeCore("hierscale-"+topo.name, topo.spec)
 	if err != nil {
 		return ExtHierScaleRow{}, err
@@ -159,8 +136,8 @@ func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, hierWorkers
 		return ExtHierScaleRow{}, err
 	}
 	dep.Net.SetBatching(batchWorkers)
-	if hierWorkers > 0 {
-		dep.Net.SetHierarchical(hierWorkers, maxRelErr)
+	if mode == "hier-exact" {
+		dep.Net.SetHierarchical(true)
 		dep.Net.SetHierarchicalMinFlows(hierScaleMinFlows)
 	}
 	// Pre-size the kernel's heap spine past the churn's high-water mark;
@@ -329,39 +306,31 @@ func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, hierWorkers
 	}
 	events := st.Kernel.Dispatched
 	return ExtHierScaleRow{
-		Topology:       topo.name,
-		Mode:           mode,
-		Racks:          racks,
-		Targets:        len(dep.FS.Mgmtd().All()),
-		Jobs:           len(bws),
-		BWMean:         sum.Mean,
-		BWMin:          sum.Min,
-		BWMax:          sum.Max,
-		PeakFlows:      peak,
-		Events:         events,
-		Solves:         solves,
-		HierSolves:     st.Net.HierSolves,
-		HierFallbacks:  st.Net.HierFallbacks,
-		OuterRounds:    st.Net.HierOuterRounds,
-		ExactFallbacks: st.Net.HierExactFallbacks,
-		MaxRelErr:      st.Net.HierMaxRelErr,
-		WallSec:        wall,
-		EventsPerSec:   float64(events) / wall,
-		StepP50us:      histQuantileUS(&stepNanos, 0.50),
-		StepP99us:      histQuantileUS(&stepNanos, 0.99),
+		Topology:      topo.name,
+		Mode:          mode,
+		Racks:         racks,
+		Targets:       len(dep.FS.Mgmtd().All()),
+		Jobs:          len(bws),
+		BWMean:        sum.Mean,
+		BWMin:         sum.Min,
+		BWMax:         sum.Max,
+		PeakFlows:     peak,
+		Events:        events,
+		Solves:        solves,
+		HierSolves:    st.Net.HierSolves,
+		HierFallbacks: st.Net.HierFallbacks,
+		WallSec:       wall,
+		EventsPerSec:  float64(events) / wall,
+		StepP50us:     histQuantileUS(&stepNanos, 0.50),
+		StepP99us:     histQuantileUS(&stepNanos, 0.99),
 	}, nil
 }
 
-// ExtHierScale runs every FatTreeCore topology in all three solver modes
-// and enforces the mode contracts in-line:
-//
-//   - hier-exact must reproduce flat's simulated results bit-for-bit
-//     (bandwidth statistics, job count, peak concurrency) AND must
-//     actually have taken the hierarchical path — a silently always-
-//     falling-back solver would pass the equality vacuously.
-//   - hier-approx must complete the same jobs and its measured residual
-//     (Stats.HierMaxRelErr) must not exceed the configured bound.
-//
+// ExtHierScale runs every FatTreeCore topology in both solver modes and
+// enforces the hier-exact contract in-line: it must reproduce flat's
+// simulated results bit-for-bit (bandwidth statistics, job count, peak
+// concurrency) AND must actually have taken the hierarchical path — a
+// silently always-falling-back solver would pass the equality vacuously.
 // A violation is an error, not a row.
 func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 	reps := opts.Reps
@@ -369,15 +338,7 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 		reps = 4
 	}
 	topos := hierScaleTopos(reps)
-	modes := []struct {
-		name      string
-		workers   int
-		maxRelErr float64
-	}{
-		{"flat", 0, 0},
-		{"hier-exact", hierScaleWorkers, 0},
-		{"hier-approx", hierScaleWorkers, hierScaleBound},
-	}
+	modes := []string{"flat", "hier-exact"}
 	rows := make([]ExtHierScaleRow, len(topos)*len(modes))
 	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
 		topo := topos[cell/len(modes)]
@@ -388,7 +349,7 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 		seed := opts.Seed*1061 + uint64(cell/len(modes))*53
 		// Every campaign mode runs batched at the same width; the modes
 		// differ only in what happens inside a component solve.
-		row, err := runHierScaleCell(topo, m.name, scaleBatchWorkers, m.workers, m.maxRelErr, jobs, seed)
+		row, err := runHierScaleCell(topo, m, scaleBatchWorkers, jobs, seed)
 		if err != nil {
 			return err
 		}
@@ -398,8 +359,8 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i+2 < len(rows); i += 3 {
-		flat, exact, approx := rows[i], rows[i+1], rows[i+2]
+	for i := 0; i+1 < len(rows); i += 2 {
+		flat, exact := rows[i], rows[i+1]
 		if exact.Jobs != flat.Jobs || exact.PeakFlows != flat.PeakFlows ||
 			math.Float64bits(exact.BWMean) != math.Float64bits(flat.BWMean) ||
 			math.Float64bits(exact.BWMin) != math.Float64bits(flat.BWMin) ||
@@ -410,18 +371,6 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 		if exact.HierSolves == 0 {
 			return nil, fmt.Errorf("experiments: hierscale topology %s: hier-exact never took the hierarchical path (equality is vacuous)",
 				flat.Topology)
-		}
-		if exact.MaxRelErr != 0 {
-			return nil, fmt.Errorf("experiments: hierscale topology %s: exact mode reported residual %g",
-				flat.Topology, exact.MaxRelErr)
-		}
-		if approx.Jobs != flat.Jobs {
-			return nil, fmt.Errorf("experiments: hierscale topology %s: hier-approx finished %d jobs, flat %d",
-				flat.Topology, approx.Jobs, flat.Jobs)
-		}
-		if approx.MaxRelErr > hierScaleBound {
-			return nil, fmt.Errorf("experiments: hierscale topology %s: measured residual %g exceeds bound %g",
-				flat.Topology, approx.MaxRelErr, hierScaleBound)
 		}
 	}
 	return rows, nil

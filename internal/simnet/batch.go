@@ -24,12 +24,12 @@ package simnet
 // Equivalence to the unbatched path, at instant granularity: membership
 // operations are identical and eager; intra-instant settles are dt=0
 // no-ops in both modes; and the flush's per-component solve is the same
-// cold (or warm-started) waterfill the last unbatched event would have
-// run on the same final membership — bit-identical rates, remainders and
-// completion instants at every instant boundary. What batching does NOT
-// preserve is mid-instant observable order: rate observers fire once per
-// flush instead of once per event, and equal-instant completion events
-// may fire in a different sequence within the instant. The differential
+// waterfill the last unbatched event would have run on the same final
+// membership — bit-identical rates, remainders and completion instants
+// at every instant boundary. What batching does NOT preserve is
+// mid-instant observable order: rate observers fire once per flush
+// instead of once per event, and equal-instant completion events may
+// fire in a different sequence within the instant. The differential
 // fuzzer (FuzzBatchedVsSequentialEvents) therefore compares full flow
 // state at instant boundaries, at 0 ULP.
 //
@@ -81,23 +81,15 @@ func (n *Network) SetBatching(workers int) {
 func (n *Network) Batching() int { return n.batchWorkers }
 
 // markDirty queues c for the instant's flush. The first mark of an
-// instant records the triggering event kind (for stats classification)
-// and the removed flow, which the flush uses as its warm-start hint; any
-// further event on the same component clears the hint — the trajectory
-// replay is only valid for exactly one departure.
-func (n *Network) markDirty(c *component, removed *Flow, trig SolveTrigger) {
+// instant records the triggering event kind, for stats classification.
+// The flush reads only c's current membership, never a departed flow:
+// callers may restart or recycle a flow as soon as its OnComplete or
+// OnAbort runs, even while the component it left is still dirty.
+func (n *Network) markDirty(c *component, trig SolveTrigger) {
 	if !c.dirty {
 		c.dirty = true
-		c.pendEvents = 0
-		c.pendRemoved = nil
 		c.pendTrig = trig
 		n.dirtyComps = append(n.dirtyComps, c)
-	}
-	c.pendEvents++
-	if c.pendEvents == 1 {
-		c.pendRemoved = removed
-	} else {
-		c.pendRemoved = nil
 	}
 	n.armFlush()
 }
@@ -161,9 +153,7 @@ func (n *Network) flush() {
 		n.flushParallel(comps, now)
 	} else {
 		for _, c := range comps {
-			removed := c.pendRemoved
-			c.pendEvents, c.pendRemoved = 0, nil
-			n.rebalanceComp(c, now, removed, c.pendTrig)
+			n.rebalanceComp(c, now, c.pendTrig)
 		}
 	}
 	for i := range comps {
@@ -188,23 +178,18 @@ func insertionSortByID(comps []*component) {
 // flushParallel runs the batch's component solves on up to
 // n.batchWorkers goroutines, then replays the finish phase serially in
 // component-id order. The solve phase touches only component-local state
-// (flow rates, resource loads, the component's trajectory) plus a
-// per-worker solver and stats sink, so the only cross-goroutine
-// coordination is the work-stealing counter. Per-component outcomes
-// (warm-start hit, pass counts) are captured by slot so the serial finish
-// emits exactly what the serial flush would have.
+// (flow rates, resource loads) plus a per-worker solver and stats sink,
+// so the only cross-goroutine coordination is the work-stealing counter.
+// Per-component outcomes (path taken, pass counts) are captured by slot
+// so the serial finish emits exactly what the serial flush would have.
 func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
-	if cap(n.warmDone) < len(comps) {
-		n.warmDone = make([]bool, len(comps))
+	if cap(n.hierOf) < len(comps) {
 		n.hierOf = make([]bool, len(comps))
 		n.livePasses = make([]int, len(comps))
-		n.replayedOf = make([]int, len(comps))
 		n.groupsOf = make([]int, len(comps))
 	}
-	warmDone := n.warmDone[:len(comps)]
 	hierOf := n.hierOf[:len(comps)]
 	livePasses := n.livePasses[:len(comps)]
-	replayed := n.replayedOf[:len(comps)]
 	groupsOf := n.groupsOf[:len(comps)]
 	// Old rates for the rate observer must be captured before any solve
 	// runs; one flat buffer with per-component offsets replaces the serial
@@ -246,44 +231,19 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 					return
 				}
 				c := comps[i]
-				removed := c.pendRemoved
 				var solveStart time.Time
 				if recordStats {
 					solveStart = time.Now()
 				}
-				sv.lastGroups = 0
-				done := false
-				if removed != nil && c.traj.valid {
-					done = sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, removed)
-				}
-				c.traj.valid = false
-				hier := false
-				if !done {
-					sv.lastReplayed = 0
-					if n.hier != nil {
-						// Internal parallelism stays off here — the flush
-						// workers already own the cores — and trySolve's
-						// mutex serializes the shared partition scratch.
-						// The outcome is identical either way: neither the
-						// worker count nor the solve order changes the
-						// hierarchical arithmetic.
-						hier = n.hier.trySolve(c, sv, sv.stats, false)
-					}
-					if !hier {
-						rec := &c.traj
-						if len(c.flows) < recordMinFlows {
-							rec = nil
-						}
-						sv.solve(c.flows, c.resources, c.capped, rec)
-					}
-				}
+				// trySolve's mutex serializes the hierarchical mode's shared
+				// partition scratch; the outcome is identical either way,
+				// since neither the solve order nor the solving goroutine
+				// changes the arithmetic.
+				hierOf[i] = n.solveComp(c, sv, sv.stats)
 				if recordStats {
 					sv.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
 				}
-				warmDone[i] = done
-				hierOf[i] = hier
 				livePasses[i] = sv.lastLive
-				replayed[i] = sv.lastReplayed
 				groupsOf[i] = sv.lastGroups
 			}
 		}(w)
@@ -291,10 +251,9 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 	wg.Wait()
 	if recordStats {
 		// Stats.merge folds each worker's shard field-wise: counters by
-		// addition, histograms by bucket-wise addition, HierMaxRelErr by
-		// max. Every fold is order-independent, so the merged stats match
-		// the serial flush regardless of which worker solved which
-		// component.
+		// addition, histograms by bucket-wise addition. Every fold is
+		// order-independent, so the merged stats match the serial flush
+		// regardless of which worker solved which component.
 		for w := 0; w < workers; w++ {
 			n.stats.merge(&n.workerStats[w])
 		}
@@ -302,19 +261,9 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 	// Serial finish in component-id order: completion events, observers
 	// and stats come out exactly as the serial flush emits them.
 	for i, c := range comps {
-		removed := c.pendRemoved
-		c.pendEvents, c.pendRemoved = 0, nil
 		if n.stats != nil {
 			n.stats.Solves[c.pendTrig]++
 			n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-			if removed != nil {
-				if warmDone[i] {
-					n.stats.WarmHits++
-					n.stats.WarmReplayedPasses += uint64(replayed[i])
-				} else {
-					n.stats.WarmMisses++
-				}
-			}
 		}
 		for j, f := range c.flows {
 			n.scheduleCompletion(f, now)
@@ -329,14 +278,12 @@ func (n *Network) flushParallel(comps []*component, now simkernel.Time) {
 		}
 		if n.solveObserver != nil {
 			n.solveObserver(now, SolveInfo{
-				Trigger:        c.pendTrig,
-				Flows:          len(c.flows),
-				Resources:      len(c.resources),
-				LivePasses:     livePasses[i],
-				WarmStart:      warmDone[i],
-				ReplayedPasses: replayed[i],
-				Hierarchical:   hierOf[i],
-				Groups:         groupsOf[i],
+				Trigger:      c.pendTrig,
+				Flows:        len(c.flows),
+				Resources:    len(c.resources),
+				LivePasses:   livePasses[i],
+				Hierarchical: hierOf[i],
+				Groups:       groupsOf[i],
 			})
 		}
 	}

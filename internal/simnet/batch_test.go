@@ -141,6 +141,66 @@ func TestBatchedParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBatchedRecycledFlowRestart pins the flow-lifetime contract batching
+// depends on: once a flow's OnComplete returns, the network must never
+// read that flow again. Pooled callers (beegfs recycles its I/O attempts)
+// restart the very same *Flow from inside the callback, on different
+// resources, in the same instant as its departure — before the flush has
+// re-solved the component it left. Sixty long flows share one link with a
+// short one; when the short flow finishes and is reborn on a disjoint
+// link, the survivors must move from 1000/61 to exactly the 1000/60 a
+// cold reference solve gives, at any flush worker count.
+func TestBatchedRecycledFlowRestart(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sim := simkernel.New()
+			net := New(sim)
+			net.SetBatching(workers)
+			shared := net.AddResource("shared", 1000)
+			other := net.AddResource("other", 100)
+			long := make([]*Flow, 60)
+			for i := range long {
+				long[i] = &Flow{Name: fmt.Sprintf("long%02d", i), Volume: 1e6, Usage: map[*Resource]float64{shared: 1}}
+				net.Start(long[i])
+			}
+			var finishedAt simkernel.Time
+			short := &Flow{Name: "short", Volume: 1, Usage: map[*Resource]float64{shared: 1}}
+			short.OnComplete = func(at simkernel.Time) {
+				finishedAt = at
+				short.OnComplete = nil
+				short.Volume = 1e6
+				short.Usage = map[*Resource]float64{other: 1}
+				net.Start(short)
+			}
+			net.Start(short)
+			if err := sim.RunUntil(1); err != nil {
+				t.Fatal(err)
+			}
+			if finishedAt == 0 {
+				t.Fatal("the short flow never completed")
+			}
+			c := long[0].comp
+			if len(c.flows) != len(long) {
+				t.Fatalf("survivor component holds %d flows, want %d", len(c.flows), len(long))
+			}
+			got := make([]uint64, len(c.flows))
+			for i, f := range c.flows {
+				got[i] = math.Float64bits(f.rate)
+			}
+			solveReference(c.flows, c.resources)
+			for i, f := range c.flows {
+				if got[i] != math.Float64bits(f.rate) {
+					t.Fatalf("survivor %s rate %v after the recycled restart, reference solve %v",
+						f.Name, math.Float64frombits(got[i]), f.rate)
+				}
+			}
+			if short.Rate() != 100 {
+				t.Fatalf("restarted flow rate %v, want 100 on its own link", short.Rate())
+			}
+		})
+	}
+}
+
 // TestBatchObserver checks the per-flush hook and its shape reporting.
 func TestBatchObserver(t *testing.T) {
 	sim, net, _ := rampWorld(8, 3)

@@ -54,22 +54,13 @@ type component struct {
 	removals int
 	// mark is Start's scratch flag for collecting distinct components.
 	mark bool
-	// traj is the freeze trajectory of the component's last recorded
-	// solve; when still valid at the next single-flow removal, the
-	// rebalance warm-starts from it instead of re-solving from scratch.
-	// Any other mutation (merge, rebuild, reset) invalidates it.
-	traj trajectory
 
 	// Batched-mode bookkeeping (see batch.go). dirty marks the component
-	// as awaiting its once-per-instant solve; pendEvents counts the events
-	// that touched it this instant; pendRemoved is the single detached
-	// flow when pendEvents == 1 (the warm-start hint — any second event
-	// clears it); pendTrig is the trigger of the event that first dirtied
-	// the component, for stats classification.
-	dirty       bool
-	pendEvents  int
-	pendRemoved *Flow
-	pendTrig    SolveTrigger
+	// as awaiting its once-per-instant solve; pendTrig is the trigger of
+	// the event that first dirtied the component, for stats
+	// classification.
+	dirty    bool
+	pendTrig SolveTrigger
 }
 
 // flowBefore is the canonical in-component flow order: by name, then by
@@ -177,18 +168,7 @@ func (c *component) reset() {
 	c.mark = false
 	c.removals = 0
 	c.dirty = false
-	c.pendEvents = 0
-	c.pendRemoved = nil
 	c.pendTrig = 0
-	c.traj.valid = false
-	// The trajectory arenas keep their capacity for reuse, but a pooled
-	// component must not pin flows or resources through the unused
-	// capacity regions.
-	clear(c.traj.passes[:cap(c.traj.passes)])
-	clear(c.traj.frozen[:cap(c.traj.frozen)])
-	c.traj.passes = c.traj.passes[:0]
-	c.traj.frozen = c.traj.frozen[:0]
-	c.traj.loads = c.traj.loads[:0]
 }
 
 // newComp returns an empty component from the free list (or a fresh one),
@@ -280,7 +260,6 @@ func (n *Network) mergeComp(dst, src *component) {
 	}
 	dst.stale = dst.stale || src.stale
 	dst.removals += src.removals
-	dst.traj.valid = false
 	n.dropComp(src)
 }
 
@@ -303,7 +282,6 @@ func ufFind(parent []int32, x int32) int32 {
 func (n *Network) rebuildComp(c *component) []*component {
 	c.stale = false
 	c.removals = 0
-	c.traj.valid = false
 	n.frags = n.frags[:0]
 	if len(c.resources) == 0 {
 		n.frags = append(n.frags, c)

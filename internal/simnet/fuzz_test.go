@@ -316,9 +316,9 @@ func verifyNet(t *testing.T, n *Network) {
 // component, like every campaign via the client-stack ramp) plus
 // per-group resources, with at most 32 distinct cap values so the pass
 // count stays bounded. All flows start up front (cold solves over a
-// growing set), then the run drains through completions — every other
-// one a warm start — with deterministic mid-run aborts; verifyNet
-// re-checks rates against the reference solver at 0 ULP at checkpoints.
+// growing set), then the run drains through completions with
+// deterministic mid-run aborts; verifyNet re-checks rates against the
+// reference solver at 0 ULP at checkpoints.
 func FuzzSolveLargeSingleComponent(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x03, 0x01, 0x07, 0x13, 0x2a, 0x05, 0x19, 0x40, 0x77, 0x02})
 	f.Add([]byte{0x09, 0x01, 0x05, 0x02, 0x61, 0x0e, 0x55, 0x23, 0x31, 0x12, 0x43, 0x09, 0x28, 0x16})
@@ -363,8 +363,7 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 				return
 			}
 			verifyNet(t, net)
-			// Abort one survivor so the abort-side warm start runs at
-			// scale too.
+			// Abort one survivor so the abort path runs at scale too.
 			for _, g := range flows {
 				if g.inNet {
 					net.Abort(g)

@@ -16,7 +16,7 @@ import (
 // cross-rack drain pair per rack rides its uplink and the shared 4:1
 // oversubscribed core. The core couples every rack, so the flat solver
 // sees one giant component while the partition sees `racks` local groups.
-func hierNet(racks, targetsPerRack, flowsPerRack, workers int) (*Network, *component) {
+func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *component) {
 	src := rng.New(23)
 	net := New(simkernel.New())
 	core := net.AddResource("core", float64(racks)*10000/4)
@@ -32,9 +32,7 @@ func hierNet(racks, targetsPerRack, flowsPerRack, workers int) (*Network, *compo
 		}
 	}
 	net.SetSeparators(seps...)
-	if workers > 0 {
-		net.SetHierarchical(workers, 0)
-	}
+	net.SetHierarchical(hier)
 	stripe := func(usage map[*Resource]float64, r int) {
 		for _, j := range src.Perm(targetsPerRack)[:4] {
 			usage[tgts[r][j]] = 0.25 + src.Float64()*0.5
@@ -70,32 +68,25 @@ func hierNet(racks, targetsPerRack, flowsPerRack, workers int) (*Network, *compo
 // BenchmarkHierSolve measures one cold solve of the fused fat-tree
 // component — the pure-CPU cost a churn event pays, isolated from the
 // event loop. The flat/hier ratio is the hierarchical decomposition's
-// per-solve speedup; hier-par8 adds the internal worker fan-out for the
-// re-accumulation passes. Gated against BENCH_PR8.json in CI.
+// per-solve speedup. Gated against the checked-in BENCH ledger in CI.
 func BenchmarkHierSolve(b *testing.B) {
 	const racks, targetsPerRack, flowsPerRack = 16, 32, 256
 	b.Run("flat", func(b *testing.B) {
-		net, c := hierNet(racks, targetsPerRack, flowsPerRack, 0)
+		net, c := hierNet(racks, targetsPerRack, flowsPerRack, false)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			net.sv.solve(c.flows, c.resources, c.capped, nil)
+			net.sv.solve(c.flows, c.resources, c.capped)
 		}
 	})
-	for _, bench := range []struct {
-		name    string
-		workers int
-		par     bool
-	}{{"hier", 1, false}, {"hier-par8", 8, true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			net, c := hierNet(racks, targetsPerRack, flowsPerRack, bench.workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !net.hier.trySolve(c, &net.sv, nil, bench.par) {
-					b.Fatal("hierarchical solve declined the fused component")
-				}
+	b.Run("hier", func(b *testing.B) {
+		net, c := hierNet(racks, targetsPerRack, flowsPerRack, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !net.hier.trySolve(c, &net.sv, nil) {
+				b.Fatal("hierarchical solve declined the fused component")
 			}
-		})
-	}
+		}
+	})
 }

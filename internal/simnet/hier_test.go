@@ -61,12 +61,11 @@ func decodeHierScenario(data []byte) hierScenario {
 
 // buildHierWorld constructs a world over sc's fat-tree topology. The
 // resource layout in w.res is locals (rack-major), then uplinks, then the
-// core. hierWorkers > 0 declares the uplinks and core as separators and
-// enables hierarchical solving with the given error bound, lowering the
-// size cutoff to zero so the partition machinery runs on fuzz-sized
-// components; batchWorkers configures same-instant batching as in
-// buildWorld.
-func buildHierWorld(sc hierScenario, hierWorkers int, maxRelErr float64, batchWorkers int) *fzWorld {
+// core. hier declares the uplinks and core as separators and enables
+// hierarchical solving, lowering the size cutoff to zero so the partition
+// machinery runs on fuzz-sized components; batchWorkers configures
+// same-instant batching as in buildWorld.
+func buildHierWorld(sc hierScenario, hier bool, batchWorkers int) *fzWorld {
 	w := &fzWorld{sim: simkernel.New()}
 	w.net = New(w.sim)
 	w.net.SetBatching(batchWorkers)
@@ -84,9 +83,9 @@ func buildHierWorld(sc hierScenario, hierWorkers int, maxRelErr float64, batchWo
 	core := w.net.AddResource("core", sc.coreCap)
 	w.res = append(w.res, core)
 	seps = append(seps, core)
-	if hierWorkers > 0 {
+	if hier {
 		w.net.SetSeparators(seps...)
-		w.net.SetHierarchical(hierWorkers, maxRelErr)
+		w.net.SetHierarchical(true)
 		w.net.hier.minFlows = 0
 	}
 	w.net.Observe(func(at simkernel.Time, f *Flow, rate float64) {
@@ -154,7 +153,7 @@ func applyHier(w *fzWorld, sc hierScenario, op fop) {
 }
 
 // FuzzHierarchicalVsFlatSolve drives random fat-tree scenarios through
-// the flat solver and the exact hierarchical solver and demands bitwise
+// the flat solver and the hierarchical solver and demands bitwise
 // agreement, two ways. Unbatched: the two worlds run in instant lockstep
 // and must agree on every flow's rate, remaining volume and liveness at
 // 0 ULP at every instant boundary; verifyNet additionally re-solves the
@@ -176,13 +175,12 @@ func FuzzHierarchicalVsFlatSolve(f *testing.F) {
 		if len(sc.ops) == 0 {
 			return
 		}
-		workers := 1 + int(data[0]%4)
-		flat := buildHierWorld(sc, 0, 0, 0)
-		hier := buildHierWorld(sc, workers, 0, 0)
+		flat := buildHierWorld(sc, false, 0)
+		hier := buildHierWorld(sc, true, 0)
 		runInstantLockstep(t, flat, hier, "flat vs hierarchical", func() { verifyNet(t, hier.net) })
 
-		batFlat := buildHierWorld(sc, 0, 0, 1)
-		batHier := buildHierWorld(sc, workers, 0, 2+int(data[0]%3))
+		batFlat := buildHierWorld(sc, false, 1)
+		batHier := buildHierWorld(sc, true, 2+int(data[0]%3))
 		if err := batFlat.sim.Run(); err != nil {
 			t.Fatalf("batched flat run: %v", err)
 		}
@@ -211,7 +209,7 @@ type hierTestTopo struct {
 	st             Stats
 }
 
-func newHierTestTopo(t *testing.T, workers int, maxRelErr float64, localCap, upCap, coreCap float64) *hierTestTopo {
+func newHierTestTopo(t *testing.T, localCap, upCap, coreCap float64) *hierTestTopo {
 	t.Helper()
 	tp := &hierTestTopo{sim: simkernel.New()}
 	tp.net = New(tp.sim)
@@ -222,7 +220,7 @@ func newHierTestTopo(t *testing.T, workers int, maxRelErr float64, localCap, upC
 	tp.u1 = tp.net.AddResource("rack1/up", upCap)
 	tp.core = tp.net.AddResource("core", coreCap)
 	tp.net.SetSeparators(tp.u0, tp.u1, tp.core)
-	tp.net.SetHierarchical(workers, maxRelErr)
+	tp.net.SetHierarchical(true)
 	tp.net.hier.minFlows = 0
 	return tp
 }
@@ -233,12 +231,12 @@ func (tp *hierTestTopo) start(name string, usage map[*Resource]float64) *Flow {
 	return f
 }
 
-// TestHierExactPathUsed pins down that the exact hierarchical path
+// TestHierExactPathUsed pins down that the hierarchical path
 // actually runs (rather than silently falling back flat, which would make
 // the differential fuzzer vacuous) and that a one-rack component falls
 // back with the fallback counter ticking.
 func TestHierExactPathUsed(t *testing.T) {
-	tp := newHierTestTopo(t, 2, 0, 1000, 80, 120)
+	tp := newHierTestTopo(t, 1000, 80, 120)
 	tp.start("loc0", map[*Resource]float64{tp.l0: 1})
 	tp.start("loc1", map[*Resource]float64{tp.l1: 1})
 	tp.start("cross0", map[*Resource]float64{tp.l0: 0.25, tp.u0: 1, tp.core: 1})
@@ -251,7 +249,7 @@ func TestHierExactPathUsed(t *testing.T) {
 
 	// A component confined to one rack has a single local group: the
 	// partition is degenerate and the flat solver must run instead.
-	tp2 := newHierTestTopo(t, 2, 0, 1000, 80, 120)
+	tp2 := newHierTestTopo(t, 1000, 80, 120)
 	tp2.start("only", map[*Resource]float64{tp2.l0: 1, tp2.u0: 1})
 	if tp2.st.HierSolves != 0 {
 		t.Fatalf("one-rack component took the hierarchical path: %+v", tp2.st)
@@ -260,88 +258,6 @@ func TestHierExactPathUsed(t *testing.T) {
 		t.Fatal("degenerate partition did not count a fallback")
 	}
 	verifyNet(t, tp2.net)
-}
-
-// TestHierBoundedConverges runs bounded-error mode on a core-contended
-// two-rack topology: nine coupled flows in rack 0 against one in rack 1.
-// The weighted coordination must converge within the bound, report a
-// residual no larger than the bound, keep every resource feasible, and
-// land near the true max-min allocation (all ten core flows at ~1/10 of
-// the core) rather than the rack-equal split a per-rack share would give.
-func TestHierBoundedConverges(t *testing.T) {
-	tp := newHierTestTopo(t, 2, 0.01, 1e6, 1e6, 100)
-	var flows []*Flow
-	for i := 0; i < 9; i++ {
-		flows = append(flows, tp.start(fmt.Sprintf("a%d", i), map[*Resource]float64{tp.l0: 0.01, tp.u0: 1, tp.core: 1}))
-	}
-	flows = append(flows, tp.start("b0", map[*Resource]float64{tp.l1: 0.01, tp.u1: 1, tp.core: 1}))
-	if tp.st.HierSolves == 0 {
-		t.Fatalf("bounded mode never took the hierarchical path: %+v", tp.st)
-	}
-	if tp.st.HierMaxRelErr > 0.01 {
-		t.Fatalf("measured residual %v exceeds the configured bound 0.01", tp.st.HierMaxRelErr)
-	}
-	// Feasibility: recompute separator loads from the rates.
-	coreLoad := 0.0
-	for _, f := range flows {
-		coreLoad += f.rate
-	}
-	if coreLoad > 100*(1+1e-9) {
-		t.Fatalf("core overloaded: %v > 100", coreLoad)
-	}
-	// Near max-min: every flow within 25%% of the fair 10 MiB/s share.
-	for _, f := range flows {
-		if f.rate < 7.5 || f.rate > 12.5 {
-			t.Fatalf("flow %s rate %v far from the max-min share 10", f.Name, f.rate)
-		}
-	}
-}
-
-// TestHierBoundedErrMetricFires is the mutation test for
-// simnet/hier_max_rel_err: with the outer loop truncated to one
-// coordination round (the forceOuter knob suppresses the exact fallback
-// that normally guarantees the bound), the imbalanced topology above
-// cannot converge, and the measured residual must actually fire — proving
-// the metric detects truncation rather than sitting at zero.
-func TestHierBoundedErrMetricFires(t *testing.T) {
-	tp := newHierTestTopo(t, 2, 1e-9, 1e6, 1e6, 100)
-	tp.net.hier.forceOuter = 1
-	for i := 0; i < 9; i++ {
-		tp.start(fmt.Sprintf("a%d", i), map[*Resource]float64{tp.l0: 0.01, tp.u0: 1, tp.core: 1})
-	}
-	tp.start("b0", map[*Resource]float64{tp.l1: 0.01, tp.u1: 1, tp.core: 1})
-	if tp.st.HierSolves == 0 {
-		t.Fatalf("truncated bounded mode never took the hierarchical path: %+v", tp.st)
-	}
-	if tp.st.HierExactFallbacks != 0 {
-		t.Fatalf("forceOuter must suppress the exact fallback, got %d", tp.st.HierExactFallbacks)
-	}
-	if tp.st.HierMaxRelErr < 0.05 {
-		t.Fatalf("hier_max_rel_err did not fire under truncation: residual %v", tp.st.HierMaxRelErr)
-	}
-}
-
-// TestHierBoundedFallsBackExactly checks the bound guarantee's other
-// half: without the test knob, a bounded solve that exhausts its round
-// cap re-runs exactly, counts the fallback, and reports zero residual.
-func TestHierBoundedFallsBackExactly(t *testing.T) {
-	tp := newHierTestTopo(t, 2, 0, 1000, 80, 120)
-	// Reconfigure as bounded with an unreachable bound so every solve
-	// exhausts the cap and falls back.
-	tp.net.SetHierarchical(2, math.SmallestNonzeroFloat64)
-	tp.net.hier.minFlows = 0
-	for i := 0; i < 3; i++ {
-		tp.start(fmt.Sprintf("a%d", i), map[*Resource]float64{tp.l0: 1, tp.u0: 1, tp.core: 1})
-		tp.start(fmt.Sprintf("b%d", i), map[*Resource]float64{tp.l1: 1, tp.u1: 1, tp.core: 1})
-	}
-	if tp.st.HierSolves == 0 {
-		t.Fatalf("no hierarchical solves: %+v", tp.st)
-	}
-	if tp.st.HierMaxRelErr > math.SmallestNonzeroFloat64 {
-		t.Fatalf("residual %v exceeds the bound despite the exact fallback", tp.st.HierMaxRelErr)
-	}
-	// The exact fallback leaves reference-identical state.
-	verifyNet(t, tp.net)
 }
 
 // TestHierSetupValidation covers the configuration guards.
@@ -358,19 +274,21 @@ func TestHierSetupValidation(t *testing.T) {
 	sim := simkernel.New()
 	net := New(sim)
 	r := net.AddResource("r", 100)
-	expectPanic("negative workers", func() { net.SetHierarchical(-1, 0) })
-	expectPanic("negative bound", func() { net.SetHierarchical(1, -0.5) })
-	expectPanic("NaN bound", func() { net.SetHierarchical(1, math.NaN()) })
-	net.SetHierarchical(2, 0)
-	if net.Hierarchical() != 2 {
-		t.Fatalf("Hierarchical() = %d, want 2", net.Hierarchical())
+	expectPanic("min flows before enable", func() { net.SetHierarchicalMinFlows(8) })
+	net.SetHierarchical(true)
+	if net.hier == nil {
+		t.Fatal("SetHierarchical(true) left the mode off")
 	}
-	net.SetHierarchical(0, 0)
-	if net.Hierarchical() != 0 {
-		t.Fatalf("Hierarchical() = %d after disable, want 0", net.Hierarchical())
+	expectPanic("negative min flows", func() { net.SetHierarchicalMinFlows(-1) })
+	net.SetHierarchical(false)
+	if net.hier != nil {
+		t.Fatal("SetHierarchical(false) left the mode on")
 	}
+	gl := New(sim)
+	gl.forceGlobal = true
+	expectPanic("forceGlobal", func() { gl.SetHierarchical(true) })
 	f := &Flow{Name: "f", Volume: 10, Usage: map[*Resource]float64{r: 1}}
 	net.Start(f)
 	expectPanic("in-flight separators", func() { net.SetSeparators(r) })
-	expectPanic("in-flight enable", func() { net.SetHierarchical(1, 0) })
+	expectPanic("in-flight enable", func() { net.SetHierarchical(true) })
 }

@@ -114,7 +114,8 @@ func TestSolveOptimalityKKT(t *testing.T) {
 			resources = append(resources, core)
 			seps = append(seps, core)
 			net.SetSeparators(seps...)
-			net.SetHierarchical(1+rng.Intn(3), 0)
+			net.SetHierarchical(true)
+			rng.Intn(3) // a retired draw, kept so the seeded cases stay the same
 			net.hier.minFlows = 0
 			nFlows := 4 + rng.Intn(32)
 			flows := make([]*Flow, nFlows)

@@ -49,10 +49,7 @@ type Resource struct {
 	comp *component
 
 	// uf is rebuild scratch: the resource's position within its
-	// component's resource list during a union-find pass. The
-	// hierarchical solver reuses it between rebuilds as the resource's
-	// partition slot (group index for locals, separator-list index for
-	// separators); both users fully re-derive it before reading.
+	// component's resource list during a union-find pass.
 	uf int32
 
 	// sep marks a declared separator resource (see Network.SetSeparators):
@@ -198,13 +195,6 @@ type Flow struct {
 
 	frozen bool // solver scratch
 
-	// fpass is solver scratch: the waterfill pass this flow froze in
-	// during the last trajectory-recorded solve (fpassNever while
-	// unfrozen). The warm-start path reads it to reconstruct, bit for
-	// bit, the bottleneck sums a re-solve without the departed flow
-	// would have formed.
-	fpass int32
-
 	// hgroup is hierarchical-solver scratch: the flow's rack-local group
 	// slot for the current partition, with hsepBit set when the flow's
 	// usage vector touches a separator. Re-derived by every partition.
@@ -222,10 +212,7 @@ type Flow struct {
 	//   huses  — the uses entries regrouped locals-first (huses[:hnlocal])
 	//            then separators (huses[hnlocal:]), each segment in original
 	//            uses order so per-resource accumulation order — and hence
-	//            every IEEE sum — is unchanged. The entries are copies:
-	//            bounded-mode clone swaps rewrite f.uses only, so the
-	//            separator segment always points at the real separators,
-	//            which is exactly what the exact solve wants.
+	//            every IEEE sum — is unchanged.
 	hroot   int32
 	hsep    bool
 	huses   []use
@@ -403,10 +390,8 @@ type Network struct {
 	// serial finish phase replays them in component-id order.
 	psv         []solver
 	workerStats []Stats
-	warmDone    []bool
 	hierOf      []bool
 	livePasses  []int
-	replayedOf  []int
 	groupsOf    []int
 	batchRates  []float64
 	rateOff     []int
@@ -483,10 +468,10 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	n.settleComp(r.comp, now)
 	r.capacity = capacity
 	if n.batchWorkers > 0 {
-		n.markDirty(r.comp, nil, TriggerCapacity)
+		n.markDirty(r.comp, TriggerCapacity)
 		return
 	}
-	n.rebalanceComp(r.comp, now, nil, TriggerCapacity)
+	n.rebalanceComp(r.comp, now, TriggerCapacity)
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -586,10 +571,10 @@ func (n *Network) Start(f *Flow) {
 				// batch. A fragment split off a component that was already
 				// dirty inherits its own mark here, so no pending work is
 				// lost across the split.
-				n.markDirty(frag, nil, TriggerStart)
+				n.markDirty(frag, TriggerStart)
 				continue
 			}
-			n.rebalanceComp(frag, now, nil, TriggerStart)
+			n.rebalanceComp(frag, now, TriggerStart)
 		}
 		for i := range f.uses {
 			if rc := f.uses[i].res.comp; rc != nil {
@@ -625,10 +610,10 @@ func (n *Network) Start(f *Flow) {
 	n.retain(f, target)
 	f.inNet = true
 	if n.batchWorkers > 0 {
-		n.markDirty(target, nil, TriggerStart)
+		n.markDirty(target, TriggerStart)
 		return
 	}
-	n.rebalanceComp(target, now, nil, TriggerStart)
+	n.rebalanceComp(target, now, TriggerStart)
 }
 
 // collectStartComps gathers the distinct live components of f's resources
@@ -672,9 +657,9 @@ func (n *Network) Abort(f *Flow) {
 	if len(c.flows) == 0 {
 		n.dropComp(c)
 	} else if n.batchWorkers > 0 {
-		n.markDirty(c, f, TriggerAbort)
+		n.markDirty(c, TriggerAbort)
 	} else {
-		n.rebalanceComp(c, now, f, TriggerAbort)
+		n.rebalanceComp(c, now, TriggerAbort)
 	}
 	if f.OnAbort != nil {
 		f.OnAbort(now)
@@ -809,13 +794,7 @@ func (n *Network) settleRescheduleAll() {
 // component are not touched at all. In steady state (buffers warmed up,
 // every flow already carrying its completion event) this performs zero
 // heap allocations.
-//
-// removed, when non-nil, is a flow just detached from c whose departure
-// is the only change since c's last solve; the rebalance then tries the
-// warm-start path, replaying the recorded freeze trajectory's unaffected
-// prefix instead of re-solving from scratch. Either way the resulting
-// rates are bit-identical to a cold solve.
-func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow, trig SolveTrigger) {
+func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
 	if len(c.flows) == 0 {
 		return
 	}
@@ -836,45 +815,11 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow,
 		solveStart = time.Now()
 	}
 	n.sv.indexed = true
-	n.sv.lastGroups = 0
-	done := false
-	if removed != nil && c.traj.valid {
-		done = n.sv.warmSolve(c.flows, c.resources, c.capped, &c.traj, removed)
-	}
-	// Whatever happens next, the last recorded trajectory no longer
-	// matches the component: a warm start consumed it, and a cold solve
-	// either re-records it or (below the size cutoff) leaves it stale.
-	c.traj.valid = false
-	hier := false
-	if !done {
-		n.sv.lastReplayed = 0
-		if n.hier != nil {
-			hier = n.hier.trySolve(c, &n.sv, n.stats, true)
-		}
-		if !hier {
-			rec := &c.traj
-			if len(c.flows) < recordMinFlows {
-				// Recording exists to amortize big solves across removals;
-				// on small components the per-pass load snapshots cost more
-				// than a cold re-solve, so skip both recording and (by the
-				// invalidation above) any future warm start.
-				rec = nil
-			}
-			n.sv.solve(c.flows, c.resources, c.capped, rec)
-		}
-	}
+	hier := n.solveComp(c, &n.sv, n.stats)
 	if n.stats != nil {
 		n.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
 		n.stats.Solves[trig]++
 		n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
-		if removed != nil {
-			if done {
-				n.stats.WarmHits++
-				n.stats.WarmReplayedPasses += uint64(n.sv.lastReplayed)
-			} else {
-				n.stats.WarmMisses++
-			}
-		}
 	}
 	for i, f := range c.flows {
 		n.scheduleCompletion(f, now)
@@ -889,16 +834,27 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, removed *Flow,
 	}
 	if n.solveObserver != nil {
 		n.solveObserver(now, SolveInfo{
-			Trigger:        trig,
-			Flows:          len(c.flows),
-			Resources:      len(c.resources),
-			LivePasses:     n.sv.lastLive,
-			WarmStart:      done,
-			ReplayedPasses: n.sv.lastReplayed,
-			Hierarchical:   hier,
-			Groups:         n.sv.lastGroups,
+			Trigger:      trig,
+			Flows:        len(c.flows),
+			Resources:    len(c.resources),
+			LivePasses:   n.sv.lastLive,
+			Hierarchical: hier,
+			Groups:       n.sv.lastGroups,
 		})
 	}
+}
+
+// solveComp assigns c's fair-share rates using sv's scratch: by partition
+// when the hierarchical mode is on and c splits into rack-local groups,
+// with the flat waterfill otherwise. It reports whether the hierarchical
+// path ran; sv.lastLive and sv.lastGroups describe the solve afterwards.
+func (n *Network) solveComp(c *component, sv *solver, st *Stats) bool {
+	sv.lastGroups = 0
+	if n.hier != nil && n.hier.trySolve(c, sv, st) {
+		return true
+	}
+	sv.solve(c.flows, c.resources, c.capped)
+	return false
 }
 
 func (n *Network) scheduleCompletion(f *Flow, now simkernel.Time) {
@@ -953,9 +909,9 @@ func (n *Network) complete(f *Flow) {
 	if len(c.flows) == 0 {
 		n.dropComp(c)
 	} else if n.batchWorkers > 0 {
-		n.markDirty(c, f, TriggerComplete)
+		n.markDirty(c, TriggerComplete)
 	} else {
-		n.rebalanceComp(c, now, f, TriggerComplete)
+		n.rebalanceComp(c, now, TriggerComplete)
 	}
 	if f.OnComplete != nil {
 		f.OnComplete(now)

@@ -31,72 +31,11 @@ package simnet
 //     has no floating-point effect — freezes only flip flags and assign
 //     already-computed rates — so walking users (flow-ordered) matches
 //     the reference sweep exactly.
-//
-// On top of the pass loop, a solve may record its freeze trajectory
-// (which flow froze in which pass, at what rate, with per-pass fill,
-// step, bottleneck and per-resource load snapshots). The common
-// completion event — one flow leaves, nothing else changes — can then
-// warm-start: the prefix of passes provably unaffected by the departure
-// is replayed from the record instead of recomputed, and the live loop
-// resumes where the trajectories genuinely diverge. See warmSolve for
-// the proof obligations.
 
 import (
 	"math"
 	"slices"
 )
-
-// fpassNever marks a flow that did not freeze during the last recorded
-// solve (never happens on a cleanly terminated solve, where every flow
-// freezes, but the sentinel keeps partially recorded state harmless).
-const fpassNever = int32(1) << 30
-
-// recordMinFlows is the component size below which rebalances skip
-// trajectory recording: the warm start exists to amortize expensive
-// solves, and for small components the per-pass load snapshots cost more
-// than simply re-solving cold on the next removal. Campaign components
-// (one application's in-flight ops) sit well below this; the large
-// single-component shapes the warm start targets sit well above.
-const recordMinFlows = 48
-
-// trajPass is one recorded waterfill pass.
-type trajPass struct {
-	step      float64 // fill increment applied this pass
-	fill      float64 // fill level after the pass
-	minCap    float64 // smallest unfrozen cap entering the pass (0 if none)
-	minCapDup bool    // a second unfrozen flow shares minCap
-	capFired  bool    // capDelta <= delta: cap freezes ran
-	resFired  bool    // delta <= capDelta: bottleneck freezes ran
-	// bottleneck is the pass's argmin resource (nil if none had demand).
-	bottleneck *Resource
-	// frozenEnd is the length of trajectory.frozen after this pass's
-	// freezes: frozen[:frozenEnd] is everything frozen in passes <= this.
-	frozenEnd int32
-}
-
-// frozenRec is one freeze event: which flow, at what rate.
-type frozenRec struct {
-	f    *Flow
-	rate float64
-}
-
-// trajectory records a solve so the next single-flow-removal rebalance of
-// the same component can replay its unaffected prefix. It is valid only
-// if the solve terminated cleanly with every flow frozen and nothing
-// about the component (membership, capacities) has changed since, except
-// the one removal the warm start accounts for; every other mutation path
-// (merge, rebuild, capacity change, warm start itself) invalidates it.
-type trajectory struct {
-	valid  bool
-	nFlows int
-	nRes   int
-	passes []trajPass
-	frozen []frozenRec
-	// loads holds len(passes) rows of nRes values: resource loads after
-	// each pass, in component resource order. Row p is the handoff state
-	// for a warm start that replays passes [0, p].
-	loads []float64
-}
 
 // solver holds the scratch state of the incremental waterfill. Each
 // Network owns one (workers in a parallel campaign have private
@@ -136,14 +75,11 @@ type solver struct {
 	// with the owning Network; see Network.SetStats). It never feeds back
 	// into the solve's arithmetic.
 	stats *Stats
-	// lastLive and lastReplayed record the previous solve's cost — live
-	// passes run and recorded passes replayed by a warm start — for the
-	// Network's solve observer; lastGroups records the rack-local group
-	// count when the previous solve took the hierarchical path (0 for flat
-	// and warm-started solves).
-	lastLive     int
-	lastReplayed int
-	lastGroups   int
+	// lastLive records the previous solve's pass count for the Network's
+	// solve observer; lastGroups records the rack-local group count when
+	// the previous solve took the hierarchical path (0 for flat solves).
+	lastLive   int
+	lastGroups int
 }
 
 // capOrder sorts capped flows by cap, tie-broken by the canonical flow
@@ -178,20 +114,11 @@ func capOrder(a, b *Flow) int {
 // resource the flows touch, in registration order. capped, when non-nil,
 // must be exactly the flows with Cap > 0 in capOrder (components maintain
 // it incrementally; passing it skips a per-solve sort); nil means build
-// and sort it here. If rec is non-nil the solve records its trajectory
-// there (marking it valid only on clean termination with every flow
-// frozen).
-func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow, rec *trajectory) {
-	if rec != nil {
-		rec.valid = false
-		rec.passes = rec.passes[:0]
-		rec.frozen = rec.frozen[:0]
-		rec.loads = rec.loads[:0]
-	}
+// and sort it here.
+func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 	for _, f := range flows {
 		f.frozen = false
 		f.rate = 0
-		f.fpass = fpassNever
 	}
 	for _, r := range resources {
 		r.load = 0
@@ -219,17 +146,8 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow, rec
 	for i := range resources {
 		s.cands = append(s.cands, int32(i))
 	}
-	s.run(flows, resources, 0, rec)
-}
-
-// run executes waterfill passes starting at pass number iter, against
-// already-initialized solver state (fill, active, unfrozen, capped,
-// cands, per-resource loads), then assigns the final fill to whatever
-// stayed unfrozen. Cold solves enter with iter 0; warm starts enter at
-// the first pass after the replayed prefix.
-func (s *solver) run(flows []*Flow, resources []*Resource, iter int, rec *trajectory) {
-	startIter := iter
 	maxIter := len(flows) + len(resources) + 1
+	iter := 0
 	for ; s.active > 0 && iter <= maxIter; iter++ {
 		// Per-resource demand of the unfrozen flows, accumulated in flow
 		// order — the same addition sequence the reference performs.
@@ -278,20 +196,8 @@ func (s *solver) run(flows []*Flow, resources []*Resource, iter int, rec *trajec
 			s.capHead++
 		}
 		capDelta := math.Inf(1)
-		var minCap float64
-		minCapDup := false
 		if s.capHead < len(s.capped) {
-			minCap = s.capped[s.capHead].Cap
-			capDelta = minCap - s.fill
-			// A duplicate frontier holder is any other unfrozen flow at the
-			// same cap; equal-cap flows freeze in the same pass, so this
-			// scan rarely moves more than one entry.
-			for j := s.capHead + 1; j < len(s.capped) && s.capped[j].Cap == minCap; j++ {
-				if !s.capped[j].frozen {
-					minCapDup = true
-					break
-				}
-			}
+			capDelta = s.capped[s.capHead].Cap - s.fill
 		}
 		if math.IsInf(delta, 1) && math.IsInf(capDelta, 1) {
 			// No binding constraint; mirror the reference's guard.
@@ -307,9 +213,7 @@ func (s *solver) run(flows []*Flow, resources []*Resource, iter int, rec *trajec
 			r.load += r.sumW * step
 		}
 		before := s.active
-		capFired := capDelta <= delta
-		resFired := delta <= capDelta && bottleneck != nil
-		if capFired {
+		if capDelta <= delta {
 			// The capped list is Cap-ascending, so the flows at or below
 			// the tolerance form a prefix (some already frozen by earlier
 			// resource passes and skipped here).
@@ -319,38 +223,23 @@ func (s *solver) run(flows []*Flow, resources []*Resource, iter int, rec *trajec
 					break
 				}
 				if !f.frozen {
-					s.freeze(f, f.Cap, iter, rec)
+					s.freeze(f, f.Cap)
 				}
 			}
 		}
-		if resFired {
+		if delta <= capDelta && bottleneck != nil {
 			if s.indexed {
 				for i := range bottleneck.users {
 					if f := bottleneck.users[i].f; !f.frozen {
-						s.freeze(f, s.fill, iter, rec)
+						s.freeze(f, s.fill)
 					}
 				}
 			} else {
 				for _, fi := range s.unfrozen {
 					if f := flows[fi]; !f.frozen && f.usesRes(bottleneck) {
-						s.freeze(f, s.fill, iter, rec)
+						s.freeze(f, s.fill)
 					}
 				}
-			}
-		}
-		if rec != nil {
-			rec.passes = append(rec.passes, trajPass{
-				step:       step,
-				fill:       s.fill,
-				minCap:     minCap,
-				minCapDup:  minCapDup,
-				capFired:   capFired,
-				resFired:   resFired,
-				bottleneck: bottleneck,
-				frozenEnd:  int32(len(rec.frozen)),
-			})
-			for _, r := range resources {
-				rec.loads = append(rec.loads, r.load)
 			}
 		}
 		if s.stats != nil {
@@ -363,162 +252,25 @@ func (s *solver) run(flows []*Flow, resources []*Resource, iter int, rec *trajec
 			break
 		}
 	}
-	s.lastLive = iter - startIter
+	s.lastLive = iter
 	// Flows frozen by the final pass are compacted lazily, so skip them.
 	for _, fi := range s.unfrozen {
 		if f := flows[fi]; !f.frozen {
 			f.rate = s.fill
 		}
 	}
-	if rec != nil {
-		// A trajectory is replayable only if the solve ran to a clean
-		// fixpoint with every flow frozen; iteration-cap and stall exits
-		// leave unfrozen flows whose recorded state a warm start could
-		// not trust.
-		rec.valid = s.active == 0
-		rec.nFlows = len(flows)
-		rec.nRes = len(resources)
-	}
 }
 
-// freeze pins f at rate, recording the freeze when rec is non-nil.
-func (s *solver) freeze(f *Flow, rate float64, pass int, rec *trajectory) {
+// freeze pins f at rate.
+func (s *solver) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	s.active--
-	if rec != nil {
-		f.fpass = int32(pass)
-		rec.frozen = append(rec.frozen, frozenRec{f: f, rate: rate})
-	}
-}
-
-// warmSolve re-solves a component from which exactly one flow (removed)
-// has departed since traj was recorded, replaying the prefix of recorded
-// passes the departure provably cannot have changed and running the live
-// loop only from the first genuinely divergent pass. It returns false —
-// leaving all flow state untouched — when no prefix is provably safe and
-// the caller must run a cold solve.
-//
-// Safety argument. Removing a flow can only raise resource headroom:
-// with the same fill and the same frozen set (minus removed), every
-// resource r the removed flow touched has load' <= load and sumW' <=
-// sumW (the per-pass sums lose only non-negative terms from an
-// order-preserving summation, and IEEE addition, subtraction and
-// division are monotonic), so d' = (cap - load')/sumW' >= d holds
-// *bitwise*, while every untouched resource keeps bit-identical load,
-// sumW and d. A recorded pass therefore replays exactly unless its
-// binding constraint involved the removed flow:
-//
-//   - resFired with bottleneck in removed's usage vector: the argmin's
-//     operands changed. (For any untouched bottleneck b, candidates
-//     scanned before b had d > delta strictly — first-wins argmin — and
-//     their d only grew, so b stays the first minimum with bit-identical
-//     delta.)
-//   - capFired while removed was still unfrozen and alone at the cap
-//     frontier: capDelta = minCap - fill came from removed.Cap, and the
-//     remaining minimum is larger. A duplicate holder keeps capDelta
-//     bit-identical, so the pass replays.
-//
-// The scan stops at the first such pass; everything before it froze the
-// same flows (minus removed) at the same rates with the same fill.
-func (s *solver) warmSolve(flows []*Flow, resources []*Resource, capped []*Flow, traj *trajectory, removed *Flow) bool {
-	if !traj.valid || traj.nRes != len(resources) || traj.nFlows != len(flows)+1 {
-		return false
-	}
-	h := 0
-	for h < len(traj.passes) {
-		p := &traj.passes[h]
-		if p.resFired && removed.usesRes(p.bottleneck) {
-			break
-		}
-		if p.capFired && removed.Cap > 0 && removed.fpass >= int32(h) &&
-			removed.Cap <= p.minCap && !p.minCapDup {
-			break
-		}
-		h++
-	}
-	if h == 0 {
-		return false
-	}
-	// Hand off resource loads as of the end of pass h-1. Resources the
-	// removed flow never touched carry bit-identical loads in both
-	// trajectories: read them from the snapshot. Touched resources are
-	// re-derived exactly as a cold solve on the surviving flows would
-	// have built them: per pass, sum the weights of the surviving flows
-	// still unfrozen at that pass in canonical flow order (flows is the
-	// component list, which is kept in that order), then accumulate
-	// sumW·step under the reference's sumW > 0 guard. The freeze passes
-	// come from Flow.fpass, recorded by the cold solve and untouched
-	// since. sumW doubles as the per-pass accumulator; the live loop
-	// re-zeroes it before use.
-	for i, r := range resources {
-		if !removed.usesRes(r) {
-			r.load = traj.loads[(h-1)*traj.nRes+i]
-			continue
-		}
-		r.load = 0
-	}
-	for p := 0; p < h; p++ {
-		for i := range removed.uses {
-			removed.uses[i].res.sumW = 0
-		}
-		for _, f := range flows {
-			if f.fpass < int32(p) {
-				continue
-			}
-			for i := range f.uses {
-				if r := f.uses[i].res; removed.usesRes(r) {
-					r.sumW += f.uses[i].w
-				}
-			}
-		}
-		for i := range removed.uses {
-			if r := removed.uses[i].res; r.sumW > 0 {
-				r.load += r.sumW * traj.passes[p].step
-			}
-		}
-	}
-	// Replay the prefix freezes onto the surviving flows.
-	for _, f := range flows {
-		f.frozen = false
-		f.rate = 0
-	}
-	s.active = len(flows)
-	for i := int32(0); i < traj.passes[h-1].frozenEnd; i++ {
-		fr := traj.frozen[i]
-		if fr.f == removed {
-			continue
-		}
-		fr.f.frozen = true
-		fr.f.rate = fr.rate
-		s.active--
-	}
-	s.fill = traj.passes[h-1].fill
-	s.unfrozen = s.unfrozen[:0]
-	for i, f := range flows {
-		if !f.frozen {
-			s.unfrozen = append(s.unfrozen, int32(i))
-		}
-	}
-	// The component's cap-ordered list (removed already deleted from it)
-	// is the live cap frontier as-is: the head cursor and freeze walk
-	// skip the prefix-frozen entries.
-	s.capped = capped
-	s.capHead = 0
-	// The live loop's first pass rebuilds sumW and re-compacts, so the
-	// candidate list can simply start as the full resource set.
-	s.cands = s.cands[:0]
-	for i := range resources {
-		s.cands = append(s.cands, int32(i))
-	}
-	s.lastReplayed = h
-	s.run(flows, resources, h, nil)
-	return true
 }
 
 // solve is the package-level entry point used by FairShare and tests: a
-// throwaway unindexed solver, no trajectory, local cap sort.
+// throwaway unindexed solver with a local cap sort.
 func solve(flows []*Flow, resources []*Resource) {
 	var s solver
-	s.solve(flows, resources, nil, nil)
+	s.solve(flows, resources, nil)
 }

@@ -116,8 +116,8 @@ func singleCompNet(nFlows int) (*Network, *component) {
 
 // BenchmarkSolveSingleComponent measures one cold waterfill of the
 // single-component campaign topology with the incremental solver — the
-// work a flow start or (failed-warm-start) completion pays inside the
-// component that component scoping alone cannot reduce.
+// work a flow start or completion pays inside the component that
+// component scoping alone cannot reduce.
 func BenchmarkSolveSingleComponent(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
@@ -125,7 +125,7 @@ func BenchmarkSolveSingleComponent(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.sv.solve(c.flows, c.resources, c.capped, nil)
+				net.sv.solve(c.flows, c.resources, c.capped)
 			}
 		})
 	}

@@ -47,21 +47,16 @@ func (t SolveTrigger) String() string {
 type Stats struct {
 	// Solves counts component rebalances by triggering event kind.
 	Solves [numTriggers]uint64
-	// Passes counts live waterfill passes (warm-start-replayed passes are
-	// counted in WarmReplayedPasses instead).
+	// Passes counts waterfill passes.
 	Passes uint64
 	// FreezesPerPass is the histogram of flows frozen per live pass.
 	FreezesPerPass obs.Log2Hist
 	// ComponentFlows is the histogram of component sizes (flows) solved.
 	ComponentFlows obs.Log2Hist
-	// WarmHits counts removal rebalances served by the warm-start replay;
-	// WarmMisses counts removal rebalances that fell back to a cold solve
-	// (no recorded trajectory, or no provably safe prefix).
+	// WarmHits and WarmMisses are always 0: every rebalance solves cold.
+	// The fields remain so code that reads them keeps compiling.
 	WarmHits   uint64
 	WarmMisses uint64
-	// WarmReplayedPasses sums the recorded passes warm starts replayed
-	// instead of recomputing.
-	WarmReplayedPasses uint64
 	// SolveBatches counts batched-mode flushes that solved at least one
 	// component (zero unless SetBatching is on).
 	SolveBatches uint64
@@ -73,26 +68,14 @@ type Stats struct {
 	// batch shape, not by the configured worker count, so (like every
 	// other field) it is identical at any SetBatching worker setting.
 	ParallelSolves uint64
-	// HierSolves counts component solves served by the hierarchical path
-	// (exact or bounded-error); HierFallbacks counts solves where the
-	// mode was enabled but the partition was degenerate (no separators in
-	// the component, or fewer than two rack-local groups) and the flat
-	// solver ran instead. Components below the hierarchical size cutoff
-	// are counted in neither.
+	// HierSolves counts component solves served by the hierarchical
+	// path; HierFallbacks counts solves where the mode was enabled but the
+	// partition was degenerate (no separators in the component, or fewer
+	// than two rack-local groups) and the flat solver ran instead.
+	// Components below the hierarchical size cutoff are counted in
+	// neither.
 	HierSolves    uint64
 	HierFallbacks uint64
-	// HierOuterRounds sums bounded-error coordination rounds across
-	// hierarchical solves; HierExactFallbacks counts bounded-error solves
-	// that hit the round cap without converging and re-ran exactly
-	// (which is how the mode guarantees its error bound).
-	HierOuterRounds    uint64
-	HierExactFallbacks uint64
-	// HierMaxRelErr is the maximum measured bounded-error residual — the
-	// max relative rate change between the final two coordination rounds
-	// of any bounded solve. Exact solves and exact fallbacks contribute
-	// 0; the value never exceeds the SetHierarchical bound. Exported as
-	// the simnet/hier_max_rel_err metric.
-	HierMaxRelErr float64
 	// FlushWaveWidth is the histogram of dirty components per batched-mode
 	// flush — the fan-out width the worker pool sees each wave.
 	FlushWaveWidth obs.Log2Hist
@@ -110,8 +93,8 @@ type Stats struct {
 }
 
 // merge folds src into st field-wise: counters by addition, histograms by
-// bucket-wise addition, HierMaxRelErr by maximum. Every fold is
-// commutative, so parallel flush workers may merge in any order.
+// bucket-wise addition. Every fold is commutative, so parallel flush
+// workers may merge in any order.
 func (st *Stats) merge(src *Stats) {
 	for t := range src.Solves {
 		st.Solves[t] += src.Solves[t]
@@ -119,19 +102,11 @@ func (st *Stats) merge(src *Stats) {
 	st.Passes += src.Passes
 	st.FreezesPerPass.Merge(&src.FreezesPerPass)
 	st.ComponentFlows.Merge(&src.ComponentFlows)
-	st.WarmHits += src.WarmHits
-	st.WarmMisses += src.WarmMisses
-	st.WarmReplayedPasses += src.WarmReplayedPasses
 	st.SolveBatches += src.SolveBatches
 	st.ComponentsDirty += src.ComponentsDirty
 	st.ParallelSolves += src.ParallelSolves
 	st.HierSolves += src.HierSolves
 	st.HierFallbacks += src.HierFallbacks
-	st.HierOuterRounds += src.HierOuterRounds
-	st.HierExactFallbacks += src.HierExactFallbacks
-	if src.HierMaxRelErr > st.HierMaxRelErr {
-		st.HierMaxRelErr = src.HierMaxRelErr
-	}
 	st.FlushWaveWidth.Merge(&src.FlushWaveWidth)
 	st.HierGroups.Merge(&src.HierGroups)
 	st.HierGroupFlows.Merge(&src.HierGroupFlows)
@@ -149,12 +124,8 @@ type SolveInfo struct {
 	Trigger   SolveTrigger
 	Flows     int
 	Resources int
-	// LivePasses is the number of waterfill passes the live loop ran.
+	// LivePasses is the number of waterfill passes the solve ran.
 	LivePasses int
-	// WarmStart reports whether the rebalance replayed a recorded
-	// trajectory prefix; ReplayedPasses is that prefix's length.
-	WarmStart      bool
-	ReplayedPasses int
 	// Hierarchical reports whether the solve ran on the partitioned
 	// (rack-local groups + separator coordination) path; Groups is the
 	// rack-local group count of that partition (0 for flat solves).
