@@ -45,9 +45,9 @@ type FatTreeSpec struct {
 // (ClientA) is disabled. The ramp is one resource shared by every flow in
 // the deployment, which fuses the whole cluster into a single connected
 // component; at datacenter scale the interesting structure is the
-// *partition* into per-rack (or per-job) components that the batched
-// parallel solver exploits, and the paper's client-ramp calibration is a
-// property of the 2-OSS PlaFRIM testbed, not of a fat-tree fabric.
+// *partition* into per-rack (or per-job) components that component-scoped
+// solving exploits, and the paper's client-ramp calibration is a property
+// of the 2-OSS PlaFRIM testbed, not of a fat-tree fabric.
 func FatTree(name string, spec FatTreeSpec) (Platform, error) {
 	chooser := spec.Chooser
 	if chooser == nil {

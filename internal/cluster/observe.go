@@ -59,13 +59,10 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("simnet/waterfill_passes", n.Passes)
 	reg.MergeHist("simnet/freezes_per_pass", &n.FreezesPerPass)
 	reg.MergeHist("simnet/component_flows", &n.ComponentFlows)
-	// Batched-mode counters; all zero when SetBatching is off. Like every
-	// simnet counter they are worker-count-independent (ParallelSolves is
-	// defined by batch shape, not by pool execution), so the registry stays
-	// deterministic at any -workers setting.
+	// End-of-event flush counters: flushes that solved something, and the
+	// dirty components they solved.
 	reg.Add("simnet/solve_batches", n.SolveBatches)
 	reg.Add("simnet/components_dirty", n.ComponentsDirty)
-	reg.Add("simnet/parallel_solves", n.ParallelSolves)
 	reg.MergeHist("simnet/batch/flush_wave_width", &n.FlushWaveWidth)
 	// Hierarchical-mode counters; all zero when SetHierarchical is off.
 	reg.Add("simnet/hier_solves", n.HierSolves)
@@ -122,7 +119,6 @@ func (d *Deployment) AttachTracer(t *obs.Tracer) {
 	d.Net.ObserveBatches(func(at simkernel.Time, info simnet.BatchInfo) {
 		t.Instant("solver", "batch", float64(at), map[string]any{
 			"components": info.Components,
-			"workers":    info.Workers,
 		})
 	})
 	d.Net.ObserveResources(func(at simkernel.Time, r *simnet.Resource, load float64) {

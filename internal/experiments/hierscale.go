@@ -3,7 +3,7 @@
 // through a shared core switch fuses every rack into one connected flow
 // component — the worst case for the flat waterfill and the regime the
 // hierarchical solver decomposes. Each topology runs twice on the
-// identical workload: flat (the batched flat solver) and hier-exact (the
+// identical workload: flat (the flat waterfill) and hier-exact (the
 // partitioned solve, bit-identical contract). Like ExtScale the campaign
 // is an experiment and a differential test at once: flat vs hier-exact
 // extends the fuzzer's 0-ULP oracle to whole campaigns.
@@ -124,9 +124,8 @@ type hierScaleJob struct {
 }
 
 // runHierScaleCell simulates one (topology, mode) cell; mode "hier-exact"
-// turns on SetHierarchical, "flat" leaves it off. batchWorkers feeds
-// SetBatching (0 = unbatched, the path the churn benchmark times).
-func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, jobs int, seed uint64) (ExtHierScaleRow, error) {
+// turns on SetHierarchical, "flat" leaves it off.
+func runHierScaleCell(topo hierScaleTopo, mode string, jobs int, seed uint64) (ExtHierScaleRow, error) {
 	p, err := cluster.FatTreeCore("hierscale-"+topo.name, topo.spec)
 	if err != nil {
 		return ExtHierScaleRow{}, err
@@ -135,7 +134,6 @@ func runHierScaleCell(topo hierScaleTopo, mode string, batchWorkers, jobs int, s
 	if err != nil {
 		return ExtHierScaleRow{}, err
 	}
-	dep.Net.SetBatching(batchWorkers)
 	if mode == "hier-exact" {
 		dep.Net.SetHierarchical(true)
 		dep.Net.SetHierarchicalMinFlows(hierScaleMinFlows)
@@ -347,9 +345,7 @@ func ExtHierScale(opts Options) ([]ExtHierScaleRow, error) {
 		// A distinct stream family from ExtScale (977/53) so the two
 		// campaigns stay independent at any shared seed.
 		seed := opts.Seed*1061 + uint64(cell/len(modes))*53
-		// Every campaign mode runs batched at the same width; the modes
-		// differ only in what happens inside a component solve.
-		row, err := runHierScaleCell(topo, m, scaleBatchWorkers, jobs, seed)
+		row, err := runHierScaleCell(topo, m, jobs, seed)
 		if err != nil {
 			return err
 		}

@@ -184,6 +184,10 @@ type Simulation struct {
 	MaxEvents uint64
 	// stats, when non-nil, receives kernel activity counts.
 	stats *Stats
+	// inStep is true while Step runs an event's callback and its deferred
+	// calls; deferred holds the calls Defer queued during that callback.
+	inStep   bool
+	deferred []func()
 }
 
 // SetStats attaches (or with nil detaches) an activity counter sink.
@@ -200,17 +204,6 @@ func (s *Simulation) Executed() uint64 { return s.executed }
 
 // Pending returns the number of events currently queued.
 func (s *Simulation) Pending() int { return len(s.queue) }
-
-// NextAt returns the virtual time of the earliest pending event, and
-// whether one exists. Instant-boundary drivers (the batched-mode
-// differential harnesses) use it to step the queue one whole instant at a
-// time: fire events while NextAt stays equal, then compare state.
-func (s *Simulation) NextAt() (Time, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].when, true
-}
 
 // Reserve pre-sizes the event queue's backing array to hold at least n
 // pending events without further growth. Campaign drivers that know the
@@ -302,8 +295,27 @@ func (s *Simulation) Reschedule(e *Event, t Time) {
 	}
 }
 
-// Step fires the earliest pending event, advancing the clock to its time.
-// It returns false when the queue is empty.
+// Defer runs fn at the end of the current event: inside Step, after the
+// event's callback returns and before the next event is popped, in the
+// order the calls were deferred (a deferred call may defer more).
+// Outside Step it runs fn at once. A deferred call is not an event: it
+// takes no sequence number and is counted by neither Executed nor
+// Stats.Dispatched, so deferring work never changes the event order. An
+// event it schedules at the current time still fires in the same instant.
+//
+// The network uses it to solve each mutated component once per event
+// instead of once per mutation.
+func (s *Simulation) Defer(fn func()) {
+	if !s.inStep {
+		fn()
+		return
+	}
+	s.deferred = append(s.deferred, fn)
+}
+
+// Step fires the earliest pending event, advancing the clock to its time,
+// then runs the calls the event deferred. It returns false when the queue
+// is empty.
 func (s *Simulation) Step() bool {
 	if len(s.queue) == 0 {
 		return false
@@ -317,7 +329,14 @@ func (s *Simulation) Step() bool {
 	if s.stats != nil {
 		s.stats.Dispatched++
 	}
+	s.inStep = true
 	e.fn()
+	for i := 0; i < len(s.deferred); i++ {
+		s.deferred[i]()
+		s.deferred[i] = nil
+	}
+	s.deferred = s.deferred[:0]
+	s.inStep = false
 	return true
 }
 

@@ -290,11 +290,11 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// TestRequeueBarrier pins the property simnet's batched flush is built
-// on: re-queueing a fired event at the *current* instant gives it a
-// fresh sequence number, so it fires after every event already queued at
-// that instant — it is a same-instant barrier. Cascading events that
-// re-arm the barrier form successive waves within the one instant.
+// TestRequeueBarrier pins the requeue rank: re-queueing a fired event at
+// the *current* instant gives it a fresh sequence number, so it fires
+// after every event already queued at that instant — it is a same-instant
+// barrier. Cascading events that re-arm the barrier form successive waves
+// within the one instant.
 func TestRequeueBarrier(t *testing.T) {
 	s := New()
 	var order []string
@@ -328,33 +328,48 @@ func TestRequeueBarrier(t *testing.T) {
 	}
 }
 
-// TestNextAt checks the earliest-pending-time probe used by the
-// instant-lockstep differential harnesses.
-func TestNextAt(t *testing.T) {
+// TestDefer pins the end-of-event hook the network's solve runs on: a
+// deferred call runs after the deferring event's callback returns and
+// before the next event is popped; it runs at once outside Step; it is
+// not an event, so neither Executed nor Stats.Dispatched counts it; and
+// an event it schedules at the current time still fires in that instant.
+func TestDefer(t *testing.T) {
 	s := New()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt on empty queue reported an event")
+	var st Stats
+	s.SetStats(&st)
+	var order []string
+	s.Defer(func() { order = append(order, "outside") })
+	if len(order) != 1 {
+		t.Fatalf("Defer outside Step did not run at once: %v", order)
 	}
-	s.At(3, func() {})
 	s.At(1, func() {
-		s.At(1, func() {}) // same-instant cascade keeps NextAt at now
+		s.Defer(func() {
+			order = append(order, "deferred-a")
+			s.Defer(func() { order = append(order, "deferred-c") })
+			s.At(s.Now(), func() { order = append(order, "cascade") })
+		})
+		s.Defer(func() { order = append(order, "deferred-b") })
+		order = append(order, "event")
 	})
-	if at, ok := s.NextAt(); !ok || at != 1 {
-		t.Fatalf("NextAt = %v, %v; want 1, true", at, ok)
-	}
-	s.Step()
-	if at, ok := s.NextAt(); !ok || at != 1 {
-		t.Fatalf("NextAt after cascade = %v, %v; want 1, true", at, ok)
-	}
-	s.Step()
-	if at, ok := s.NextAt(); !ok || at != 3 {
-		t.Fatalf("NextAt = %v, %v; want 3, true", at, ok)
-	}
+	s.At(1, func() { order = append(order, "next") })
+	s.At(2, func() { order = append(order, "later") })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt after drain reported an event")
+	want := []string{"outside", "event", "deferred-a", "deferred-b", "deferred-c", "next", "cascade", "later"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if s.Executed() != 4 || st.Dispatched != 4 {
+		t.Fatalf("Executed = %d, Dispatched = %d; want 4 events, deferred calls uncounted", s.Executed(), st.Dispatched)
+	}
+	if s.Now() != 2 {
+		t.Fatalf("clock = %v, want 2", s.Now())
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 )
 
 // manyCompNet builds comps disjoint 4-flow components (one shared
-// resource plus a private one per flow, infinite volumes) under batching
-// with a serial flush, warmed so steady-state flushes do not allocate.
+// resource plus a private one per flow, infinite volumes), warmed so
+// steady-state flushes do not allocate.
 func manyCompNet(comps int) (*simkernel.Simulation, *Network, []*Resource) {
 	sim := simkernel.New()
 	net := New(sim)
-	net.SetBatching(1)
 	shared := make([]*Resource, comps)
 	for c := range shared {
 		shared[c] = net.AddResource(fmt.Sprintf("g%03d/s", c), 200+float64(c%7)*50)
@@ -26,79 +25,95 @@ func manyCompNet(comps int) (*simkernel.Simulation, *Network, []*Resource) {
 			})
 		}
 	}
-	drainInstant(sim)
 	return sim, net, shared
 }
 
-// drainInstant fires only the events pending at the current instant (the
-// batched flush wave and its cascades), leaving the flows' far-future
-// completion events queued — virtual time must not advance, or the
+// eventRunner runs a function inside one kernel event at the current
+// instant, so every mutation it makes is solved by that event's single
+// end-of-event flush. Only this event is fired: the flows' far-future
+// completion events stay queued, as virtual time must not advance, or the
 // long-running flows would complete and later iterations would measure
-// empty components.
-func drainInstant(sim *simkernel.Simulation) {
-	sim.RunUntil(sim.Now())
+// empty components. It re-queues one event instead of scheduling a new
+// one per call, so the harness itself does not allocate.
+type eventRunner struct {
+	sim *simkernel.Simulation
+	ev  *simkernel.Event
+	fn  func()
 }
 
-// benchmarkSolveManyComponents measures one full batched flush wave:
-// every component dirtied by a capacity event at the same instant, then a
-// single flush solving them all in component-id order. This is the
-// per-instant cost the parallel flush divides.
+func (r *eventRunner) run(fn func()) {
+	r.fn = fn
+	if r.ev == nil {
+		r.ev = r.sim.At(r.sim.Now(), func() { r.fn() })
+	} else {
+		r.sim.Reschedule(r.ev, r.sim.Now())
+	}
+	r.sim.Step()
+}
+
+// benchmarkSolveManyComponents measures one multi-component flush: every
+// component dirtied by a capacity change inside one event, then the
+// event's flush solving them all.
 func benchmarkSolveManyComponents(b *testing.B, comps int) {
 	sim, net, shared := manyCompNet(comps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := 500.0
-		if i&1 == 0 {
-			v = 700
-		}
+	v := 0.0
+	wave := func() {
 		for _, r := range shared {
 			net.SetCapacity(r, v)
 		}
-		drainInstant(sim)
+	}
+	ev := eventRunner{sim: sim}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = 500.0
+		if i&1 == 0 {
+			v = 700
+		}
+		ev.run(wave)
 	}
 }
 
 func BenchmarkSolveManyComponents64(b *testing.B)  { benchmarkSolveManyComponents(b, 64) }
 func BenchmarkSolveManyComponents256(b *testing.B) { benchmarkSolveManyComponents(b, 256) }
 
-// benchmarkEventBatchRamp measures the tentpole's motivating storm: 64
-// same-instant flow starts on one shared ramp resource. Unbatched, every
-// start re-solves the whole ramp component (O(clients) solves per
-// instant); batched, the instant costs one solve. Each iteration starts
-// the wave, drains, aborts it and drains again, so both modes do the same
-// membership work and differ only in solve cadence.
-func benchmarkEventBatchRamp(b *testing.B, workers int) {
-	const clients = 64
-	sim := simkernel.New()
-	net := New(sim)
-	net.SetBatching(workers)
-	ramp := net.AddResource("ramp", 1000)
-	own := make([]*Resource, clients)
-	for i := range own {
-		own[i] = net.AddResource(fmt.Sprintf("nic%03d", i), 40+float64(i%7)*5)
-	}
-	flows := make([]Flow, clients)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := range flows {
-			flows[c] = Flow{
-				Name:   "f",
-				Volume: 1e15,
-				Usage:  map[*Resource]float64{ramp: 0.5, own[c]: 1},
-			}
-			net.Start(&flows[c])
-		}
-		drainInstant(sim)
-		for c := range flows {
-			net.Abort(&flows[c])
-		}
-		drainInstant(sim)
-	}
-}
-
+// BenchmarkEventBatchRamp measures the client-ramp storm: 64 flow starts
+// on one shared ramp resource, issued from inside one event, so the
+// event's flush solves the ramp component once instead of once per
+// start. Each iteration starts the wave in one event and aborts it in
+// another.
 func BenchmarkEventBatchRamp(b *testing.B) {
-	b.Run("unbatched", func(b *testing.B) { benchmarkEventBatchRamp(b, 0) })
-	b.Run("batched", func(b *testing.B) { benchmarkEventBatchRamp(b, 1) })
+	b.Run("batched", func(b *testing.B) {
+		const clients = 64
+		sim := simkernel.New()
+		net := New(sim)
+		ramp := net.AddResource("ramp", 1000)
+		own := make([]*Resource, clients)
+		for i := range own {
+			own[i] = net.AddResource(fmt.Sprintf("nic%03d", i), 40+float64(i%7)*5)
+		}
+		flows := make([]Flow, clients)
+		storm := func() {
+			for c := range flows {
+				flows[c] = Flow{
+					Name:   "f",
+					Volume: 1e15,
+					Usage:  map[*Resource]float64{ramp: 0.5, own[c]: 1},
+				}
+				net.Start(&flows[c])
+			}
+		}
+		abortAll := func() {
+			for c := range flows {
+				net.Abort(&flows[c])
+			}
+		}
+		ev := eventRunner{sim: sim}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.run(storm)
+			ev.run(abortAll)
+		}
+	})
 }

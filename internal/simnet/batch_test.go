@@ -6,178 +6,150 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/simkernel"
 )
 
-// rampWorld builds the shape batching exists for: n flows sharing one
-// ramp resource (plus a private resource each), all started at the same
-// instant — the t=0 client-ramp storm that costs the unbatched path one
-// full-component solve per start.
-func rampWorld(n int, workers int) (*simkernel.Simulation, *Network, []*Flow) {
+// Ramp storm shapes: how rampWorld issues its starts.
+const (
+	rampOneEvent    = iota // all starts inside one kernel event
+	rampPerEvent           // one same-instant kernel event per start
+	rampPerMutation        // one event, solved after every start (oracle)
+)
+
+// rampWorld builds the shape the end-of-event flush exists for: n flows
+// sharing one ramp resource (plus a private resource each), all started at
+// the same instant — the t=0 client-ramp storm. Each flow records its
+// completion instant in done.
+func rampWorld(n int, shape int) (*simkernel.Simulation, *Network, []*Flow, []simkernel.Time) {
 	sim := simkernel.New()
 	net := New(sim)
-	net.SetBatching(workers)
 	ramp := net.AddResource("ramp", 1000)
 	flows := make([]*Flow, n)
+	done := make([]simkernel.Time, n)
 	for i := range flows {
 		own := net.AddResource(fmt.Sprintf("nic%03d", i), 40+float64(i%7)*5)
-		f := &Flow{
-			Name:   fmt.Sprintf("c%03d", i),
-			Volume: 50 + float64(i%11)*8,
-			Usage:  map[*Resource]float64{ramp: 0.5, own: 1},
+		flows[i] = &Flow{
+			Name:       fmt.Sprintf("c%03d", i),
+			Volume:     50 + float64(i%11)*8,
+			Usage:      map[*Resource]float64{ramp: 0.5, own: 1},
+			OnComplete: func(at simkernel.Time) { done[i] = at },
 		}
-		flows[i] = f
-		sim.At(0, func() { net.Start(f) })
 	}
-	return sim, net, flows
+	switch shape {
+	case rampPerEvent:
+		for _, f := range flows {
+			sim.At(0, func() { net.Start(f) })
+		}
+	default:
+		sim.At(0, func() {
+			for _, f := range flows {
+				net.Start(f)
+				if shape == rampPerMutation {
+					net.flush()
+				}
+			}
+		})
+	}
+	return sim, net, flows, done
 }
 
-// TestBatchRampSolvesOncePerInstant is the tentpole's headline claim in
-// miniature: a shared ramp starting N flows at one instant costs the
-// unbatched path N full-component solves, the batched path one — with
-// bit-identical rates and completion times.
+// TestBatchRampSolvesOncePerInstant pins the network's solve cadence: one
+// solve per dirty component per kernel event. 64 starts inside one event
+// cost one solve; 64 starts in 64 same-instant events cost 64; and both
+// end bit-identical to an oracle that solves after every start, both in
+// the rates right after the storm and in every completion instant.
 func TestBatchRampSolvesOncePerInstant(t *testing.T) {
 	const n = 64
-	run := func(workers int) ([]uint64, Stats, uint64) {
-		sim, net, flows := rampWorld(n, workers)
+	run := func(shape int) ([]uint64, Stats) {
+		sim, net, flows, done := rampWorld(n, shape)
 		var st Stats
 		net.SetStats(&st)
-		if err := sim.Run(); err != nil {
+		if err := sim.RunUntil(0); err != nil {
 			t.Fatal(err)
 		}
 		state := make([]uint64, 0, 2*n)
 		for _, f := range flows {
-			if !f.Done() {
-				t.Fatalf("flow %s did not finish", f.Name)
-			}
-			state = append(state, math.Float64bits(float64(f.Started())), math.Float64bits(f.rate))
-		}
-		return state, st, sim.Executed()
-	}
-	seqState, seqStats, _ := run(0)
-	batState, batStats, _ := run(1)
-	if !reflect.DeepEqual(seqState, batState) {
-		t.Fatal("batched final state diverged from sequential")
-	}
-	if got := seqStats.Solves[TriggerStart]; got != n {
-		t.Fatalf("unbatched start solves = %d, want %d (one per event)", got, n)
-	}
-	if got := batStats.Solves[TriggerStart]; got != 1 {
-		t.Fatalf("batched start solves = %d, want 1 (one per instant)", got)
-	}
-	if batStats.SolveBatches == 0 || batStats.ComponentsDirty == 0 {
-		t.Fatalf("batch stats not recorded: %+v", batStats)
-	}
-}
-
-// TestBatchedParallelBitIdentical checks the deterministic merge: a
-// many-component workload solved with 1, 2 and 8 flush workers must
-// produce byte-identical observer logs and final state. Components are
-// disjoint and finished in component-id order, so worker count must be
-// invisible.
-func TestBatchedParallelBitIdentical(t *testing.T) {
-	const comps = 24
-	run := func(workers int) ([]string, Stats) {
-		sim := simkernel.New()
-		net := New(sim)
-		net.SetBatching(workers)
-		var st Stats
-		net.SetStats(&st)
-		var log []string
-		net.Observe(func(at simkernel.Time, f *Flow, rate float64) {
-			log = append(log, fmt.Sprintf("%x %s %x", math.Float64bits(float64(at)), f.Name, math.Float64bits(rate)))
-		})
-		for c := 0; c < comps; c++ {
-			shared := net.AddResource(fmt.Sprintf("g%02d/shared", c), 120+10*float64(c%5))
-			for i := 0; i < 3; i++ {
-				f := &Flow{
-					Name:   fmt.Sprintf("g%02d/f%d", c, i),
-					Volume: 30 + float64((c*3+i)%17)*4,
-					Usage:  map[*Resource]float64{shared: 1},
-				}
-				if i == 2 {
-					f.Cap = 20 + float64(c%4)*10
-				}
-				sim.At(0, func() { net.Start(f) })
-				// A second wave of same-instant starts later, so mid-run
-				// flushes see many dirty components too.
-				g := &Flow{
-					Name:   fmt.Sprintf("g%02d/w%d", c, i),
-					Volume: 10 + float64(i)*3,
-					Usage:  map[*Resource]float64{shared: 0.5},
-				}
-				sim.At(2, func() { net.Start(g) })
-			}
+			state = append(state, math.Float64bits(f.Rate()))
 		}
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return log, st
-	}
-	log1, st1 := run(1)
-	// SolveLatencyNs is the one wall-clock field in Stats (exported under
-	// runtime/, excluded from every determinism contract); its count must
-	// still match the solve count at any worker setting.
-	if st1.SolveLatencyNs.Count != st1.ComponentFlows.Count {
-		t.Fatalf("solve latency count %d != solve count %d", st1.SolveLatencyNs.Count, st1.ComponentFlows.Count)
-	}
-	st1.SolveLatencyNs = obs.Log2Hist{}
-	for _, workers := range []int{2, 8} {
-		logW, stW := run(workers)
-		if !reflect.DeepEqual(log1, logW) {
-			t.Fatalf("observer log differs between 1 and %d workers", workers)
+		for i, f := range flows {
+			if !f.Done() {
+				t.Fatalf("flow %s did not finish", f.Name)
+			}
+			state = append(state, math.Float64bits(float64(done[i])))
 		}
-		if stW.SolveLatencyNs.Count != stW.ComponentFlows.Count {
-			t.Fatalf("solve latency count %d != solve count %d at %d workers", stW.SolveLatencyNs.Count, stW.ComponentFlows.Count, workers)
-		}
-		stW.SolveLatencyNs = obs.Log2Hist{}
-		if !reflect.DeepEqual(st1, stW) {
-			t.Fatalf("stats differ between 1 and %d workers:\n1: %+v\n%d: %+v", workers, st1, workers, stW)
-		}
+		return state, st
 	}
-	if st1.ParallelSolves == 0 {
-		t.Fatalf("multi-component flushes recorded no parallel-eligible solves: %+v", st1)
+	oracle, oracleStats := run(rampPerMutation)
+	if got := oracleStats.Solves[TriggerStart]; got != n {
+		t.Fatalf("per-mutation oracle start solves = %d, want %d", got, n)
+	}
+	for _, tc := range []struct {
+		name   string
+		shape  int
+		solves uint64
+	}{
+		{"one event", rampOneEvent, 1},
+		{"one event per start", rampPerEvent, n},
+	} {
+		state, st := run(tc.shape)
+		if !reflect.DeepEqual(state, oracle) {
+			t.Fatalf("%s: rates or completion instants diverged from the per-mutation oracle", tc.name)
+		}
+		if got := st.Solves[TriggerStart]; got != tc.solves {
+			t.Fatalf("%s: start solves = %d, want %d", tc.name, got, tc.solves)
+		}
+		if st.SolveBatches == 0 || st.ComponentsDirty == 0 {
+			t.Fatalf("%s: flush stats not recorded: %+v", tc.name, st)
+		}
 	}
 }
 
-// TestBatchedRecycledFlowRestart pins the flow-lifetime contract batching
-// depends on: once a flow's OnComplete returns, the network must never
-// read that flow again. Pooled callers (beegfs recycles its I/O attempts)
-// restart the very same *Flow from inside the callback, on different
-// resources, in the same instant as its departure — before the flush has
-// re-solved the component it left. Sixty long flows share one link with a
-// short one; when the short flow finishes and is reborn on a disjoint
-// link, the survivors must move from 1000/61 to exactly the 1000/60 a
-// cold reference solve gives, at any flush worker count.
+// TestBatchedRecycledFlowRestart pins the flow-lifetime contract the
+// end-of-event flush depends on: once a flow's OnComplete returns, the
+// network must never read that flow again. Pooled callers (beegfs recycles
+// its I/O attempts) restart the very same *Flow from inside the callback,
+// on different resources, in the same event as its departure — before the
+// flush has re-solved the component it left. Sixty long flows share one
+// link with `workers` short ones, one per pooled worker; when the short
+// flows finish at the same instant and each is reborn on a disjoint link
+// of its own, the survivors must move from 1000/(60+workers) to exactly
+// the 1000/60 a cold reference solve gives.
 func TestBatchedRecycledFlowRestart(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sim := simkernel.New()
 			net := New(sim)
-			net.SetBatching(workers)
 			shared := net.AddResource("shared", 1000)
-			other := net.AddResource("other", 100)
 			long := make([]*Flow, 60)
 			for i := range long {
 				long[i] = &Flow{Name: fmt.Sprintf("long%02d", i), Volume: 1e6, Usage: map[*Resource]float64{shared: 1}}
 				net.Start(long[i])
 			}
-			var finishedAt simkernel.Time
-			short := &Flow{Name: "short", Volume: 1, Usage: map[*Resource]float64{shared: 1}}
-			short.OnComplete = func(at simkernel.Time) {
-				finishedAt = at
-				short.OnComplete = nil
-				short.Volume = 1e6
-				short.Usage = map[*Resource]float64{other: 1}
-				net.Start(short)
+			short := make([]*Flow, workers)
+			finishedAt := make([]simkernel.Time, workers)
+			for w := range short {
+				other := net.AddResource(fmt.Sprintf("other%d", w), 100)
+				f := &Flow{Name: fmt.Sprintf("short%d", w), Volume: 1, Usage: map[*Resource]float64{shared: 1}}
+				f.OnComplete = func(at simkernel.Time) {
+					finishedAt[w] = at
+					f.OnComplete = nil
+					f.Volume = 1e6
+					f.Usage = map[*Resource]float64{other: 1}
+					net.Start(f)
+				}
+				short[w] = f
+				net.Start(f)
 			}
-			net.Start(short)
 			if err := sim.RunUntil(1); err != nil {
 				t.Fatal(err)
 			}
-			if finishedAt == 0 {
-				t.Fatal("the short flow never completed")
+			for w, at := range finishedAt {
+				if at == 0 {
+					t.Fatalf("short flow %d never completed", w)
+				}
 			}
 			c := long[0].comp
 			if len(c.flows) != len(long) {
@@ -194,87 +166,105 @@ func TestBatchedRecycledFlowRestart(t *testing.T) {
 						f.Name, math.Float64frombits(got[i]), f.rate)
 				}
 			}
-			if short.Rate() != 100 {
-				t.Fatalf("restarted flow rate %v, want 100 on its own link", short.Rate())
+			for _, f := range short {
+				if f.Rate() != 100 {
+					t.Fatalf("restarted flow %s rate %v, want 100 on its own link", f.Name, f.Rate())
+				}
 			}
 		})
 	}
 }
 
-// TestBatchObserver checks the per-flush hook and its shape reporting.
+// TestBatchObserver checks the per-flush hook and its shape reporting:
+// one flush per event that dirtied something.
 func TestBatchObserver(t *testing.T) {
-	sim, net, _ := rampWorld(8, 3)
-	batches := 0
-	maxComps := 0
-	net.ObserveBatches(func(at simkernel.Time, info BatchInfo) {
-		batches++
-		if info.Workers != 3 {
-			t.Fatalf("BatchInfo.Workers = %d, want 3", info.Workers)
+	for _, tc := range []struct {
+		shape   int
+		batches int
+	}{{rampOneEvent, 1}, {rampPerEvent, 8}} {
+		sim, net, _, _ := rampWorld(8, tc.shape)
+		batches := 0
+		maxComps := 0
+		net.ObserveBatches(func(at simkernel.Time, info BatchInfo) {
+			batches++
+			maxComps = max(maxComps, info.Components)
+		})
+		if err := sim.RunUntil(0); err != nil {
+			t.Fatal(err)
 		}
-		if info.Components > maxComps {
-			maxComps = info.Components
+		if batches != tc.batches || maxComps != 1 {
+			t.Fatalf("shape %d: batch observer saw %d batches of max width %d, want %d of width 1",
+				tc.shape, batches, maxComps, tc.batches)
 		}
-	})
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if batches == 0 || maxComps == 0 {
-		t.Fatalf("batch observer saw %d batches, max width %d", batches, maxComps)
 	}
 }
 
-// TestBatchedMidInstantCompletionGuard pins the stale-prediction guard: a
-// completion event derived from pre-batch rates that fires in the same
-// instant as a capacity cut must not complete the flow early — the flush
-// re-derives the instant from the fresh rates.
+// TestBatchedMidInstantCompletionGuard pins that no completion event
+// fires on a stale prediction. The flow's completion event (scheduled
+// long ago) is due at t=1, the same instant as an earlier-ranked event
+// that halves the link: the halving settles the flow to exactly zero
+// remaining and its end-of-event flush re-solves the link before the
+// kernel pops the completion, so the completion fires once, at t=1, with
+// no requeue and no extra event — and at the instant a per-mutation
+// oracle gives.
 func TestBatchedMidInstantCompletionGuard(t *testing.T) {
-	run := func(workers int) (doneAt simkernel.Time) {
+	run := func(oracle bool) (simkernel.Time, simkernel.Stats) {
+		var doneAt simkernel.Time
 		sim := simkernel.New()
+		var kst simkernel.Stats
+		sim.SetStats(&kst)
 		net := New(sim)
-		net.SetBatching(workers)
 		link := net.AddResource("link", 100)
 		f := &Flow{
-			Name:   "f",
-			Volume: 100, // completes at t=1 at full rate
-			Usage:  map[*Resource]float64{link: 1},
-			OnComplete: func(at simkernel.Time) {
-				doneAt = at
-			},
+			Name:       "f",
+			Volume:     100, // completes at t=1 at full rate
+			Usage:      map[*Resource]float64{link: 1},
+			OnComplete: func(at simkernel.Time) { doneAt = at },
 		}
 		sim.At(0, func() { net.Start(f) })
-		// At the exact predicted completion instant, halve the capacity.
-		// The completion event (scheduled long ago, low sequence number)
-		// fires before the flush; its prediction is stale by the cut.
-		sim.At(1, func() { net.SetCapacity(link, 50) })
+		// Scheduled before f starts, so it outranks f's completion event
+		// in the t=1 tie-break.
+		sim.At(1, func() {
+			net.SetCapacity(link, 50)
+			if oracle {
+				net.flush()
+			}
+		})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return doneAt
+		return doneAt, kst
 	}
-	seq := run(0)
-	bat := run(1)
-	if math.Float64bits(float64(seq)) != math.Float64bits(float64(bat)) {
-		t.Fatalf("completion instant differs: sequential %v, batched %v", seq, bat)
+	seq, _ := run(true)
+	once, kst := run(false)
+	if math.Float64bits(float64(seq)) != math.Float64bits(float64(once)) || once != 1 {
+		t.Fatalf("completion instant: per-mutation oracle %v, once per event %v, want 1", seq, once)
+	}
+	if kst.Dispatched != 3 || kst.Requeues != 0 {
+		t.Fatalf("kernel dispatched %d events with %d requeues, want 3 and 0 (no stale completion)", kst.Dispatched, kst.Requeues)
 	}
 }
 
 // TestBatchedIdleCapacityCadence pins the settleRescheduleAll interplay:
-// an idle-resource capacity change in the same instant as flow events
-// must leave state identical to the sequential path.
+// an idle-resource capacity change in the same event as a start (which
+// leaves f's component dirty until the flush) must leave state identical
+// to the per-mutation oracle.
 func TestBatchedIdleCapacityCadence(t *testing.T) {
-	run := func(workers int) []uint64 {
+	run := func(oracle bool) []uint64 {
 		sim := simkernel.New()
 		net := New(sim)
-		net.SetBatching(workers)
 		a := net.AddResource("a", 100)
 		idle := net.AddResource("idle", 10)
 		f := &Flow{Name: "f", Volume: 60, Usage: map[*Resource]float64{a: 1}}
 		g := &Flow{Name: "g", Volume: 45, Usage: map[*Resource]float64{a: 1}}
 		sim.At(0, func() { net.Start(f) })
-		// Same instant: a start (dirties f's component) and an idle-
-		// resource capacity change (settle-reschedule path).
-		sim.At(0.5, func() { net.Start(g) })
-		sim.At(0.5, func() { net.SetCapacity(idle, 75) })
+		sim.At(0.5, func() {
+			net.Start(g)
+			if oracle {
+				net.flush()
+			}
+			net.SetCapacity(idle, 75)
+		})
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -283,35 +273,7 @@ func TestBatchedIdleCapacityCadence(t *testing.T) {
 			math.Float64bits(float64(sim.Now())),
 		}
 	}
-	if seq, bat := run(0), run(1); !reflect.DeepEqual(seq, bat) {
-		t.Fatalf("idle-capacity cadence diverged: %v vs %v", seq, bat)
-	}
-}
-
-// TestSetBatchingGuards checks the mode-change preconditions.
-func TestSetBatchingGuards(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	sim := simkernel.New()
-	net := New(sim)
-	expectPanic("negative workers", func() { net.SetBatching(-1) })
-	gl := New(sim)
-	gl.forceGlobal = true
-	expectPanic("forceGlobal", func() { gl.SetBatching(1) })
-	r := net.AddResource("r", 10)
-	f := &Flow{Name: "f", Volume: 5, Usage: map[*Resource]float64{r: 1}}
-	net.Start(f)
-	expectPanic("mid-flight", func() { net.SetBatching(2) })
-	net.Abort(f)
-	net.SetBatching(2) // legal again once nothing is in flight
-	if net.Batching() != 2 {
-		t.Fatalf("Batching() = %d, want 2", net.Batching())
+	if seq, once := run(true), run(false); !reflect.DeepEqual(seq, once) {
+		t.Fatalf("idle-capacity cadence diverged: %v vs %v", seq, once)
 	}
 }

@@ -22,13 +22,6 @@ import "sort"
 // the same arithmetic the global solve performed whenever the component
 // spans the whole active set.
 type component struct {
-	// id is a network-unique creation number, re-assigned every time a
-	// pooled struct is brought back into service. Batched flushes solve
-	// dirty components in id order, which makes the merge of a parallel
-	// solve deterministic: component creation is single-threaded event
-	// processing, so ids — unlike pool-slot pointers — are a reproducible
-	// total order.
-	id uint64
 	// flows is (Name, seq)-sorted: the scoped solver input order.
 	flows []*Flow
 	// capped holds the component's flows with a rate cap, in ascending
@@ -55,9 +48,9 @@ type component struct {
 	// mark is Start's scratch flag for collecting distinct components.
 	mark bool
 
-	// Batched-mode bookkeeping (see batch.go). dirty marks the component
-	// as awaiting its once-per-instant solve; pendTrig is the trigger of
-	// the event that first dirtied the component, for stats
+	// End-of-event flush bookkeeping (see batch.go). dirty marks the
+	// component as awaiting its once-per-event solve; pendTrig is the
+	// trigger of the mutation that first dirtied the component, for stats
 	// classification.
 	dirty    bool
 	pendTrig SolveTrigger
@@ -182,8 +175,6 @@ func (n *Network) newComp() *component {
 	} else {
 		c = &component{}
 	}
-	c.id = n.nextCompID
-	n.nextCompID++
 	n.comps = append(n.comps, c)
 	return c
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -33,18 +34,23 @@ const (
 )
 
 // fop is one decoded script operation, applied identically to every world.
+// join packs the op into the same kernel event as the op before it.
 type fop struct {
 	kind    int
 	a, b, c byte
 	at      simkernel.Time
+	join    bool
 }
 
 // fzScenario is a fully decoded fuzz input: a resource set and a time-
 // ordered op script, interpretable against any Network implementation.
+// With respawn set, a started flow's OnComplete may start a successor flow
+// or restart the same *Flow (see fzWorld.respawn).
 type fzScenario struct {
-	caps   []float64
-	shared bool
-	ops    []fop
+	caps    []float64
+	shared  bool
+	respawn bool
+	ops     []fop
 }
 
 func decodeScenario(data []byte) fzScenario {
@@ -81,42 +87,62 @@ func decodeScenario(data []byte) fzScenario {
 // built from the same scenario perform the same script at the same virtual
 // times; their logs record every observable (observer callbacks,
 // completions, aborts) with float bits spelled out so comparison is exact.
+//
+// An oracle world solves after every mutation instead of once per event:
+// it calls the end-of-event flush itself right after each Start, Abort and
+// SetCapacity of the script, and first thing in every OnComplete and
+// OnAbort (the flow's departure is the mutation before the callback).
 type fzWorld struct {
 	sim     *simkernel.Simulation
 	net     *Network
 	res     []*Resource
 	started []*Flow
 	log     []string
+	oracle  bool
+	// fired is the flow whose completion the last event fired, if any.
+	fired *Flow
 }
 
-func buildWorld(sc fzScenario, forceGlobal bool, batchWorkers int, onOp func(w *fzWorld)) *fzWorld {
-	w := &fzWorld{sim: simkernel.New()}
+// buildWorld schedules sc's ops, one kernel event per run of joined ops.
+func buildWorld(sc fzScenario, forceGlobal, oracle bool) *fzWorld {
+	w := &fzWorld{sim: simkernel.New(), oracle: oracle}
 	w.net = New(w.sim)
 	w.net.forceGlobal = forceGlobal
-	w.net.SetBatching(batchWorkers)
 	for i, c := range sc.caps {
 		w.res = append(w.res, w.net.AddResource(fmt.Sprintf("r%d", i), c))
 	}
 	w.net.Observe(func(at simkernel.Time, f *Flow, rate float64) {
 		w.log = append(w.log, fmt.Sprintf("obs %x %s %x", math.Float64bits(float64(at)), f.Name, math.Float64bits(rate)))
 	})
-	for _, op := range sc.ops {
-		op := op
-		w.sim.At(op.at, func() {
-			w.apply(sc, op)
-			if onOp != nil {
-				onOp(w)
+	for i := 0; i < len(sc.ops); {
+		j := i + 1
+		for j < len(sc.ops) && sc.ops[j].join {
+			j++
+		}
+		ops := sc.ops[i:j]
+		w.sim.At(ops[0].at, func() {
+			for _, op := range ops {
+				w.apply(sc, op)
 			}
 		})
+		i = j
 	}
 	return w
 }
 
+// solved is the oracle's per-mutation solve; a no-op in other worlds.
+func (w *fzWorld) solved() {
+	if w.oracle {
+		w.net.flush()
+	}
+}
+
 func (w *fzWorld) apply(sc fzScenario, op fop) {
+	defer w.solved()
 	switch op.kind {
 	case fopStart:
 		f := &Flow{
-			Name:   fmt.Sprintf("f%02d", len(w.started)),
+			Name:   fmt.Sprintf("f%03d", len(w.started)),
 			Volume: 4.0 * float64(1+int(op.a)%32),
 			Usage:  map[*Resource]float64{},
 		}
@@ -135,9 +161,13 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 			f.Cap = 10.0 * float64(1+int(op.c)%16)
 		}
 		f.OnComplete = func(at simkernel.Time) {
-			w.log = append(w.log, fmt.Sprintf("done %x %s", math.Float64bits(float64(at)), f.Name))
+			w.done(f, at)
+			if sc.respawn {
+				w.respawn(f, op)
+			}
 		}
 		f.OnAbort = func(at simkernel.Time) {
+			w.solved()
 			w.log = append(w.log, fmt.Sprintf("abort %x %s %x", math.Float64bits(float64(at)), f.Name, math.Float64bits(f.Remaining())))
 		}
 		w.started = append(w.started, f)
@@ -155,7 +185,43 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 	}
 }
 
-// verifyNet is the incremental-path oracle, run after every script op:
+// done records a completion: the oracle first solves the departure.
+func (w *fzWorld) done(f *Flow, at simkernel.Time) {
+	w.solved()
+	w.fired = f
+	w.log = append(w.log, fmt.Sprintf("done %x %s", math.Float64bits(float64(at)), f.Name))
+}
+
+// respawn runs from a completing script flow's OnComplete, in the same
+// event and before the component it left has been re-solved. By op.c it
+// does nothing, starts a successor flow on the neighbouring resource, or
+// restarts the very same *Flow there. A successor or restarted flow does
+// not respawn again. Either way the new flow may share resources with the
+// survivors of the departure.
+func (w *fzWorld) respawn(f *Flow, op fop) {
+	r := w.res[(int(op.b)+1)%len(w.res)]
+	switch (op.c >> 5) % 3 {
+	case 1:
+		g := &Flow{
+			Name:   f.Name + "s",
+			Volume: f.Volume / 2,
+			Usage:  map[*Resource]float64{r: 0.5, w.res[int(op.a)%len(w.res)]: 1},
+		}
+		g.OnComplete = func(at simkernel.Time) { w.done(g, at) }
+		w.started = append(w.started, g)
+		w.net.Start(g)
+		w.solved()
+	case 2:
+		f.OnComplete = func(at simkernel.Time) { w.done(f, at) }
+		f.Volume = 2 + float64(op.a%16)
+		f.Usage = map[*Resource]float64{r: 1}
+		w.net.Start(f)
+		w.solved()
+	}
+}
+
+// verifyNet is the incremental-path oracle, run at event boundaries (after
+// the end-of-event flush):
 //
 //  1. Membership: components must partition the active flows; each
 //     component's registries must be sorted, mutually consistent and
@@ -171,6 +237,9 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 func verifyNet(t *testing.T, n *Network) {
 	t.Helper()
 
+	if n.flushArmed || len(n.dirtyComps) != 0 {
+		t.Fatalf("flush still pending at an event boundary (%d dirty components)", len(n.dirtyComps))
+	}
 	// Gather every in-flight flow from the component registries (the
 	// network no longer keeps a global list).
 	var allFlows []*Flow
@@ -318,7 +387,7 @@ func verifyNet(t *testing.T, n *Network) {
 // count stays bounded. All flows start up front (cold solves over a
 // growing set), then the run drains through completions with
 // deterministic mid-run aborts; verifyNet re-checks rates against the
-// reference solver at 0 ULP at checkpoints.
+// reference solver at 0 ULP after the event of each checkpoint.
 func FuzzSolveLargeSingleComponent(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x03, 0x01, 0x07, 0x13, 0x2a, 0x05, 0x19, 0x40, 0x77, 0x02})
 	f.Add([]byte{0x09, 0x01, 0x05, 0x02, 0x61, 0x0e, 0x55, 0x23, 0x31, 0x12, 0x43, 0x09, 0x28, 0x16})
@@ -344,6 +413,7 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 	flows := make([]*Flow, nFlows)
 	completed := 0
 	checkEvery := nFlows / 6
+	checkpoint := false
 	for i := range flows {
 		b := int(data[(5+i)%len(data)])
 		f := &Flow{
@@ -362,7 +432,7 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 			if completed%checkEvery != 0 {
 				return
 			}
-			verifyNet(t, net)
+			checkpoint = true
 			// Abort one survivor so the abort path runs at scale too.
 			for _, g := range flows {
 				if g.inNet {
@@ -375,8 +445,11 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 		net.Start(f)
 	}
 	verifyNet(t, net)
-	if err := sim.Run(); err != nil {
-		t.Fatalf("large topology run: %v", err)
+	for sim.Step() {
+		if checkpoint {
+			checkpoint = false
+			verifyNet(t, net)
+		}
 	}
 	for _, f := range flows {
 		if f.inNet {
@@ -386,12 +459,11 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 }
 
 // decodeClusteredScenario is decodeScenario with event clustering: only
-// about a quarter of the ops advance virtual time, so most land on the
-// same instant as their predecessor — exactly the same-instant arrival/
-// completion/capacity clusters the batched flush coalesces. Events that
-// actually collide at one instant are what distinguishes the batched and
-// event-at-a-time code paths; the spread-out decodeScenario script almost
-// never produces them.
+// about a quarter of the ops advance virtual time, and about half of them
+// join the kernel event of the op before them, so the script is full of
+// events that mutate several components, or one component several times,
+// at once — the case the end-of-event flush coalesces. Its flows respawn
+// from their OnComplete (see fzWorld.respawn).
 func decodeClusteredScenario(data []byte) fzScenario {
 	r := &fzReader{data: data}
 	var sc fzScenario
@@ -401,14 +473,18 @@ func decodeClusteredScenario(data []byte) fzScenario {
 		sc.caps[i] = 25.0 * float64(1+int(r.byte()%40))
 	}
 	sc.shared = r.byte()&1 == 1
+	sc.respawn = true
 	t := simkernel.Time(0.25)
 	for len(sc.ops) < 48 && !r.done() {
-		if r.byte()%4 == 0 {
+		op := fop{}
+		switch ctl := r.byte() % 4; {
+		case ctl == 0:
 			t += simkernel.Time(0.25 + 0.25*float64(r.byte()%32))
+		case ctl >= 2:
+			op.join = len(sc.ops) > 0
 		}
-		k := r.byte() % 4
-		op := fop{at: t}
-		switch {
+		op.at = t
+		switch k := r.byte() % 4; {
 		case k <= 1:
 			op.kind = fopStart
 			op.a, op.b, op.c = r.byte(), r.byte(), r.byte()
@@ -424,101 +500,115 @@ func decodeClusteredScenario(data []byte) fzScenario {
 	return sc
 }
 
-// runInstantLockstep drives two worlds built from the same scenario one
-// whole virtual instant at a time and compares the complete per-flow
-// state — rate, lazily settled remaining volume, done/in-flight — at
-// every instant boundary, with exact float bits. The two worlds may
-// differ in intra-instant event cadence (that is the point: batching
-// solves once per instant), but at each boundary they must agree to
-// 0 ULP, including on when the next event fires at all.
-func runInstantLockstep(t *testing.T, a, b *fzWorld, label string, checkB func()) {
+// pendingAt is the instant f's completion event is queued for, or Never.
+func pendingAt(f *Flow) simkernel.Time {
+	if f.event == nil || !f.event.Scheduled() {
+		return simkernel.Never
+	}
+	return f.event.When()
+}
+
+// dueNext returns the in-flight flows of w whose completion is due at the
+// earliest pending completion instant.
+func dueNext(w *fzWorld) []*Flow {
+	var due []*Flow
+	first := simkernel.Never
+	for _, f := range w.started {
+		switch at := pendingAt(f); {
+		case at < first:
+			first, due = at, append(due[:0], f)
+		case at == first && at != simkernel.Never:
+			due = append(due, f)
+		}
+	}
+	return due
+}
+
+// runEventLockstep steps two worlds built from the same scenario one
+// kernel event at a time and compares the complete per-flow state — rate,
+// lazily settled remaining volume, done/in-flight and the pending
+// completion instant — after every event, with exact float bits, then
+// runs checkB. The two worlds may differ in how often they solve inside an
+// event, but at each event boundary they must agree to 0 ULP, and so fire
+// the same events.
+//
+// With ties set, the worlds may also differ in the FIFO rank of a
+// completion event first scheduled inside an event, which decides only
+// which of two completions due at the same instant fires first. A step at
+// which the worlds fire different completions that were both due at that
+// instant ends the lockstep: from there on the worlds have legitimately
+// taken different tie-breaks, and world B runs on alone, still checked by
+// checkB after every event.
+func runEventLockstep(t *testing.T, a, b *fzWorld, label string, ties bool, checkB func()) {
 	t.Helper()
 	for {
-		atA, okA := a.sim.NextAt()
-		atB, okB := b.sim.NextAt()
-		if okA != okB || (okA && math.Float64bits(float64(atA)) != math.Float64bits(float64(atB))) {
-			t.Fatalf("%s: event queues desynchronized: next %v/%v vs %v/%v", label, atA, okA, atB, okB)
+		var due []*Flow
+		if ties {
+			due = dueNext(a)
+		}
+		a.fired, b.fired = nil, nil
+		okA, okB := a.sim.Step(), b.sim.Step()
+		if okA != okB || a.sim.Now() != b.sim.Now() {
+			t.Fatalf("%s: event queues desynchronized: step %v at %v vs %v at %v", label, okA, a.sim.Now(), okB, b.sim.Now())
 		}
 		if !okA {
 			return
 		}
-		if err := a.sim.RunUntil(atA); err != nil {
-			t.Fatalf("%s: world A: %v", label, err)
+		if a.fired != nil && b.fired != nil && a.fired.Name != b.fired.Name &&
+			slices.ContainsFunc(due, func(f *Flow) bool { return f.Name == a.fired.Name }) &&
+			slices.ContainsFunc(due, func(f *Flow) bool { return f.Name == b.fired.Name }) {
+			checkB()
+			for b.sim.Step() {
+				checkB()
+			}
+			return
 		}
-		if err := b.sim.RunUntil(atB); err != nil {
-			t.Fatalf("%s: world B: %v", label, err)
+		if len(a.started) != len(b.started) {
+			t.Fatalf("%s: %d vs %d flows started by t=%v", label, len(a.started), len(b.started), a.sim.Now())
 		}
 		for i, fa := range a.started {
 			fb := b.started[i]
 			if math.Float64bits(fa.Rate()) != math.Float64bits(fb.Rate()) ||
 				math.Float64bits(fa.Remaining()) != math.Float64bits(fb.Remaining()) ||
+				pendingAt(fa) != pendingAt(fb) ||
 				fa.Done() != fb.Done() || fa.inNet != fb.inNet {
-				t.Fatalf("%s: flow %s diverged at t=%v: rate %x vs %x, remaining %x vs %x, done %v vs %v, inNet %v vs %v",
-					label, fa.Name, atA,
+				t.Fatalf("%s: flow %s diverged at t=%v: rate %x vs %x, remaining %x vs %x, completion %v vs %v, done %v vs %v, inNet %v vs %v",
+					label, fa.Name, a.sim.Now(),
 					math.Float64bits(fa.Rate()), math.Float64bits(fb.Rate()),
 					math.Float64bits(fa.Remaining()), math.Float64bits(fb.Remaining()),
+					pendingAt(fa), pendingAt(fb),
 					fa.Done(), fb.Done(), fa.inNet, fb.inNet)
 			}
 		}
-		if checkB != nil {
-			checkB()
-		}
+		checkB()
 	}
 }
 
-// FuzzBatchedVsSequentialEvents drives same-instant event clusters
-// through three worlds: the event-at-a-time path, the batched path with
-// a serial flush, and the batched path with a fuzzed worker count. The
-// sequential and serial-batched worlds must agree on full flow state at
-// every instant boundary at 0 ULP (verifyNet additionally re-checks the
-// batched world's rates against the retained reference oracle at each
-// boundary, when it is clean). The two batched worlds share the same
-// event cadence, so their complete observable logs — every rate change,
-// completion and abort, float bits spelled out — must be byte-identical:
-// the component-id-ordered merge makes worker count invisible.
+// FuzzBatchedVsSequentialEvents drives clustered scripts — several ops in
+// one kernel event, flows restarting from their own OnComplete — through
+// two worlds: the network as it runs, solving each dirty component once
+// when the event returns, and an oracle that solves after every mutation.
+// The two must agree on full flow state at every event boundary at 0 ULP,
+// and verifyNet re-checks the once-per-event world's rates against the
+// retained reference solver after every event.
 func FuzzBatchedVsSequentialEvents(f *testing.F) {
 	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x00, 0x04, 0x40, 0x07, 0x00, 0x02, 0x00, 0x00, 0x06, 0x81, 0x05})
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x01, 0x00, 0x01, 0x03, 0x22, 0x33, 0x00, 0x44, 0x02, 0x05, 0x07, 0x00, 0x03, 0x06, 0x11})
 	f.Add([]byte{0xa1, 0x33, 0x07, 0x1f, 0x40, 0x00, 0x00, 0x00, 0x51, 0x2a, 0x00, 0x00, 0x62, 0x0d, 0x00, 0x00, 0x73, 0x18, 0x04, 0x00, 0x09})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		sc := decodeClusteredScenario(data[1:])
+		sc := decodeClusteredScenario(data)
 		if len(sc.ops) == 0 {
 			return
 		}
-		workers := 2 + int(data[0]%3)
-		seq := buildWorld(sc, false, 0, nil)
-		bat := buildWorld(sc, false, 1, nil)
-		par := buildWorld(sc, false, workers, nil)
-		runInstantLockstep(t, seq, bat, "sequential vs batched", func() { verifyNet(t, bat.net) })
-		if err := par.sim.Run(); err != nil {
-			t.Fatalf("parallel-batched run: %v", err)
-		}
-		if len(bat.log) != len(par.log) {
-			t.Fatalf("serial-batched log has %d entries, %d-worker log %d\nserial: %v\nparallel: %v",
-				len(bat.log), workers, len(par.log), bat.log, par.log)
-		}
-		for i := range bat.log {
-			if bat.log[i] != par.log[i] {
-				t.Fatalf("batched logs diverge at %d with %d workers: %q vs %q", i, workers, bat.log[i], par.log[i])
-			}
-		}
-		for i, fb := range bat.started {
-			fp := par.started[i]
-			if math.Float64bits(fb.Rate()) != math.Float64bits(fp.Rate()) ||
-				math.Float64bits(fb.Remaining()) != math.Float64bits(fp.Remaining()) ||
-				fb.Done() != fp.Done() {
-				t.Fatalf("flow %s final state differs between 1 and %d workers", fb.Name, workers)
-			}
-		}
+		oracle := buildWorld(sc, false, true)
+		once := buildWorld(sc, false, false)
+		runEventLockstep(t, oracle, once, "per-mutation oracle vs once per event", true, func() { verifyNet(t, once.net) })
 	})
 }
 
 // FuzzIncrementalVsGlobalSolve drives random topologies through random
 // start/abort/SetCapacity scripts and checks the incremental
-// component-scoped engine two ways. Always: after every op, component
+// component-scoped engine two ways. Always: after every event, component
 // membership is re-derived from scratch and each component's rates and
 // completion events are re-checked against the retained reference solver
 // (0 ULP). When the decoded scenario routes every flow through a shared
@@ -537,16 +627,15 @@ func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 		if len(sc.ops) == 0 {
 			return
 		}
-		inc := buildWorld(sc, false, 0, func(w *fzWorld) { verifyNet(t, w.net) })
-		if err := inc.sim.Run(); err != nil {
-			t.Fatalf("incremental run: %v", err)
+		inc := buildWorld(sc, false, false)
+		for inc.sim.Step() {
+			verifyNet(t, inc.net)
 		}
-		verifyNet(t, inc.net)
 
 		if !sc.shared {
 			return
 		}
-		ref := buildWorld(sc, true, 0, nil)
+		ref := buildWorld(sc, true, false)
 		if err := ref.sim.Run(); err != nil {
 			t.Fatalf("reference run: %v", err)
 		}

@@ -3,13 +3,14 @@ package simnet
 // Hierarchical waterfill: rack-local solving coupled via separator
 // aggregates.
 //
-// Batched flushes fan independent components over workers, which does
-// nothing on an oversubscribed fat tree whose rack uplinks share a core
-// switch: the fabric is one connected component, so the flat waterfill
-// solves all of it every event. This file decomposes such a component
-// along a declared separator set (the rack-uplink and core resources, see
-// SetSeparators): deleting the separators from the flow↔resource graph
-// splits it into rack-local groups, coupled only through the separators.
+// Component scoping solves only the component an event touches, which
+// does nothing on an oversubscribed fat tree whose rack uplinks share a
+// core switch: the fabric is one connected component, so the flat
+// waterfill solves all of it every event. This file decomposes such a
+// component along a declared separator set (the rack-uplink and core
+// resources, see SetSeparators): deleting the separators from the
+// flow↔resource graph splits it into rack-local groups, coupled only
+// through the separators.
 //
 // The hierarchical solve (SetHierarchical) runs ONE waterfill whose
 // passes are synchronized across groups — a regrouping of
@@ -61,7 +62,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // hsepBit flags, inside Flow.hgroup, a flow whose usage vector touches at
@@ -105,15 +105,12 @@ func (g *hierGroup) reset() {
 
 // hierState holds the hierarchical mode's configuration and reusable
 // scratch. One per Network (parallel campaign workers own private
-// Networks); the mutex serializes trySolve when a parallel flush hands
-// multiple dirty components to it concurrently.
+// Networks).
 type hierState struct {
 	n *Network
 	// minFlows is hierMinFlowsDefault, lowered by tests that need the
 	// partition exercised on small components.
 	minFlows int
-
-	mu sync.Mutex
 
 	// parent is the union-find over resource idx (1-based) joining
 	// non-separator resources that share a flow. It only ever coarsens;
@@ -158,8 +155,8 @@ func (n *Network) SetSeparators(rs ...*Resource) {
 // to the flat solver (and so to solveReference) on every input; degenerate
 // partitions fall back to the flat solver.
 //
-// Like SetBatching, the mode may only change while no flow is in flight,
-// and cannot be combined with the forceGlobal test mode.
+// The mode may only change while no flow is in flight, and cannot be
+// combined with the forceGlobal test mode.
 func (n *Network) SetHierarchical(on bool) {
 	if n.nActive > 0 || n.flushArmed {
 		panic("simnet: SetHierarchical while flows are in flight")
@@ -344,8 +341,6 @@ func (h *hierState) trySolve(c *component, sv *solver, st *Stats) bool {
 	if len(c.flows) < h.minFlows {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if !h.partition(c) {
 		if st != nil {
 			st.HierFallbacks++

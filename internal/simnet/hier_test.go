@@ -11,8 +11,8 @@ import (
 // hierScenario is a decoded hierarchical fuzz input: a miniature fat tree
 // (racks of local resources behind per-rack uplinks that share one core)
 // plus a time-ordered op script. About half the ops land on the same
-// instant as their predecessor so the batched flush paths get real
-// same-instant clusters.
+// instant as their predecessor, so equal-time events interleave with the
+// completions they reschedule.
 type hierScenario struct {
 	nRacks   int
 	nLocals  int
@@ -63,12 +63,10 @@ func decodeHierScenario(data []byte) hierScenario {
 // resource layout in w.res is locals (rack-major), then uplinks, then the
 // core. hier declares the uplinks and core as separators and enables
 // hierarchical solving, lowering the size cutoff to zero so the partition
-// machinery runs on fuzz-sized components; batchWorkers configures
-// same-instant batching as in buildWorld.
-func buildHierWorld(sc hierScenario, hier bool, batchWorkers int) *fzWorld {
+// machinery runs on fuzz-sized components.
+func buildHierWorld(sc hierScenario, hier bool) *fzWorld {
 	w := &fzWorld{sim: simkernel.New()}
 	w.net = New(w.sim)
-	w.net.SetBatching(batchWorkers)
 	for r := 0; r < sc.nRacks; r++ {
 		for l := 0; l < sc.nLocals; l++ {
 			w.res = append(w.res, w.net.AddResource(fmt.Sprintf("rack%d/l%d", r, l), sc.localCap[r*sc.nLocals+l]))
@@ -154,12 +152,11 @@ func applyHier(w *fzWorld, sc hierScenario, op fop) {
 
 // FuzzHierarchicalVsFlatSolve drives random fat-tree scenarios through
 // the flat solver and the hierarchical solver and demands bitwise
-// agreement, two ways. Unbatched: the two worlds run in instant lockstep
-// and must agree on every flow's rate, remaining volume and liveness at
-// 0 ULP at every instant boundary; verifyNet additionally re-solves the
-// hierarchical world's components with the retained reference oracle at
-// each boundary. Batched: a serial-flush flat world and a parallel-flush
-// hierarchical world share the same event cadence, so their complete
+// agreement, two ways. The two worlds run in event lockstep and must agree
+// on every flow's rate, remaining volume, liveness and pending completion
+// instant at 0 ULP after every event; verifyNet additionally re-solves the
+// hierarchical world's components with the retained reference oracle
+// after each one. And since both solve once per event, their complete
 // observable logs — every rate change, completion and abort, float bits
 // spelled out — must be byte-identical.
 func FuzzHierarchicalVsFlatSolve(f *testing.F) {
@@ -171,29 +168,22 @@ func FuzzHierarchicalVsFlatSolve(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
+		// The first byte is skipped so the checked-in corpus keeps decoding
+		// to the scenarios it was minimized for.
 		sc := decodeHierScenario(data[1:])
 		if len(sc.ops) == 0 {
 			return
 		}
-		flat := buildHierWorld(sc, false, 0)
-		hier := buildHierWorld(sc, true, 0)
-		runInstantLockstep(t, flat, hier, "flat vs hierarchical", func() { verifyNet(t, hier.net) })
-
-		batFlat := buildHierWorld(sc, false, 1)
-		batHier := buildHierWorld(sc, true, 2+int(data[0]%3))
-		if err := batFlat.sim.Run(); err != nil {
-			t.Fatalf("batched flat run: %v", err)
+		flat := buildHierWorld(sc, false)
+		hier := buildHierWorld(sc, true)
+		runEventLockstep(t, flat, hier, "flat vs hierarchical", false, func() { verifyNet(t, hier.net) })
+		if len(flat.log) != len(hier.log) {
+			t.Fatalf("flat log has %d entries, hierarchical %d\nflat: %v\nhier: %v",
+				len(flat.log), len(hier.log), flat.log, hier.log)
 		}
-		if err := batHier.sim.Run(); err != nil {
-			t.Fatalf("batched hierarchical run: %v", err)
-		}
-		if len(batFlat.log) != len(batHier.log) {
-			t.Fatalf("batched flat log has %d entries, hierarchical %d\nflat: %v\nhier: %v",
-				len(batFlat.log), len(batHier.log), batFlat.log, batHier.log)
-		}
-		for i := range batFlat.log {
-			if batFlat.log[i] != batHier.log[i] {
-				t.Fatalf("batched logs diverge at %d: flat %q, hierarchical %q", i, batFlat.log[i], batHier.log[i])
+		for i := range flat.log {
+			if flat.log[i] != hier.log[i] {
+				t.Fatalf("logs diverge at %d: flat %q, hierarchical %q", i, flat.log[i], hier.log[i])
 			}
 		}
 	})

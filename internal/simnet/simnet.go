@@ -219,7 +219,10 @@ type Flow struct {
 	hnlocal int32
 }
 
-// Rate returns the flow's current fair-share rate in MiB/s.
+// Rate returns the flow's fair-share rate in MiB/s as of the last solve of
+// its component. Rates are current at event boundaries: inside an event
+// callback, a mutation of the flow's component (a start, completion, abort
+// or capacity change) takes effect on the rate once the callback returns.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Remaining returns the volume not yet transferred, in MiB. Settlement is
@@ -324,12 +327,16 @@ func (f *Flow) buildUses() {
 //
 // The in-flight state is kept in persistent, incrementally maintained
 // sorted registries, partitioned into connected components of the
-// flow↔resource graph. An event (flow start, completion, abort, capacity
-// change) settles, re-solves and reschedules only the component it
-// touches; every other component's rates, unsent volumes and completion
-// events are left untouched. Steady-state rebalancing performs no heap
-// allocations: no map collection, no per-call sorting, and completion
-// events are rescheduled in place rather than reallocated.
+// flow↔resource graph. A mutation (flow start, completion, abort,
+// capacity change) settles and re-links only the component it touches and
+// marks it dirty; each dirty component is re-solved and rescheduled once,
+// when the kernel event that mutated it returns (see batch.go). Rates are
+// therefore current at event boundaries, and immediately after a mutation
+// made outside the event loop. Every other component's rates, unsent
+// volumes and completion events are left untouched. Steady-state
+// rebalancing performs no heap allocations: no map collection, no
+// per-call sorting, and completion events are rescheduled in place rather
+// than reallocated.
 type Network struct {
 	sim       *simkernel.Simulation
 	resources []*Resource
@@ -375,26 +382,13 @@ type Network struct {
 	// solved by partition; everything else falls back to sv.
 	hier *hierState
 
-	// Batched-mode state (see batch.go). batchWorkers > 0 enables
-	// same-instant event batching; > 1 additionally fans independent dirty
-	// components over that many solver goroutines at flush time.
-	batchWorkers int
-	nextCompID   uint64
-	dirtyComps   []*component
-	flushComps   []*component
-	flushEvent   *simkernel.Event
-	flushArmed   bool
-	flushFn      func()
-	// Parallel-flush scratch: per-worker solvers (+ private stats merged
-	// after the join) and per-component solve outcomes, all indexed so the
-	// serial finish phase replays them in component-id order.
-	psv         []solver
-	workerStats []Stats
-	hierOf      []bool
-	livePasses  []int
-	groupsOf    []int
-	batchRates  []float64
-	rateOff     []int
+	// End-of-event flush state (see batch.go): the components marked dirty
+	// since the last flush, in first-mark order, and whether the current
+	// event has already deferred a flush. flushFn is n.flush bound once, so
+	// deferring it does not allocate.
+	dirtyComps []*component
+	flushArmed bool
+	flushFn    func()
 
 	batchObserver func(at simkernel.Time, info BatchInfo)
 
@@ -415,17 +409,22 @@ type Network struct {
 func (n *Network) Components() int { return len(n.comps) }
 
 // Observe registers a callback invoked whenever a flow's fair-share rate
-// changes: at flow start, at every re-balance that moves its rate, and
-// with rate 0 at completion or abort. Used by the trace recorder to build
-// bandwidth timelines (Figure 9 style) from live simulations. Pass nil to
-// remove the observer.
+// changes: with its first solved rate after a start, at every re-balance
+// that moves its rate, and with rate 0 at completion or abort. Re-balances
+// run once per kernel event, so the callback sees the rates current at
+// event boundaries, not the intermediate rates between two mutations of
+// one event. Used by the trace recorder to build bandwidth timelines
+// (Figure 9 style) from live simulations. Pass nil to remove the observer.
 func (n *Network) Observe(fn func(at simkernel.Time, f *Flow, rate float64)) {
 	n.observer = fn
 }
 
 // New creates an empty network bound to the simulation clock.
 func New(sim *simkernel.Simulation) *Network {
-	return &Network{sim: sim}
+	n := &Network{sim: sim}
+	n.sv.indexed = true
+	n.flushFn = n.flush
+	return n
 }
 
 // AddResource registers a resource with the given capacity (MiB/s).
@@ -438,11 +437,11 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 	return r
 }
 
-// SetCapacity changes a resource's capacity and immediately re-balances
-// the connected component of flows riding it; flows in other components
-// are not settled, re-solved or rescheduled. Used by the storage model
-// when the number of active targets on a host changes (concave controller
-// capacity) and by the interference injector.
+// SetCapacity changes a resource's capacity and re-balances the connected
+// component of flows riding it when the current event returns; flows in
+// other components are not settled, re-solved or rescheduled. Used by the
+// storage model when the number of active targets on a host changes
+// (concave controller capacity) and by the interference injector.
 func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, r.Name))
@@ -467,11 +466,7 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	now := n.sim.Now()
 	n.settleComp(r.comp, now)
 	r.capacity = capacity
-	if n.batchWorkers > 0 {
-		n.markDirty(r.comp, TriggerCapacity)
-		return
-	}
-	n.rebalanceComp(r.comp, now, TriggerCapacity)
+	n.markDirty(r.comp, TriggerCapacity)
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -518,8 +513,8 @@ func (n *Network) release(f *Flow) {
 // positive volume, which would never finish.
 //
 // Start unions the components of every resource the flow touches into
-// one, settles and re-solves that merged component, and leaves all other
-// components alone.
+// one, settles that merged component and marks it for the end-of-event
+// solve, and leaves all other components alone.
 func (n *Network) Start(f *Flow) {
 	if f.Volume < 0 {
 		panic("simnet: negative flow volume")
@@ -541,8 +536,10 @@ func (n *Network) Start(f *Flow) {
 	n.nextSeq++
 	// Settle the components about to merge, rebuilding stale ones whose
 	// accumulated removals have earned an O(component) union-find pass;
-	// rebuild fragments that do not carry any of f's resources re-solve
-	// immediately and take no further part in the start.
+	// rebuild fragments that do not carry any of f's resources are marked
+	// for their own solve and take no further part in the start. A
+	// fragment split off a component that was already dirty inherits its
+	// mark, so no pending work is lost across the split.
 	n.collectStartComps(f)
 	for _, c := range n.startComps {
 		n.settleComp(c, now)
@@ -563,18 +560,9 @@ func (n *Network) Start(f *Flow) {
 			}
 		}
 		for _, frag := range frags {
-			if frag.mark {
-				continue
-			}
-			if n.batchWorkers > 0 {
-				// Deferred mode: the fragment's solve joins the instant's
-				// batch. A fragment split off a component that was already
-				// dirty inherits its own mark here, so no pending work is
-				// lost across the split.
+			if !frag.mark {
 				n.markDirty(frag, TriggerStart)
-				continue
 			}
-			n.rebalanceComp(frag, now, TriggerStart)
 		}
 		for i := range f.uses {
 			if rc := f.uses[i].res.comp; rc != nil {
@@ -609,11 +597,7 @@ func (n *Network) Start(f *Flow) {
 	n.nActive++
 	n.retain(f, target)
 	f.inNet = true
-	if n.batchWorkers > 0 {
-		n.markDirty(target, TriggerStart)
-		return
-	}
-	n.rebalanceComp(target, now, TriggerStart)
+	n.markDirty(target, TriggerStart)
 }
 
 // collectStartComps gathers the distinct live components of f's resources
@@ -637,9 +621,11 @@ func (n *Network) collectStartComps(f *Flow) {
 }
 
 // Abort removes a flow before completion without firing OnComplete. The
-// flow's OnAbort hook (if any) fires after the rest of its component has
-// been re-balanced, with the flow's unsent volume settled to the abort
-// instant. Other components are untouched.
+// flow's OnAbort hook (if any) fires with the flow's unsent volume settled
+// to the abort instant. Inside an event it fires before the rest of the
+// component is re-balanced at the end of the event, so the survivors'
+// rates it can read are still the pre-abort ones; outside the event loop
+// the re-balance runs first. Other components are untouched.
 func (n *Network) Abort(f *Flow) {
 	if !f.inNet {
 		return
@@ -656,10 +642,8 @@ func (n *Network) Abort(f *Flow) {
 	}
 	if len(c.flows) == 0 {
 		n.dropComp(c)
-	} else if n.batchWorkers > 0 {
-		n.markDirty(c, TriggerAbort)
 	} else {
-		n.rebalanceComp(c, now, TriggerAbort)
+		n.markDirty(c, TriggerAbort)
 	}
 	if f.OnAbort != nil {
 		f.OnAbort(now)
@@ -778,9 +762,9 @@ func (n *Network) settleRescheduleAll() {
 	}
 	for _, c := range n.comps {
 		if c.dirty {
-			// Batched mode: this component's rates are stale until the
-			// instant's flush re-solves it, and the flush reschedules every
-			// one of its flows from the fresh rates anyway.
+			// This component's rates are stale until the end-of-event
+			// flush re-solves it, and the flush reschedules every one of
+			// its flows from the fresh rates anyway.
 			continue
 		}
 		for _, f := range c.flows {
@@ -791,7 +775,9 @@ func (n *Network) settleRescheduleAll() {
 
 // rebalanceComp recomputes fair-share rates for one component and
 // reschedules its completion events; completion events of every other
-// component are not touched at all. In steady state (buffers warmed up,
+// component are not touched at all. The component is solved by partition
+// when the hierarchical mode is on and it splits into rack-local groups,
+// with the flat waterfill otherwise. In steady state (buffers warmed up,
 // every flow already carrying its completion event) this performs zero
 // heap allocations.
 func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
@@ -814,8 +800,11 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrig
 	if n.stats != nil {
 		solveStart = time.Now()
 	}
-	n.sv.indexed = true
-	hier := n.solveComp(c, &n.sv, n.stats)
+	n.sv.lastGroups = 0
+	hier := n.hier != nil && n.hier.trySolve(c, &n.sv, n.stats)
+	if !hier {
+		n.sv.solve(c.flows, c.resources, c.capped)
+	}
 	if n.stats != nil {
 		n.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
 		n.stats.Solves[trig]++
@@ -842,19 +831,6 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrig
 			Groups:       n.sv.lastGroups,
 		})
 	}
-}
-
-// solveComp assigns c's fair-share rates using sv's scratch: by partition
-// when the hierarchical mode is on and c splits into rack-local groups,
-// with the flat waterfill otherwise. It reports whether the hierarchical
-// path ran; sv.lastLive and sv.lastGroups describe the solve afterwards.
-func (n *Network) solveComp(c *component, sv *solver, st *Stats) bool {
-	sv.lastGroups = 0
-	if n.hier != nil && n.hier.trySolve(c, sv, st) {
-		return true
-	}
-	sv.solve(c.flows, c.resources, c.capped)
-	return false
 }
 
 func (n *Network) scheduleCompletion(f *Flow, now simkernel.Time) {
@@ -889,14 +865,6 @@ func (n *Network) complete(f *Flow) {
 	if !f.inNet {
 		return
 	}
-	if n.batchWorkers > 0 && f.comp != nil && f.comp.dirty {
-		// The completion instant was derived from rates that a pending
-		// batched solve is about to replace, so it cannot be trusted. The
-		// flush reschedules this flow's (now fired) event from the fresh
-		// rates; if the flow really is done it completes right after the
-		// flush, in the same instant.
-		return
-	}
 	now := n.sim.Now()
 	c := n.detach(f, now)
 	f.event = nil
@@ -908,10 +876,8 @@ func (n *Network) complete(f *Flow) {
 	}
 	if len(c.flows) == 0 {
 		n.dropComp(c)
-	} else if n.batchWorkers > 0 {
-		n.markDirty(c, TriggerComplete)
 	} else {
-		n.rebalanceComp(c, now, TriggerComplete)
+		n.markDirty(c, TriggerComplete)
 	}
 	if f.OnComplete != nil {
 		f.OnComplete(now)

@@ -486,13 +486,14 @@ func TestFlowsUsingIsNameSorted(t *testing.T) {
 // flow started fires at t=2, the same instant fb's own completion is due
 // (fb's event carries a later FIFO rank, so the abort settles first and
 // drives fb.remaining to exactly 0 while fb's completion event is still
-// queued). The re-balance after the abort must still report fb's rate
-// change (50 -> 100) even though fb has nothing left to send, must not
-// move fb's already-correct completion event (same time, same FIFO rank),
-// and fb must complete at t=2 after fa's OnAbort ran inline. The
-// incremental component-scoped path has to reproduce this sequence
-// bit-for-bit; it is easy to silently reorder when completion reschedules
-// are skipped.
+// queued). fa's OnAbort runs inline, before the re-balance: inside an
+// event the link is re-solved when the event returns. That re-balance
+// must still report fb's rate change (50 -> 100) even though fb has
+// nothing left to send, must not move fb's already-correct completion
+// event (same time, same FIFO rank), and fb must complete at t=2 right
+// after it. The incremental component-scoped path has to reproduce this
+// sequence bit-for-bit; it is easy to silently reorder when completion
+// reschedules are skipped.
 func TestAbortRebalanceObserverOrder(t *testing.T) {
 	sim := simkernel.New()
 	n := New(sim)
@@ -522,8 +523,8 @@ func TestAbortRebalanceObserverOrder(t *testing.T) {
 		"obs t=0 fa rate=50",
 		"obs t=0 fb rate=50",
 		"obs t=2 fa rate=0",
-		"obs t=2 fb rate=100",
 		"abort t=2 fa rem=900",
+		"obs t=2 fb rate=100",
 		"obs t=2 fb rate=0",
 		"done t=2 fb",
 	}

@@ -57,17 +57,12 @@ type Stats struct {
 	// The fields remain so code that reads them keeps compiling.
 	WarmHits   uint64
 	WarmMisses uint64
-	// SolveBatches counts batched-mode flushes that solved at least one
-	// component (zero unless SetBatching is on).
+	// SolveBatches counts end-of-event flushes that solved at least one
+	// component.
 	SolveBatches uint64
 	// ComponentsDirty sums the dirty components solved across flushes;
 	// ComponentsDirty / SolveBatches is the mean batch width.
 	ComponentsDirty uint64
-	// ParallelSolves counts component solves belonging to multi-component
-	// flushes — the solves eligible for the worker pool. It is defined by
-	// batch shape, not by the configured worker count, so (like every
-	// other field) it is identical at any SetBatching worker setting.
-	ParallelSolves uint64
 	// HierSolves counts component solves served by the hierarchical
 	// path; HierFallbacks counts solves where the mode was enabled but the
 	// partition was degenerate (no separators in the component, or fewer
@@ -76,8 +71,8 @@ type Stats struct {
 	// neither.
 	HierSolves    uint64
 	HierFallbacks uint64
-	// FlushWaveWidth is the histogram of dirty components per batched-mode
-	// flush — the fan-out width the worker pool sees each wave.
+	// FlushWaveWidth is the histogram of dirty components per end-of-event
+	// flush.
 	FlushWaveWidth obs.Log2Hist
 	// HierGroups is the histogram of rack-local group counts per
 	// hierarchical solve; HierGroupFlows is the histogram of per-group flow
@@ -90,27 +85,6 @@ type Stats struct {
 	// determinism checks filter it, and recording it never feeds back into
 	// simulation numerics.
 	SolveLatencyNs obs.Log2Hist
-}
-
-// merge folds src into st field-wise: counters by addition, histograms by
-// bucket-wise addition. Every fold is commutative, so parallel flush
-// workers may merge in any order.
-func (st *Stats) merge(src *Stats) {
-	for t := range src.Solves {
-		st.Solves[t] += src.Solves[t]
-	}
-	st.Passes += src.Passes
-	st.FreezesPerPass.Merge(&src.FreezesPerPass)
-	st.ComponentFlows.Merge(&src.ComponentFlows)
-	st.SolveBatches += src.SolveBatches
-	st.ComponentsDirty += src.ComponentsDirty
-	st.ParallelSolves += src.ParallelSolves
-	st.HierSolves += src.HierSolves
-	st.HierFallbacks += src.HierFallbacks
-	st.FlushWaveWidth.Merge(&src.FlushWaveWidth)
-	st.HierGroups.Merge(&src.HierGroups)
-	st.HierGroupFlows.Merge(&src.HierGroupFlows)
-	st.SolveLatencyNs.Merge(&src.SolveLatencyNs)
 }
 
 // SetStats attaches (or with nil detaches) a solver activity sink.
@@ -149,16 +123,13 @@ func (n *Network) ObserveResources(fn func(at simkernel.Time, r *Resource, load 
 	n.resObserver = fn
 }
 
-// BatchInfo describes one batched-mode flush to a batch observer.
+// BatchInfo describes one end-of-event flush to a batch observer.
 type BatchInfo struct {
 	// Components is the number of dirty components this flush solved.
 	Components int
-	// Workers is the configured SetBatching worker count (the solve fans
-	// out only when both Components and Workers exceed one).
-	Workers int
 }
 
-// ObserveBatches registers a callback invoked once per batched-mode flush
+// ObserveBatches registers a callback invoked once per end-of-event flush
 // that solved at least one component, before the solves run. Pass nil to
 // remove it. The callback must not mutate simulation state.
 func (n *Network) ObserveBatches(fn func(at simkernel.Time, info BatchInfo)) {
