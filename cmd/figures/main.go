@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	figures [-fig all|2a|2b|4a|4b|5a|5b|6a|6b|8|10|11|12|13|lessons|extnn|extread|policy|resilience|chaos|scale|hierscale] [-reps N] [-seed S] [-out DIR] [-fast] [-workers N]
+//	figures [-fig all|2a|2b|4a|4b|5a|5b|6a|6b|8|10|11|12|13|lessons|extnn|extread|policy|resilience|chaos|scale] [-reps N] [-seed S] [-out DIR] [-fast] [-workers N]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	        [-metrics FILE.json] [-prom FILE.prom] [-influx FILE.lp] [-trace FILE.json] [-utilcsv FILE.csv]
 //	        [-serve ADDR] [-serve-linger DUR]
@@ -12,7 +12,10 @@
 // The default -reps 100 matches the paper's protocol; -fast shortens the
 // (virtual-time) inter-block waits. -workers bounds how many repetitions
 // simulate concurrently (0 = one per CPU; results are bit-identical for
-// every value). -cpuprofile/-memprofile write pprof profiles of the run.
+// every value). -reps below 1 and -workers below 0 are rejected. The
+// extension campaigns extnn, resilience and chaos run at most 20
+// repetitions per cell, policy 25 and scale 40; each says on stdout when
+// it caps. -cpuprofile/-memprofile write pprof profiles of the run.
 //
 // The observability flags configure sinks on one shared metrics pipeline
 // (see internal/obs): -metrics writes the merged counters as JSON (plus a
@@ -48,7 +51,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate (2a 2b 4a 4b 5a 5b 6a 6b 8 10 11 12 13 lessons extnn extread policy resilience chaos scale hierscale all)")
+		fig     = flag.String("fig", "all", "figure to regenerate (2a 2b 4a 4b 5a 5b 6a 6b 8 10 11 12 13 lessons extnn extread policy resilience chaos scale all)")
 		reps    = flag.Int("reps", 100, "repetitions per experiment (paper: 100)")
 		seed    = flag.Uint64("seed", 42, "campaign seed")
 		out     = flag.String("out", "out", "directory for CSV output (empty: skip CSV)")
@@ -141,6 +144,12 @@ func main() {
 }
 
 func run(fig string, opts experiments.Options, outDir string) error {
+	if opts.Reps < 1 {
+		return fmt.Errorf("-reps must be at least 1, got %d", opts.Reps)
+	}
+	if opts.Workers < 0 {
+		return fmt.Errorf("-workers must be 0 (one per CPU) or more, got %d", opts.Workers)
+	}
 	all := fig == "all"
 	did := false
 	for _, f := range []struct {
@@ -167,7 +176,6 @@ func run(fig string, opts experiments.Options, outDir string) error {
 		{"resilience", resilience},
 		{"chaos", chaos},
 		{"scale", scale},
-		{"hierscale", hierscale},
 	} {
 		if !all && fig != f.name {
 			continue
@@ -191,6 +199,16 @@ func run(fig string, opts experiments.Options, outDir string) error {
 }
 
 var fig13done bool
+
+// capReps bounds the repetitions of a campaign too costly to run at the
+// paper's 100, and says so on stdout when it does.
+func capReps(fig string, opts experiments.Options, max int) experiments.Options {
+	if opts.Reps > max {
+		fmt.Printf("%s: running %d repetitions per cell (-reps %d is capped at %d)\n", fig, max, opts.Reps, max)
+		opts.Reps = max
+	}
+	return opts
+}
 
 // closeObservability writes every configured sink's final state (the
 // pipeline renders the same snapshot into each) and prints the
@@ -504,11 +522,8 @@ single application — does hold (Figure 12).`))
 }
 
 func extNN(opts experiments.Options, outDir string) error {
-	// The full-repetition campaign is expensive for this 12-cell matrix;
-	// cap at 20 reps per cell unless fewer were requested.
-	if opts.Reps > 20 {
-		opts.Reps = 20
-	}
+	// The full-repetition campaign is expensive for this 12-cell matrix.
+	opts = capReps("extnn", opts, 20)
 	rows, err := experiments.ExtNN(opts)
 	if err != nil {
 		return err
@@ -547,11 +562,8 @@ func extRead(opts experiments.Options, outDir string) error {
 }
 
 func resilience(opts experiments.Options, outDir string) error {
-	// 2 scenarios x 4 fault schemes: cap at 20 reps per cell unless fewer
-	// were requested.
-	if opts.Reps > 20 {
-		opts.Reps = 20
-	}
+	// 2 scenarios x 4 fault schemes.
+	opts = capReps("resilience", opts, 20)
 	rows, err := experiments.ExtResilience(opts)
 	if err != nil {
 		return err
@@ -573,10 +585,8 @@ func resilience(opts experiments.Options, outDir string) error {
 
 func chaos(opts experiments.Options, outDir string) error {
 	// 2 scenarios x 3 chaos profiles, each repetition draining a full
-	// invariant audit: cap at 20 reps per cell unless fewer were requested.
-	if opts.Reps > 20 {
-		opts.Reps = 20
-	}
+	// invariant audit.
+	opts = capReps("chaos", opts, 20)
 	rows, err := experiments.ExtChaos(opts)
 	if err != nil {
 		return err
@@ -600,9 +610,7 @@ func chaos(opts experiments.Options, outDir string) error {
 func scale(opts experiments.Options, outDir string) error {
 	// Each repetition adds a dozen-plus churn jobs per cell; 40 reps
 	// already means thousands of jobs on the large fabric.
-	if opts.Reps > 40 {
-		opts.Reps = 40
-	}
+	opts = capReps("scale", opts, 40)
 	rows, err := experiments.ExtScale(opts)
 	if err != nil {
 		return err
@@ -621,43 +629,14 @@ func scale(opts experiments.Options, outDir string) error {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-6s wall %6.2fs  %9.0f events/s  step p50 %6.1fus p99 %6.1fus\n",
-			r.Topology, r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us)
+		fmt.Printf("  %-10s wall %6.2fs  %9.0f events/s  step p50 %6.1fus p99 %6.1fus  hierarchical %d of %d solves\n",
+			r.Topology, r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us, r.HierSolves, r.Solves)
 	}
 	fmt.Println()
 	fmt.Println("The network solves each component an event touched once, when the event")
 	fmt.Println("returns, so an event that starts or finishes many flows still costs one solve.")
-	fmt.Println()
-	return nil
-}
-
-func hierscale(opts experiments.Options, outDir string) error {
-	if opts.Reps > 40 {
-		opts.Reps = 40
-	}
-	rows, err := experiments.ExtHierScale(opts)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(
-		"Extension: core-coupled job churn — flat vs hierarchical solver",
-		"topology", "mode", "racks", "targets", "jobs", "bw_mean_mibs", "bw_min", "bw_max",
-		"peak_flows", "events", "solves", "hier_solves", "hier_fallbacks")
-	for _, r := range rows {
-		t.AddRow(r.Topology, r.Mode, r.Racks, r.Targets, r.Jobs, r.BWMean, r.BWMin, r.BWMax,
-			r.PeakFlows, r.Events, r.Solves, r.HierSolves, r.HierFallbacks)
-	}
-	if err := emit(t, outDir, "ext_hierscale"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-10s %-11s wall %6.2fs  %9.0f events/s  step p50 %6.1fus p99 %6.1fus\n",
-			r.Topology, r.Mode, r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us)
-	}
-	fmt.Println()
-	fmt.Println("Cross-rack drain traffic through an over-subscribed core fuses all racks into")
-	fmt.Println("one component. hier-exact solves it by rack-local groups and reproduces the")
-	fmt.Println("flat solver bit-for-bit (enforced in-line).")
+	fmt.Println("On the core topologies, cross-rack drains fuse the racks into one component,")
+	fmt.Println("which the network solves by rack-local groups once it is large enough.")
 	fmt.Println()
 	return nil
 }
@@ -666,12 +645,10 @@ func policy(opts experiments.Options, outDir string) error {
 	t := report.NewTable(
 		"Extension: 'always max stripe count' vs adaptive per-app counts (scenario 2)",
 		"apps", "max_count_aggregate", "adapted_aggregate", "max_gain_%")
+	opts = capReps("policy", opts, 25)
 	for _, apps := range []int{2, 4} {
 		o := opts
 		o.Seed = opts.Seed + uint64(apps)
-		if o.Reps > 25 {
-			o.Reps = 25
-		}
 		res, err := experiments.ComparePolicies(apps, o)
 		if err != nil {
 			return err

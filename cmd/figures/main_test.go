@@ -31,6 +31,26 @@ func TestRunSingleFigureWritesCSV(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadOptions checks that invalid repetition and worker
+// counts are errors, not silent fallbacks to the paper's 100 repetitions
+// or to one worker per CPU.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mod  func(*experiments.Options)
+	}{
+		{"reps 0", func(o *experiments.Options) { o.Reps = 0 }},
+		{"negative reps", func(o *experiments.Options) { o.Reps = -3 }},
+		{"negative workers", func(o *experiments.Options) { o.Workers = -1 }},
+	} {
+		opts := tinyOpts()
+		tc.mod(&opts)
+		if err := run("6a", opts, ""); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run("99z", tinyOpts(), ""); err == nil {
 		t.Fatal("unknown figure accepted")

@@ -9,7 +9,8 @@
 //
 // Sizes accept k/m/g suffixes (KiB/MiB/GiB), as in IOR. Repetitions are
 // independent simulations and run concurrently under -workers; the
-// reported numbers are identical for every worker count.
+// reported numbers are identical for every worker count. -i below 1 and
+// -workers below 0 are rejected.
 package main
 
 import (
@@ -122,6 +123,12 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 	}
 	if !write {
 		return fmt.Errorf("-w=false: nothing to do (reads need written data first; combine -w -r)")
+	}
+	if reps < 1 {
+		return fmt.Errorf("-i must be at least 1, got %d", reps)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers must be 0 (one per CPU) or more, got %d", workers)
 	}
 	block, err := parseSize(bStr)
 	if err != nil {

@@ -51,6 +51,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{Interval: -0.5}); err == nil {
 		t.Fatal("negative heartbeat interval accepted")
 	}
+	if err := run("POSIX", "1g", "1m", 1, false, true, false, 0, "/x", 1, 2, 2, 2, 1, 1, obsConfig{}, heartbeatConfig{}); err == nil {
+		t.Fatal("-i 0 accepted")
+	}
+	if err := run("POSIX", "1g", "1m", 1, false, true, false, 1, "/x", 1, 2, 2, 2, 1, -1, obsConfig{}, heartbeatConfig{}); err == nil {
+		t.Fatal("negative -workers accepted")
+	}
 }
 
 func TestRunEndToEndWithHeartbeats(t *testing.T) {

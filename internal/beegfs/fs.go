@@ -49,9 +49,10 @@ type Config struct {
 	// this many MiB/s that every cross-rack transfer crosses in addition
 	// to the rack uplinks. An over-subscribed core couples all racks into
 	// one connected flow component — the single-component regime the
-	// hierarchical solver (simnet.SetHierarchical) decomposes along the
-	// uplink/core separator set. Requires RackHosts; zero (the default)
-	// creates no core resource and leaves the I/O path untouched.
+	// network's hierarchical solve decomposes along the uplink/core
+	// separator set (New declares both; see simnet.Network.SetSeparators).
+	// Requires RackHosts; zero (the default) creates no core resource and
+	// leaves the I/O path untouched.
 	CoreCapacity float64
 	// DefaultPattern is the root directory's stripe configuration.
 	DefaultPattern StripePattern
@@ -329,8 +330,16 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 			fs.rackOf[h] = i / cfg.RackHosts
 		}
 		fs.rackShare = make([]float64, racks)
+		// The uplinks and the core are the fabric aggregates that couple
+		// otherwise rack-local flow components. Declaring them lets the
+		// network solve a fused component by rack-local groups. The client
+		// ramp is not declared: on PlaFRIM it would be the only separator,
+		// no paper-figure component is large enough to partition, and the
+		// declaration would put the union-find on every flow start.
+		net.SetSeparators(fs.rackUplink...)
 		if cfg.CoreCapacity > 0 {
 			fs.core = net.AddResource("core", cfg.CoreCapacity)
+			net.SetSeparators(fs.core)
 		}
 	}
 	return fs, nil
@@ -347,24 +356,6 @@ func (fs *FileSystem) RackUplink(r int) *simnet.Resource { return fs.rackUplink[
 
 // Core returns the core-switch resource, nil when CoreCapacity is 0.
 func (fs *FileSystem) Core() *simnet.Resource { return fs.core }
-
-// SeparatorResources returns the deployment's fabric aggregates — the
-// rack uplinks, the core switch and the client-stack ramp, whichever
-// exist — in a deterministic order. These are the resources that couple
-// otherwise rack-local flow components; declaring them to
-// simnet.SetSeparators lets the hierarchical solver decompose along them.
-// Empty when the deployment has no shared aggregates.
-func (fs *FileSystem) SeparatorResources() []*simnet.Resource {
-	var seps []*simnet.Resource
-	seps = append(seps, fs.rackUplink...)
-	if fs.core != nil {
-		seps = append(seps, fs.core)
-	}
-	if fs.clientRamp != nil {
-		seps = append(seps, fs.clientRamp)
-	}
-	return seps
-}
 
 // RackOf returns the rack index of a storage host (-1 when rack modelling
 // is off).

@@ -230,13 +230,6 @@ func (p Platform) Deploy() (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Declare the fabric aggregates (rack uplinks, core switch, client
-	// ramp) as separators up front. The declaration is inert until a
-	// campaign opts into simnet.SetHierarchical, so every existing
-	// deployment is byte-identical with or without it.
-	if seps := fs.SeparatorResources(); len(seps) > 0 {
-		net.SetSeparators(seps...)
-	}
 	return &Deployment{
 		Platform:      p,
 		Sim:           sim,

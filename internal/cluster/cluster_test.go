@@ -337,8 +337,8 @@ func TestFatTreeRejectsNonFiniteRates(t *testing.T) {
 }
 
 // TestFatTreeCore checks the over-subscribed preset: a default core at a
-// quarter of the aggregate uplink rate, surfaced as a deployment-wide
-// separator set alongside the uplinks.
+// quarter of the aggregate uplink rate, deployed beside one uplink per
+// rack.
 func TestFatTreeCore(t *testing.T) {
 	p, err := FatTreeCore("dc-core", FatTreeSpec{
 		Racks: 4, OSSPerRack: 2, TargetsPerOSS: 2,
@@ -358,9 +358,8 @@ func TestFatTreeCore(t *testing.T) {
 	if dep.FS.Core() == nil {
 		t.Fatal("deployment has no core resource")
 	}
-	seps := dep.FS.SeparatorResources()
-	if len(seps) != 5 { // 4 uplinks + core
-		t.Fatalf("separator set has %d resources, want 5", len(seps))
+	if dep.FS.Racks() != 4 {
+		t.Fatalf("deployment has %d rack uplinks, want 4", dep.FS.Racks())
 	}
 	// An explicit CoreRate wins over the preset default.
 	p2, err := FatTreeCore("dc-core2", FatTreeSpec{

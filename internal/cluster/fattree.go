@@ -102,8 +102,8 @@ func FatTree(name string, spec FatTreeSpec) (Platform, error) {
 // (unless spec.CoreRate already says otherwise), so cross-rack traffic
 // from every rack contends on one shared resource and the whole fabric
 // solves as a single connected component. This is the topology the
-// hierarchical solver's scale campaign (-fig hierscale) and
-// BenchmarkScaleChurn10k's core cells run on.
+// network solves by rack-local groups; the scale campaign's core-small
+// and core-large cells and BenchmarkScaleChurn10k/core run on it.
 func FatTreeCore(name string, spec FatTreeSpec) (Platform, error) {
 	if spec.CoreRate == 0 {
 		spec.CoreRate = float64(spec.Racks) * spec.UplinkRate / 4

@@ -64,7 +64,10 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("simnet/solve_batches", n.SolveBatches)
 	reg.Add("simnet/components_dirty", n.ComponentsDirty)
 	reg.MergeHist("simnet/batch/flush_wave_width", &n.FlushWaveWidth)
-	// Hierarchical-mode counters; all zero when SetHierarchical is off.
+	// Hierarchical-solve counters: nonzero only on deployments with rack
+	// uplinks (the separators), and hier_solves only where a component
+	// of at least the size threshold spans two or more racks — the
+	// core-switched fat trees. Zero on PlaFRIM.
 	reg.Add("simnet/hier_solves", n.HierSolves)
 	reg.Add("simnet/hier_fallbacks", n.HierFallbacks)
 	reg.MergeHist("simnet/hier_groups", &n.HierGroups)

@@ -108,25 +108,15 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"ext-chaos", func(w int) (any, error) { return ExtChaos(opts(w, 2)) }},
 		{"policies", func(w int) (any, error) { return ComparePolicies(2, opts(w, 3)) }},
 		// The scale campaign's rows carry wall-clock fields by design;
-		// everything else — job bandwidths, concurrency, event and solve
-		// counts — must be bit-identical at any worker count.
+		// everything else — job bandwidths, concurrency, event, solve and
+		// hierarchical-solve counts, on the rack-local and the core
+		// topologies — must be bit-identical at any worker count.
 		{"ext-scale", func(w int) (any, error) {
 			rows, err := ExtScale(opts(w, 2))
 			if err != nil {
 				return nil, err
 			}
 			det := make([]ExtScaleRow, len(rows))
-			for i, r := range rows {
-				det[i] = r.Deterministic()
-			}
-			return det, nil
-		}},
-		{"ext-hierscale", func(w int) (any, error) {
-			rows, err := ExtHierScale(opts(w, 2))
-			if err != nil {
-				return nil, err
-			}
-			det := make([]ExtHierScaleRow, len(rows))
 			for i, r := range rows {
 				det[i] = r.Deterministic()
 			}

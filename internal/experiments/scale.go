@@ -4,6 +4,14 @@
 // rack-local placement, peak in-flight flow counts — together with the
 // solver work per simulated event: the network solves each component an
 // event touched once, however many flows the event starts or finishes.
+//
+// The core topologies move the churn onto the over-subscribed
+// FatTreeCore fabric and add cross-rack "drain" jobs, whose traffic
+// through the shared core switch fuses every rack into one connected flow
+// component — the worst case for the flat waterfill, and the case the
+// network solves by rack-local groups on its own (see
+// simnet.Network.SetSeparators). The rows count how many solves took
+// that path.
 package experiments
 
 import (
@@ -38,6 +46,13 @@ type ExtScaleRow struct {
 	Events         uint64
 	Solves         uint64
 	SolvesPerEvent float64
+	// HierSolves counts the component solves served by the hierarchical
+	// path; HierFallbacks those of at least the size threshold whose
+	// partition was degenerate (no separator in the component, or fewer
+	// than two rack-local groups), so the flat solver ran. Both stay 0
+	// without rack uplinks, and HierSolves stays 0 on rack-local churn.
+	HierSolves    uint64
+	HierFallbacks uint64
 	// Wall-clock measurements. Nondeterministic by nature (host load, GC):
 	// excluded from the determinism comparison (see Deterministic) and
 	// from the CSV, reported on stdout only.
@@ -57,6 +72,9 @@ func (r ExtScaleRow) Deterministic() ExtScaleRow {
 // scaleTopo is one fabric size of the campaign.
 type scaleTopo struct {
 	name string
+	// core deploys the spec as FatTreeCore, and makes one job in three a
+	// cross-rack drain (see scaleJob).
+	core bool
 	spec cluster.FatTreeSpec
 	// jobsPerRep scales the churn length with Options.Reps.
 	jobsPerRep int
@@ -69,16 +87,17 @@ type scaleTopo struct {
 	nodesSpread int
 }
 
+// scaleTopos lists the campaign's topologies: the rack-local fat trees,
+// then the core-switched ones. The large fabrics join at 20 repetitions.
+// The core topologies leave CoreRate 0: FatTreeCore's default (a quarter
+// of the racks' aggregate uplink rate) is the over-subscription they are
+// about.
 func scaleTopos(reps int) []scaleTopo {
-	topos := []scaleTopo{{
-		name: "small",
-		spec: cluster.FatTreeSpec{
-			Racks: 4, OSSPerRack: 2, TargetsPerOSS: 4,
-			LinkRate: 2500, UplinkRate: 5000,
-		},
-		jobsPerRep: 12,
-		meanGap:    0.4,
-	}}
+	small := cluster.FatTreeSpec{
+		Racks: 4, OSSPerRack: 2, TargetsPerOSS: 4,
+		LinkRate: 2500, UplinkRate: 5000,
+	}
+	topos := []scaleTopo{{name: "small", spec: small, jobsPerRep: 12, meanGap: 0.4}}
 	if reps >= 20 {
 		topos = append(topos, scaleTopo{
 			name: "large",
@@ -90,23 +109,49 @@ func scaleTopos(reps int) []scaleTopo {
 			meanGap:    0.12,
 		})
 	}
+	topos = append(topos, scaleTopo{name: "core-small", core: true, spec: small, jobsPerRep: 12, meanGap: 0.1})
+	if reps >= 20 {
+		topos = append(topos, scaleTopo{
+			name: "core-large",
+			core: true,
+			spec: cluster.FatTreeSpec{
+				Racks: 8, OSSPerRack: 4, TargetsPerOSS: 8,
+				LinkRate: 2500, UplinkRate: 10000,
+			},
+			jobsPerRep: 24,
+			meanGap:    0.1,
+		})
+	}
 	return topos
 }
 
-// scaleJob is one application of the churn: a handful of same-rack
-// compute nodes writing a rack-locally striped file.
+// scaleJob is one application of the churn. A local job is a handful of
+// same-rack compute nodes writing a rack-locally striped file. A drain
+// job models a cross-rack consumer: an unplaced client with no NIC of its
+// own (think: a node in a remote compute rack) writing two rack-locally
+// striped files in two *different* racks at once, so every byte crosses
+// a rack uplink and the shared core. Each file's stripes stay within one
+// rack (a file striped across racks would permanently coarsen the
+// solver's never-splitting partition), but the two flows share the core,
+// so for the drain's lifetime the two racks fuse into one component.
 type scaleJob struct {
 	rack    int
+	rack2   int // second rack of a drain pair
+	drain   bool
 	nodes   int
 	ppn     int
-	perNode float64 // MiB written by each node
+	perNode float64 // MiB written by each node (per file for drains)
 	startAt simkernel.Time
 	pending int
 }
 
 // runScaleCell simulates one topology cell and returns its row.
 func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
-	p, err := cluster.FatTree("scale-"+topo.name, topo.spec)
+	build := cluster.FatTree
+	if topo.core {
+		build = cluster.FatTreeCore
+	}
+	p, err := build("scale-"+topo.name, topo.spec)
 	if err != nil {
 		return ExtScaleRow{}, err
 	}
@@ -138,6 +183,17 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 		cursor[rack] = (cursor[rack] + width) % len(pool)
 		return out
 	}
+	// Drain clients are created once and cycled; with no NIC resource they
+	// add no edges of their own, so a drain flow's footprint is exactly
+	// "one rack's storage + that uplink + the core".
+	var drainClients []*beegfs.Client
+	drainClient := func(i int) *beegfs.Client {
+		for len(drainClients) <= i {
+			drainClients = append(drainClients,
+				dep.FS.NewClient(fmt.Sprintf("ext/drain%02d", len(drainClients)), 0))
+		}
+		return drainClients[i]
+	}
 
 	src := rng.New(seed)
 	var (
@@ -148,25 +204,49 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 		jobSeq    int
 	)
 	startJob := func(job *scaleJob) error {
-		jobSeq++
-		f, err := dep.FS.CreateWithTargets(
-			fmt.Sprintf("/scale/job%05d", jobSeq),
-			beegfs.StripePattern{ChunkSize: 512 * beegfs.KiB},
-			pick(job.rack, 4),
-		)
-		if err != nil {
-			return err
+		// A local job's writers share one file; a drain pair writes one
+		// file in each of its two racks from the same clientless node.
+		type lane struct {
+			client *beegfs.Client
+			file   *beegfs.File
+		}
+		newFile := func(rack int) (*beegfs.File, error) {
+			jobSeq++
+			return dep.FS.CreateWithTargets(
+				fmt.Sprintf("/scale/job%05d", jobSeq),
+				beegfs.StripePattern{ChunkSize: 512 * beegfs.KiB},
+				pick(rack, 4),
+			)
+		}
+		var lanes []lane
+		if job.drain {
+			cl := drainClient(jobSeq % 4)
+			for _, rack := range [2]int{job.rack, job.rack2} {
+				f, err := newFile(rack)
+				if err != nil {
+					return err
+				}
+				lanes = append(lanes, lane{cl, f})
+			}
+		} else {
+			f, err := newFile(job.rack)
+			if err != nil {
+				return err
+			}
+			for _, cl := range dep.NodesInRack(job.rack, job.nodes) {
+				lanes = append(lanes, lane{cl, f})
+			}
 		}
 		job.startAt = dep.Sim.Now()
-		job.pending = job.nodes
-		total := job.perNode * float64(job.nodes)
-		for _, client := range dep.NodesInRack(job.rack, job.nodes) {
+		job.pending = len(lanes)
+		total := job.perNode * float64(len(lanes))
+		for _, ln := range lanes {
 			op := &beegfs.WriteOp{
-				Client: client, File: f,
+				Client: ln.client, File: ln.file,
 				Length:       int64(job.perNode) * beegfs.MiB,
 				TransferSize: beegfs.MiB,
 				Procs:        job.ppn,
-				App:          f.Path,
+				App:          ln.file.Path,
 				OnComplete: func(at simkernel.Time) {
 					active--
 					job.pending--
@@ -197,11 +277,14 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 	}
 	var arrive func()
 	arrive = func() {
-		job := &scaleJob{
-			rack:    src.Intn(racks),
-			nodes:   nodesBase + src.Intn(nodesSpread),
-			ppn:     4,
-			perNode: 256 + float64(src.Intn(4))*128,
+		job := &scaleJob{rack: src.Intn(racks), ppn: 4}
+		if topo.core && src.Intn(3) == 0 {
+			job.drain = true
+			job.rack2 = (job.rack + 1 + src.Intn(racks-1)) % racks
+			job.perNode = 1024 + float64(src.Intn(4))*256
+		} else {
+			job.nodes = nodesBase + src.Intn(nodesSpread)
+			job.perNode = 256 + float64(src.Intn(4))*128
 		}
 		if err := startJob(job); err != nil {
 			panic(fmt.Sprintf("experiments: scale job submit: %v", err))
@@ -251,6 +334,8 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 		Events:         events,
 		Solves:         solves,
 		SolvesPerEvent: float64(solves) / float64(events),
+		HierSolves:     st.Net.HierSolves,
+		HierFallbacks:  st.Net.HierFallbacks,
 		WallSec:        wall,
 		EventsPerSec:   float64(events) / wall,
 		StepP50us:      histQuantileUS(&stepNanos, 0.50),
@@ -280,17 +365,31 @@ func histQuantileUS(h *obs.Log2Hist, q float64) float64 {
 	return 0
 }
 
-// ExtScale runs the scale campaign: one cell per topology.
+// ExtScale runs the scale campaign: one cell per topology. The
+// rack-local and the core topologies draw from separate seed streams
+// (977/53 and 1061/53 per cell of each family), so the two families stay
+// independent at any shared seed.
 func ExtScale(opts Options) ([]ExtScaleRow, error) {
 	reps := opts.Reps
 	if reps <= 0 {
 		reps = 4
 	}
 	topos := scaleTopos(reps)
+	seeds := make([]uint64, len(topos))
+	var nLocal, nCore uint64
+	for i, topo := range topos {
+		if topo.core {
+			seeds[i] = opts.Seed*1061 + nCore*53
+			nCore++
+		} else {
+			seeds[i] = opts.Seed*977 + nLocal*53
+			nLocal++
+		}
+	}
 	rows := make([]ExtScaleRow, len(topos))
 	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
 		topo := topos[cell]
-		row, err := runScaleCell(topo, topo.jobsPerRep*reps, opts.Seed*977+uint64(cell)*53)
+		row, err := runScaleCell(topo, topo.jobsPerRep*reps, seeds[cell])
 		if err != nil {
 			return err
 		}

@@ -44,9 +44,10 @@ func benchmarkScaleChurn(b *testing.B) {
 // churnCoreTopo is the oversubscribed FatTreeCore shape: every rack
 // uplink shares the core switch, so the drain-pair traffic fuses the
 // whole fabric into ONE component and per-component scoping cannot help
-// — the case the hierarchical solver exists for.
-var churnCoreTopo = hierScaleTopo{
+// — the case the network solves by rack-local groups.
+var churnCoreTopo = scaleTopo{
 	name: "churn-core",
+	core: true,
 	spec: cluster.FatTreeSpec{
 		Racks: 16, OSSPerRack: 4, TargetsPerOSS: 8,
 		LinkRate: 2500, UplinkRate: 10000,
@@ -58,42 +59,32 @@ var churnCoreTopo = hierScaleTopo{
 
 const churnCoreJobs = 2600
 
-// benchmarkScaleChurnCore runs the single-component core churn once flat
-// and once hierarchically per iteration, reports both per-event costs,
-// and FAILS below the 2x improvement floor — a wall-clock ratio on the
-// same run, so the gate holds on any hardware. Run with -benchtime 1x.
+// benchmarkScaleChurnCore runs the single-component core churn once per
+// iteration on the default path, which solves the fused component by
+// rack-local groups, and reports its per-event cost. It must sustain
+// >= 10k concurrent flows and take the hierarchical path; the flat versus
+// hierarchical speedup gate lives in simnet (BenchmarkHierChurn10k), the
+// one place flat can still be forced. Informational, not gated. Run with
+// -benchtime 1x.
 func benchmarkScaleChurnCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		flat, err := runHierScaleCell(churnCoreTopo, "flat", churnCoreJobs, 17)
+		row, err := runScaleCell(churnCoreTopo, churnCoreJobs, 17)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hier, err := runHierScaleCell(churnCoreTopo, "hier-exact", churnCoreJobs, 17)
-		if err != nil {
-			b.Fatal(err)
+		if row.PeakFlows < 10_000 {
+			b.Fatalf("peak concurrent flows = %d, want >= 10000", row.PeakFlows)
 		}
-		if hier.PeakFlows < 10_000 {
-			b.Fatalf("peak concurrent flows = %d, want >= 10000", hier.PeakFlows)
+		if row.HierSolves == 0 {
+			b.Fatal("the hierarchical solve never engaged on the fused component")
 		}
-		if hier.HierSolves == 0 {
-			b.Fatal("hierarchical mode never engaged on the fused component")
-		}
-		if hier.Events != flat.Events || hier.BWMean != flat.BWMean {
-			b.Fatalf("exact mode diverged from flat: events %d vs %d, bw %v vs %v",
-				hier.Events, flat.Events, hier.BWMean, flat.BWMean)
-		}
-		imp := flat.WallSec / hier.WallSec
-		b.ReportMetric(hier.WallSec*1e9/float64(hier.Events), "ns/event")
-		b.ReportMetric(flat.WallSec*1e9/float64(flat.Events), "flat-ns/event")
-		b.ReportMetric(imp, "improvement")
-		b.ReportMetric(float64(hier.PeakFlows), "peak-flows")
-		if imp < 2 {
-			b.Fatalf("hierarchical improvement %.2fx on the core churn, want >= 2x", imp)
-		}
+		b.ReportMetric(row.WallSec*1e9/float64(row.Events), "ns/event")
+		b.ReportMetric(float64(row.HierSolves)/float64(row.Solves), "hier-share")
+		b.ReportMetric(float64(row.PeakFlows), "peak-flows")
 	}
 }
 
 func BenchmarkScaleChurn10k(b *testing.B) {
 	b.Run("churn", benchmarkScaleChurn)
-	b.Run("core-hier", benchmarkScaleChurnCore)
+	b.Run("core", benchmarkScaleChurnCore)
 }

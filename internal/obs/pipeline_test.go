@@ -29,7 +29,7 @@ func fixtureSnapshot() *Snapshot {
 	r.Add("simnet/waterfill_passes", 123)
 	r.Add("experiments/repetitions", 3)
 	r.Max("simkernel/heap_high_water", 40)
-	r.Max("simnet/hier_max_rel_err", 250000)
+	r.Max("beegfs/active_clients_high_water", 12)
 	var h Log2Hist
 	for _, v := range []uint64{0, 1, 2, 3, 100, 1000} {
 		h.Observe(v)

@@ -12,8 +12,12 @@ package simnet
 // flow↔resource graph splits it into rack-local groups, coupled only
 // through the separators.
 //
-// The hierarchical solve (SetHierarchical) runs ONE waterfill whose
-// passes are synchronized across groups — a regrouping of
+// There is no mode switch. A network with declared separators solves a
+// component by partition whenever the component has at least
+// hierMinFlowsDefault flows and splits into two or more rack-local
+// groups, and solves every other component flat — an input-driven choice,
+// like component scoping itself. The hierarchical solve runs ONE
+// waterfill whose passes are synchronized across groups — a regrouping of
 // solveReference's arithmetic, not an approximation:
 //
 //   - Per-resource demand sums: a local (non-separator) resource is used
@@ -59,10 +63,7 @@ package simnet
 // workloads no flow ever bridges two racks' local resources, so the
 // partition stays exactly per-rack forever.
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // hsepBit flags, inside Flow.hgroup, a flow whose usage vector touches at
 // least one separator resource.
@@ -70,9 +71,13 @@ const hsepBit = int32(1) << 30
 
 // hierMinFlowsDefault is the component size below which trySolve
 // declines without even partitioning: the partition walk costs
-// O(flows + resources) per solve, which only pays against large flat
-// solves. Bit-identity makes the threshold a pure performance choice.
-const hierMinFlowsDefault = 192
+// O(flows + resources) per solve, which only pays against large enough
+// flat solves. Bit-identity makes the threshold a pure performance
+// choice. It sits at the measured crossover of BenchmarkHierSolve's size
+// sweep: on 4 racks the flat solve wins at 10 and 13 flows, the two tie
+// at 24, and the partition leads from 40 flows on (1.2x, 2.5x by 520);
+// on 16 racks it already leads at 46 flows.
+const hierMinFlowsDefault = 32
 
 // hierGroup is one rack-local subproblem of the current partition: the
 // flows and non-separator resources of one connected group, in canonical
@@ -103,9 +108,9 @@ func (g *hierGroup) reset() {
 	g.touched = false
 }
 
-// hierState holds the hierarchical mode's configuration and reusable
-// scratch. One per Network (parallel campaign workers own private
-// Networks).
+// hierState holds the hierarchical solve's union-find and reusable
+// scratch. SetSeparators creates it; one per Network (parallel campaign
+// workers own private Networks).
 type hierState struct {
 	n *Network
 	// minFlows is hierMinFlowsDefault, lowered by tests that need the
@@ -137,60 +142,26 @@ type hierState struct {
 
 // SetSeparators declares separator resources: fabric aggregates (rack
 // uplinks, the core switch) the hierarchical solver coordinates across
-// rather than assigning to any rack-local group. The declaration is
-// additive and must happen before any flow starts; it is inert unless
-// SetHierarchical enables the mode.
+// rather than assigning to any rack-local group. The first declaration
+// engages the hierarchical solve for the network; there is no other
+// switch. The declaration is additive and must happen before any flow
+// starts.
 func (n *Network) SetSeparators(rs ...*Resource) {
 	if n.nActive > 0 || n.flushArmed {
 		panic("simnet: SetSeparators while flows are in flight")
 	}
-	for _, r := range rs {
-		r.sep = true
-	}
-}
-
-// SetHierarchical turns hierarchical solving on or off (off by default).
-// When on, components that partition into two or more rack-local groups
-// along the declared separator set are solved by partition, bit-identical
-// to the flat solver (and so to solveReference) on every input; degenerate
-// partitions fall back to the flat solver.
-//
-// The mode may only change while no flow is in flight, and cannot be
-// combined with the forceGlobal test mode.
-func (n *Network) SetHierarchical(on bool) {
-	if n.nActive > 0 || n.flushArmed {
-		panic("simnet: SetHierarchical while flows are in flight")
-	}
-	if !on {
-		n.hier = nil
+	if len(rs) == 0 {
 		return
 	}
 	if n.forceGlobal {
-		panic("simnet: SetHierarchical is incompatible with the forceGlobal test mode")
+		panic("simnet: SetSeparators is incompatible with the forceGlobal test mode")
 	}
-	h := &hierState{n: n, minFlows: hierMinFlowsDefault}
-	h.growParent(len(n.resources))
-	n.hier = h
-}
-
-// SetHierarchicalMinFlows overrides the component size below which the
-// hierarchical path falls back to the flat solver (default 192 — sized so
-// the partition bookkeeping only engages where it can pay for itself).
-// Campaigns that study the mode's correctness or error bound at modest
-// scale lower it so small components still exercise the partitioned path.
-// Requires SetHierarchical first, and like it may only change while no
-// flow is in flight.
-func (n *Network) SetHierarchicalMinFlows(min int) {
+	for _, r := range rs {
+		r.sep = true
+	}
 	if n.hier == nil {
-		panic("simnet: SetHierarchicalMinFlows before SetHierarchical")
+		n.hier = &hierState{n: n, minFlows: hierMinFlowsDefault}
 	}
-	if min < 0 {
-		panic(fmt.Sprintf("simnet: negative hierarchical minFlows %d", min))
-	}
-	if n.nActive > 0 || n.flushArmed {
-		panic("simnet: SetHierarchicalMinFlows while flows are in flight")
-	}
-	n.hier.minFlows = min
 }
 
 // growParent extends the union-find (and the root→slot maps) to cover
@@ -214,21 +185,18 @@ func (h *hierState) find(idx int32) int32 {
 
 // unionFlow joins the non-separator resources of a starting flow into one
 // group. Called from retain, so every in-flight flow's local resources
-// share a root by the time any solve partitions them. It also compiles the
-// flow's hierarchical scratch (hroot, hsep, the locals/separators split of
-// huses) so the per-solve partition and the per-pass re-accumulations
-// never walk f.uses again.
+// share a root by the time any solve partitions them. It also records the
+// flow's hroot handle and hsep flag, so the per-solve partition never
+// walks f.uses.
 func (h *hierState) unionFlow(f *Flow) {
 	root := int32(-1)
 	f.hsep = false
-	f.huses = f.huses[:0]
 	for i := range f.uses {
 		r := f.uses[i].res
 		if r.sep {
 			f.hsep = true
 			continue
 		}
-		f.huses = append(f.huses, f.uses[i])
 		if r.idx >= len(h.parent) {
 			h.growParent(r.idx)
 		}
@@ -237,14 +205,6 @@ func (h *hierState) unionFlow(f *Flow) {
 			root = x
 		} else if x != root {
 			h.parent[x] = root
-		}
-	}
-	f.hnlocal = int32(len(f.huses))
-	if f.hsep {
-		for i := range f.uses {
-			if f.uses[i].res.sep {
-				f.huses = append(f.huses, f.uses[i])
-			}
 		}
 	}
 	f.hroot = root
@@ -535,12 +495,12 @@ func (g *hierGroup) recompute() {
 		}
 		g.unfrozen[k] = fi
 		k++
-		// huses[:hnlocal] is the locals segment of the flow's compiled
-		// usage vector, in original uses order — the same additions the
+		// The flow's local entries in uses order: the same additions the
 		// flat solver's sweep performs for these resources.
-		for i := range f.huses[:f.hnlocal] {
-			u := &f.huses[i]
-			u.res.sumW += u.w
+		for i := range f.uses {
+			if u := &f.uses[i]; !u.res.sep {
+				u.res.sumW += u.w
+			}
 		}
 	}
 	g.unfrozen = g.unfrozen[:k]
@@ -570,10 +530,10 @@ func (h *hierState) recomputeSep() {
 		}
 		h.sepFlows[k] = f
 		k++
-		// huses[hnlocal:] is the separator segment, in original uses order.
-		for i := f.hnlocal; i < int32(len(f.huses)); i++ {
-			u := &f.huses[i]
-			u.res.sumW += u.w
+		for i := range f.uses {
+			if u := &f.uses[i]; u.res.sep {
+				u.res.sumW += u.w
+			}
 		}
 	}
 	h.sepFlows = h.sepFlows[:k]

@@ -61,9 +61,10 @@ func decodeHierScenario(data []byte) hierScenario {
 
 // buildHierWorld constructs a world over sc's fat-tree topology. The
 // resource layout in w.res is locals (rack-major), then uplinks, then the
-// core. hier declares the uplinks and core as separators and enables
-// hierarchical solving, lowering the size cutoff to zero so the partition
-// machinery runs on fuzz-sized components.
+// core. hier declares the uplinks and core as separators, which engages
+// the hierarchical solve, and lowers the size cutoff to zero so the
+// partition machinery runs on fuzz-sized components; the flat world
+// declares none and keeps the hierarchical state nil.
 func buildHierWorld(sc hierScenario, hier bool) *fzWorld {
 	w := &fzWorld{sim: simkernel.New()}
 	w.net = New(w.sim)
@@ -83,7 +84,6 @@ func buildHierWorld(sc hierScenario, hier bool) *fzWorld {
 	seps = append(seps, core)
 	if hier {
 		w.net.SetSeparators(seps...)
-		w.net.SetHierarchical(true)
 		w.net.hier.minFlows = 0
 	}
 	w.net.Observe(func(at simkernel.Time, f *Flow, rate float64) {
@@ -210,7 +210,6 @@ func newHierTestTopo(t *testing.T, localCap, upCap, coreCap float64) *hierTestTo
 	tp.u1 = tp.net.AddResource("rack1/up", upCap)
 	tp.core = tp.net.AddResource("core", coreCap)
 	tp.net.SetSeparators(tp.u0, tp.u1, tp.core)
-	tp.net.SetHierarchical(true)
 	tp.net.hier.minFlows = 0
 	return tp
 }
@@ -250,7 +249,9 @@ func TestHierExactPathUsed(t *testing.T) {
 	verifyNet(t, tp2.net)
 }
 
-// TestHierSetupValidation covers the configuration guards.
+// TestHierSetupValidation covers the separator declaration: it is the
+// only thing that creates the hierarchical state, and it is refused under
+// the forceGlobal test mode and while flows are in flight.
 func TestHierSetupValidation(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
@@ -264,21 +265,22 @@ func TestHierSetupValidation(t *testing.T) {
 	sim := simkernel.New()
 	net := New(sim)
 	r := net.AddResource("r", 100)
-	expectPanic("min flows before enable", func() { net.SetHierarchicalMinFlows(8) })
-	net.SetHierarchical(true)
-	if net.hier == nil {
-		t.Fatal("SetHierarchical(true) left the mode off")
-	}
-	expectPanic("negative min flows", func() { net.SetHierarchicalMinFlows(-1) })
-	net.SetHierarchical(false)
+	up := net.AddResource("up", 100)
 	if net.hier != nil {
-		t.Fatal("SetHierarchical(false) left the mode on")
+		t.Fatal("a network without separators has hierarchical state")
+	}
+	net.SetSeparators()
+	if net.hier != nil {
+		t.Fatal("an empty separator declaration created hierarchical state")
+	}
+	net.SetSeparators(up)
+	if net.hier == nil || net.hier.minFlows != hierMinFlowsDefault || !up.sep || r.sep {
+		t.Fatalf("SetSeparators(up): hier %v, up.sep %v, r.sep %v", net.hier, up.sep, r.sep)
 	}
 	gl := New(sim)
 	gl.forceGlobal = true
-	expectPanic("forceGlobal", func() { gl.SetHierarchical(true) })
+	expectPanic("forceGlobal", func() { gl.SetSeparators(gl.AddResource("up", 1)) })
 	f := &Flow{Name: "f", Volume: 10, Usage: map[*Resource]float64{r: 1}}
 	net.Start(f)
 	expectPanic("in-flight separators", func() { net.SetSeparators(r) })
-	expectPanic("in-flight enable", func() { net.SetHierarchical(true) })
 }

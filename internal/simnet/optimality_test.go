@@ -114,7 +114,6 @@ func TestSolveOptimalityKKT(t *testing.T) {
 			resources = append(resources, core)
 			seps = append(seps, core)
 			net.SetSeparators(seps...)
-			net.SetHierarchical(true)
 			rng.Intn(3) // a retired draw, kept so the seeded cases stay the same
 			net.hier.minFlows = 0
 			nFlows := 4 + rng.Intn(32)

@@ -200,23 +200,17 @@ type Flow struct {
 	// usage vector touches a separator. Re-derived by every partition.
 	hgroup int32
 
-	// Hierarchical-mode per-flow compilation, built once per Start by
-	// unionFlow (only when the mode is on) so every subsequent partition
-	// and re-accumulation pass skips the uses walk:
+	// Hierarchical per-flow handles, recorded once per Start by unionFlow
+	// (only on networks with declared separators) so every subsequent
+	// partition skips the uses walk:
 	//
 	//   hroot  — union-find handle of the flow's local (non-separator)
 	//            resources: any member's root at start time. The union-find
 	//            only coarsens, so find(hroot) always yields the flow's
 	//            current group root; -1 for separator-only flows.
 	//   hsep   — static flag: the usage vector touches >= 1 separator.
-	//   huses  — the uses entries regrouped locals-first (huses[:hnlocal])
-	//            then separators (huses[hnlocal:]), each segment in original
-	//            uses order so per-resource accumulation order — and hence
-	//            every IEEE sum — is unchanged.
-	hroot   int32
-	hsep    bool
-	huses   []use
-	hnlocal int32
+	hroot int32
+	hsep  bool
 }
 
 // Rate returns the flow's fair-share rate in MiB/s as of the last solve of
@@ -376,10 +370,12 @@ type Network struct {
 	// solver scratch must never be package-level.
 	sv solver
 
-	// hier, when non-nil, holds the hierarchical solve mode's state and
-	// scratch (see hier.go). Components whose resource graph splits into
-	// two or more rack-local groups along the declared separator set are
-	// solved by partition; everything else falls back to sv.
+	// hier holds the hierarchical solve's state and scratch (see hier.go);
+	// SetSeparators creates it, and it stays nil on networks without
+	// separators. Components of at least hierMinFlowsDefault flows whose
+	// resource graph splits into two or more rack-local groups along the
+	// declared separator set are solved by partition; everything else
+	// falls back to sv.
 	hier *hierState
 
 	// End-of-event flush state (see batch.go): the components marked dirty
@@ -776,10 +772,10 @@ func (n *Network) settleRescheduleAll() {
 // rebalanceComp recomputes fair-share rates for one component and
 // reschedules its completion events; completion events of every other
 // component are not touched at all. The component is solved by partition
-// when the hierarchical mode is on and it splits into rack-local groups,
-// with the flat waterfill otherwise. In steady state (buffers warmed up,
-// every flow already carrying its completion event) this performs zero
-// heap allocations.
+// when the network has declared separators and the component is large
+// enough and splits into rack-local groups, with the flat waterfill
+// otherwise. In steady state (buffers warmed up, every flow already
+// carrying its completion event) this performs zero heap allocations.
 func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
 	if len(c.flows) == 0 {
 		return
