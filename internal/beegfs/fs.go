@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"strconv"
 
 	"repro/internal/rng"
 	"repro/internal/simkernel"
@@ -245,6 +245,15 @@ type FileSystem struct {
 	// (SetOpObserver).
 	stats      *Stats
 	opObserver func(ev OpEvent)
+	// clients are the mounted compute nodes, in mount order.
+	clients []*Client
+	// freePlans and freeAttempts are the file system's own free lists of
+	// recycled op state (see getPlan and getAttempt). A plan or attempt is
+	// on its list only between a terminal point and the next op, so no
+	// object on them is ever referenced by the simulation, and none can
+	// cross to another deployment or goroutine.
+	freePlans    []*ioPlan
+	freeAttempts []*ioAttempt
 }
 
 // NextRunSeq returns a fresh 1-based run number for this deployment. The
@@ -281,9 +290,6 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 	if err != nil {
 		return nil, err
 	}
-	meta.CreateLatency = cfg.CreateLatency
-	meta.OpenLatency = cfg.OpenLatency
-	meta.OpRate = cfg.MDSOpRate
 	fs := &FileSystem{
 		cfg:       cfg,
 		sim:       sim,
@@ -296,17 +302,6 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 		nicSlow:   make(map[*storagesim.Host]float64),
 		dirty:     make(map[string]*File),
 	}
-	// A target coming back online may unblock pending mirror resyncs.
-	mgmtd.Subscribe(func(t *storagesim.Target, online bool) {
-		if online {
-			fs.startResyncs()
-		}
-	})
-	mgmtd.SubscribeReach(func(t *storagesim.Target, from, to Reachability) {
-		if fs.stats != nil {
-			fs.stats.ReachTransitions++
-		}
-	})
 	if cfg.HeartbeatInterval > 0 {
 		fs.hb = newHeartbeatMonitor(fs)
 	}
@@ -342,7 +337,82 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 			net.SetSeparators(fs.core)
 		}
 	}
+	fs.init()
 	return fs, nil
+}
+
+// init sets the per-run values New and Reset share beyond the zero state:
+// the file system's two mgmtd subscriptions and the metadata service's
+// latencies and rate.
+func (fs *FileSystem) init() {
+	// A target coming back online may unblock pending mirror resyncs.
+	fs.mgmtd.Subscribe(func(t *storagesim.Target, online bool) {
+		if online {
+			fs.startResyncs()
+		}
+	})
+	fs.mgmtd.SubscribeReach(func(t *storagesim.Target, from, to Reachability) {
+		if fs.stats != nil {
+			fs.stats.ReachTransitions++
+		}
+	})
+	fs.meta.CreateLatency = fs.cfg.CreateLatency
+	fs.meta.OpenLatency = fs.cfg.OpenLatency
+	fs.meta.OpRate = fs.cfg.MDSOpRate
+}
+
+// Reset returns the file system to the state New leaves it in, with
+// chooser as the target chooser and the same storage targets, network
+// resources and mounted clients: storage and management state as
+// registered, no files, no pending heartbeat or resync work, counters at
+// zero, and no stats sink or op observer attached. Ops and resyncs still
+// in flight are dropped without a callback. Reset the simulation and the
+// network first: that discards those ops' events and flows and restores
+// the link capacities the file system registered.
+func (fs *FileSystem) Reset(chooser TargetChooser) error {
+	if chooser == nil {
+		return fmt.Errorf("beegfs: Reset with a nil Chooser")
+	}
+	fs.storage.Reset()
+	fs.mgmtd.reset()
+	fs.meta.reset(fs.cfg.DefaultPattern)
+	if fs.hb != nil {
+		fs.hb.reset()
+	}
+	clear(fs.nicDown)
+	clear(fs.nicSlow)
+	clear(fs.dirty)
+	clear(fs.rackShare)
+	for _, c := range fs.clients {
+		c.activeOps = 0
+	}
+	cfg := fs.cfg
+	cfg.Chooser = chooser
+	*fs = FileSystem{
+		cfg:          cfg,
+		sim:          fs.sim,
+		net:          fs.net,
+		storage:      fs.storage,
+		mgmtd:        fs.mgmtd,
+		meta:         fs.meta,
+		serverNIC:    fs.serverNIC,
+		clientRamp:   fs.clientRamp,
+		rackOf:       fs.rackOf,
+		rackUplink:   fs.rackUplink,
+		core:         fs.core,
+		rackShare:    fs.rackShare,
+		nicDown:      fs.nicDown,
+		nicSlow:      fs.nicSlow,
+		hb:           fs.hb,
+		dirty:        fs.dirty,
+		hostShare:    fs.hostShare,
+		usageList:    fs.usageList,
+		clients:      fs.clients,
+		freePlans:    fs.freePlans,
+		freeAttempts: fs.freeAttempts,
+	}
+	fs.init()
+	return nil
 }
 
 // badCap reports a capacity value the sign checks cannot catch.
@@ -451,6 +521,7 @@ func (fs *FileSystem) NewClient(name string, nicCapacity float64) *Client {
 	if nicCapacity > 0 {
 		c.nic = fs.net.AddResource(name+"/nic", nicCapacity)
 	}
+	fs.clients = append(fs.clients, c)
 	return c
 }
 
@@ -683,11 +754,11 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 	var totalLen int64
 	for _, reg := range regions {
 		if reg.Length < 0 || reg.Offset < 0 {
-			putPlan(plan)
+			fs.putPlan(plan)
 			return nil, fmt.Errorf("beegfs: negative write region")
 		}
 		if err := op.File.Pattern.AddRegionDistribution(dist, reg.Offset, reg.Length); err != nil {
-			putPlan(plan)
+			fs.putPlan(plan)
 			return nil, err
 		}
 		totalLen += reg.Length
@@ -715,7 +786,8 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 	plan.totalLen = totalLen
 	plan.maxEnd = maxEnd
 	plan.overhead = float64(nTransfers) * fs.cfg.TransferLatency / float64(op.procs())
-	plan.baseName = fmt.Sprintf("%s/%s@%d", app, op.File.Path, regions[0].Offset)
+	var off [20]byte
+	plan.baseName = app + "/" + op.File.Path + "@" + string(strconv.AppendInt(off[:0], regions[0].Offset, 10))
 	plan.startAt = fs.sim.Now()
 	if fs.stats != nil {
 		if read {
@@ -742,27 +814,24 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 			fs.retryLater(plan, float64(totalLen)/float64(MiB), fs.staleExtra(err))
 			return nil, nil
 		}
-		putPlan(plan)
+		fs.putPlan(plan)
 		return nil, err
 	}
 	return flow, nil
 }
 
-// planPool recycles ioPlans (and their stripe-distribution slices)
-// across ops and FileSystems; a plan is returned at its op's terminal
-// point — completion or terminal failure — and every field is rewritten
-// before reuse.
-var planPool sync.Pool
-
+// getPlan takes a plan (and its stripe-distribution slice) from the file
+// system's free list, or allocates one. A plan goes back at its op's
+// terminal point — completion or terminal failure — and every field is
+// rewritten before reuse.
 func (fs *FileSystem) getPlan(stripes int) *ioPlan {
-	pl, _ := planPool.Get().(*ioPlan)
-	if pl == nil {
+	var pl *ioPlan
+	if k := len(fs.freePlans); k > 0 {
+		pl = fs.freePlans[k-1]
+		fs.freePlans[k-1] = nil
+		fs.freePlans = fs.freePlans[:k-1]
+	} else {
 		pl = &ioPlan{}
-		if fs.stats != nil {
-			fs.stats.PlanPoolMisses++
-		}
-	} else if fs.stats != nil {
-		fs.stats.PlanPoolHits++
 	}
 	if cap(pl.dist) < stripes {
 		pl.dist = make([]int64, stripes)
@@ -773,19 +842,20 @@ func (fs *FileSystem) getPlan(stripes int) *ioPlan {
 	return pl
 }
 
-func putPlan(pl *ioPlan) {
+func (fs *FileSystem) putPlan(pl *ioPlan) {
 	pl.op = nil
-	planPool.Put(pl)
+	fs.freePlans = append(fs.freePlans, pl)
 }
 
 // ioAttempt is one issue's in-flight state: the flow object, the replica
 // sets it acquired, and the completion/abort callbacks — bound to the
-// attempt once, at construction. Attempts are pooled per FileSystem so
-// the per-op hot path reuses the flow (and its compiled usage vector),
-// the target slices and the callback closures instead of reallocating
-// them for every operation. The *simnet.Flow handed back by
-// StartWrite/StartRead is therefore valid only until the op's completion
-// or terminal-failure callback fires; after that the object is recycled.
+// attempt once, at construction. Attempts are recycled through the
+// FileSystem's free list so the per-op hot path reuses the flow (and its
+// compiled usage vector), the target slices and the callback closures
+// instead of reallocating them for every operation. The *simnet.Flow
+// handed back by StartWrite/StartRead is therefore valid only until the
+// op's completion or terminal-failure callback fires; after that the
+// object is recycled.
 type ioAttempt struct {
 	fs          *FileSystem
 	plan        *ioPlan
@@ -798,39 +868,34 @@ type ioAttempt struct {
 	finishFn func()
 }
 
-// attemptPool recycles ioAttempts across every FileSystem: campaigns
-// build a fresh deployment per repetition, so a per-FileSystem pool
-// would never warm up. Pool contents carry no cross-op state — every
-// field is rewritten (or rebuilt, like the flow's usage vector) before
-// use — so reuse cannot perturb the simulation's arithmetic, and
-// sync.Pool keeps the parallel-campaign path race-free.
-var attemptPool sync.Pool
-
+// getAttempt takes an attempt from the file system's free list, or
+// allocates one. Recycled attempts carry no cross-op state — every field
+// is rewritten (or rebuilt, like the flow's usage vector) before use — so
+// reuse cannot perturb the simulation's arithmetic. An attempt whose flow
+// is still in flight when the file system is Reset is dropped with it,
+// never returned to the list.
 func (fs *FileSystem) getAttempt() *ioAttempt {
-	a, _ := attemptPool.Get().(*ioAttempt)
-	if a == nil {
-		a = &ioAttempt{}
+	var a *ioAttempt
+	if k := len(fs.freeAttempts); k > 0 {
+		a = fs.freeAttempts[k-1]
+		fs.freeAttempts[k-1] = nil
+		fs.freeAttempts = fs.freeAttempts[:k-1]
+	} else {
+		a = &ioAttempt{fs: fs}
 		a.finishFn = a.finish
 		a.flow.OnComplete = a.onComplete
 		a.flow.OnAbort = a.onAbort
-		if fs.stats != nil {
-			fs.stats.AttemptPoolMisses++
-		}
-	} else if fs.stats != nil {
-		fs.stats.AttemptPoolHits++
 	}
-	a.fs = fs
 	return a
 }
 
 // putAttempt recycles a. Callers must be done with every attempt field;
 // the backing arrays of the replica slices are kept for reuse.
 func (fs *FileSystem) putAttempt(a *ioAttempt) {
-	a.fs = nil
 	a.plan = nil
 	a.primaries = a.primaries[:0]
 	a.secondaries = a.secondaries[:0]
-	attemptPool.Put(a)
+	fs.freeAttempts = append(fs.freeAttempts, a)
 }
 
 // release undoes the attempt's acquisitions (client op count, target
@@ -911,7 +976,7 @@ func (a *ioAttempt) finish() {
 			EndOffset: plan.maxEnd,
 		})
 	}
-	putPlan(plan)
+	fs.putPlan(plan)
 	if op.OnComplete != nil {
 		op.OnComplete(fs.sim.Now())
 	}
@@ -1051,7 +1116,7 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	fs.noteClientOps(op.Client, 1)
 	name := plan.baseName
 	if op.attempts > 0 {
-		name = fmt.Sprintf("%s#r%d", plan.baseName, op.attempts)
+		name = plan.baseName + "#r" + strconv.Itoa(op.attempts)
 	}
 	flow := &a.flow
 	flow.Name = name
@@ -1246,7 +1311,7 @@ func (fs *FileSystem) failOp(plan *ioPlan, reason error) {
 	if op.OnError != nil {
 		op.OnError(err)
 	}
-	putPlan(plan)
+	fs.putPlan(plan)
 }
 
 // noteDegradedWrite records the bytes a completed write could place on

@@ -65,6 +65,16 @@ func newHeartbeatMonitor(fs *FileSystem) *heartbeatMonitor {
 	}
 }
 
+// reset returns the monitor to the state newHeartbeatMonitor creates it
+// in: no heartbeat, partition or pending sweep, the same timing.
+func (m *heartbeatMonitor) reset() {
+	clear(m.lastSeen)
+	clear(m.cut)
+	clear(m.dataOnly)
+	*m = heartbeatMonitor{fs: m.fs, interval: m.interval, timeout: m.timeout, offline: m.offline,
+		lastSeen: m.lastSeen, cut: m.cut, dataOnly: m.dataOnly}
+}
+
 // alive reports heartbeat ground truth: would a heartbeat for t reach the
 // mgmtd right now? Note a SlowFault never shows up here — a fail-slow
 // target keeps heartbeating on schedule, which is exactly why gray

@@ -2,10 +2,13 @@ package beegfs
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/simkernel"
+	"repro/internal/simnet"
 )
 
 // retryDelay's documented schedule: RetryTimeout alone for the first
@@ -94,5 +97,50 @@ func TestRetryExhaustionMatchesStats(t *testing.T) {
 	}
 	if st.FailedOps != 1 {
 		t.Fatalf("Stats.FailedOps = %d, want 1", st.FailedOps)
+	}
+}
+
+// Flow names are the (Name, seq) sort key that fixes the waterfill's
+// summation order, so the op path must build exactly the strings fmt
+// would: "<app>/<path>@<offset>" for a first issue, with "#r<attempt>"
+// appended on each re-issue.
+func TestFlowNamesMatchFormat(t *testing.T) {
+	cfg := testConfig()
+	cfg.RetryTimeout = 0.5
+	cfg.RetryBackoffBase = 0.5
+	cfg.RetryMax = 4
+	sim, fs := newFS(t, cfg)
+	client := fs.NewClient("n1", 0)
+	f, err := fs.CreateWithPattern("/dir/f", StripePattern{Count: 1, ChunkSize: 512 * KiB}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	fs.Network().Observe(func(_ simkernel.Time, fl *simnet.Flow, _ float64) { seen[fl.Name] = true })
+	const off = 9876543210
+	if _, err := fs.StartWrite(&WriteOp{
+		Client: client, File: f, Offset: off, Length: 1764 * MiB, TransferSize: MiB, App: "app/1",
+		OnComplete: func(simkernel.Time) {}, OnError: func(err error) { t.Error(err) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	id := f.Targets[0].ID
+	for _, at := range []float64{0.25, 1.5} {
+		abortTargetAt(sim, fs, id, at)
+		sim.After(at+0.1, func() {
+			fs.Storage().TargetByID(id).SetFailed(false)
+			_ = fs.Mgmtd().SetOnline(id, true)
+		})
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	base := fmt.Sprintf("%s/%s@%d", "app/1", "/dir/f", off)
+	want := map[string]bool{base: true}
+	for k := 1; k <= 2; k++ {
+		want[fmt.Sprintf("%s#r%d", base, k)] = true
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("flow names %v, want %v", seen, want)
 	}
 }

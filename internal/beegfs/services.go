@@ -49,6 +49,17 @@ func NewMgmtd(order []*storagesim.Target) (*Mgmtd, error) {
 	}, nil
 }
 
+// reset returns the service to the state NewMgmtd creates it in: every
+// target published Online and Good, no subscriber or observer, the same
+// registration order.
+func (m *Mgmtd) reset() {
+	clear(m.reach)
+	clear(m.consistency)
+	clear(m.subscribers)
+	clear(m.reachSubs)
+	*m = Mgmtd{order: m.order, reach: m.reach, consistency: m.consistency, subscribers: m.subscribers[:0], reachSubs: m.reachSubs[:0]}
+}
+
 // PlaFRIMOrder returns the registration order reported by the paper for
 // PlaFRIM's two-host, four-targets-each deployment:
 // 101, 201, 202, 203, 204, 102, 103, 104.
@@ -365,6 +376,17 @@ func NewMetaService(defaultPattern StripePattern) (*MetaService, error) {
 		dirs:  map[string]StripePattern{"/": defaultPattern},
 		Ops:   make(map[string]int),
 	}, nil
+}
+
+// reset returns the service to the state NewMetaService creates it in: an
+// empty tree under a root directory carrying defaultPattern, no operation
+// counts, an idle queue and zero latencies.
+func (m *MetaService) reset(defaultPattern StripePattern) {
+	clear(m.files)
+	clear(m.dirs)
+	clear(m.Ops)
+	*m = MetaService{files: m.files, dirs: m.dirs, Ops: m.Ops}
+	m.dirs["/"] = defaultPattern
 }
 
 // SetDirPattern sets the default stripe pattern for files created under

@@ -34,12 +34,6 @@ type Stats struct {
 	DegradedWrites uint64
 	ReadFailovers  uint64
 	ResyncsStarted uint64
-	// PlanPoolMisses / AttemptPoolMisses count pool Gets that had to
-	// allocate; the complementary hits reused a recycled object.
-	PlanPoolHits      uint64
-	PlanPoolMisses    uint64
-	AttemptPoolHits   uint64
-	AttemptPoolMisses uint64
 	// ActiveClientsHighWater is the maximum number of compute nodes with
 	// concurrently in-flight writes.
 	ActiveClientsHighWater uint64

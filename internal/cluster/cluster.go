@@ -239,14 +239,37 @@ func (p Platform) Deploy() (*Deployment, error) {
 	}, nil
 }
 
-// Nodes returns n compute nodes, creating them on first use so that NIC
-// resources persist across repetitions.
+// Nodes returns the first n compute nodes, creating any not yet mounted.
+// Nodes stay mounted across Reset, so a deployment reused by a campaign
+// worker hands a repetition the same clients, NIC resources and resource
+// registration order a fresh deployment would after the same Nodes call.
 func (d *Deployment) Nodes(n int) []*beegfs.Client {
 	for len(d.clients) < n {
 		name := fmt.Sprintf("node%03d", len(d.clients)+1)
 		d.clients = append(d.clients, d.FS.NewClient(name, d.Platform.ClientNICCapacity))
 	}
 	return d.clients[:n]
+}
+
+// Reset returns the deployment to the state Deploy leaves it in, with
+// chooser as the file system's target chooser: the clock at 0 with no
+// events queued, no flows in flight, every resource at its registered
+// capacity, the storage and file-system state as deployed, and no stats
+// or observer attached. Work still pending is dropped without a callback.
+// Compute nodes stay mounted (see Nodes). Campaign workers call it between
+// repetitions instead of deploying again; it must not be called from
+// inside an event.
+func (d *Deployment) Reset(chooser beegfs.TargetChooser) error {
+	if chooser == nil {
+		return fmt.Errorf("cluster: Reset with a nil Chooser")
+	}
+	d.Sim.Reset()
+	d.Net.Reset()
+	if err := d.FS.Reset(chooser); err != nil {
+		return err
+	}
+	d.Platform.FS.Chooser = chooser
+	return nil
 }
 
 // ReJitter redraws the per-run variability: storage device multipliers and
@@ -267,25 +290,6 @@ func (d *Deployment) ReJitter(src *rng.Source) {
 				c := d.serverNICBase * src.LogNormal(1, d.Platform.ServerNICJitterCV)
 				// A fail-slow pin survives re-jittering: the link keeps its
 				// degraded fraction of whatever capacity was drawn.
-				if f := d.FS.NICSlowFactor(h); f != 1 {
-					c *= f
-				}
-				d.Net.SetCapacity(nic, c)
-			}
-		}
-	}
-}
-
-// ResetJitter restores deterministic capacities.
-func (d *Deployment) ResetJitter() {
-	d.FS.Storage().ResetJitter()
-	if d.serverNICBase > 0 {
-		for _, h := range d.FS.Storage().Hosts() {
-			if d.FS.NICDown(h) {
-				continue
-			}
-			if nic := d.FS.ServerNIC(h); nic != nil {
-				c := d.serverNICBase
 				if f := d.FS.NICSlowFactor(h); f != 1 {
 					c *= f
 				}

@@ -113,9 +113,11 @@ func TestReJitterMovesServerNIC(t *testing.T) {
 	if !changed {
 		t.Fatal("ReJitter never moved the server NIC capacity")
 	}
-	dep.ResetJitter()
+	if err := dep.Reset(&beegfs.RoundRobinChooser{}); err != nil {
+		t.Fatal(err)
+	}
 	if nic.Capacity() != base {
-		t.Fatalf("ResetJitter left capacity at %v, want %v", nic.Capacity(), base)
+		t.Fatalf("Reset left capacity at %v, want %v", nic.Capacity(), base)
 	}
 }
 

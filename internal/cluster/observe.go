@@ -93,13 +93,6 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("beegfs/stale_rpc_failures", f.StaleRPCFailures)
 	reg.Add("beegfs/heartbeat_sweeps", f.HeartbeatSweeps)
 	reg.MergeHist("beegfs/heartbeat_sweep_targets", &f.SweepTargets)
-	// sync.Pool hit rates depend on the host's GC and goroutine
-	// scheduling, not on the simulation; the runtime/ namespace keeps
-	// them out of the deterministic portion of the export.
-	reg.Add(obs.RuntimePrefix+"beegfs/plan_pool_hits", f.PlanPoolHits)
-	reg.Add(obs.RuntimePrefix+"beegfs/plan_pool_misses", f.PlanPoolMisses)
-	reg.Add(obs.RuntimePrefix+"beegfs/attempt_pool_hits", f.AttemptPoolHits)
-	reg.Add(obs.RuntimePrefix+"beegfs/attempt_pool_misses", f.AttemptPoolMisses)
 	reg.Max("beegfs/active_clients_high_water", f.ActiveClientsHighWater)
 }
 
@@ -108,7 +101,7 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 // counter samples (one perfetto counter track per resource — the per-OST
 // utilization timeline), and finished client ops as duration slices on
 // one track per compute node. Attach to at most one repetition per
-// tracer (Tracer.Claim arbitrates).
+// tracer (Tracer.Claim arbitrates); Reset detaches every hook.
 func (d *Deployment) AttachTracer(t *obs.Tracer) {
 	d.Net.ObserveSolves(func(at simkernel.Time, info simnet.SolveInfo) {
 		t.Instant("solver", "solve/"+info.Trigger.String(), float64(at), map[string]any{
@@ -149,14 +142,4 @@ func (d *Deployment) AttachTracer(t *obs.Tracer) {
 		}
 		t.Slice("client/"+ev.Client, kind+" "+ev.Path, float64(ev.Start), float64(ev.End), args)
 	})
-}
-
-// DetachObservers removes the tracer hooks installed by AttachTracer, so
-// a deployment reused for further repetitions stops recording.
-func (d *Deployment) DetachObservers() {
-	d.Net.ObserveSolves(nil)
-	d.Net.ObserveBatches(nil)
-	d.Net.ObserveResources(nil)
-	d.FS.Mgmtd().SetReachObserver(nil)
-	d.FS.SetOpObserver(nil)
 }

@@ -70,10 +70,9 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// stripRuntime removes the host-process metrics (wall-clock timings,
-// pool hit rates) — the only registry contents that legitimately vary
-// between identical runs — and re-serializes, so the comparison is
-// structural.
+// stripRuntime removes the host-process metrics (wall-clock timings) —
+// the only registry contents that legitimately vary between identical
+// runs — and re-serializes, so the comparison is structural.
 func stripRuntime(t *testing.T, doc []byte) string {
 	t.Helper()
 	var parsed map[string]map[string]json.RawMessage

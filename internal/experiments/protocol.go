@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,17 +127,21 @@ func (r Record) Alloc() core.Allocation {
 
 // Campaign executes experiments on a platform under a protocol.
 //
-// Every repetition is an independent simulation: the engine deploys a
-// private cluster/file-system instance per repetition, seeds it with a
+// Every repetition is an independent simulation: it starts from a
+// deployment in exactly the state Platform.Deploy produces, seeded with a
 // pre-split rng stream and the round-robin cursor position the serial
-// §III-C protocol would have reached, and runs repetitions concurrently on
-// a worker pool. Results are merged back in execution order (the
-// randomized block order), so the output is bit-equal for every worker
-// count — Workers only changes wall-clock time.
+// §III-C protocol would have reached. Repetitions run concurrently on a
+// worker pool; each worker (the serial loop included) deploys the
+// platform once per Run and resets that deployment before each later
+// repetition instead of deploying again, so no simulator state crosses
+// workers and none survives from one repetition into the next. Results
+// are merged back in execution order (the randomized block order), so the
+// output is bit-equal for every worker count — Workers only changes
+// wall-clock time.
 type Campaign struct {
-	// Platform describes the system under test. Each repetition deploys
-	// a fresh instance (its own clock, flow network and file system), so
-	// no mutable state is shared between repetitions.
+	// Platform describes the system under test. Each worker owns one
+	// deployment of it (its own clock, flow network and file system), so
+	// no mutable state is shared between workers.
 	Platform cluster.Platform
 	Proto    Protocol
 	// Workers bounds how many repetitions simulate concurrently.
@@ -162,28 +167,33 @@ type Campaign struct {
 	// without it, back-to-back creations at stripe count 4 on PlaFRIM's
 	// 8-target cycle are always complementary and never share (§IV-D).
 	BackgroundCreateRate float64
-	// Setup, when non-nil, runs on every repetition's fresh deployment
-	// before the repetition starts (e.g. pre-failing a target). It may be
-	// called from worker goroutines concurrently; it must only touch the
-	// deployment it is handed.
+	// Setup, when non-nil, runs on every repetition's deployment, freshly
+	// deployed or reset to the deployed state, before the repetition
+	// starts (e.g. pre-failing a target). It may be called from worker
+	// goroutines concurrently; it must only touch the deployment it is
+	// handed, and anything it attaches there (observers, subscriptions,
+	// scheduled events) lasts until the next repetition's reset.
 	Setup func(*cluster.Deployment) error
 	// Quiesce, when non-nil, runs after a repetition's applications have
 	// finished and results are gathered but BEFORE benchmark files are
 	// removed: the hook's chance to drain remaining simulation activity
 	// (fault recoveries, pending resyncs) and assert invariants against the
-	// still-present files. Same concurrency caveat as Setup.
+	// still-present files. Activity it leaves pending is dropped by the
+	// next reset. Same concurrency caveat as Setup.
 	Quiesce func(*cluster.Deployment, *Record) error
 	// Inspect, when non-nil, runs right after a repetition finishes, with
 	// the repetition's deployment and completed record (post-cleanup
-	// assertions, extra metrics). Same concurrency caveat as Setup.
+	// assertions, extra metrics). The deployment is reset for the worker's
+	// next repetition afterwards, so the hook must not keep it. Same
+	// concurrency caveat as Setup.
 	Inspect func(*cluster.Deployment, *Record) error
 	// Metrics, when non-nil, enables per-repetition activity counters on
 	// every deployment and merges them into the registry after each
 	// repetition. Every merged quantity is order-independent, so the
 	// registry contents do not depend on Workers; only the host-process
-	// metrics (namespaced under obs.RuntimePrefix: wall-clock timings,
-	// pool hit rates) vary between runs. The simulated numbers are
-	// bit-identical with or without it.
+	// metrics (wall-clock timings, namespaced under obs.RuntimePrefix)
+	// vary between runs. The simulated numbers are bit-identical with or
+	// without it.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one repetition's full event timeline
 	// (the first repetition to start claims it; with Workers <= 1 that is
@@ -238,10 +248,37 @@ type unit struct {
 	cursor int
 }
 
+// captureRun, when non-nil, is handed every campaign Run is about to
+// execute. Tests set it to replay the campaigns the figure builders
+// construct unit by unit; it is nil otherwise.
+var captureRun func(c Campaign, cfgs []Config)
+
 // Run executes the full randomized campaign and returns one Record per
 // (experiment, repetition) in execution order — the §III-C randomized
 // block order, independent of Workers.
 func (c Campaign) Run(cfgs []Config) ([]Record, error) {
+	exec, err := c.schedule(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	if captureRun != nil {
+		captureRun(c, cfgs)
+	}
+	// Progress tracking: one run per experiment label, with the total
+	// known up front so /runs can estimate completion.
+	for _, cfg := range cfgs {
+		c.Pipeline.StartRun(cfg.Label, c.Proto.Repetitions)
+	}
+	// Phase 2: run the units on the worker pool, each as an isolated
+	// simulation, and merge results by execution position.
+	return c.runUnits(cfgs, exec)
+}
+
+// schedule validates the campaign and returns its units in execution
+// order, each annotated with its private rng stream and chooser cursor.
+// The units' streams are consumed as they run, so a replay needs a fresh
+// schedule.
+func (c Campaign) schedule(cfgs []Config) ([]unit, error) {
 	if err := c.Proto.Validate(); err != nil {
 		return nil, err
 	}
@@ -292,14 +329,7 @@ func (c Campaign) Run(cfgs []Config) ([]Record, error) {
 		u.cursor = cursor
 		cursor = (cursor + c.cursorAdvance(cfgs[u.cfg], u, nTargets)) % nTargets
 	}
-	// Progress tracking: one run per experiment label, with the total
-	// known up front so /runs can estimate completion.
-	for _, cfg := range cfgs {
-		c.Pipeline.StartRun(cfg.Label, c.Proto.Repetitions)
-	}
-	// Phase 2: run the units on the worker pool, each as an isolated
-	// simulation, and merge results by execution position.
-	return c.runUnits(cfgs, exec)
+	return exec, nil
 }
 
 // cursorAdvance returns how far one unit's file creations move the
@@ -348,8 +378,8 @@ const (
 
 // runUnits executes the schedule on min(Workers, len(exec)) goroutines.
 // Each worker claims the next unclaimed execution position (an atomic
-// counter), runs it on a private deployment, and stores the result in its
-// slot. On error the first failing unit *by execution position* wins —
+// counter), runs it on the deployment it owns, and stores the result in
+// its slot. On error the first failing unit *by execution position* wins —
 // exactly the error the serial run would have returned — and positions
 // after it are skipped (they cannot change the outcome).
 func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
@@ -362,9 +392,10 @@ func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
 	}
 	if workers <= 1 {
 		// Serial path: identical semantics, no goroutines.
+		var w worker
 		out := make([]Record, 0, len(exec))
 		for i := range exec {
-			rec, err := c.runUnit(cfgs[exec[i].cfg], &exec[i])
+			rec, err := c.runUnit(&w, cfgs[exec[i].cfg], &exec[i])
 			if err != nil {
 				return nil, err
 			}
@@ -383,6 +414,7 @@ func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w worker
 			for {
 				i := int(next.Add(1))
 				if i >= len(exec) {
@@ -394,7 +426,7 @@ func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
 					// deterministic and saves work.
 					continue
 				}
-				rec, err := c.runUnit(cfgs[exec[i].cfg], &exec[i])
+				rec, err := c.runUnit(&w, cfgs[exec[i].cfg], &exec[i])
 				if err != nil {
 					errs[i] = err
 					for {
@@ -416,32 +448,50 @@ func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
 	return recs, nil
 }
 
-// deployUnit instantiates a private deployment for one unit: the platform
-// with a cloned chooser (so concurrent units share no chooser state),
-// cursor-seeded to the unit's scheduled position.
-func (c Campaign) deployUnit(u *unit) (*cluster.Deployment, error) {
-	p := c.Platform
-	if cl, ok := p.FS.Chooser.(beegfs.CloneChooser); ok {
-		p.FS.Chooser = cl.Clone()
-	}
-	dep, err := p.Deploy()
-	if err != nil {
-		return nil, err
-	}
-	if cc, ok := p.FS.Chooser.(beegfs.CursorChooser); ok {
-		cc.SetCursor(u.cursor)
-	}
-	return dep, nil
+// worker is one campaign worker's simulator state, kept for the whole Run
+// and touched by that worker's goroutine only: the deployment it owns
+// (nil until its first unit) and the ior runner that recycles segment
+// drivers across its units.
+type worker struct {
+	dep *cluster.Deployment
+	ior ior.Runner
 }
 
-// runUnit executes one repetition on a fresh deployment: redraw system
-// state, then run the experiment's application(s) concurrently and gather
+// prepare readies w's deployment for unit u: it deploys the platform on
+// the worker's first unit and resets the deployment on every later one.
+// Either way the file system gets a fresh clone of the platform's chooser
+// (so concurrent workers share no chooser state), cursor-seeded to the
+// unit's scheduled position.
+func (c Campaign) prepare(w *worker, u *unit) error {
+	chooser := c.Platform.FS.Chooser
+	if cl, ok := chooser.(beegfs.CloneChooser); ok {
+		chooser = cl.Clone()
+	}
+	if w.dep == nil {
+		p := c.Platform
+		p.FS.Chooser = chooser
+		dep, err := p.Deploy()
+		if err != nil {
+			return err
+		}
+		w.dep = dep
+	} else if err := w.dep.Reset(chooser); err != nil {
+		return err
+	}
+	if cc, ok := chooser.(beegfs.CursorChooser); ok {
+		cc.SetCursor(u.cursor)
+	}
+	return nil
+}
+
+// runUnit executes one repetition on w's deployment: redraw system state,
+// then run the experiment's application(s) concurrently and gather
 // Equation 1.
-func (c Campaign) runUnit(cfg Config, u *unit) (Record, error) {
-	dep, err := c.deployUnit(u)
-	if err != nil {
+func (c Campaign) runUnit(w *worker, cfg Config, u *unit) (Record, error) {
+	if err := c.prepare(w, u); err != nil {
 		return Record{}, err
 	}
+	dep := w.dep
 	// Observability: per-repetition counters merge into the recorder (a
 	// pipeline collector shard, or the shared registry directly) at the
 	// end of the repetition; the tracer attaches to the first repetition
@@ -495,10 +545,11 @@ func (c Campaign) runUnit(cfg Config, u *unit) (Record, error) {
 		p := cfg.Params
 		p.SetupMean = dep.Platform.SetupMean
 		p.SetupCV = dep.Platform.SetupCV
-		p.App = fmt.Sprintf("%s/app%d", cfg.Label, a+1)
-		p.Path = fmt.Sprintf("/%s/app%d/data", cfg.Label, a+1)
+		app := cfg.Label + "/app" + strconv.Itoa(a+1)
+		p.App = app
+		p.Path = "/" + app + "/data"
 		slice := nodes[a*nodesPerApp : (a+1)*nodesPerApp]
-		run, err := ior.Start(dep.FS, slice, p, appSrcs[a], func(ior.Result) { remaining-- })
+		run, err := w.ior.Start(dep.FS, slice, p, appSrcs[a], func(ior.Result) { remaining-- })
 		if err != nil {
 			return Record{}, err
 		}
@@ -511,7 +562,7 @@ func (c Campaign) runUnit(cfg Config, u *unit) (Record, error) {
 		bgSeq := 0
 		for t := bgSrc.Exp(1 / c.BackgroundCreateRate); t < 1.0; t += bgSrc.Exp(1 / c.BackgroundCreateRate) {
 			bgSeq++
-			path := fmt.Sprintf("/background/f%08d", bgSeq)
+			path := "/background/f" + zeroPad8(bgSeq)
 			sim.After(t, func() {
 				// Ignore errors: a duplicate path or exhausted target set
 				// only means this background create is a no-op.
@@ -613,6 +664,15 @@ func (c Campaign) runUnit(cfg Config, u *unit) (Record, error) {
 		}
 	}
 	return rec, nil
+}
+
+// zeroPad8 formats a non-negative n like fmt's %08d.
+func zeroPad8(n int) string {
+	s := strconv.Itoa(n)
+	if len(s) < 8 {
+		s = "00000000"[len(s):] + s
+	}
+	return s
 }
 
 // GroupByLabel indexes records by experiment label.

@@ -7,7 +7,7 @@ package ior
 
 import (
 	"fmt"
-	"sync"
+	"strconv"
 
 	"repro/internal/beegfs"
 	"repro/internal/rng"
@@ -178,6 +178,18 @@ type Run struct {
 	// readLaunchers start each unit's read-back chain after the
 	// write-phase barrier.
 	readLaunchers []func()
+	// runner recycles the run's segment drivers.
+	runner *Runner
+}
+
+// Runner starts benchmark runs and recycles their segment drivers — the
+// per-node (or, in N-N mode, per-rank) chains of sequential segment
+// writes — from one run to the next. It belongs with the deployment its
+// runs go to: a campaign worker keeps one next to the deployment it owns
+// and, like the deployment, uses it from that goroutine only. The zero
+// value is ready to use.
+type Runner struct {
+	free []*groupIO
 }
 
 // Done reports whether the run has finished.
@@ -205,8 +217,14 @@ func (r *Run) Result() Result { return r.result }
 // returned Run completes asynchronously; onDone (optional) fires when the
 // last process finishes. Drive the simulation (fs.Sim().Run()) to make
 // progress. src supplies per-run randomness (setup jitter, stochastic
-// choosers).
+// choosers). The run recycles segment drivers only within itself; a
+// caller starting many runs uses a Runner.
 func Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params Params, src *rng.Source, onDone func(Result)) (*Run, error) {
+	return new(Runner).Start(fs, clients, params, src, onDone)
+}
+
+// Start is the package-level Start, recycling segment drivers through rn.
+func (rn *Runner) Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params Params, src *rng.Source, onDone func(Result)) (*Run, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -217,7 +235,7 @@ func Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params Params, src *
 		params.Segments = 1
 	}
 	sim := fs.Sim()
-	r := &Run{fs: fs, params: params, onDone: onDone}
+	r := &Run{fs: fs, params: params, onDone: onDone, runner: rn}
 	r.result.Params = params
 	r.result.Start = sim.Now()
 	r.result.PerHost = make(map[string]int)
@@ -229,7 +247,7 @@ func Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params Params, src *
 		setup += params.SetupMean
 	}
 
-	pathBase := fmt.Sprintf("%s.run%d", params.path(), fs.NextRunSeq())
+	pathBase := params.path() + ".run" + strconv.Itoa(fs.NextRunSeq())
 
 	pattern := fs.Meta().PatternFor(pathBase)
 	if params.StripeCount > 0 {
@@ -291,7 +309,7 @@ func (r *Run) launch(fs *beegfs.FileSystem, clients []*beegfs.Client, pattern be
 			return
 		}
 		for rank := 0; rank < procs; rank++ {
-			file, err := fs.CreateWithPattern(fmt.Sprintf("%s.%08d", pathBase, rank), pattern, src)
+			file, err := fs.CreateWithPattern(pathBase+"."+zeroPad8(rank), pattern, src)
 			if err != nil {
 				r.fail(fmt.Errorf("ior: create failed mid-run: %w", err))
 				return
@@ -323,8 +341,8 @@ func (r *Run) recordTargets(f *beegfs.File) {
 // previous one), and rank r lives on node r % Nodes.
 func (r *Run) startNodeGroup(file *beegfs.File, client *beegfs.Client, node int, rampWeight, depthScale float64, read bool) {
 	p := &r.params
-	g := getGroupIO()
-	g.r, g.node, g.read = r, node, read
+	g := r.getGroup()
+	g.node, g.read = node, read
 	g.op = beegfs.WriteOp{
 		Client:       client,
 		File:         file,
@@ -360,38 +378,36 @@ type groupIO struct {
 	op      beegfs.WriteOp
 	regions []beegfs.Region // active segment regions; empty in N-N mode
 
-	// Bound once per object so reuse from the pool does not re-allocate
-	// the method-value closures handed to the op.
+	// Bound once per object so reuse from the free list does not
+	// re-allocate the method-value closures handed to the op.
 	onCompleteFn func(simkernel.Time)
 	onErrorFn    func(error)
 }
 
-// groupPool recycles groupIO objects across ranks and repetitions.
-// Campaigns build a fresh Run per repetition, so a per-Run pool would
-// never warm up; a package-level sync.Pool amortizes the op, regions
-// and callback allocations across the whole campaign (and stays safe
-// under parallel repetitions). A groupIO is returned to the pool only
-// after its final segment's completion callback, at which point the
-// beegfs layer has fully detached from the op.
-var groupPool sync.Pool
-
-func getGroupIO() *groupIO {
-	g, _ := groupPool.Get().(*groupIO)
-	if g == nil {
+// getGroup takes a segment driver for r from its runner's free list, or
+// allocates one. A driver goes back to the list only after its final
+// segment's completion callback, at which point the beegfs layer has
+// fully detached from the op; a driver whose chain is cut short (a failed
+// run, or a deployment reset mid-run) is simply dropped.
+func (r *Run) getGroup() *groupIO {
+	rn := r.runner
+	var g *groupIO
+	if k := len(rn.free); k > 0 {
+		g = rn.free[k-1]
+		rn.free[k-1] = nil
+		rn.free = rn.free[:k-1]
+	} else {
 		g = &groupIO{}
 		g.onCompleteFn = g.onComplete
 		g.onErrorFn = g.onError
 	}
+	g.r = r
 	return g
 }
 
-func putGroupIO(g *groupIO) {
-	g.r = nil
-	g.node, g.seg = 0, 0
-	g.read = false
-	g.op = beegfs.WriteOp{}
-	g.regions = g.regions[:0]
-	groupPool.Put(g)
+func (r *Run) putGroup(g *groupIO) {
+	*g = groupIO{regions: g.regions[:0], onCompleteFn: g.onCompleteFn, onErrorFn: g.onErrorFn}
+	r.runner.free = append(r.runner.free, g)
 }
 
 func (g *groupIO) issue() {
@@ -420,7 +436,7 @@ func (g *groupIO) onComplete(at simkernel.Time) {
 		return
 	}
 	r := g.r
-	putGroupIO(g)
+	r.putGroup(g)
 	r.processDone(at)
 }
 
@@ -440,8 +456,8 @@ func (r *Run) startOp(op *beegfs.WriteOp, read bool) error {
 // file (N-N mode).
 func (r *Run) startProcess(file *beegfs.File, client *beegfs.Client, rampWeight, depthScale float64, read bool) {
 	p := &r.params
-	g := getGroupIO()
-	g.r, g.read = r, read
+	g := r.getGroup()
+	g.read = read
 	g.op = beegfs.WriteOp{
 		Client:       client,
 		File:         file,
@@ -514,6 +530,15 @@ func (r *Run) finish(end simkernel.Time) {
 		return
 	}
 	fire()
+}
+
+// zeroPad8 formats a non-negative n like fmt's %08d.
+func zeroPad8(n int) string {
+	s := strconv.Itoa(n)
+	if len(s) < 8 {
+		s = "00000000"[len(s):] + s
+	}
+	return s
 }
 
 // Execute runs a single benchmark to completion and returns its result. It

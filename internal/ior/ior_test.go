@@ -2,6 +2,7 @@ package ior
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -545,5 +546,32 @@ func TestRunSurfacesMidRunIOFailure(t *testing.T) {
 	var ioErr *beegfs.IOFailedError
 	if !errors.As(res.Err, &ioErr) {
 		t.Fatalf("Err = %v, want a wrapped *beegfs.IOFailedError", res.Err)
+	}
+}
+
+// Run paths are metadata keys and flow-name prefixes, so they must stay
+// exactly the strings fmt builds: "<path>.run<seq>" and, per N-N rank,
+// "<path>.run<seq>.%08d".
+func TestPathsMatchFormat(t *testing.T) {
+	for _, n := range []int{0, 7, 42, 1234567, 12345678, 123456789} {
+		if got, want := zeroPad8(n), fmt.Sprintf("%08d", n); got != want {
+			t.Fatalf("zeroPad8(%d) = %q, want %q", n, got, want)
+		}
+	}
+	dep, err := cluster.PlaFRIM(cluster.Scenario1Ethernet).Deploy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 2; seq++ {
+		p := Params{Nodes: 2, PPN: 2, TransferSize: beegfs.MiB, Pattern: FilePerProcess, Path: "/x/y"}.WithTotalSize(beegfs.GiB)
+		res, err := Execute(dep.FS, dep.Nodes(2), p, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, path := range res.Paths {
+			if want := fmt.Sprintf("%s.run%d.%08d", "/x/y", seq, rank); path != want {
+				t.Fatalf("rank %d path %q, want %q", rank, path, want)
+			}
+		}
 	}
 }

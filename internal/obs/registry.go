@@ -19,9 +19,9 @@
 //     integer-valued observations into float64 or uint64 accumulators is
 //     exactly associative below 2^53, so parallel campaign workers
 //     flushing in any order produce identical files. The only inherently
-//     nondeterministic metrics — wall-clock timings, sync.Pool hit
-//     rates — are namespaced under "runtime/" so consumers (and the
-//     determinism tests) can filter them.
+//     nondeterministic metrics — wall-clock timings — are namespaced
+//     under "runtime/" so consumers (and the determinism tests) can
+//     filter them.
 //
 // This package is a leaf: it imports only the standard library, so every
 // simulation layer may depend on it without cycles.
@@ -37,9 +37,9 @@ import (
 )
 
 // RuntimePrefix namespaces metrics that reflect the host process rather
-// than the simulation — wall-clock timings, sync.Pool hit rates — which
-// are the only registry contents not reproducible run to run. Determinism
-// checks compare registries with this prefix filtered out.
+// than the simulation — wall-clock timings — which are the only registry
+// contents not reproducible run to run. Determinism checks compare
+// registries with this prefix filtered out.
 const RuntimePrefix = "runtime/"
 
 // WalltimePrefix namespaces the wall-clock subset of the runtime metrics.

@@ -196,6 +196,24 @@ func (s *Simulation) SetStats(st *Stats) { s.stats = st }
 // New returns a simulation starting at virtual time 0.
 func New() *Simulation { return &Simulation{} }
 
+// Reset returns the simulation to the state New produces — clock at 0, no
+// queued or deferred work, sequence and executed counters at 0, no stats
+// sink — keeping only MaxEvents and the queue's backing arrays. Pending
+// events are dropped un-fired: their handles report Scheduled() == false,
+// and Cancel on one is a no-op. Reset must not be called from inside an
+// event.
+func (s *Simulation) Reset() {
+	if s.inStep {
+		panic("simkernel: Reset inside an event")
+	}
+	for i, e := range s.queue {
+		e.index = -1
+		s.queue[i] = nil
+	}
+	clear(s.deferred)
+	*s = Simulation{queue: s.queue[:0], deferred: s.deferred[:0], MaxEvents: s.MaxEvents}
+}
+
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
 

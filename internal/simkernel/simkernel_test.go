@@ -1,6 +1,7 @@
 package simkernel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -444,3 +445,52 @@ func heapChurn(b *testing.B, n int, reserve bool) {
 // campaign's high-water mark; the Reserved variant pre-sizes the spine.
 func BenchmarkHeapChurn100k(b *testing.B)         { heapChurn(b, 100_000, false) }
 func BenchmarkHeapChurn100kReserved(b *testing.B) { heapChurn(b, 100_000, true) }
+
+// TestReset checks that a reset simulation is indistinguishable from a new
+// one: clock, counters and queue back at zero, stats detached, stale event
+// handles inert, MaxEvents kept, and the same schedule fires in the same
+// order with the same sequence numbers as on a fresh simulation.
+func TestReset(t *testing.T) {
+	trace := func(s *Simulation) []string {
+		var out []string
+		for i, at := range []Time{3, 1, 3, 2} {
+			i := i
+			s.At(at, func() { out = append(out, fmt.Sprintf("%d@%v", i, s.Now())) })
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh := New()
+	want := trace(fresh)
+
+	s := New()
+	s.MaxEvents = 100
+	var st Stats
+	s.SetStats(&st)
+	stale := s.At(5, func() { t.Fatal("dropped event fired") })
+	s.At(1, func() { s.Defer(func() {}) })
+	s.Step()
+	s.At(7, func() {})
+	s.Reset()
+	if s.Now() != 0 || s.Pending() != 0 || s.Executed() != 0 {
+		t.Fatalf("after Reset: now %v, pending %d, executed %d", s.Now(), s.Pending(), s.Executed())
+	}
+	if stale.Scheduled() || s.Cancel(stale) {
+		t.Fatal("a dropped event still looks queued")
+	}
+	if s.MaxEvents != 100 {
+		t.Fatalf("MaxEvents = %d, want it kept", s.MaxEvents)
+	}
+	before := st
+	if got := trace(s); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reset order %v, fresh order %v", got, want)
+	}
+	if st != before {
+		t.Fatal("Reset left the stats sink attached")
+	}
+	if e := s.At(9, func() {}); e.seq != fresh.At(9, func() {}).seq {
+		t.Fatalf("sequence counter diverged: reset %d, fresh %d", e.seq, fresh.nextSeq-1)
+	}
+}

@@ -294,7 +294,7 @@ func verifyNet(t *testing.T, n *Network) {
 					active++
 				}
 			}
-			if r.nActive != active {
+			if int(r.nActive) != active {
 				t.Fatalf("resource %s nActive=%d, %d active flows use it", r.Name, r.nActive, active)
 			}
 			if active == 0 {

@@ -140,6 +140,23 @@ type hierState struct {
 	active int
 }
 
+// reset restarts the union-find and empties the separator scratch,
+// keeping every backing array: the state SetSeparators creates, for a
+// network whose flows are all gone (see Network.Reset).
+func (h *hierState) reset() {
+	*h = hierState{
+		n:         h.n,
+		minFlows:  h.minFlows,
+		parent:    h.parent[:0],
+		slotOf:    h.slotOf[:0],
+		slotEpoch: h.slotEpoch[:0],
+		groups:    h.groups,
+		sepRes:    h.sepRes[:0],
+		sepFlows:  h.sepFlows[:0],
+		sepCands:  h.sepCands[:0],
+	}
+}
+
 // SetSeparators declares separator resources: fabric aggregates (rack
 // uplinks, the core switch) the hierarchical solver coordinates across
 // rather than assigning to any rack-local group. The first declaration
@@ -197,10 +214,10 @@ func (h *hierState) unionFlow(f *Flow) {
 			f.hsep = true
 			continue
 		}
-		if r.idx >= len(h.parent) {
-			h.growParent(r.idx)
+		if int(r.idx) >= len(h.parent) {
+			h.growParent(int(r.idx))
 		}
-		x := h.find(int32(r.idx))
+		x := h.find(r.idx)
 		if root < 0 {
 			root = x
 		} else if x != root {
@@ -246,7 +263,7 @@ func (h *hierState) partition(c *component) bool {
 		if r.sep {
 			continue
 		}
-		root := h.find(int32(r.idx))
+		root := h.find(r.idx)
 		if h.slotEpoch[root] != h.epoch {
 			h.slotEpoch[root] = h.epoch
 			h.slotOf[root] = int32(ng)

@@ -86,6 +86,12 @@ func buildHierWorld(sc hierScenario, hier bool) *fzWorld {
 		w.net.SetSeparators(seps...)
 		w.net.hier.minFlows = 0
 	}
+	armHierWorld(w, sc)
+	return w
+}
+
+// armHierWorld installs w's logging observer and schedules sc's ops.
+func armHierWorld(w *fzWorld, sc hierScenario) {
 	w.net.Observe(func(at simkernel.Time, f *Flow, rate float64) {
 		w.log = append(w.log, fmt.Sprintf("obs %x %s %x", math.Float64bits(float64(at)), f.Name, math.Float64bits(rate)))
 	})
@@ -93,7 +99,6 @@ func buildHierWorld(sc hierScenario, hier bool) *fzWorld {
 		op := op
 		w.sim.At(op.at, func() { applyHier(w, sc, op) })
 	}
-	return w
 }
 
 // applyHier performs one scenario op. Flow shapes: rack-local (locals of

@@ -33,30 +33,35 @@ import (
 type Resource struct {
 	Name     string
 	capacity float64 // MiB/s
+	// registered is the capacity the resource was added with; Network.Reset
+	// restores it.
+	registered float64
 
 	// idx is the 1-based registration order within a Network; 0 for
 	// resources constructed outside a Network (FairShare-only use). It
-	// gives the solver a stable, allocation-free resource ordering.
-	idx int
-
-	// nActive counts in-flight flows whose usage vector touches this
-	// resource; the resource belongs to a component exactly while
-	// nActive > 0.
-	nActive int
-
-	// comp is the connected component the resource currently belongs to,
-	// nil while no in-flight flow touches it.
-	comp *component
-
-	// uf is rebuild scratch: the resource's position within its
-	// component's resource list during a union-find pass.
-	uf int32
+	// gives the solver a stable, allocation-free resource ordering. It and
+	// the three fields after it are 32-bit or smaller so the struct keeps
+	// its 192-byte allocation size class.
+	idx int32
 
 	// sep marks a declared separator resource (see Network.SetSeparators):
 	// a fabric aggregate — rack uplink, core switch — the hierarchical
 	// solver coordinates across instead of solving inside any one
 	// rack-local subproblem. Plain solves ignore the flag entirely.
 	sep bool
+
+	// nActive counts in-flight flows whose usage vector touches this
+	// resource; the resource belongs to a component exactly while
+	// nActive > 0.
+	nActive int32
+
+	// uf is rebuild scratch: the resource's position within its
+	// component's resource list during a union-find pass.
+	uf int32
+
+	// comp is the connected component the resource currently belongs to,
+	// nil while no in-flight flow touches it.
+	comp *component
 
 	// users is the list of in-flight flows whose usage vector touches this
 	// resource, with their weights — the transpose of Flow.uses. It is
@@ -88,13 +93,22 @@ type resUse struct {
 	ui int32
 }
 
+// reset returns r to the state AddResource creates it in — the registered
+// capacity, no users — keeping its separator declaration. The user index
+// keeps its backing array (the inline one, or the heap one a busy
+// resource spilled to), so a network reset between campaign repetitions
+// does not regrow it.
+func (r *Resource) reset() {
+	clear(r.users)
+	*r = Resource{Name: r.Name, registered: r.registered, capacity: r.registered, idx: r.idx, sep: r.sep, users: r.users[:0]}
+}
+
 // insertUser appends the ui-th usage-vector entry of f to the user index
 // and records the position in the entry's back-index. The index starts
-// in the resource's inline backing array: deployments (and so resources)
-// are churned every campaign repetition, and most resources never see
-// more than a handful of concurrent users, so staying inline keeps the
-// index allocation-free for them; append spills busier resources (the
-// shared client ramp) to the heap transparently.
+// in the resource's inline backing array, which keeps it allocation-free
+// for the common resource that never sees more than a handful of
+// concurrent users; append spills busier resources (the shared client
+// ramp) to the heap transparently, and Network.Reset keeps either array.
 func (r *Resource) insertUser(f *Flow, ui int) {
 	if r.users == nil {
 		r.users = r.usersInline[:0]
@@ -418,9 +432,62 @@ func (n *Network) Observe(fn func(at simkernel.Time, f *Flow, rate float64)) {
 // New creates an empty network bound to the simulation clock.
 func New(sim *simkernel.Simulation) *Network {
 	n := &Network{sim: sim}
+	n.init()
+	return n
+}
+
+// init sets the fields a new or reset network must not leave at their
+// zero value.
+func (n *Network) init() {
 	n.sv.indexed = true
 	n.flushFn = n.flush
-	return n
+}
+
+// Reset returns the network to the state of a new one with the same
+// registered resources, in registration order: every resource back at its
+// registered capacity with an empty user index, no components, flows or
+// pending flush, the start sequence and the hierarchical union-find
+// restarted, and no stats sink or observer attached. Separator
+// declarations stay. Flows still in flight are dropped without a callback
+// and may be started again. Components go back to the free list and
+// scratch buffers keep their capacity, so a reused network does not
+// regrow them. Like every mutation, Reset must not run inside an event;
+// reset the simulation alongside it, since dropped flows' completion
+// events stay queued there.
+func (n *Network) Reset() {
+	for _, c := range n.comps {
+		for _, f := range c.flows {
+			f.inNet, f.comp, f.event, f.rate = false, nil, nil, 0
+		}
+		c.reset()
+		n.compPool = append(n.compPool, c)
+	}
+	clear(n.comps)
+	for _, r := range n.resources {
+		r.reset()
+	}
+	if n.hier != nil {
+		n.hier.reset()
+	}
+	*n = Network{
+		sim:         n.sim,
+		resources:   n.resources,
+		comps:       n.comps[:0],
+		compPool:    n.compPool,
+		oldRates:    n.oldRates,
+		mergeFlows:  n.mergeFlows,
+		mergeRes:    n.mergeRes,
+		mergeCapped: n.mergeCapped,
+		ufParent:    n.ufParent,
+		fragOf:      n.fragOf,
+		frags:       n.frags,
+		startComps:  n.startComps,
+		forceGlobal: n.forceGlobal,
+		sv:          solver{unfrozen: n.sv.unfrozen, cappedBuf: n.sv.cappedBuf, cands: n.sv.cands},
+		hier:        n.hier,
+		dirtyComps:  n.dirtyComps[:0],
+	}
+	n.init()
 }
 
 // AddResource registers a resource with the given capacity (MiB/s).
@@ -428,7 +495,7 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 	if capacity < 0 {
 		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, name))
 	}
-	r := &Resource{Name: name, capacity: capacity, idx: len(n.resources) + 1}
+	r := &Resource{Name: name, capacity: capacity, registered: capacity, idx: int32(len(n.resources) + 1)}
 	n.resources = append(n.resources, r)
 	return r
 }

@@ -373,24 +373,48 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 		host := &Host{
 			Name:       fmt.Sprintf("oss%d", h),
 			sys:        s,
-			jitter:     1,
 			controller: net.AddResource(fmt.Sprintf("oss%d/ctl", h), cfg.SingleTargetRate),
 		}
 		for i := 1; i <= targetsPerHost; i++ {
 			t := &Target{
 				ID:       h*100 + i,
 				host:     host,
-				jitter:   1,
 				writers:  make(map[string]int),
 				resource: net.AddResource(fmt.Sprintf("ost%d", h*100+i), cfg.SingleTargetRate),
 			}
-			t.updateCapacity()
 			host.targets = append(host.targets, t)
 			s.targets = append(s.targets, t)
 		}
+		host.init()
 		s.hosts = append(s.hosts, host)
 	}
 	return s, nil
+}
+
+// Reset returns every host and target to the state NewSystem leaves them
+// in: unit jitter, no writers, queue depth or stored bytes, no failure or
+// fail-slow pin, and the matching capacities pushed into the network.
+func (s *System) Reset() {
+	for _, h := range s.hosts {
+		*h = Host{Name: h.Name, sys: h.sys, controller: h.controller, targets: h.targets}
+		for _, t := range h.targets {
+			clear(t.writers)
+			*t = Target{ID: t.ID, host: t.host, resource: t.resource, writers: t.writers}
+		}
+		h.init()
+	}
+}
+
+// init sets the per-run values NewSystem and Reset share beyond the zero
+// state — unit jitter — and pushes the host's and its targets'
+// capacities, the controller's last so it sees the targets idle.
+func (h *Host) init() {
+	h.jitter = 1
+	for _, t := range h.targets {
+		t.jitter = 1
+		t.updateCapacity()
+	}
+	h.updateCapacity()
 }
 
 // Config returns the system's device-model configuration.
@@ -421,20 +445,6 @@ func (s *System) ReJitter(src *rng.Source) {
 	}
 	for _, t := range s.targets {
 		t.jitter = src.LogNormal(1, s.cfg.TargetJitterCV)
-		t.updateCapacity()
-	}
-	for _, h := range s.hosts {
-		h.updateCapacity()
-	}
-}
-
-// ResetJitter restores all multipliers to 1 (deterministic capacities).
-func (s *System) ResetJitter() {
-	for _, h := range s.hosts {
-		h.jitter = 1
-	}
-	for _, t := range s.targets {
-		t.jitter = 1
 		t.updateCapacity()
 	}
 	for _, h := range s.hosts {

@@ -240,22 +240,55 @@ func TestReJitterCorrelatedWithinHost(t *testing.T) {
 	h.Targets()[0].Release("a", 1)
 }
 
-func TestResetJitter(t *testing.T) {
+// TestSystemReset dirties every piece of per-run state — jitter, writers
+// and queue depth, stored bytes, failure and fail-slow pins — and checks
+// that Reset leaves each host and target, and each of their capacities,
+// exactly as NewSystem does, without touching the network itself.
+func TestSystemReset(t *testing.T) {
 	cfg := detConfig()
 	cfg.HostJitterCV = 0.1
 	cfg.TargetJitterCV = 0.1
+	cfg.SatHalf = 2
+	cfg.TargetPeak = 1500
+	cfg.TargetCapacityBytes = 1 << 40
+	_, _, fresh := newSys(t, cfg, 2, 4)
 	_, _, sys := newSys(t, cfg, 2, 4)
-	tg := sys.Targets()[3]
-	tg.Acquire("a", 1)
 	sys.ReJitter(rng.New(1))
-	sys.ResetJitter()
-	if !almost(tg.Resource().Capacity(), 1764, 1e-9) {
-		t.Fatalf("capacity after reset = %v, want 1764", tg.Resource().Capacity())
+	for i, tg := range sys.Targets() {
+		tg.Acquire("a", float64(i+1))
+		if err := tg.Store(int64(i+1) << 20); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !almost(tg.Host().Controller().Capacity(), 1764, 1e-9) {
-		t.Fatalf("controller after reset = %v", tg.Host().Controller().Capacity())
+	sys.Targets()[1].SetFailed(true)
+	sys.Targets()[2].SetSlow(0.3)
+	sys.Hosts()[1].SetFailed(true)
+
+	sys.Reset()
+	for i, tg := range sys.Targets() {
+		want := fresh.Targets()[i]
+		if tg.Writers() != 0 || tg.WriteDepth() != 0 || tg.Used() != 0 || tg.Failed() || tg.SlowFactor() != 1 {
+			t.Fatalf("target %d after Reset: %d writers, depth %v, %d bytes, failed %v, slow %v",
+				tg.ID, tg.Writers(), tg.WriteDepth(), tg.Used(), tg.Failed(), tg.SlowFactor())
+		}
+		if tg.jitter != 1 || tg.Resource().Capacity() != want.Resource().Capacity() {
+			t.Fatalf("target %d after Reset: jitter %v, capacity %v, want 1 and %v",
+				tg.ID, tg.jitter, tg.Resource().Capacity(), want.Resource().Capacity())
+		}
 	}
-	tg.Release("a", 1)
+	for i, h := range sys.Hosts() {
+		want := fresh.Hosts()[i]
+		if h.Failed() || h.jitter != 1 || h.Controller().Capacity() != want.Controller().Capacity() {
+			t.Fatalf("host %s after Reset: failed %v, jitter %v, controller %v, want %v",
+				h.Name, h.Failed(), h.jitter, h.Controller().Capacity(), want.Controller().Capacity())
+		}
+	}
+	// A reset target takes a new writer like a fresh one.
+	sys.Targets()[3].Acquire("b", 1)
+	fresh.Targets()[3].Acquire("b", 1)
+	if got, want := sys.Targets()[3].Resource().Capacity(), fresh.Targets()[3].Resource().Capacity(); got != want {
+		t.Fatalf("capacity after a post-reset Acquire = %v, fresh %v", got, want)
+	}
 }
 
 // End-to-end: a flow writing through one target is limited by the target,
@@ -405,9 +438,9 @@ func TestSetFailedPinsCapacityToZero(t *testing.T) {
 	if !h.Failed() || h.Controller().Capacity() != 0 {
 		t.Fatal("failed host has controller capacity")
 	}
-	sys.ResetJitter()
+	sys.ReJitter(rng.New(9))
 	if h.Controller().Capacity() != 0 {
-		t.Fatal("failed host capacity resurrected by ResetJitter")
+		t.Fatal("failed host capacity resurrected by ReJitter")
 	}
 	h.SetFailed(false)
 	if h.Controller().Capacity() <= 0 {

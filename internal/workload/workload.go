@@ -146,6 +146,8 @@ func ReplayOn(dep *cluster.Deployment, setupMean, setupCV float64, totalNodes in
 	var results []Result
 	var queue []queued
 	running := 0
+	// One runner for the whole trace recycles the jobs' segment drivers.
+	var runner ior.Runner
 
 	var tryLaunch func()
 	launch := func(q queued) {
@@ -176,7 +178,7 @@ func ReplayOn(dep *cluster.Deployment, setupMean, setupCV float64, totalNodes in
 		if queuedFor < 0 {
 			queuedFor = 0
 		}
-		_, err := ior.Start(dep.FS, nodes, params, src.Split(uint64(len(results))+uint64(running)*131), func(res ior.Result) {
+		_, err := runner.Start(dep.FS, nodes, params, src.Split(uint64(len(results))+uint64(running)*131), func(res ior.Result) {
 			results = append(results, Result{
 				Job:           job,
 				Queued:        queuedFor,
