@@ -48,7 +48,6 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 	reg.Add("simkernel/events_dispatched", k.Dispatched)
 	reg.Add("simkernel/events_scheduled", k.Scheduled)
 	reg.Add("simkernel/reschedules", k.Reschedules)
-	reg.Add("simkernel/requeues", k.Requeues)
 	reg.Add("simkernel/cancels", k.Cancels)
 	reg.Max("simkernel/heap_high_water", k.HeapHighWater)
 

@@ -198,14 +198,14 @@ func ExtChaos(opts Options) ([]ExtChaosRow, error) {
 			return err
 		}
 		rows[cell] = ExtChaosRow{
-			Scenario: scen.String(),
-			Profile:  prof.Name,
-			Episodes: len(sched) / 2,
-			N:        sb.N,
-			BWMean:   sb.Mean,
-			BWSD:     sb.SD,
-			SecMean:  ss.Mean,
-			SecSD:    ss.SD,
+			Scenario:  scen.String(),
+			Profile:   prof.Name,
+			Episodes:  len(sched) / 2,
+			N:         sb.N,
+			BWMean:    sb.Mean,
+			BWSD:      sb.SD,
+			SecMean:   ss.Mean,
+			SecSD:     ss.SD,
 			FailedOps: int(failedOps.Load()),
 		}
 		return nil

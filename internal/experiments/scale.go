@@ -53,6 +53,13 @@ type ExtScaleRow struct {
 	// without rack uplinks, and HierSolves stays 0 on rack-local churn.
 	HierSolves    uint64
 	HierFallbacks uint64
+	// HeapHighWater is the kernel queue's longest length and
+	// PeakComponents the most live flow components after any event. The
+	// network queues one event per component, so the first stays within
+	// the second plus the cell's other pending events (its arrival chain),
+	// however many flows are in flight. Neither is in the CSV.
+	HeapHighWater  uint64
+	PeakComponents int
 	// Wall-clock measurements. Nondeterministic by nature (host load, GC):
 	// excluded from the determinism comparison (see Deterministic) and
 	// from the CSV, reported on stdout only.
@@ -299,12 +306,16 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 	// Manual step loop instead of Sim.Run: per-event wall timing feeds the
 	// step-time histogram the row's percentiles come from.
 	var stepNanos obs.Log2Hist
+	peakComps := 0
 	begin := time.Now()
 	prev := begin
 	for dep.Sim.Step() {
 		now := time.Now()
 		stepNanos.Observe(uint64(now.Sub(prev)))
 		prev = now
+		if c := dep.Net.Components(); c > peakComps {
+			peakComps = c
+		}
 		if dep.Sim.Executed() > 200_000_000 {
 			return ExtScaleRow{}, fmt.Errorf("experiments: scale cell %s runaway event loop", topo.name)
 		}
@@ -336,6 +347,8 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 		SolvesPerEvent: float64(solves) / float64(events),
 		HierSolves:     st.Net.HierSolves,
 		HierFallbacks:  st.Net.HierFallbacks,
+		HeapHighWater:  st.Kernel.HeapHighWater,
+		PeakComponents: peakComps,
 		WallSec:        wall,
 		EventsPerSec:   float64(events) / wall,
 		StepP50us:      histQuantileUS(&stepNanos, 0.50),

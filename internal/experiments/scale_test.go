@@ -148,3 +148,32 @@ func TestHierSolveSelection(t *testing.T) {
 		})
 	}
 }
+
+// TestExtScaleHeapHoldsOneEventPerComponent floods the small rack-local
+// cell — arrivals far faster than completions, so thousands of flows are
+// in flight at once — and checks that the kernel's queue never held more
+// than one network event per live component plus the cell's one pending
+// arrival: on fat trees a write schedules no transfer-overhead event, and
+// the cell injects no faults, so the arrival chain is its only other
+// event source.
+func TestExtScaleHeapHoldsOneEventPerComponent(t *testing.T) {
+	topo := scaleTopos(1)[0]
+	if topo.name != "small" || topo.core {
+		t.Fatalf("first scale topology is %s, want the rack-local small cell", topo.name)
+	}
+	topo.meanGap = 0.01
+	r, err := runScaleCell(topo, 1500, 977)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Jobs != 1500 || r.PeakFlows < 1000 {
+		t.Fatalf("%d jobs with %d peak flows, want 1500 jobs and thousands of flows in flight", r.Jobs, r.PeakFlows)
+	}
+	if r.PeakComponents < 2 || r.HeapHighWater == 0 {
+		t.Fatalf("peak %d components, heap high water %d: the churn never ran", r.PeakComponents, r.HeapHighWater)
+	}
+	if r.HeapHighWater > uint64(r.PeakComponents)+1 {
+		t.Fatalf("heap high water %d with at most %d live components and 1 arrival pending (peak %d flows)",
+			r.HeapHighWater, r.PeakComponents, r.PeakFlows)
+	}
+}

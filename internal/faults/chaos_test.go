@@ -208,8 +208,8 @@ func TestChaosDeterminismAndValidity(t *testing.T) {
 func TestChaosProfileValidation(t *testing.T) {
 	bad := []faults.Profile{
 		{},
-		{Duration: 10, Episodes: 2},                                                         // no kinds
-		{Duration: 10, Episodes: 2, Kinds: []faults.Kind{faults.TargetFault}},               // no outage range
+		{Duration: 10, Episodes: 2}, // no kinds
+		{Duration: 10, Episodes: 2, Kinds: []faults.Kind{faults.TargetFault}},                                   // no outage range
 		{Duration: 10, Episodes: 2, Kinds: []faults.Kind{faults.Kind(9)}, MinOutage: 1, MaxOutage: 2, Hosts: 2}, // unknown kind
 		{Duration: 10, Episodes: 2, Kinds: []faults.Kind{faults.SlowFault}, MinOutage: 1, MaxOutage: 2,
 			MinFactor: 0.5, MaxFactor: 1.5, TargetIDs: []int{101}}, // factor >= 1

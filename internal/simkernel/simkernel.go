@@ -11,6 +11,13 @@
 // scheduling order (FIFO tie-break by a monotonically increasing sequence
 // number). Two runs with the same seed therefore produce identical event
 // orders.
+//
+// A caller that multiplexes many logical timers onto one event (the
+// network keeps one completion event per flow component, not one per
+// flow) draws each timer's rank from the same counter with Seq, and
+// queues the event at the earliest timer's (time, rank) with Move. The
+// multiplexed timers then order against every other event exactly as if
+// each had been queued with At at the moment its rank was drawn.
 package simkernel
 
 import (
@@ -36,8 +43,17 @@ type Event struct {
 	index int
 }
 
+// NewEvent returns an event that is not queued: it reports Scheduled() ==
+// false until Move queues it. An owner that re-arms one event many times
+// allocates it, and its callback, once.
+func NewEvent(fn func()) *Event { return &Event{fn: fn, index: -1} }
+
 // When returns the virtual time the event is (or was) scheduled for.
 func (e *Event) When() Time { return e.when }
+
+// Rank returns the sequence number that orders the event among events due
+// at the same time.
+func (e *Event) Rank() uint64 { return e.seq }
 
 // Scheduled reports whether the event is still pending in the queue.
 func (e *Event) Scheduled() bool { return e.index >= 0 }
@@ -47,10 +63,9 @@ func (e *Event) Scheduled() bool { return e.index >= 0 }
 // pop sequence is fully determined by the *set* of queued events, not by
 // the heap's internal layout: any correct heap (binary, 4-ary, sorted
 // list) yields the identical event order. The 4-ary shape is a pure
-// constant-factor optimization: campaigns spend ~20% of their time in
-// queue maintenance, and halving the tree depth plus dropping the
-// container/heap interface dispatch makes Reschedule (the rebalancer's
-// per-flow hot call) markedly cheaper without touching determinism.
+// constant-factor optimization: halving the tree depth and dropping the
+// container/heap interface dispatch makes every push, pop and Move
+// cheaper without touching determinism.
 type eventHeap []*Event
 
 // eventBefore is the queue's strict total order.
@@ -157,13 +172,11 @@ func (h eventHeap) siftDown(i int) {
 type Stats struct {
 	// Dispatched counts events fired by Step.
 	Dispatched uint64
-	// Scheduled counts At/After scheduling calls.
+	// Scheduled counts events put on the queue: At/After calls and Moves
+	// of an event that was not pending.
 	Scheduled uint64
-	// Reschedules counts in-place moves of still-pending events.
+	// Reschedules counts Moves of a pending event to a new (time, rank).
 	Reschedules uint64
-	// Requeues counts Reschedule calls that re-queued an already-fired
-	// event (a fresh scheduling decision with a new sequence number).
-	Requeues uint64
 	// Cancels counts successful Cancel calls.
 	Cancels uint64
 	// HeapHighWater is the maximum queue length observed.
@@ -223,28 +236,19 @@ func (s *Simulation) Executed() uint64 { return s.executed }
 // Pending returns the number of events currently queued.
 func (s *Simulation) Pending() int { return len(s.queue) }
 
-// Reserve pre-sizes the event queue's backing array to hold at least n
-// pending events without further growth. Campaign drivers that know the
-// churn's high-water mark (Stats.HeapHighWater from a previous run, or
-// the job schedule's peak concurrency) call it once up front to skip the
-// append-doubling copies of the spine; it never shrinks the queue and has
-// no effect on event order.
-func (s *Simulation) Reserve(n int) {
-	if cap(s.queue) < n {
-		q := make(eventHeap, len(s.queue), n)
-		copy(q, s.queue)
-		s.queue = q
-	}
-}
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a model bug.
 func (s *Simulation) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simkernel: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{when: t, seq: s.nextSeq, fn: fn}
-	s.nextSeq++
+	e := &Event{when: t, seq: s.Seq(), fn: fn}
+	s.push(e)
+	return e
+}
+
+// push queues e and counts it.
+func (s *Simulation) push(e *Event) {
 	s.queue.push(e)
 	if s.stats != nil {
 		s.stats.Scheduled++
@@ -252,7 +256,16 @@ func (s *Simulation) At(t Time, fn func()) *Event {
 			s.stats.HeapHighWater = n
 		}
 	}
-	return e
+}
+
+// Seq draws the next rank from the sequence counter that At numbers its
+// events with. An event Moved to the rank later fires where an event
+// queued by At at the moment of the draw would: after every equal-time
+// event drawn before it, before every one drawn after it.
+func (s *Simulation) Seq() uint64 {
+	q := s.nextSeq
+	s.nextSeq++
+	return q
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
@@ -276,41 +289,32 @@ func (s *Simulation) Cancel(e *Event) bool {
 	return true
 }
 
-// Reschedule moves a pending event to a new absolute time. If the event is
-// no longer pending it is re-queued (this is how flow completion events are
-// adjusted when fair-share rates change).
-//
-// Contract: rescheduling a *pending* event keeps its original scheduling
-// sequence, so its FIFO rank among equal-time events does not change — in
-// particular, rescheduling to its current time is exactly a no-op. The
-// component-scoped rebalancer depends on this: it skips the Reschedule
-// call entirely for flows whose completion instant is unchanged, and that
-// skip is only undetectable because calling Reschedule would not have
-// perturbed the tie-break order either. Re-queueing an already-fired
-// event, by contrast, assigns a fresh sequence: it is a new scheduling
-// decision and fires after existing equal-time events.
-func (s *Simulation) Reschedule(e *Event, t Time) {
+// Move queues e at time t with rank seq, or moves it there if it is
+// pending; moving a pending event to its current (t, seq) is a no-op. The
+// rank must have been drawn with Seq, and at most one queued event may
+// carry a given rank: (time, rank) is the queue's strict total order, so a
+// shared rank would leave two events' order to the heap's layout. Moving
+// to a time before now panics.
+func (s *Simulation) Move(e *Event, t Time, seq uint64) {
 	if t < s.now {
-		panic(fmt.Sprintf("simkernel: rescheduling event to %v before now %v", t, s.now))
+		panic(fmt.Sprintf("simkernel: moving event to %v before now %v", t, s.now))
+	}
+	if seq >= s.nextSeq {
+		panic(fmt.Sprintf("simkernel: moving event to rank %d, which Seq has not drawn", seq))
 	}
 	if e.index >= 0 {
-		e.when = t
+		if e.when == t && e.seq == seq {
+			return
+		}
+		e.when, e.seq = t, seq
 		s.queue.fix(e.index)
 		if s.stats != nil {
 			s.stats.Reschedules++
 		}
 		return
 	}
-	e.when = t
-	e.seq = s.nextSeq
-	s.nextSeq++
-	s.queue.push(e)
-	if s.stats != nil {
-		s.stats.Requeues++
-		if n := uint64(len(s.queue)); n > s.stats.HeapHighWater {
-			s.stats.HeapHighWater = n
-		}
-	}
+	e.when, e.seq = t, seq
+	s.push(e)
 }
 
 // Defer runs fn at the end of the current event: inside Step, after the

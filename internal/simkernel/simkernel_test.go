@@ -120,12 +120,23 @@ func TestCancelNil(t *testing.T) {
 	}
 }
 
+// reschedule moves e to t the way the network moves a flow's completion:
+// a pending event keeps its rank, and an event that is not pending (fired,
+// cancelled or never queued) draws a fresh one from Seq.
+func reschedule(s *Simulation, e *Event, t Time) {
+	seq := e.seq
+	if !e.Scheduled() {
+		seq = s.Seq()
+	}
+	s.Move(e, t, seq)
+}
+
 func TestReschedulePending(t *testing.T) {
 	s := New()
 	var order []string
 	e := s.At(10, func() { order = append(order, "moved") })
 	s.At(5, func() { order = append(order, "fixed") })
-	s.Reschedule(e, 1)
+	reschedule(s, e, 1)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +145,13 @@ func TestReschedulePending(t *testing.T) {
 	}
 }
 
-// TestRescheduleKeepsFIFORank pins the contract the component-scoped
-// rebalancer relies on: rescheduling a pending event — even to a time
+// TestRescheduleKeepsFIFORank pins the contract the network's completion
+// ranks rely on: moving a pending event at its own rank — even to a time
 // where other events already sit, even to its own current time — keeps
 // its original scheduling sequence, so equal-time tie-breaks are decided
-// by when the events were first scheduled, not by who was rescheduled
-// last. This is what makes "skip the Reschedule when the completion
-// instant is unchanged" indistinguishable from calling it.
+// by when the events were first scheduled, not by who was moved last.
+// This is what makes "skip the move when the completion instant is
+// unchanged" indistinguishable from making it.
 func TestRescheduleKeepsFIFORank(t *testing.T) {
 	s := New()
 	var order []string
@@ -149,9 +160,9 @@ func TestRescheduleKeepsFIFORank(t *testing.T) {
 	s.At(10, func() { order = append(order, "c") })
 	// Move b away and back, and reschedule a to its current time: the
 	// original a, b, c scheduling order must survive both.
-	s.Reschedule(b, 20)
-	s.Reschedule(b, 10)
-	s.Reschedule(a, 10)
+	reschedule(s, b, 20)
+	reschedule(s, b, 10)
+	reschedule(s, a, 10)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +172,8 @@ func TestRescheduleKeepsFIFORank(t *testing.T) {
 }
 
 // TestRescheduleFiredEventGetsFreshRank is the contract's flip side: a
-// fired event that is re-queued is a new scheduling decision and fires
-// after events already waiting at the same time.
+// fired event that is re-queued at a fresh rank is a new scheduling
+// decision and fires after events already waiting at the same time.
 func TestRescheduleFiredEventGetsFreshRank(t *testing.T) {
 	s := New()
 	var order []string
@@ -170,7 +181,7 @@ func TestRescheduleFiredEventGetsFreshRank(t *testing.T) {
 	e = s.At(1, func() { order = append(order, "requeued") })
 	s.At(2, func() {
 		s.At(5, func() { order = append(order, "waiting") })
-		s.Reschedule(e, 5)
+		reschedule(s, e, 5)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -186,7 +197,7 @@ func TestRescheduleFiredEventRequeues(t *testing.T) {
 	count := 0
 	var e *Event
 	e = s.At(1, func() { count++ })
-	s.At(2, func() { s.Reschedule(e, 3) })
+	s.At(2, func() { reschedule(s, e, 3) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +303,8 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 }
 
 // TestRequeueBarrier pins the requeue rank: re-queueing a fired event at
-// the *current* instant gives it a fresh sequence number, so it fires
-// after every event already queued at that instant — it is a same-instant
+// the *current* instant with a fresh rank from Seq makes it fire after
+// every event already queued at that instant — it is a same-instant
 // barrier. Cascading events that re-arm the barrier form successive waves
 // within the one instant.
 func TestRequeueBarrier(t *testing.T) {
@@ -306,7 +317,7 @@ func TestRequeueBarrier(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		s.At(1, func() {
 			order = append(order, name)
-			s.Reschedule(barrier, s.Now())
+			reschedule(s, barrier, s.Now())
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -326,6 +337,76 @@ func TestRequeueBarrier(t *testing.T) {
 	}
 	if s.Now() != 1 {
 		t.Fatalf("clock = %v, want 1", s.Now())
+	}
+}
+
+// TestMoveAtDrawnRank pins Move's rank semantics: an event queued at a
+// rank drawn with Seq fires where an At at the moment of the draw would,
+// whatever was scheduled in between; a pending event moved to another
+// drawn rank takes that rank's place; an unqueued event from NewEvent is
+// not pending until Move queues it; and the stats count a Move of an idle
+// event as a scheduling, a Move of a pending one as a reschedule, and a
+// Move to the current (time, rank) as nothing.
+func TestMoveAtDrawnRank(t *testing.T) {
+	s := New()
+	var st Stats
+	s.SetStats(&st)
+	var order []string
+	early := s.Seq()
+	s.At(5, func() { order = append(order, "at") })
+	late := s.Seq()
+	e := NewEvent(func() { order = append(order, "moved") })
+	if e.Scheduled() {
+		t.Fatal("NewEvent returned a pending event")
+	}
+	s.Move(e, 5, late)
+	if !e.Scheduled() || e.When() != 5 {
+		t.Fatalf("Move left the event pending=%v at %v, want pending at 5", e.Scheduled(), e.When())
+	}
+	s.Move(e, 5, late) // same place: no-op
+	s.Move(e, 5, early)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"moved", "at"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if st.Scheduled != 2 || st.Reschedules != 1 || st.Dispatched != 2 {
+		t.Fatalf("stats %+v, want 2 scheduled (At and the first Move), 1 reschedule, 2 dispatched", st)
+	}
+	// Moved again after firing, at its old rank: still ahead of an
+	// equal-time event drawn after it.
+	order = order[:0]
+	s.At(8, func() { order = append(order, "at") })
+	s.Move(e, 8, early)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"moved", "at"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order after re-queue = %v, want %v", order, want)
+	}
+}
+
+// TestMoveRejectsBadInput pins Move's two panics: a time before now, and
+// a rank Seq has not drawn yet.
+func TestMoveRejectsBadInput(t *testing.T) {
+	expectPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	s := New()
+	s.At(2, func() {})
+	s.Step()
+	e := NewEvent(func() {})
+	expectPanic("Move into the past", func() { s.Move(e, 1, s.Seq()) })
+	expectPanic("Move to an undrawn rank", func() { s.Move(e, 3, s.nextSeq) })
+	if e.Scheduled() || s.Pending() != 0 {
+		t.Fatal("a rejected Move queued the event")
 	}
 }
 
@@ -374,53 +455,13 @@ func TestDefer(t *testing.T) {
 	}
 }
 
-// TestReservePreservesOrderAndGrows checks that pre-sizing the heap spine
-// is invisible to the determinism contract: a reserved queue fires the
-// same order as an unreserved one, Reserve mid-stream keeps pending
-// events, and undersized or repeated calls are no-ops.
-func TestReservePreservesOrderAndGrows(t *testing.T) {
-	run := func(reserve int) []int {
-		s := New()
-		if reserve > 0 {
-			s.Reserve(reserve)
-		}
-		var order []int
-		for j := 0; j < 200; j++ {
-			j := j
-			s.At(Time(j%13), func() { order = append(order, j) })
-			if j == 100 {
-				// Mid-stream growth must carry the queued half over.
-				s.Reserve(4 * reserve)
-			}
-		}
-		s.Reserve(1) // undersized: no-op
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return order
-	}
-	base := run(0)
-	reserved := run(64)
-	if len(base) != 200 || len(reserved) != 200 {
-		t.Fatalf("fired %d/%d events, want 200", len(base), len(reserved))
-	}
-	for i := range base {
-		if base[i] != reserved[i] {
-			t.Fatalf("order diverged at %d: %d vs %d", i, base[i], reserved[i])
-		}
-	}
-}
-
-// heapChurn drives the queue through the access pattern the scale
-// campaigns generate: build up a large pending set, then interleave
-// reschedules (the rebalancer's hot call) with dispatch until drained.
-func heapChurn(b *testing.B, n int, reserve bool) {
+// heapChurn drives the queue through a large pending set: build it up,
+// move every pending event in place at its own rank, then dispatch until
+// drained.
+func heapChurn(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := New()
-		if reserve {
-			s.Reserve(n)
-		}
 		// Deterministic xorshift times; no rand dependency in the hot loop.
 		state := uint64(0x9e3779b97f4a7c15)
 		next := func() Time {
@@ -434,17 +475,16 @@ func heapChurn(b *testing.B, n int, reserve bool) {
 			events[j] = s.At(next(), func() {})
 		}
 		for _, e := range events {
-			s.Reschedule(e, e.When()+next())
+			s.Move(e, e.When()+next(), e.seq)
 		}
 		for s.Step() {
 		}
 	}
 }
 
-// BenchmarkHeapChurn100k measures queue maintenance at the scale
-// campaign's high-water mark; the Reserved variant pre-sizes the spine.
-func BenchmarkHeapChurn100k(b *testing.B)         { heapChurn(b, 100_000, false) }
-func BenchmarkHeapChurn100kReserved(b *testing.B) { heapChurn(b, 100_000, true) }
+// BenchmarkHeapChurn100k measures queue maintenance with 100k pending
+// events.
+func BenchmarkHeapChurn100k(b *testing.B) { heapChurn(b, 100_000) }
 
 // TestReset checks that a reset simulation is indistinguishable from a new
 // one: clock, counters and queue back at zero, stats detached, stale event

@@ -8,8 +8,9 @@ package simnet
 // it marks the touched component dirty, and the first mark of an event
 // defers one flush through simkernel.Simulation.Defer. The flush runs when
 // the event's callback returns, before the kernel pops the next event: it
-// solves each dirty component once, in first-mark order, and re-derives its
-// flows' completion events. Outside the event loop (setup code, tests)
+// solves each dirty component once, in first-mark order, re-derives its
+// flows' completion instants and re-arms its one completion event.
+// Outside the event loop (setup code, tests)
 // Defer runs the flush at once, so a mutation made there returns with its
 // component solved.
 //
@@ -20,24 +21,25 @@ package simnet
 // Determinism. The flush is not a kernel event: it takes no sequence
 // number and is not counted, so no event is added, dropped or reordered by
 // it, and since it drains before the next pop, no completion event can
-// fire while its component is dirty. What the flush solves is exactly what
-// a solve after the event's last mutation would solve: the waterfill reads
-// only the component's membership (flows in (Name, seq) order, resources
-// in idx order, caps and capacities), never a previous solve's rates, so
-// the rates, unsent volumes and completion instants at every event
-// boundary are bit-identical to a solve after every mutation. A pending
-// completion event is moved in place and keeps its FIFO rank, so the
-// intermediate moves a per-mutation solve would make are invisible. Two
-// things do differ from a per-mutation solve: observers see one re-balance
-// per dirty component per event, and a completion event first scheduled
-// (or re-queued after a zero-rate cancel) during the event takes its
-// sequence number at the flush — after any event the callback scheduled
-// itself, and in flush order rather than mutation order — which decides
-// only the order of completions due at exactly the same instant. The
-// differential fuzzer FuzzBatchedVsSequentialEvents checks the full
-// per-flow state against a flush-after-every-mutation oracle at every
-// event boundary, at 0 ULP, up to the first such tie the two order
-// differently.
+// fire while its component is dirty (a dirty component's event may still
+// point at a departed flow; the flush re-arms or cancels it first). What
+// the flush solves is exactly what a solve after the event's last
+// mutation would solve: the waterfill reads only the component's
+// membership (flows in (Name, seq) order, resources in idx order, caps and
+// capacities), never a previous solve's rates, so the rates, unsent
+// volumes and completion instants at every event boundary are
+// bit-identical to a solve after every mutation. A queued flow keeps its
+// FIFO rank when its instant moves, so the intermediate moves a
+// per-mutation solve would make are invisible. Two things do differ from
+// a per-mutation solve: observers see one re-balance per dirty component
+// per event, and a flow first queued (or re-queued after a stall at rate
+// zero) during the event draws its rank at the flush — after any event
+// the callback scheduled itself, and in flush order rather than mutation
+// order — which decides only the order of completions due at exactly the
+// same instant. The differential fuzzer FuzzBatchedVsSequentialEvents
+// checks the full per-flow state against a flush-after-every-mutation
+// oracle at every event boundary, at 0 ULP, up to the first such tie the
+// two order differently.
 
 // markDirty queues c for the end-of-event flush and defers the flush if
 // this event has not yet done so. The first mark records the triggering
@@ -57,8 +59,8 @@ func (n *Network) markDirty(c *component, trig SolveTrigger) {
 	}
 }
 
-// flush solves every dirty component once and re-derives its completion
-// events. Components dropped (emptied or merged away) since their mark
+// flush solves every dirty component once and re-arms its completion
+// event. Components dropped (emptied or merged away) since their mark
 // had their dirty flag cleared by reset, so the flag doubles as the
 // dedup: each component is solved at most once no matter how many stale
 // list entries point at it. Solving never marks a component, so the list

@@ -33,8 +33,8 @@ func manyCompNet(comps int) (*simkernel.Simulation, *Network, []*Resource) {
 // end-of-event flush. Only this event is fired: the flows' far-future
 // completion events stay queued, as virtual time must not advance, or the
 // long-running flows would complete and later iterations would measure
-// empty components. It re-queues one event instead of scheduling a new
-// one per call, so the harness itself does not allocate.
+// empty components. It re-queues one event at a fresh rank instead of
+// scheduling a new one per call, so the harness itself does not allocate.
 type eventRunner struct {
 	sim *simkernel.Simulation
 	ev  *simkernel.Event
@@ -44,10 +44,9 @@ type eventRunner struct {
 func (r *eventRunner) run(fn func()) {
 	r.fn = fn
 	if r.ev == nil {
-		r.ev = r.sim.At(r.sim.Now(), func() { r.fn() })
-	} else {
-		r.sim.Reschedule(r.ev, r.sim.Now())
+		r.ev = simkernel.NewEvent(func() { r.fn() })
 	}
+	r.sim.Move(r.ev, r.sim.Now(), r.sim.Seq())
 	r.sim.Step()
 }
 

@@ -1,6 +1,10 @@
 package simnet
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/simkernel"
+)
 
 // component is one connected piece of the flow↔resource bipartite graph:
 // the set of in-flight flows reachable from each other through shared
@@ -54,6 +58,14 @@ type component struct {
 	// classification.
 	dirty    bool
 	pendTrig SolveTrigger
+
+	// event is the component's one completion event, allocated with its
+	// callback when the struct is first built and kept across pool reuse.
+	// Whenever the component is not dirty, it is pending exactly at the
+	// smallest (at, rank) of the component's queued flows, and next is
+	// that flow; with no flow queued it is not pending and next is nil.
+	event *simkernel.Event
+	next  *Flow
 }
 
 // flowBefore is the canonical in-component flow order: by name, then by
@@ -162,6 +174,7 @@ func (c *component) reset() {
 	c.removals = 0
 	c.dirty = false
 	c.pendTrig = 0
+	c.next = nil
 }
 
 // newComp returns an empty component from the free list (or a fresh one),
@@ -174,12 +187,14 @@ func (n *Network) newComp() *component {
 		n.compPool = n.compPool[:k-1]
 	} else {
 		c = &component{}
+		c.event = simkernel.NewEvent(func() { n.complete(c.next) })
 	}
 	n.comps = append(n.comps, c)
 	return c
 }
 
-// dropComp removes an emptied component from the network and pools it.
+// dropComp removes an emptied (or merged-away) component from the network,
+// cancels its event and pools it.
 func (n *Network) dropComp(c *component) {
 	for i, x := range n.comps {
 		if x == c {
@@ -189,6 +204,7 @@ func (n *Network) dropComp(c *component) {
 			break
 		}
 	}
+	n.sim.Cancel(c.event)
 	c.reset()
 	n.compPool = append(n.compPool, c)
 }
@@ -319,6 +335,11 @@ func (n *Network) rebuildComp(c *component) []*component {
 	for i := range fragOf {
 		fragOf[i] = -1
 	}
+	// c's event may point at a flow another fragment takes over. Every
+	// fragment is re-armed by the flush; until then, c must not hold the
+	// flow's rank alongside that fragment.
+	n.sim.Cancel(c.event)
+	c.next = nil
 	// Move the membership aside and reuse c as the first fragment.
 	n.mergeFlows = append(n.mergeFlows[:0], c.flows...)
 	n.mergeRes = append(n.mergeRes[:0], c.resources...)

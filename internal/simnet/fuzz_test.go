@@ -342,7 +342,9 @@ func verifyNet(t *testing.T, n *Network) {
 	}
 
 	// Reference solve per component: 0 ULP against stored rates, then
-	// completion events at exactly the derived instants.
+	// completions queued at exactly the derived instants, and the
+	// component's one event at the earliest of them.
+	ranks := map[uint64]*Flow{}
 	for _, c := range n.comps {
 		want := make([]uint64, len(c.flows))
 		for i, f := range c.flows {
@@ -355,25 +357,52 @@ func verifyNet(t *testing.T, n *Network) {
 			}
 		}
 		verifyKKT(t, c.flows, c.resources)
+		var next *Flow
 		for _, f := range c.flows {
 			switch {
 			case f.remaining <= 0:
-				if f.event == nil || !f.event.Scheduled() || f.event.When() != f.settledAt {
-					t.Fatalf("flow %s drained but completion not pending now", f.Name)
+				if !f.queued || f.at != f.settledAt {
+					t.Fatalf("flow %s drained but completion not queued now", f.Name)
 				}
 			case f.rate <= 0:
-				if f.event != nil && f.event.Scheduled() {
-					t.Fatalf("flow %s stalled but still has a completion event", f.Name)
+				if f.queued {
+					t.Fatalf("flow %s stalled but its completion is still queued", f.Name)
 				}
 			default:
 				at := f.settledAt + simkernel.Time(f.remaining/f.rate)
-				if f.event == nil || !f.event.Scheduled() {
-					t.Fatalf("flow %s running without a completion event", f.Name)
+				if !f.queued {
+					t.Fatalf("flow %s running without a queued completion", f.Name)
 				}
-				if f.event.When() != at {
-					t.Fatalf("flow %s completion at %v, settled state says %v", f.Name, f.event.When(), at)
+				if f.at != at {
+					t.Fatalf("flow %s completion at %v, settled state says %v", f.Name, f.at, at)
 				}
 			}
+			if !f.queued {
+				continue
+			}
+			if g := ranks[f.rank]; g != nil {
+				t.Fatalf("flows %s and %s share completion rank %d", g.Name, f.Name, f.rank)
+			}
+			ranks[f.rank] = f
+			if next == nil || f.at < next.at || (f.at == next.at && f.rank < next.rank) {
+				next = f
+			}
+		}
+		switch {
+		case next == nil:
+			if c.event.Scheduled() || c.next != nil {
+				t.Fatal("component with no queued flow has its event pending")
+			}
+		case !c.event.Scheduled() || c.next != next:
+			t.Fatalf("component event pending=%v, want pending for its earliest flow %s", c.event.Scheduled(), next.Name)
+		case c.event.When() != next.at || c.event.Rank() != next.rank:
+			t.Fatalf("component event at (%v, %d), earliest flow %s at (%v, %d)",
+				c.event.When(), c.event.Rank(), next.Name, next.at, next.rank)
+		}
+	}
+	for _, c := range n.compPool {
+		if c.event.Scheduled() || c.next != nil {
+			t.Fatal("a pooled component's event is still pending")
 		}
 	}
 }
@@ -500,12 +529,12 @@ func decodeClusteredScenario(data []byte) fzScenario {
 	return sc
 }
 
-// pendingAt is the instant f's completion event is queued for, or Never.
+// pendingAt is the instant f's completion is queued for, or Never.
 func pendingAt(f *Flow) simkernel.Time {
-	if f.event == nil || !f.event.Scheduled() {
+	if !f.queued {
 		return simkernel.Never
 	}
-	return f.event.When()
+	return f.at
 }
 
 // dueNext returns the in-flight flows of w whose completion is due at the

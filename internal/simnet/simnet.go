@@ -202,10 +202,19 @@ type Flow struct {
 	started simkernel.Time
 	done    bool
 	inNet   bool
+	queued  bool   // at and rank hold the flow's completion
 	seq     uint64 // start order; tie-break for equal names
-	event   *simkernel.Event
 	comp    *component
 	net     *Network
+
+	// The flow's completion, while queued: the instant and the FIFO rank
+	// (drawn from the kernel's sequence counter) at which a completion
+	// event of its own would sit in the kernel's queue. The component's
+	// one event is armed at the smallest (at, rank) of its queued flows.
+	// A flow is unqueued from its start until its first solve, while it
+	// stalls at rate zero, and once it has left the network.
+	at   simkernel.Time
+	rank uint64
 
 	frozen bool // solver scratch
 
@@ -337,14 +346,16 @@ func (f *Flow) buildUses() {
 // sorted registries, partitioned into connected components of the
 // flow↔resource graph. A mutation (flow start, completion, abort,
 // capacity change) settles and re-links only the component it touches and
-// marks it dirty; each dirty component is re-solved and rescheduled once,
+// marks it dirty; each dirty component is re-solved and re-armed once,
 // when the kernel event that mutated it returns (see batch.go). Rates are
 // therefore current at event boundaries, and immediately after a mutation
 // made outside the event loop. Every other component's rates, unsent
-// volumes and completion events are left untouched. Steady-state
-// rebalancing performs no heap allocations: no map collection, no
-// per-call sorting, and completion events are rescheduled in place rather
-// than reallocated.
+// volumes and completion event are left untouched. Each component owns
+// one kernel event, armed at the earliest completion among its flows, so
+// the kernel's queue holds one network event per component, not one per
+// flow. Steady-state rebalancing performs no heap allocations: no map
+// collection, no per-call sorting, and the component's event is moved in
+// place rather than reallocated.
 type Network struct {
 	sim       *simkernel.Simulation
 	resources []*Resource
@@ -451,14 +462,15 @@ func (n *Network) init() {
 // declarations stay. Flows still in flight are dropped without a callback
 // and may be started again. Components go back to the free list and
 // scratch buffers keep their capacity, so a reused network does not
-// regrow them. Like every mutation, Reset must not run inside an event;
-// reset the simulation alongside it, since dropped flows' completion
-// events stay queued there.
+// regrow them. The components' completion events are cancelled, so they
+// leave the simulation's queue whether it is reset before the network or
+// not. Like every mutation, Reset must not run inside an event.
 func (n *Network) Reset() {
 	for _, c := range n.comps {
 		for _, f := range c.flows {
-			f.inNet, f.comp, f.event, f.rate = false, nil, nil, 0
+			f.inNet, f.comp, f.queued, f.rate = false, nil, false, 0
 		}
+		n.sim.Cancel(c.event)
 		c.reset()
 		n.compPool = append(n.compPool, c)
 	}
@@ -483,7 +495,7 @@ func (n *Network) Reset() {
 		frags:       n.frags,
 		startComps:  n.startComps,
 		forceGlobal: n.forceGlobal,
-		sv:          solver{unfrozen: n.sv.unfrozen, cappedBuf: n.sv.cappedBuf, cands: n.sv.cands},
+		sv:          solver{unfrozen: n.sv.unfrozen, cands: n.sv.cands},
 		hier:        n.hier,
 		dirtyComps:  n.dirtyComps[:0],
 	}
@@ -695,10 +707,6 @@ func (n *Network) Abort(f *Flow) {
 	}
 	now := n.sim.Now()
 	c := n.detach(f, now)
-	if f.event != nil {
-		n.sim.Cancel(f.event)
-		f.event = nil
-	}
 	f.rate = 0
 	if n.observer != nil {
 		n.observer(now, f, 0)
@@ -737,6 +745,7 @@ func (n *Network) detach(f *Flow, now simkernel.Time) *component {
 		c.stale = true
 	}
 	f.inNet = false
+	f.queued = false
 	f.comp = nil
 	return c
 }
@@ -826,23 +835,20 @@ func (n *Network) settleRescheduleAll() {
 	for _, c := range n.comps {
 		if c.dirty {
 			// This component's rates are stale until the end-of-event
-			// flush re-solves it, and the flush reschedules every one of
-			// its flows from the fresh rates anyway.
+			// flush re-solves it, and the flush re-arms it from the fresh
+			// rates anyway.
 			continue
 		}
-		for _, f := range c.flows {
-			n.scheduleCompletion(f, now)
-		}
+		n.scheduleComp(c, now)
 	}
 }
 
 // rebalanceComp recomputes fair-share rates for one component and
-// reschedules its completion events; completion events of every other
-// component are not touched at all. The component is solved by partition
-// when the network has declared separators and the component is large
-// enough and splits into rack-local groups, with the flat waterfill
-// otherwise. In steady state (buffers warmed up, every flow already
-// carrying its completion event) this performs zero heap allocations.
+// re-arms its completion event; the event of every other component is not
+// touched at all. The component is solved by partition when the network
+// has declared separators and the component is large enough and splits
+// into rack-local groups, with the flat waterfill otherwise. In steady
+// state (buffers warmed up) this performs zero heap allocations.
 func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrigger) {
 	if len(c.flows) == 0 {
 		return
@@ -873,10 +879,12 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrig
 		n.stats.Solves[trig]++
 		n.stats.ComponentFlows.Observe(uint64(len(c.flows)))
 	}
-	for i, f := range c.flows {
-		n.scheduleCompletion(f, now)
-		if n.observer != nil && f.rate != n.oldRates[i] {
-			n.observer(now, f, f.rate)
+	n.scheduleComp(c, now)
+	if n.observer != nil {
+		for i, f := range c.flows {
+			if f.rate != n.oldRates[i] {
+				n.observer(now, f, f.rate)
+			}
 		}
 	}
 	if n.resObserver != nil {
@@ -896,41 +904,56 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrig
 	}
 }
 
-func (n *Network) scheduleCompletion(f *Flow, now simkernel.Time) {
-	var at simkernel.Time
-	switch {
-	case f.remaining <= 0:
-		at = now
-	case f.rate <= 0:
-		at = simkernel.Never
-	default:
-		at = now + simkernel.Time(f.remaining/f.rate)
-	}
-	if at == simkernel.Never {
-		if f.event != nil {
-			n.sim.Cancel(f.event)
+// scheduleComp re-derives the completion of every flow of c from its
+// settled volume and current rate, then arms c's event at the earliest.
+//
+// Each flow's (at, rank) is exactly the (time, sequence) its own
+// completion event would carry: a flow that is already queued keeps its
+// rank when its instant moves, as a pending event moved in place would,
+// and a flow that is not queued (on its first schedule, or after a stall
+// at rate zero) draws a fresh rank from the kernel's counter, in flow
+// order, where At would have drawn one. The kernel orders events by
+// (time, rank) alone, so the one component event, armed at its flows'
+// smallest pair, fires when and in the order the earliest of the per-flow
+// events would have, against every other event and every other
+// component; and the flows' ranks advance the counter at the same points
+// and in the same order, so every other event keeps its rank too.
+func (n *Network) scheduleComp(c *component, now simkernel.Time) {
+	var next *Flow
+	for _, f := range c.flows {
+		switch {
+		case f.remaining <= 0:
+			f.at = now
+		case f.rate <= 0:
+			f.queued = false
+			continue
+		default:
+			f.at = now + simkernel.Time(f.remaining/f.rate)
 		}
+		if !f.queued {
+			f.rank = n.sim.Seq()
+			f.queued = true
+		}
+		if next == nil || f.at < next.at || (f.at == next.at && f.rank < next.rank) {
+			next = f
+		}
+	}
+	c.next = next
+	if next == nil {
+		n.sim.Cancel(c.event)
 		return
 	}
-	if f.event == nil {
-		// First schedule for this flow: allocate the event and its
-		// callback once; later rate changes move it in place.
-		f.event = n.sim.At(at, func() { n.complete(f) })
-		return
-	}
-	if f.event.Scheduled() && f.event.When() == at {
-		return
-	}
-	n.sim.Reschedule(f.event, at)
+	n.sim.Move(c.event, next.at, next.rank)
 }
 
+// complete removes f, the earliest completion of its component, when the
+// component's event fires.
 func (n *Network) complete(f *Flow) {
 	if !f.inNet {
 		return
 	}
 	now := n.sim.Now()
 	c := n.detach(f, now)
-	f.event = nil
 	f.done = true
 	f.remaining = 0
 	f.rate = 0

@@ -49,17 +49,14 @@ type solver struct {
 	// scratch costs more than the solve itself.
 	unfrozen []int32
 	// capped is the capped flows in ascending (Cap, Name, seq) order;
-	// capped[capHead:] starts at the cap frontier. For component solves it
-	// aliases the component's incrementally maintained list (never
-	// written); frozen entries are not compacted out — the head cursor
-	// advances past them, and the freeze prefix walk skips them — so
-	// maintaining the frontier costs O(freezes) total rather than
-	// O(capped) per pass.
+	// capped[capHead:] starts at the cap frontier. It aliases the caller's
+	// list — for component solves the component's incrementally
+	// maintained one — and is never written; frozen entries are not
+	// compacted out — the head cursor advances past them, and the freeze
+	// prefix walk skips them — so maintaining the frontier costs
+	// O(freezes) total rather than O(capped) per pass.
 	capped  []*Flow
 	capHead int
-	// cappedBuf backs capped for ad hoc (FairShare) inputs that arrive
-	// without a pre-sorted list.
-	cappedBuf []*Flow
 	// cands is the compacted candidate bottleneck list as indices into
 	// the solve's input resource slice, always order-preserving.
 	cands []int32
@@ -111,10 +108,10 @@ func capOrder(a, b *Flow) int {
 // solve assigns weighted max-min fair rates to the flows in place,
 // performing bit-for-bit the same floating-point operations as
 // solveReference on the same input. resources must contain every
-// resource the flows touch, in registration order. capped, when non-nil,
-// must be exactly the flows with Cap > 0 in capOrder (components maintain
-// it incrementally; passing it skips a per-solve sort); nil means build
-// and sort it here.
+// resource the flows touch, in registration order. capped must be exactly
+// the flows with Cap > 0, in capOrder; nil means none is capped.
+// Components maintain the list incrementally, so a solve never rescans
+// its flows for caps.
 func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 	for _, f := range flows {
 		f.frozen = false
@@ -129,18 +126,7 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 	for i := range flows {
 		s.unfrozen = append(s.unfrozen, int32(i))
 	}
-	if capped != nil {
-		s.capped = capped
-	} else {
-		s.cappedBuf = s.cappedBuf[:0]
-		for _, f := range flows {
-			if f.Cap > 0 {
-				s.cappedBuf = append(s.cappedBuf, f)
-			}
-		}
-		slices.SortFunc(s.cappedBuf, capOrder)
-		s.capped = s.cappedBuf
-	}
+	s.capped = capped
 	s.capHead = 0
 	s.cands = s.cands[:0]
 	for i := range resources {
@@ -269,8 +255,15 @@ func (s *solver) freeze(f *Flow, rate float64) {
 }
 
 // solve is the package-level entry point used by FairShare and tests: a
-// throwaway unindexed solver with a local cap sort.
+// throwaway unindexed solver over a cap list built and sorted here.
 func solve(flows []*Flow, resources []*Resource) {
+	var capped []*Flow
+	for _, f := range flows {
+		if f.Cap > 0 {
+			capped = append(capped, f)
+		}
+	}
+	slices.SortFunc(capped, capOrder)
 	var s solver
-	s.solve(flows, resources, nil)
+	s.solve(flows, resources, capped)
 }
