@@ -152,41 +152,17 @@ func run(fig string, opts experiments.Options, outDir string) error {
 	}
 	all := fig == "all"
 	did := false
-	for _, f := range []struct {
-		name string
-		fn   func(experiments.Options, string) error
-	}{
-		{"2a", fig2(cluster.Scenario1Ethernet)},
-		{"2b", fig2(cluster.Scenario2Omnipath)},
-		{"4a", fig4(cluster.Scenario1Ethernet)},
-		{"4b", fig4(cluster.Scenario2Omnipath)},
-		{"5a", fig5(cluster.Scenario1Ethernet)},
-		{"5b", fig5(cluster.Scenario2Omnipath)},
-		{"6a", fig6(cluster.Scenario1Ethernet)},
-		{"6b", fig6(cluster.Scenario2Omnipath)},
-		{"8", fig8or10(cluster.Scenario1Ethernet)},
-		{"10", fig8or10(cluster.Scenario2Omnipath)},
-		{"11", fig11},
-		{"12", fig12and13},
-		{"13", fig12and13},
-		{"lessons", lessons},
-		{"extnn", extNN},
-		{"extread", extRead},
-		{"policy", policy},
-		{"resilience", resilience},
-		{"chaos", chaos},
-		{"scale", scale},
-	} {
+	for _, f := range figures {
 		if !all && fig != f.name {
 			continue
 		}
 		did = true
+		if all && f.name == "13" {
+			// Figure 12's entry already wrote Figure 13.
+			continue
+		}
 		if err := f.fn(opts, outDir); err != nil {
 			return fmt.Errorf("fig %s: %w", f.name, err)
-		}
-		if f.name == "12" && (all || fig == "12") {
-			// fig12and13 covers 13 too; skip the duplicate entry.
-			fig13done = true
 		}
 		if !all {
 			break
@@ -198,7 +174,32 @@ func run(fig string, opts experiments.Options, outDir string) error {
 	return nil
 }
 
-var fig13done bool
+// figures is run's dispatch table, in -fig all order.
+var figures = []struct {
+	name string
+	fn   func(experiments.Options, string) error
+}{
+	{"2a", fig2(cluster.Scenario1Ethernet)},
+	{"2b", fig2(cluster.Scenario2Omnipath)},
+	{"4a", fig4(cluster.Scenario1Ethernet)},
+	{"4b", fig4(cluster.Scenario2Omnipath)},
+	{"5a", fig5(cluster.Scenario1Ethernet)},
+	{"5b", fig5(cluster.Scenario2Omnipath)},
+	{"6a", fig6(cluster.Scenario1Ethernet)},
+	{"6b", fig6(cluster.Scenario2Omnipath)},
+	{"8", fig8or10(cluster.Scenario1Ethernet)},
+	{"10", fig8or10(cluster.Scenario2Omnipath)},
+	{"11", fig11},
+	{"12", fig12and13},
+	{"13", fig12and13},
+	{"lessons", lessons},
+	{"extnn", extNN},
+	{"extread", extRead},
+	{"policy", policy},
+	{"resilience", resilience},
+	{"chaos", chaos},
+	{"scale", scale},
+}
 
 // capReps bounds the repetitions of a campaign too costly to run at the
 // paper's 100, and says so on stdout when it does.
@@ -383,9 +384,6 @@ func fig11(opts experiments.Options, outDir string) error {
 }
 
 func fig12and13(opts experiments.Options, outDir string) error {
-	if fig13done {
-		return nil
-	}
 	rows, err := experiments.Fig12(opts)
 	if err != nil {
 		return err

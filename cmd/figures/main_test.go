@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func tinyOpts() experiments.Options {
@@ -72,6 +73,49 @@ func TestRunExtensionFigures(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ext_policy.csv")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunEveryFigureRecords runs every entry of the dispatch table with a
+// sinkless pipeline attached: each must record kernel activity, and every
+// progress label it registers must complete exactly the repetitions it
+// announced. Figures 12, 13 and lessons need about 20 repetitions for
+// their share-all/share-none groups to fill.
+func TestRunEveryFigureRecords(t *testing.T) {
+	for _, f := range figures {
+		t.Run(f.name, func(t *testing.T) {
+			opts := tinyOpts()
+			opts.Reps = 20
+			opts.Pipeline = obs.NewPipeline()
+			if err := run(f.name, opts, ""); err != nil {
+				t.Fatal(err)
+			}
+			if got := opts.Pipeline.Registry().Counter("simkernel/events_dispatched"); got == 0 {
+				t.Fatal("simkernel/events_dispatched is zero")
+			}
+			for _, rs := range opts.Pipeline.Runs() {
+				if rs.Done != rs.Total {
+					t.Errorf("progress %q: %d of %d repetitions", rs.Label, rs.Done, rs.Total)
+				}
+			}
+		})
+	}
+}
+
+// TestRunFig13AfterFig12 runs Figure 13 on its own after Figure 12 in the
+// same process: it must still write its CSV.
+func TestRunFig13AfterFig12(t *testing.T) {
+	opts := tinyOpts()
+	opts.Reps = 20
+	if err := run("12", opts, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := run("13", opts, dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig13.csv")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -246,9 +246,6 @@ func run(api, bStr, tStr string, segments int, fpp, write, read bool, reps int, 
 		st.FlushTo(col)
 		col.Release()
 		pl.RepDone("iorsim")
-		if err := pl.FlushSinks(); err != nil {
-			return err
-		}
 		results[rep] = res
 		return nil
 	}

@@ -1,5 +1,5 @@
-// Timeline: the paper's Figure 9, live. Attach a trace recorder to the
-// simulation, write one file per allocation class over the two storage
+// Timeline: the paper's Figure 9, live. Observe the simulation's flow
+// rates, write one file per allocation class over the two storage
 // servers, and render each server's bandwidth timeline — showing why the
 // (1,1) allocation finishes in half the time of (0,2), and why (1,3)
 // leaves one server idle for three quarters of the run.
@@ -14,7 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/simkernel"
-	"repro/internal/trace"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -43,8 +43,24 @@ func runCase(name string, targetIDs []int) error {
 		return err
 	}
 	fs := dep.FS
-	rec := trace.NewRecorder()
-	dep.Net.Observe(rec.Hook())
+	// Record the first flow the network reports as a step series of its
+	// rate: each point holds until the next, and a same-instant update
+	// supersedes the previous one.
+	var first string
+	var steps []step
+	dep.Net.Observe(func(at simkernel.Time, f *simnet.Flow, rate float64) {
+		if first == "" {
+			first = f.Name
+		}
+		if f.Name != first {
+			return
+		}
+		if n := len(steps); n > 0 && steps[n-1].at == float64(at) {
+			steps[n-1].rate = rate
+			return
+		}
+		steps = append(steps, step{at: float64(at), rate: rate})
+	})
 
 	// Build the file on the exact targets of the case (bypassing the
 	// chooser, which is the variable under study here).
@@ -105,17 +121,19 @@ func runCase(name string, targetIDs []int) error {
 		fmt.Printf("  %-6s |%s| %3.0f%% of NIC (%.0f MiB/s)\n",
 			h.Name, utilStrip(util, 48), util*100, flowRate*share)
 	}
-	// One writer node's rate timeline from the live trace.
-	if flows := rec.Flows(); len(flows) > 0 {
-		fmt.Printf("  node1  |%s| rate over time\n", rec.Sparkline(flows[0], end, 48))
+	// One writer node's rate timeline from the live observer.
+	if len(steps) > 0 {
+		fmt.Printf("  node1  |%s| rate over time\n", sparkline(steps, end, 48))
 	}
 	fmt.Println()
 	return nil
 }
 
+// levels are the ten density characters of the strips, lowest first.
+const levels = " .:-=+*#%@"
+
 // utilStrip renders a constant utilization level as a 0..9 density strip.
 func utilStrip(util float64, width int) string {
-	levels := " .:-=+*#%@"
 	idx := int(util * float64(len(levels)-1))
 	if idx < 0 {
 		idx = 0
@@ -124,4 +142,34 @@ func utilStrip(util float64, width int) string {
 		idx = len(levels) - 1
 	}
 	return strings.Repeat(string(levels[idx]), width)
+}
+
+// step is one point of a rate timeline: the flow ran at rate from at
+// until the next point's at.
+type step struct{ at, rate float64 }
+
+// sparkline renders a rate timeline as a fixed-width strip sampled
+// uniformly over [0, end], scaled to the timeline's peak rate.
+func sparkline(steps []step, end float64, width int) string {
+	maxRate := 0.0
+	for _, p := range steps {
+		maxRate = max(maxRate, p.rate)
+	}
+	if maxRate == 0 {
+		return strings.Repeat(" ", width)
+	}
+	// Sample times ascend, as do the steps, so one forward cursor serves
+	// every column.
+	var b strings.Builder
+	j, rate := 0, 0.0
+	for i := 0; i < width; i++ {
+		t := end * (float64(i) + 0.5) / float64(width)
+		for j < len(steps) && steps[j].at <= t {
+			rate = steps[j].rate
+			j++
+		}
+		lvl := min(max(int(rate/maxRate*float64(len(levels)-1)), 0), len(levels)-1)
+		b.WriteByte(levels[lvl])
+	}
+	return b.String()
 }

@@ -23,9 +23,6 @@ type Mgmtd struct {
 	consistency map[int]Consistency
 	subscribers []func(t *storagesim.Target, online bool)
 	reachSubs   []func(t *storagesim.Target, from, to Reachability)
-	// reachObserver is the tracer's single detachable slot, fired after the
-	// subscribers on every reachability transition.
-	reachObserver func(t *storagesim.Target, from, to Reachability)
 }
 
 // NewMgmtd registers the targets in the given order. The order matters:
@@ -50,8 +47,8 @@ func NewMgmtd(order []*storagesim.Target) (*Mgmtd, error) {
 }
 
 // reset returns the service to the state NewMgmtd creates it in: every
-// target published Online and Good, no subscriber or observer, the same
-// registration order.
+// target published Online and Good, no subscriber, the same registration
+// order.
 func (m *Mgmtd) reset() {
 	clear(m.reach)
 	clear(m.consistency)
@@ -206,16 +203,9 @@ func (m *Mgmtd) SubscribeReach(fn func(t *storagesim.Target, from, to Reachabili
 	m.reachSubs = append(m.reachSubs, fn)
 }
 
-// SetReachObserver installs (or with nil removes) the tracer's transition
-// observer. Unlike SubscribeReach it is a single replaceable slot, so the
-// observability layer can detach cleanly between repetitions.
-func (m *Mgmtd) SetReachObserver(fn func(t *storagesim.Target, from, to Reachability)) {
-	m.reachObserver = fn
-}
-
 // SetReachability publishes a new reachability verdict for a target.
 // Redundant updates are no-ops; effective ones notify the reach
-// subscribers, the tracer observer, and — when the Offline boundary is
+// subscribers (the tracer among them) and — when the Offline boundary is
 // crossed — the legacy online/offline subscribers. Unknown IDs return an
 // error.
 func (m *Mgmtd) SetReachability(id int, to Reachability) error {
@@ -234,9 +224,6 @@ func (m *Mgmtd) SetReachability(id int, to Reachability) error {
 	}
 	for _, fn := range m.reachSubs {
 		fn(t, from, to)
-	}
-	if m.reachObserver != nil {
-		m.reachObserver(t, from, to)
 	}
 	if (from == Offline) != (to == Offline) {
 		online := to != Offline

@@ -13,11 +13,12 @@ import (
 
 // RunStats bundles one repetition's per-layer activity counters. The
 // layers update their plain structs behind nil checks while the
-// simulation runs single-goroutine; FlushTo merges the totals into a
-// shared registry afterwards. Because every merged quantity is a uint64
-// sum, max or histogram-bucket addition, the merge is order-independent —
-// parallel campaign workers flushing in any order produce the same
-// registry, which keeps the exported metrics JSON deterministic.
+// simulation runs single-goroutine; FlushTo records the totals into a
+// pipeline collector afterwards. Because every merged quantity is a
+// uint64 sum, max or histogram-bucket addition, the merge is
+// order-independent — parallel campaign workers flushing in any order
+// produce the same registry, which keeps the exported metrics
+// deterministic.
 type RunStats struct {
 	Kernel simkernel.Stats
 	Net    simnet.Stats
@@ -34,13 +35,9 @@ func (d *Deployment) EnableStats() *RunStats {
 	return st
 }
 
-// FlushTo merges the repetition's counters into a recorder under stable
-// "layer/metric" names. The recorder is either the shared Registry
-// directly (the plain -metrics path) or a pipeline Collector shard, whose
-// later Flush routes the names through the pipeline's rules; the emitted
-// names and values are identical either way. Nil receiver or recorder is
-// a no-op.
-func (st *RunStats) FlushTo(reg obs.Recorder) {
+// FlushTo records the repetition's counters into a collector shard under
+// stable "layer/metric" names. Nil receiver or collector is a no-op.
+func (st *RunStats) FlushTo(reg *obs.Collector) {
 	if st == nil || reg == nil {
 		return
 	}
@@ -98,9 +95,10 @@ func (st *RunStats) FlushTo(reg obs.Recorder) {
 // AttachTracer wires the deployment's observer hooks to a tracer: solver
 // activity as instants on a "solver" track, post-solve OSS/OST loads as
 // counter samples (one perfetto counter track per resource — the per-OST
-// utilization timeline), and finished client ops as duration slices on
-// one track per compute node. Attach to at most one repetition per
-// tracer (Tracer.Claim arbitrates); Reset detaches every hook.
+// utilization timeline), target reachability transitions as instants on
+// an "mgmtd" track, and finished client ops as duration slices on one
+// track per compute node. Attach to at most one repetition per tracer
+// (Tracer.Claim arbitrates); Reset detaches every hook and subscription.
 func (d *Deployment) AttachTracer(t *obs.Tracer) {
 	d.Net.ObserveSolves(func(at simkernel.Time, info simnet.SolveInfo) {
 		t.Instant("solver", "solve/"+info.Trigger.String(), float64(at), map[string]any{
@@ -122,7 +120,7 @@ func (d *Deployment) AttachTracer(t *obs.Tracer) {
 			t.Counter(r.Name, float64(at), load)
 		}
 	})
-	d.FS.Mgmtd().SetReachObserver(func(tg *storagesim.Target, from, to beegfs.Reachability) {
+	d.FS.Mgmtd().SubscribeReach(func(tg *storagesim.Target, from, to beegfs.Reachability) {
 		t.Instant("mgmtd", fmt.Sprintf("target %d %s→%s", tg.ID, from, to), float64(d.Sim.Now()), map[string]any{
 			"target": tg.ID,
 			"from":   from.String(),

@@ -129,57 +129,52 @@ func ExtChaos(opts Options) ([]ExtChaosRow, error) {
 		var failedOps atomic.Int64
 		o := opts
 		o.Seed = cellSeed
-		recs, err := Campaign{
-			Platform: ChaosPlatform(scen),
-			Proto:    o.protocol(),
-			Workers:  o.Workers,
-			Faults:   sched,
-			Metrics:  o.Metrics,
-			Tracer:   o.Tracer,
-			Setup: func(dep *cluster.Deployment) error {
-				ck := faults.NewChecker(dep.FS)
-				checkers.Store(dep, ck)
-				f, err := dep.FS.CreateMirrored("/chaos/side", chaosSideStripeCnt, 512*beegfs.KiB)
-				if err != nil {
-					return err
-				}
-				client := dep.Nodes(1)[0]
-				for i := 0; i < chaosSideWrites; i++ {
-					off := int64(i) * chaosSideWriteMiB * beegfs.MiB
-					dep.Sim.After(chaosSideFirstAt+float64(i)*chaosSideSpacing, func() {
-						_, err := dep.FS.StartWrite(&beegfs.WriteOp{
-							Client: client, File: f,
-							Offset: off, Length: chaosSideWriteMiB * beegfs.MiB,
-							TransferSize: beegfs.MiB, App: "chaos-side",
-							OnComplete: func(simkernel.Time) {},
-							// Terminal failures are legal under chaos; the
-							// checker independently counts them and verifies
-							// no acknowledged byte went missing.
-							OnError: func(error) {},
-						})
-						if err != nil {
-							panic(fmt.Sprintf("experiments: chaos side write: %v", err))
-						}
+		camp := o.campaign(ChaosPlatform(scen))
+		camp.Faults = sched
+		camp.Setup = func(dep *cluster.Deployment) error {
+			ck := faults.NewChecker(dep.FS)
+			checkers.Store(dep, ck)
+			f, err := dep.FS.CreateMirrored("/chaos/side", chaosSideStripeCnt, 512*beegfs.KiB)
+			if err != nil {
+				return err
+			}
+			client := dep.Nodes(1)[0]
+			for i := 0; i < chaosSideWrites; i++ {
+				off := int64(i) * chaosSideWriteMiB * beegfs.MiB
+				dep.Sim.After(chaosSideFirstAt+float64(i)*chaosSideSpacing, func() {
+					_, err := dep.FS.StartWrite(&beegfs.WriteOp{
+						Client: client, File: f,
+						Offset: off, Length: chaosSideWriteMiB * beegfs.MiB,
+						TransferSize: beegfs.MiB, App: "chaos-side",
+						OnComplete: func(simkernel.Time) {},
+						// Terminal failures are legal under chaos; the
+						// checker independently counts them and verifies
+						// no acknowledged byte went missing.
+						OnError: func(error) {},
 					})
-				}
-				return nil
-			},
-			Quiesce: func(dep *cluster.Deployment, _ *Record) error {
-				// Drain everything still pending — fault recoveries, mirror
-				// resyncs, side writes and their retries — then audit.
-				dep.Sim.Run()
-				v, ok := checkers.LoadAndDelete(dep)
-				if !ok {
-					return fmt.Errorf("experiments: chaos quiesce without a checker")
-				}
-				ck := v.(*faults.Checker)
-				if err := ck.Check(); err != nil {
-					return fmt.Errorf("chaos %s/%s: %w", scen, prof.Name, err)
-				}
-				failedOps.Add(int64(ck.FailedOps()))
-				return nil
-			},
-		}.Run([]Config{{Label: "chaos-" + prof.Name, Params: baseParams(8, 8, 4, 32*beegfs.GiB)}})
+					if err != nil {
+						panic(fmt.Sprintf("experiments: chaos side write: %v", err))
+					}
+				})
+			}
+			return nil
+		}
+		camp.Quiesce = func(dep *cluster.Deployment, _ *Record) error {
+			// Drain everything still pending — fault recoveries, mirror
+			// resyncs, side writes and their retries — then audit.
+			dep.Sim.Run()
+			v, ok := checkers.LoadAndDelete(dep)
+			if !ok {
+				return fmt.Errorf("experiments: chaos quiesce without a checker")
+			}
+			ck := v.(*faults.Checker)
+			if err := ck.Check(); err != nil {
+				return fmt.Errorf("chaos %s/%s: %w", scen, prof.Name, err)
+			}
+			failedOps.Add(int64(ck.FailedOps()))
+			return nil
+		}
+		recs, err := camp.Run([]Config{{Label: "chaos-" + prof.Name, Params: baseParams(8, 8, 4, 32*beegfs.GiB)}})
 		if err != nil {
 			return fmt.Errorf("chaos %s/%s: %w", scen, prof.Name, err)
 		}

@@ -48,10 +48,7 @@ func ExtNN(opts Options) ([]ExtNNRow, error) {
 		}
 		o := opts
 		o.Seed = opts.Seed*31 + uint64(gi*modes+mode)
-		recs, err := Campaign{
-			Platform: p, Proto: o.protocol(), Workers: o.Workers,
-			Metrics: o.Metrics, Tracer: o.Tracer,
-		}.Run([]Config{{Label: "x", Params: params}})
+		recs, err := o.campaign(p).Run([]Config{{Label: "x", Params: params}})
 		if err != nil {
 			return err
 		}
@@ -98,7 +95,7 @@ func ExtRead(opts Options) ([]ExtReadRow, error) {
 		}.WithTotalSize(32 * beegfs.GiB)
 		cfgs = append(cfgs, Config{Label: fmt.Sprintf("count%d", count), Params: params})
 	}
-	recs, err := opts.campaign(cluster.Scenario1Ethernet).Run(cfgs)
+	recs, err := opts.campaign(cluster.PlaFRIM(cluster.Scenario1Ethernet)).Run(cfgs)
 	if err != nil {
 		return nil, err
 	}

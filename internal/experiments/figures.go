@@ -24,14 +24,9 @@ type Options struct {
 	// simulate concurrently. 0 selects runtime.NumCPU(); 1 is fully
 	// serial. Results are bit-identical for every value.
 	Workers int
-	// Metrics and Tracer, when non-nil, are threaded into every campaign
-	// a figure runs (Campaign.Metrics / Campaign.Tracer). The figure
-	// numbers are bit-identical with or without them.
-	Metrics *obs.Registry
-	Tracer  *obs.Tracer
-	// Pipeline, when non-nil, supersedes Metrics and Tracer (see
-	// Campaign.Pipeline): repetitions record through collector shards and
-	// stream progress to the pipeline's sinks and live endpoints.
+	// Pipeline, when non-nil, records every campaign a figure runs (see
+	// Campaign.Pipeline) and the scale cells' counters. The figure numbers
+	// are bit-identical with or without it.
 	Pipeline *obs.Pipeline
 }
 
@@ -46,11 +41,11 @@ func (o Options) protocol() Protocol {
 	return p
 }
 
-func (o Options) campaign(scenario cluster.Scenario) Campaign {
-	return Campaign{
-		Platform: cluster.PlaFRIM(scenario), Proto: o.protocol(), Workers: o.Workers,
-		Metrics: o.Metrics, Tracer: o.Tracer, Pipeline: o.Pipeline,
-	}
+// campaign returns a campaign on p with the options' protocol, worker
+// count and pipeline. Every figure builds its campaigns here, so none can
+// drop the pipeline.
+func (o Options) campaign(p cluster.Platform) Campaign {
+	return Campaign{Platform: p, Proto: o.protocol(), Workers: o.Workers, Pipeline: o.Pipeline}
 }
 
 func baseParams(nodes, ppn, count int, total int64) ior.Params {
@@ -89,7 +84,7 @@ func Fig2(scenario cluster.Scenario, opts Options) ([]SweepPoint, error) {
 			Params: baseParams(4, 8, 4, g*beegfs.GiB),
 		})
 	}
-	recs, err := opts.campaign(scenario).Run(cfgs)
+	recs, err := opts.campaign(cluster.PlaFRIM(scenario)).Run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +124,7 @@ func nodeSweepFigure(scenario cluster.Scenario, ppn int, opts Options) ([]SweepP
 			Params: baseParams(n, ppn, 4, 32*beegfs.GiB),
 		})
 	}
-	recs, err := opts.campaign(scenario).Run(cfgs)
+	recs, err := opts.campaign(cluster.PlaFRIM(scenario)).Run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +194,7 @@ func Fig6(scenario cluster.Scenario, opts Options) ([]CountPoint, error) {
 			Params: baseParams(nodes, 8, count, 32*beegfs.GiB),
 		})
 	}
-	recs, err := opts.campaign(scenario).Run(cfgs)
+	recs, err := opts.campaign(cluster.PlaFRIM(scenario)).Run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +292,7 @@ func Fig11(opts Options) ([]Fig11Cell, error) {
 			})
 		}
 	}
-	recs, err := opts.campaign(cluster.Scenario2Omnipath).Run(cfgs)
+	recs, err := opts.campaign(cluster.PlaFRIM(cluster.Scenario2Omnipath)).Run(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +367,7 @@ func Fig12(opts Options) ([]Fig12Row, error) {
 			})
 		}
 	}
-	camp := opts.campaign(cluster.Scenario2Omnipath)
+	camp := opts.campaign(cluster.PlaFRIM(cluster.Scenario2Omnipath))
 	camp.BackgroundCreateRate = 4
 	recs, err := camp.Run(cfgs)
 	if err != nil {

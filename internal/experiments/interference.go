@@ -110,10 +110,7 @@ func ComparePolicies(apps int, opts Options) (PolicyComparison, error) {
 		{Label: "max", Params: baseParams(8, 8, total, 32*gib()), Apps: apps},
 		{Label: "adapted", Params: baseParams(8, 8, adapted, 32*gib()), Apps: apps},
 	}
-	recs, err := Campaign{
-		Platform: p, Proto: opts.protocol(), Workers: opts.Workers,
-		Metrics: opts.Metrics, Tracer: opts.Tracer,
-	}.Run(cfgs)
+	recs, err := opts.campaign(p).Run(cfgs)
 	if err != nil {
 		return PolicyComparison{}, err
 	}

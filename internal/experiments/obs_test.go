@@ -14,7 +14,9 @@ import (
 	"repro/internal/obs"
 )
 
-func obsTestCampaign(metrics *obs.Registry, tracer *obs.Tracer, workers int) ([]Record, error) {
+// obsTestCampaign runs a small two-label campaign with pl attached (nil:
+// observability off).
+func obsTestCampaign(pl *obs.Pipeline, workers int) ([]Record, error) {
 	cfgs := []Config{
 		{Label: "obs-a", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(beegfs.GiB)},
 		{Label: "obs-b", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(beegfs.GiB)},
@@ -24,8 +26,7 @@ func obsTestCampaign(metrics *obs.Registry, tracer *obs.Tracer, workers int) ([]
 		Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
 		Proto:    proto,
 		Workers:  workers,
-		Metrics:  metrics,
-		Tracer:   tracer,
+		Pipeline: pl,
 	}.Run(cfgs)
 }
 
@@ -33,13 +34,13 @@ func obsTestCampaign(metrics *obs.Registry, tracer *obs.Tracer, workers int) ([]
 // change a single simulated number. out/ CSVs are pure functions of the
 // record list, so record equality is CSV byte-identity.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	plain, err := obsTestCampaign(nil, nil, 1)
+	plain, err := obsTestCampaign(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer()
-	instrumented, err := obsTestCampaign(reg, tr, 1)
+	pl := obs.NewPipeline()
+	tr := pl.EnableTrace()
+	instrumented, err := obsTestCampaign(pl, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,7 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	if strings.Count(csv.String(), "\n") < 2 {
 		t.Fatalf("util CSV has no samples:\n%s", csv.String())
 	}
+	reg := pl.Registry()
 	if got := reg.Counter("experiments/repetitions"); got != 8 {
 		t.Fatalf("repetitions counter = %d, want 8", got)
 	}
@@ -93,19 +95,25 @@ func stripRuntime(t *testing.T, doc []byte) string {
 	return string(out)
 }
 
+// exportJSON renders a registry's deterministic JSON export.
+func exportJSON(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.EncodeJSON(&buf, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return stripRuntime(t, buf.Bytes())
+}
+
 // Two identical instrumented runs — and any worker count — must export the
 // same metrics JSON once wall-clock entries are filtered out.
 func TestMetricsDeterministic(t *testing.T) {
 	export := func(workers int) string {
-		reg := obs.NewRegistry()
-		if _, err := obsTestCampaign(reg, nil, workers); err != nil {
+		pl := obs.NewPipeline()
+		if _, err := obsTestCampaign(pl, workers); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return stripRuntime(t, buf.Bytes())
+		return exportJSON(t, pl.Registry())
 	}
 	first := export(1)
 	second := export(1)
@@ -118,28 +126,13 @@ func TestMetricsDeterministic(t *testing.T) {
 	}
 }
 
-func obsPipelineCampaign(pl *obs.Pipeline, workers int) ([]Record, error) {
-	cfgs := []Config{
-		{Label: "obs-a", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(beegfs.GiB)},
-		{Label: "obs-b", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(beegfs.GiB)},
-	}
-	proto := Protocol{Repetitions: 4, BlockSize: 2, MinWait: 0.1, MaxWait: 0.5, Seed: 7}
-	return Campaign{
-		Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
-		Proto:    proto,
-		Workers:  workers,
-		Pipeline: pl,
-	}.Run(cfgs)
-}
-
 // TestPipelineDoesNotPerturbResults extends the central contract to the
-// streaming pipeline: a campaign run through collector→router→sink must
+// pipeline's sinks: a campaign run with every file sink attached must
 // produce the exact same record list as an uninstrumented run — so the
 // out/ CSVs stay byte-identical with sinks attached — and the JSON sink's
-// final export must match the legacy registry path and stay identical
-// across worker counts.
+// export must stay identical across worker counts.
 func TestPipelineDoesNotPerturbResults(t *testing.T) {
-	plain, err := obsTestCampaign(nil, nil, 1)
+	plain, err := obsTestCampaign(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +144,7 @@ func TestPipelineDoesNotPerturbResults(t *testing.T) {
 		pl.AddSink(obs.NewJSONSink(path))
 		pl.AddSink(obs.NewPromSink(dir + "/metrics.prom"))
 		pl.AddSink(obs.NewInfluxSink(dir + "/metrics.lp"))
-		recs, err := obsPipelineCampaign(pl, workers)
+		recs, err := obsTestCampaign(pl, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,47 +175,68 @@ func TestPipelineDoesNotPerturbResults(t *testing.T) {
 	if json1 != json4 {
 		t.Fatalf("pipeline JSON sink disagrees across worker counts:\n%s\nvs\n%s", json1, json4)
 	}
-
-	// The pipeline export must agree with the legacy Metrics registry path
-	// on everything but the pipeline-only campaign observations.
-	reg := obs.NewRegistry()
-	if _, err := obsTestCampaign(reg, nil, 1); err != nil {
+	var doc map[string]map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(json1), &doc); err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := reg.WriteJSON(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	var pipelineDoc, legacyDoc map[string]map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(json1), &pipelineDoc); err != nil {
-		t.Fatal(err)
-	}
-	// Normalize through the same re-serialization so raw values compare
-	// byte-for-byte regardless of source formatting.
-	if err := json.Unmarshal([]byte(stripRuntime(t, legacy.Bytes())), &legacyDoc); err != nil {
-		t.Fatal(err)
-	}
-	for section, metrics := range legacyDoc {
-		for name, val := range metrics {
-			if strings.HasPrefix(name, obs.RuntimePrefix) {
-				continue
-			}
-			got, ok := pipelineDoc[section][name]
-			if !ok {
-				t.Fatalf("pipeline export lost %s/%s", section, name)
-			}
-			if !bytes.Equal(got, val) {
-				t.Fatalf("pipeline export disagrees on %s/%s: %s vs %s", section, name, got, val)
-			}
-		}
-	}
-	// And the pipeline adds the per-campaign bandwidth observations.
+	// The export carries the per-campaign bandwidth observations.
 	for _, name := range []string{
 		"experiments/obs-a/app_bw_mibs",
 		"experiments/obs-b/aggregate_bw_mibs",
 	} {
-		if _, ok := pipelineDoc["histograms"][name]; !ok {
+		if _, ok := doc["histograms"][name]; !ok {
 			t.Fatalf("pipeline export lacks %s", name)
 		}
+	}
+}
+
+// TestExtensionCampaignsDoNotPerturb extends the never-perturb contract
+// to the campaigns that build one campaign or scale cell per fault scheme,
+// chaos profile or topology: each returns equal results with and without
+// a pipeline, and the pipeline sees the activity only that campaign has.
+// The scale cells export counters only and claim no trace.
+func TestExtensionCampaignsDoNotPerturb(t *testing.T) {
+	opts := Options{Reps: 3, Seed: 9, FastProtocol: true, Workers: 2}
+	for _, tc := range []struct {
+		name    string
+		run     func(Options) (any, error)
+		counter string
+		traced  bool
+	}{
+		{"chaos", func(o Options) (any, error) { return ExtChaos(o) }, "beegfs/heartbeat_sweeps", true},
+		{"resilience", func(o Options) (any, error) { return ExtResilience(o) }, "faults/injections", true},
+		{"scale", func(o Options) (any, error) {
+			rows, err := ExtScale(o)
+			for i := range rows {
+				rows[i] = rows[i].Deterministic()
+			}
+			return rows, err
+		}, "simnet/hier_solves", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, err := tc.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := opts
+			o.Pipeline = obs.NewPipeline()
+			tr := o.Pipeline.EnableTrace()
+			got, err := tc.run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, got) {
+				t.Fatalf("results differ with a pipeline attached:\n%+v\nvs\n%+v", got, plain)
+			}
+			reg := o.Pipeline.Registry()
+			for _, name := range []string{"simkernel/events_dispatched", tc.counter} {
+				if reg.Counter(name) == 0 {
+					t.Fatalf("counter %s is zero", name)
+				}
+			}
+			if traced := tr.Events() > 0; traced != tc.traced {
+				t.Fatalf("tracer recorded %d events, want traced = %v", tr.Events(), tc.traced)
+			}
+		})
 	}
 }

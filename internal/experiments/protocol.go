@@ -187,52 +187,19 @@ type Campaign struct {
 	// next repetition afterwards, so the hook must not keep it. Same
 	// concurrency caveat as Setup.
 	Inspect func(*cluster.Deployment, *Record) error
-	// Metrics, when non-nil, enables per-repetition activity counters on
-	// every deployment and merges them into the registry after each
-	// repetition. Every merged quantity is order-independent, so the
-	// registry contents do not depend on Workers; only the host-process
+	// Pipeline, when non-nil, records the campaign. Each repetition
+	// enables activity counters on its deployment, records them into a
+	// private collector shard and folds the shard into the pipeline's
+	// registry when it finishes. Every fold is order-independent, so the
+	// merged model does not depend on Workers; only the host-process
 	// metrics (wall-clock timings, namespaced under obs.RuntimePrefix)
-	// vary between runs. The simulated numbers are bit-identical with or
-	// without it.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, records one repetition's full event timeline
-	// (the first repetition to start claims it; with Workers <= 1 that is
-	// deterministically the first scheduled unit).
-	Tracer *obs.Tracer
-	// Pipeline, when non-nil, supersedes Metrics and Tracer: each
-	// repetition records into a private collector shard whose flush routes
-	// metric names through the pipeline's rules and folds values into the
-	// pipeline's registry (order-independently, so files stay identical at
-	// any Workers). Repetition completions stream to the progress table
-	// (StartRun/RepDone) and intermediate snapshots to the pipeline's
-	// sinks, which is what the live /metrics and /runs endpoints serve.
-	// The tracer, if any sink enabled one, claims one repetition exactly
-	// as the plain Tracer field does.
+	// vary between runs. Completions stream to the progress table
+	// (StartRun/RepDone) that the live /metrics and /runs endpoints serve.
+	// If a sink enabled the pipeline's tracer, the first repetition to
+	// start claims it and records its full event timeline (with Workers <=
+	// 1 that is deterministically the first scheduled unit). The simulated
+	// numbers are bit-identical with or without a pipeline.
 	Pipeline *obs.Pipeline
-}
-
-// recorder returns the per-repetition metric sink: a pipeline collector
-// shard (released by the caller) when the pipeline is attached, else the
-// plain shared registry. Both may be nil (observability off).
-func (c Campaign) recorder() (obs.Recorder, *obs.Collector) {
-	if c.Pipeline != nil {
-		col := c.Pipeline.Collector()
-		return col, col
-	}
-	if c.Metrics != nil {
-		return c.Metrics, nil
-	}
-	return nil, nil
-}
-
-// tracer returns the event tracer in effect: the pipeline's (when a trace
-// or utilization sink enabled one), else the plain Tracer field. May be
-// nil; Tracer.Claim is nil-safe.
-func (c Campaign) tracer() *obs.Tracer {
-	if c.Pipeline != nil {
-		return c.Pipeline.Tracer()
-	}
-	return c.Tracer
 }
 
 // unit is one repetition of one configuration, annotated during phase 1
@@ -492,19 +459,18 @@ func (c Campaign) runUnit(w *worker, cfg Config, u *unit) (Record, error) {
 		return Record{}, err
 	}
 	dep := w.dep
-	// Observability: per-repetition counters merge into the recorder (a
-	// pipeline collector shard, or the shared registry directly) at the
-	// end of the repetition; the tracer attaches to the first repetition
-	// that claims it.
+	// Observability: per-repetition counters fold into a pipeline
+	// collector shard at the end of the repetition; the tracer attaches to
+	// the first repetition that claims it.
 	var st *cluster.RunStats
 	var fstats faults.Stats
 	var wallStart time.Time
-	mrec, col := c.recorder()
-	if mrec != nil {
+	col := c.Pipeline.Collector()
+	if col != nil {
 		st = dep.EnableStats()
 		wallStart = time.Now()
 	}
-	if tr := c.tracer(); tr.Claim() {
+	if tr := c.Pipeline.Tracer(); tr.Claim() {
 		dep.AttachTracer(tr)
 	}
 	if c.Setup != nil {
@@ -632,36 +598,30 @@ func (c Campaign) runUnit(w *worker, cfg Config, u *unit) (Record, error) {
 			return Record{}, err
 		}
 	}
-	if st != nil {
-		st.FlushTo(mrec)
-		mrec.Add("faults/injections", fstats.Injections)
-		mrec.Add("faults/recoveries", fstats.Recoveries)
-		mrec.Add("faults/aborted_flows", fstats.AbortedFlows)
-		mrec.Add("faults/noops", fstats.Noops)
-		mrec.Add("experiments/repetitions", 1)
+	if col != nil {
+		st.FlushTo(col)
+		col.Add("faults/injections", fstats.Injections)
+		col.Add("faults/recoveries", fstats.Recoveries)
+		col.Add("faults/aborted_flows", fstats.AbortedFlows)
+		col.Add("faults/noops", fstats.Noops)
+		col.Add("experiments/repetitions", 1)
 		// Per-application and aggregate bandwidths, rounded to MiB/s. The
 		// simulated bandwidths are deterministic, so these histograms live
 		// in the deterministic portion of the export.
 		for _, ar := range rec.Apps {
-			mrec.Observe("experiments/"+cfg.Label+"/app_bw_mibs", uint64(math.Round(ar.Result.Bandwidth)))
+			col.Observe("experiments/"+cfg.Label+"/app_bw_mibs", uint64(math.Round(ar.Result.Bandwidth)))
 		}
-		mrec.Observe("experiments/"+cfg.Label+"/aggregate_bw_mibs", uint64(math.Round(rec.Aggregate)))
+		col.Observe("experiments/"+cfg.Label+"/aggregate_bw_mibs", uint64(math.Round(rec.Aggregate)))
 		// Wall-clock cost is inherently run-dependent; the prefix lets
 		// determinism checks filter it out.
 		us := uint64(time.Since(wallStart).Microseconds())
-		mrec.Add(obs.WalltimePrefix+cfg.Label+"/rep_us", us)
-		mrec.Observe(obs.WalltimePrefix+cfg.Label+"/rep_us_hist", us)
-	}
-	if c.Pipeline != nil {
-		// Fold the shard into the registry, stream the completion to the
-		// progress table, and refresh the live sinks' view. Folds are
-		// commutative, so any Release/RepDone interleaving across workers
-		// yields the same final state.
+		col.Add(obs.WalltimePrefix+cfg.Label+"/rep_us", us)
+		col.Observe(obs.WalltimePrefix+cfg.Label+"/rep_us_hist", us)
+		// Fold the shard into the registry and stream the completion to
+		// the progress table. Folds are commutative, so any Release/RepDone
+		// interleaving across workers yields the same final state.
 		col.Release()
 		c.Pipeline.RepDone(cfg.Label)
-		if err := c.Pipeline.FlushSinks(); err != nil {
-			return Record{}, err
-		}
 	}
 	return rec, nil
 }

@@ -77,14 +77,9 @@ func ExtResilience(opts Options) ([]ExtResilienceRow, error) {
 		scheme := schemes[si]
 		o := opts
 		o.Seed = opts.Seed*97 + uint64(int(scen))*31 + uint64(si)
-		recs, err := Campaign{
-			Platform: cluster.PlaFRIM(scen),
-			Proto:    o.protocol(),
-			Workers:  o.Workers,
-			Faults:   scheme.Schedule,
-			Metrics:  o.Metrics,
-			Tracer:   o.Tracer,
-		}.Run([]Config{{Label: scheme.Name, Params: baseParams(8, 8, 4, 32*beegfs.GiB)}})
+		camp := o.campaign(cluster.PlaFRIM(scen))
+		camp.Faults = scheme.Schedule
+		recs, err := camp.Run([]Config{{Label: scheme.Name, Params: baseParams(8, 8, 4, 32*beegfs.GiB)}})
 		if err != nil {
 			return fmt.Errorf("resilience %s/%s: %w", scen, scheme.Name, err)
 		}

@@ -23,12 +23,12 @@ type capturedRun struct {
 
 // replayUnits runs every unit of a fresh schedule of the campaign, in the
 // given order of execution positions, each on the worker next(position)
-// returns, with a private metrics registry. It returns the records by
-// position and the registry's deterministic export.
+// returns, with a private metrics pipeline. It returns the records by
+// position and the merged registry's deterministic export.
 func replayUnits(t *testing.T, cr capturedRun, order []int, next func(int) *worker) ([]Record, string) {
 	t.Helper()
 	c := cr.c
-	c.Metrics, c.Tracer, c.Pipeline = obs.NewRegistry(), nil, nil
+	c.Pipeline = obs.NewPipeline()
 	exec, err := c.schedule(cr.cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +47,7 @@ func replayUnits(t *testing.T, cr capturedRun, order []int, next func(int) *work
 		}
 		recs[i] = rec
 	}
-	var buf bytes.Buffer
-	if err := c.Metrics.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return recs, stripRuntime(t, buf.Bytes())
+	return recs, exportJSON(t, c.Pipeline.Registry())
 }
 
 // dirty leaves a PlaFRIM-shaped deployment in a worse state than any unit
@@ -122,7 +118,6 @@ func dirty(t *testing.T, dep *cluster.Deployment) {
 	dep.EnableStats()
 	survived := func() { t.Fatal("an observer or subscription survived Reset") }
 	fs.SetOpObserver(func(beegfs.OpEvent) { survived() })
-	fs.Mgmtd().SetReachObserver(func(*storagesim.Target, beegfs.Reachability, beegfs.Reachability) { survived() })
 	fs.Mgmtd().Subscribe(func(*storagesim.Target, bool) { survived() })
 	fs.Mgmtd().SubscribeReach(func(*storagesim.Target, beegfs.Reachability, beegfs.Reachability) { survived() })
 	dep.Net.Observe(func(simkernel.Time, *simnet.Flow, float64) { survived() })

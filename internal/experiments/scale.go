@@ -152,8 +152,10 @@ type scaleJob struct {
 	pending int
 }
 
-// runScaleCell simulates one topology cell and returns its row.
-func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
+// runScaleCell simulates one topology cell and returns its row. A non-nil
+// pipeline receives the cell's activity counters; the cell claims no
+// trace.
+func runScaleCell(topo scaleTopo, jobs int, seed uint64, pl *obs.Pipeline) (ExtScaleRow, error) {
 	build := cluster.FatTree
 	if topo.core {
 		build = cluster.FatTreeCore
@@ -328,6 +330,9 @@ func runScaleCell(topo scaleTopo, jobs int, seed uint64) (ExtScaleRow, error) {
 	if err != nil {
 		return ExtScaleRow{}, err
 	}
+	col := pl.Collector()
+	st.FlushTo(col)
+	col.Release()
 	var solves uint64
 	for _, c := range st.Net.Solves {
 		solves += c
@@ -381,7 +386,8 @@ func histQuantileUS(h *obs.Log2Hist, q float64) float64 {
 // ExtScale runs the scale campaign: one cell per topology. The
 // rack-local and the core topologies draw from separate seed streams
 // (977/53 and 1061/53 per cell of each family), so the two families stay
-// independent at any shared seed.
+// independent at any shared seed. Options.Pipeline, when set, receives
+// every cell's activity counters.
 func ExtScale(opts Options) ([]ExtScaleRow, error) {
 	reps := opts.Reps
 	if reps <= 0 {
@@ -402,7 +408,7 @@ func ExtScale(opts Options) ([]ExtScaleRow, error) {
 	rows := make([]ExtScaleRow, len(topos))
 	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
 		topo := topos[cell]
-		row, err := runScaleCell(topo, topo.jobsPerRep*reps, seeds[cell])
+		row, err := runScaleCell(topo, topo.jobsPerRep*reps, seeds[cell], opts.Pipeline)
 		if err != nil {
 			return err
 		}

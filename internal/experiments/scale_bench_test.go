@@ -29,7 +29,7 @@ const churn10kJobs = 4000
 // concurrent flows. Run with -benchtime 1x.
 func benchmarkScaleChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := runScaleCell(churn10kTopo, churn10kJobs, 17)
+		row, err := runScaleCell(churn10kTopo, churn10kJobs, 17, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ const churnCoreJobs = 2600
 // -benchtime 1x.
 func benchmarkScaleChurnCore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := runScaleCell(churnCoreTopo, churnCoreJobs, 17)
+		row, err := runScaleCell(churnCoreTopo, churnCoreJobs, 17, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -162,7 +162,7 @@ func TestExtScaleHeapHoldsOneEventPerComponent(t *testing.T) {
 		t.Fatalf("first scale topology is %s, want the rack-local small cell", topo.name)
 	}
 	topo.meanGap = 0.01
-	r, err := runScaleCell(topo, 1500, 977)
+	r, err := runScaleCell(topo, 1500, 977, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

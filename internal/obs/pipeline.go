@@ -2,25 +2,22 @@ package obs
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"time"
 )
 
-// This file is the collector→router→sink pipeline the rest of the
+// This file is the collector→registry→sink pipeline the rest of the
 // observability layer hangs off (modelled on ClusterCockpit's
 // cc-metric-collector split of concerns):
 //
-//	instrumented layers ─▶ Collector (per-worker shard)
-//	                          │ Flush (once per repetition)
-//	                          ▼
-//	                       Router (relabel / filter rules)
+//	instrumented layers ─▶ Collector (per-repetition shard)
+//	                          │ Release (once per repetition)
 //	                          ▼
 //	                       Registry (commutatively merged model)
-//	                          ▼ Snapshot
+//	                          ▼ Snapshot (once, at Close)
 //	                       Sinks (JSON · Prometheus · Influx · trace · CSV)
 //
-// Determinism is the design driver, exactly as for the PR 5 registry:
+// Determinism is the design driver:
 //
 //   - Collectors are single-goroutine shards. A campaign worker records a
 //     whole repetition into its private collector and flushes once; the
@@ -29,11 +26,10 @@ import (
 //     commutative and associative, so the merged model — and therefore
 //     every file a sink writes — is identical at any worker count and any
 //     flush interleaving.
-//   - The router rewrites or drops metric *names* only; it never touches
-//     values, so routing cannot break the commutativity argument.
-//   - Sinks render Snapshots: fully sorted, immutable copies of the
-//     merged model. Two equal models render byte-identical files in every
-//     encoding (JSON, Prometheus exposition, Influx line protocol).
+//   - Sinks render one Snapshot, at Close: a fully sorted, immutable copy
+//     of the merged model. Two equal models render byte-identical files in
+//     every encoding (JSON, Prometheus exposition, Influx line protocol).
+//     The live views (/metrics, /runs) render a fresh snapshot per request.
 //   - Wall-clock-derived quantities stay confined to the RuntimePrefix
 //     namespace; progress ETAs (inherently wall-clock) are served by the
 //     live endpoints only and never written to deterministic exports.
@@ -42,67 +38,6 @@ import (
 // methods return immediately, so call sites need no enabled checks and
 // the disabled path costs one pointer comparison (asserted by
 // TestPipelineDisabledZeroCost and BenchmarkPipelineEmitDisabled).
-
-// Kind classifies a metric point.
-type Kind uint8
-
-const (
-	// KindCount accumulates by addition (monotone counter).
-	KindCount Kind = iota
-	// KindMax accumulates by maximum (high-water gauge).
-	KindMax
-	// KindSample accumulates into a log-2 histogram.
-	KindSample
-)
-
-// Point is one typed metric observation. Points carry uint64 values like
-// the registry they merge into; quantities that are conceptually floats
-// (rates, residuals) are scaled to integers by their emitters so that
-// merging stays exactly associative.
-type Point struct {
-	Name  string
-	Kind  Kind
-	Value uint64
-}
-
-// Recorder is the write interface shared by the Registry (direct,
-// mutex-guarded) and the Collector (single-goroutine shard). Layers that
-// flush per-repetition stats take a Recorder so the same code serves both
-// the plain -metrics path and the pipeline.
-type Recorder interface {
-	Add(name string, v uint64)
-	Max(name string, v uint64)
-	Observe(name string, v uint64)
-	MergeHist(name string, src *Log2Hist)
-}
-
-// Rule is one router rule, matched by metric-name prefix. The first
-// matching rule wins: Drop discards the point, otherwise Rewrite (when
-// non-empty) replaces the matched prefix. A zero Prefix matches every
-// name.
-type Rule struct {
-	Prefix  string
-	Drop    bool
-	Rewrite string
-}
-
-// route applies the first matching rule. The returned bool is false when
-// the point should be dropped.
-func route(rules []Rule, name string) (string, bool) {
-	for _, r := range rules {
-		if !strings.HasPrefix(name, r.Prefix) {
-			continue
-		}
-		if r.Drop {
-			return "", false
-		}
-		if r.Rewrite != "" {
-			return r.Rewrite + name[len(r.Prefix):], true
-		}
-		return name, true
-	}
-	return name, true
-}
 
 // runState tracks one campaign's live progress: repetitions completed out
 // of a known total. Completions accumulate by addition, so progress is as
@@ -130,24 +65,18 @@ type RunStatus struct {
 	EtaS float64 `json:"eta_s,omitempty"`
 }
 
-// Sink consumes snapshots of the merged metric model. Flush may be called
-// any number of times with intermediate snapshots (live file tailing);
-// Close receives the final snapshot and must release resources. Sinks are
-// called with the pipeline's sink mutex held, never concurrently.
+// Sink renders the merged metric model once, when the pipeline closes:
+// Close receives the final snapshot and must release resources.
 type Sink interface {
-	Name() string
-	Flush(snap *Snapshot) error
 	Close(snap *Snapshot) error
 }
 
-// Pipeline owns the merged registry, the optional tracer, the router
-// rules, the sink set and the campaign progress table. All methods are
-// safe on a nil *Pipeline.
+// Pipeline owns the merged registry, the optional tracer, the sink set and
+// the campaign progress table. All methods are safe on a nil *Pipeline.
 type Pipeline struct {
 	reg *Registry
 
 	mu     sync.Mutex
-	rules  []Rule
 	sinks  []Sink
 	tracer *Tracer
 	runs   map[string]*runState
@@ -155,18 +84,17 @@ type Pipeline struct {
 	free   []*Collector
 }
 
-// NewPipeline returns an empty pipeline with a fresh registry, no rules
-// and no sinks.
+// NewPipeline returns an empty pipeline with a fresh registry and no
+// sinks.
 func NewPipeline() *Pipeline {
 	return &Pipeline{
-		reg:  NewRegistry(),
+		reg:  newRegistry(),
 		runs: make(map[string]*runState),
 	}
 }
 
 // Registry returns the pipeline's merged metric model (nil for a nil
-// pipeline). Direct registry writes bypass the router; they are how
-// pre-pipeline call sites keep working unchanged.
+// pipeline). Collectors are its only writers.
 func (p *Pipeline) Registry() *Registry {
 	if p == nil {
 		return nil
@@ -199,17 +127,6 @@ func (p *Pipeline) Tracer() *Tracer {
 	return p.tracer
 }
 
-// SetRules installs the router's relabel/filter rules. Install before
-// emission starts; rules are applied at collector flush time.
-func (p *Pipeline) SetRules(rules []Rule) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.rules = rules
-	p.mu.Unlock()
-}
-
 // AddSink appends a sink to the fan-out set.
 func (p *Pipeline) AddSink(s Sink) {
 	if p == nil {
@@ -240,19 +157,21 @@ func (p *Pipeline) Collector() *Collector {
 		p:        p,
 		counters: make(map[string]uint64),
 		maxima:   make(map[string]uint64),
-		hists:    make(map[string]*histogram),
+		hists:    make(map[string]*Log2Hist),
 	}
 }
 
-// StartRun registers (idempotently) a campaign label with its total
-// repetition count for progress tracking.
+// StartRun announces total more repetitions under a campaign label for
+// progress tracking. Campaigns that reuse a label add their totals, just
+// as their completions add up under RepDone.
 func (p *Pipeline) StartRun(label string, total int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.runs[label]; ok {
+	if r := p.runs[label]; r != nil {
+		r.total += uint64(total)
 		return
 	}
 	p.runs[label] = &runState{label: label, total: uint64(total), wallStart: time.Now()}
@@ -311,26 +230,8 @@ func (p *Pipeline) Snapshot() *Snapshot {
 	return snap
 }
 
-// FlushSinks renders the current snapshot into every sink (live file
-// tailing between repetitions; final state is written by Close).
-func (p *Pipeline) FlushSinks() error {
-	if p == nil {
-		return nil
-	}
-	snap := p.Snapshot()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var errs []error
-	for _, s := range p.sinks {
-		if err := s.Flush(snap); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Close renders the final snapshot into every sink and closes them. The
-// pipeline must not be used afterwards.
+// Close renders the final snapshot into every sink and closes them; it is
+// the only time a sink renders. The pipeline must not be used afterwards.
 func (p *Pipeline) Close() error {
 	if p == nil {
 		return nil
@@ -350,33 +251,15 @@ func (p *Pipeline) Close() error {
 }
 
 // Collector is a per-worker metric shard: a single goroutine records a
-// repetition's points into plain maps (no locks, no atomics), then Flush
-// routes and folds them into the pipeline's registry in one critical
-// section. The hot emit path performs zero allocations once a metric's
+// repetition's metrics into plain maps (no locks, no atomics), then Flush
+// folds them into the pipeline's registry in one critical section. The hot emit path performs zero allocations once a metric's
 // cell exists (BenchmarkPipelineEmit); all methods no-op on a nil
 // receiver.
 type Collector struct {
 	p        *Pipeline
 	counters map[string]uint64
 	maxima   map[string]uint64
-	hists    map[string]*histogram
-}
-
-// Emit records one typed point.
-func (c *Collector) Emit(pt Point) {
-	if c == nil {
-		return
-	}
-	switch pt.Kind {
-	case KindCount:
-		c.counters[pt.Name] += pt.Value
-	case KindMax:
-		if pt.Value > c.maxima[pt.Name] {
-			c.maxima[pt.Name] = pt.Value
-		}
-	case KindSample:
-		c.hist(pt.Name).observe(pt.Value)
-	}
+	hists    map[string]*Log2Hist
 }
 
 // Add increments the named counter by v.
@@ -402,7 +285,7 @@ func (c *Collector) Observe(name string, v uint64) {
 	if c == nil {
 		return
 	}
-	c.hist(name).observe(v)
+	c.hist(name).Observe(v)
 }
 
 // MergeHist folds a repetition-local histogram into the shard.
@@ -410,64 +293,43 @@ func (c *Collector) MergeHist(name string, src *Log2Hist) {
 	if c == nil || src.Count == 0 {
 		return
 	}
-	h := c.hist(name)
-	h.count += src.Count
-	h.sum += src.Sum
-	for i, b := range src.Buckets {
-		h.buckets[i] += b
-	}
+	c.hist(name).Merge(src)
 }
 
-func (c *Collector) hist(name string) *histogram {
+func (c *Collector) hist(name string) *Log2Hist {
 	h := c.hists[name]
 	if h == nil {
-		h = &histogram{}
+		h = &Log2Hist{}
 		c.hists[name] = h
 	}
 	return h
 }
 
-// Flush routes the shard's contents through the pipeline's rules and
-// folds them into the shared registry, then clears the shard for reuse.
-// Folding is commutative (add/max/bucket-add), so concurrent workers may
-// flush in any order and produce the same merged model.
+// Flush folds the shard's contents into the shared registry, then clears
+// the shard for reuse. Folding is commutative (add/max/bucket-add), so
+// concurrent workers may flush in any order and produce the same merged
+// model.
 func (c *Collector) Flush() {
 	if c == nil || c.p == nil {
 		return
 	}
-	p := c.p
-	p.mu.Lock()
-	rules := p.rules
-	p.mu.Unlock()
-	r := p.reg
+	r := c.p.reg
 	r.mu.Lock()
-	for k, v := range c.counters {
-		if name, ok := route(rules, k); ok {
-			r.counters[name] += v
+	for name, v := range c.counters {
+		r.counters[name] += v
+	}
+	for name, v := range c.maxima {
+		if v > r.maxima[name] {
+			r.maxima[name] = v
 		}
 	}
-	for k, v := range c.maxima {
-		if name, ok := route(rules, k); ok {
-			if v > r.maxima[name] {
-				r.maxima[name] = v
-			}
-		}
-	}
-	for k, h := range c.hists {
-		name, ok := route(rules, k)
-		if !ok {
-			continue
-		}
+	for name, h := range c.hists {
 		dst := r.hists[name]
 		if dst == nil {
-			dst = &histogram{}
+			dst = &Log2Hist{}
 			r.hists[name] = dst
 		}
-		dst.count += h.count
-		dst.sum += h.sum
-		for i, b := range h.buckets {
-			dst.buckets[i] += b
-		}
+		dst.Merge(h)
 	}
 	r.mu.Unlock()
 	clear(c.counters)

@@ -24,19 +24,21 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // a campaign progress entry, with names that exercise the Prometheus and
 // Influx escaping rules.
 func fixtureSnapshot() *Snapshot {
-	r := NewRegistry()
-	r.Add("beegfs/write_ops", 64)
-	r.Add("simnet/waterfill_passes", 123)
-	r.Add("experiments/repetitions", 3)
-	r.Max("simkernel/heap_high_water", 40)
-	r.Max("beegfs/active_clients_high_water", 12)
-	var h Log2Hist
-	for _, v := range []uint64{0, 1, 2, 3, 100, 1000} {
-		h.Observe(v)
-	}
-	r.MergeHist("beegfs/op_mib", &h)
-	r.Observe(RuntimePrefix+"simnet/solve_latency_ns", 4096)
-	snap := r.Snapshot()
+	p := NewPipeline()
+	record(p, func(c *Collector) {
+		c.Add("beegfs/write_ops", 64)
+		c.Add("simnet/waterfill_passes", 123)
+		c.Add("experiments/repetitions", 3)
+		c.Max("simkernel/heap_high_water", 40)
+		c.Max("beegfs/active_clients_high_water", 12)
+		var h Log2Hist
+		for _, v := range []uint64{0, 1, 2, 3, 100, 1000} {
+			h.Observe(v)
+		}
+		c.MergeHist("beegfs/op_mib", &h)
+		c.Observe(RuntimePrefix+"simnet/solve_latency_ns", 4096)
+	})
+	snap := p.Registry().Snapshot()
 	snap.Runs = []RunStatus{
 		{Label: "fig4/N=8", Done: 3, Total: 100},
 		{Label: "fig6 count=2", Done: 100, Total: 100},
@@ -148,9 +150,6 @@ func TestCollectorMergeOrderIndependent(t *testing.T) {
 			var h Log2Hist
 			h.Observe(uint64(i))
 			c.MergeHist("a/merged", &h)
-			c.Emit(Point{Name: "a/point", Kind: KindCount, Value: 2})
-			c.Emit(Point{Name: "a/pmax", Kind: KindMax, Value: uint64(i)})
-			c.Emit(Point{Name: "a/psample", Kind: KindSample, Value: uint64(i * 7)})
 			shards[i] = c
 		}
 		for _, i := range perm {
@@ -170,64 +169,15 @@ func TestCollectorMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestRouterRules checks first-match-wins prefix routing: drop, rewrite,
-// and pass-through.
-func TestRouterRules(t *testing.T) {
-	p := NewPipeline()
-	p.SetRules([]Rule{
-		{Prefix: "drop/", Drop: true},
-		{Prefix: "old/", Rewrite: "new/"},
-		{Prefix: "old/", Drop: true}, // unreachable: first match wins
-	})
-	c := p.Collector()
-	c.Add("drop/me", 1)
-	c.Add("old/name", 2)
-	c.Max("old/peak", 7)
-	c.Observe("old/hist", 3)
-	c.Add("keep/name", 4)
-	c.Flush()
-	reg := p.Registry()
-	if got := reg.Counter("drop/me"); got != 0 {
-		t.Fatalf("dropped metric leaked: %d", got)
-	}
-	if got := reg.Counter("new/name"); got != 2 {
-		t.Fatalf("rewrite failed: new/name = %d", got)
-	}
-	if got := reg.Counter("old/name"); got != 0 {
-		t.Fatalf("original name survived rewrite: %d", got)
-	}
-	if got := reg.Counter("keep/name"); got != 4 {
-		t.Fatalf("pass-through failed: keep/name = %d", got)
-	}
-	snap := p.Snapshot()
-	for _, m := range snap.Maxima {
-		if m.Name == "new/peak" && m.Value == 7 {
-			goto histCheck
-		}
-	}
-	t.Fatal("max did not route to new/peak")
-histCheck:
-	for _, h := range snap.Hists {
-		if h.Name == "new/hist" && h.Count == 1 {
-			return
-		}
-	}
-	t.Fatal("histogram did not route to new/hist")
-}
-
 // TestNilPipelineSafe: the disabled path must be inert at every call
-// site — nil pipeline, nil collector, nil registry writes.
+// site — nil pipeline, nil collector.
 func TestNilPipelineSafe(t *testing.T) {
 	var p *Pipeline
-	p.SetRules([]Rule{{Drop: true}})
 	p.AddSink(NewJSONSink(filepath.Join(t.TempDir(), "x.json")))
 	p.StartRun("x", 5)
 	p.RepDone("x")
 	if got := p.Runs(); got != nil {
 		t.Fatalf("nil pipeline reported runs: %v", got)
-	}
-	if err := p.FlushSinks(); err != nil {
-		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -240,7 +190,6 @@ func TestNilPipelineSafe(t *testing.T) {
 	c.Max("a", 1)
 	c.Observe("a", 1)
 	c.MergeHist("a", &Log2Hist{Count: 1})
-	c.Emit(Point{Name: "a", Kind: KindCount, Value: 1})
 	c.Flush()
 	c.Release()
 	if p.Tracer() != nil || p.EnableTrace() != nil || p.Registry() != nil {
@@ -275,9 +224,9 @@ func TestCollectorPoolReuse(t *testing.T) {
 	}
 }
 
-// TestFileSinksWriteOnFlushAndClose: every file sink rewrites its file to
-// the snapshot's rendering on each flush, and Close leaves the final
-// state behind.
+// TestFileSinksWriteOnFlushAndClose: collector flushes only fold into the
+// registry; every file sink renders once, at Close, and leaves the final
+// merged state behind.
 func TestFileSinksWriteOnFlushAndClose(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPipeline()
@@ -287,22 +236,14 @@ func TestFileSinksWriteOnFlushAndClose(t *testing.T) {
 	p.AddSink(NewJSONSink(jsonPath))
 	p.AddSink(NewPromSink(promPath))
 	p.AddSink(NewInfluxSink(influxPath))
-	c := p.Collector()
-	c.Add("a/first", 1)
-	c.Release()
-	if err := p.FlushSinks(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		record(p, func(c *Collector) { c.Add("a/first", 1) })
+		for _, path := range []string{jsonPath, promPath, influxPath} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("%s written before Close (stat: %v)", path, err)
+			}
+		}
 	}
-	mid, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(mid), `"a/first": 1`) {
-		t.Fatalf("intermediate flush missing counter:\n%s", mid)
-	}
-	c = p.Collector()
-	c.Add("a/first", 1)
-	c.Release()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +264,7 @@ func TestFileSinksWriteOnFlushAndClose(t *testing.T) {
 func TestRunProgressAndServe(t *testing.T) {
 	p := NewPipeline()
 	p.StartRun("campaign", 4)
-	p.StartRun("campaign", 4) // idempotent
+	p.StartRun("campaign", 4) // a second campaign under the label adds its total
 	p.RepDone("campaign")
 	p.RepDone("campaign")
 	c := p.Collector()
@@ -349,7 +290,7 @@ func TestRunProgressAndServe(t *testing.T) {
 	for _, want := range []string{
 		"beegfsim_beegfs_write_ops_total 9",
 		`beegfsim_campaign_reps_completed{label="campaign"} 2`,
-		`beegfsim_campaign_reps_total{label="campaign"} 4`,
+		`beegfsim_campaign_reps_total{label="campaign"} 8`,
 		"# EOF",
 	} {
 		if !strings.Contains(string(body), want) {
@@ -369,7 +310,7 @@ func TestRunProgressAndServe(t *testing.T) {
 	want := []struct {
 		label       string
 		done, total uint64
-	}{{"campaign", 2, 4}}
+	}{{"campaign", 2, 8}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %+v", runs)
 	}
@@ -427,13 +368,15 @@ func TestTraceAndUtilSinks(t *testing.T) {
 // TestSnapshotSortedInvariant: every snapshot section is sorted by name,
 // whatever order metrics were recorded in.
 func TestSnapshotSortedInvariant(t *testing.T) {
-	r := NewRegistry()
+	p := NewPipeline()
 	for _, n := range []string{"z", "a", "m", "b/x", "b/a"} {
-		r.Add(n, 1)
-		r.Max(n, 1)
-		r.Observe(n, 1)
+		record(p, func(c *Collector) {
+			c.Add(n, 1)
+			c.Max(n, 1)
+			c.Observe(n, 1)
+		})
 	}
-	snap := r.Snapshot()
+	snap := p.Registry().Snapshot()
 	sorted := func(names []string) bool {
 		for i := 1; i < len(names); i++ {
 			if names[i-1] >= names[i] {
@@ -480,9 +423,11 @@ func TestBucketBound(t *testing.T) {
 }
 
 func ExampleEncodeInflux() {
-	r := NewRegistry()
-	r.Add("simnet/waterfill_passes", 7)
-	_ = EncodeInflux(os.Stdout, r.Snapshot(), 0)
+	p := NewPipeline()
+	c := p.Collector()
+	c.Add("simnet/waterfill_passes", 7)
+	c.Release()
+	_ = EncodeInflux(os.Stdout, p.Registry().Snapshot(), 0)
 	// Output:
 	// beegfsim,metric=simnet/waterfill_passes,type=counter value=7u
 }

@@ -1,16 +1,17 @@
-// Package obs is the simulator's observability layer: a metrics registry
-// (counters, high-water gauges, log-2 histograms) and a structured event
-// tracer emitting Chrome trace-event JSON plus per-resource utilization
-// timelines.
+// Package obs is the simulator's observability layer: a metrics pipeline
+// (per-repetition collectors merged into one registry of counters,
+// high-water gauges and log-2 histograms, rendered by sinks) and a
+// structured event tracer emitting Chrome trace-event JSON plus
+// per-resource utilization timelines.
 //
 // Design constraints, in order of importance:
 //
 //  1. Zero cost when disabled. The simulation packages never call into
 //     this package on their hot paths; they keep plain per-deployment
 //     Stats structs behind a single nil pointer check, and the glue layer
-//     (internal/cluster) merges those structs into a Registry after each
-//     repetition. Disabled instrumentation therefore compiles to one
-//     pointer comparison per instrumented site.
+//     (internal/cluster) flushes those structs into a pipeline Collector
+//     after each repetition. Disabled instrumentation therefore compiles
+//     to one pointer comparison per instrumented site.
 //  2. Never perturb simulation numerics. Everything here is read-only
 //     with respect to simulation state: instruments count events and copy
 //     values; they draw no randomness and schedule nothing. out/ CSVs are
@@ -29,7 +30,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"strings"
@@ -53,9 +53,10 @@ const Log2Buckets = 65
 
 // Log2Hist is a plain (single-goroutine) histogram with fixed log-2
 // buckets. Simulation packages embed it in their per-deployment Stats
-// structs; it is merged into a shared Registry via Registry.MergeHist
+// structs; it is folded into a pipeline Collector via Collector.MergeHist
 // after the repetition finishes, so the hot path performs two integer
-// adds and one increment, with no atomics and no map lookups.
+// adds and one increment, with no atomics and no map lookups. Collectors
+// and the registry keep their named histograms as Log2Hists too.
 type Log2Hist struct {
 	Count   uint64
 	Sum     uint64
@@ -79,100 +80,24 @@ func (h *Log2Hist) Merge(src *Log2Hist) {
 	}
 }
 
-// histogram is the Registry's accumulated (mergeable) histogram state.
-type histogram struct {
-	count   uint64
-	sum     uint64
-	buckets [Log2Buckets]uint64
-}
-
-// observe records one value (collector-shard hot path; no lock).
-func (h *histogram) observe(v uint64) {
-	h.count++
-	h.sum += v
-	h.buckets[bits.Len64(v)]++
-}
-
-// Registry accumulates named metrics from any number of repetitions (and
-// goroutines). It is not a hot-path structure: simulation packages record
-// into plain Stats structs and flush here once per repetition, so a mutex
-// around plain maps is both simple and cheap. All methods are safe on a
-// nil *Registry (they do nothing), so call sites do not need their own
-// enabled checks.
+// Registry is a pipeline's merged metric model, accumulated from any
+// number of repetitions (and goroutines). Its only writers are collector
+// flushes, once per repetition, so a mutex around plain maps is both
+// simple and cheap. All methods are safe on a nil *Registry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]uint64
 	maxima   map[string]uint64
-	hists    map[string]*histogram
+	hists    map[string]*Log2Hist
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]uint64),
 		maxima:   make(map[string]uint64),
-		hists:    make(map[string]*histogram),
+		hists:    make(map[string]*Log2Hist),
 	}
-}
-
-// Add increments the named counter by v.
-func (r *Registry) Add(name string, v uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.counters[name] += v
-	r.mu.Unlock()
-}
-
-// Max raises the named high-water gauge to v if v exceeds it.
-func (r *Registry) Max(name string, v uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if v > r.maxima[name] {
-		r.maxima[name] = v
-	}
-	r.mu.Unlock()
-}
-
-// Observe records one value into the named histogram.
-func (r *Registry) Observe(name string, v uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &histogram{}
-		r.hists[name] = h
-	}
-	h.count++
-	h.sum += v
-	h.buckets[bits.Len64(v)]++
-	r.mu.Unlock()
-}
-
-// MergeHist folds a repetition's plain histogram into the named registry
-// histogram. Bucket-wise uint64 addition is associative, so the merged
-// state does not depend on the order parallel workers flush in.
-func (r *Registry) MergeHist(name string, src *Log2Hist) {
-	if r == nil || src.Count == 0 {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &histogram{}
-		r.hists[name] = h
-	}
-	h.count += src.Count
-	h.sum += src.Sum
-	for i, b := range src.Buckets {
-		h.buckets[i] += b
-	}
-	r.mu.Unlock()
 }
 
 // Counter returns the named counter's current value (0 if absent).
@@ -240,25 +165,12 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	snap.Hists = make([]HistValue, 0, len(r.hists))
 	for k, h := range r.hists {
-		snap.Hists = append(snap.Hists, HistValue{Name: k, Count: h.count, Sum: h.sum, Buckets: h.buckets})
+		snap.Hists = append(snap.Hists, HistValue{Name: k, Count: h.Count, Sum: h.Sum, Buckets: h.Buckets})
 	}
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
 	sort.Slice(snap.Maxima, func(i, j int) bool { return snap.Maxima[i].Name < snap.Maxima[j].Name })
 	sort.Slice(snap.Hists, func(i, j int) bool { return snap.Hists[i].Name < snap.Hists[j].Name })
 	return snap
-}
-
-// WriteJSON writes the registry as a deterministic JSON document. The
-// encoder walks the sorted Snapshot and emits every key explicitly — no
-// map iteration feeds the output — so two registries with equal contents
-// serialize byte-identically regardless of insertion or merge order
-// (pinned by TestWriteJSONGolden).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	return EncodeJSON(w, r.Snapshot())
 }
 
 // Summary renders a human-readable metrics table (sorted by name), the
@@ -303,11 +215,11 @@ func (r *Registry) Summary() string {
 		for _, k := range names {
 			h := r.hists[k]
 			mean := 0.0
-			if h.count > 0 {
-				mean = float64(h.sum) / float64(h.count)
+			if h.Count > 0 {
+				mean = float64(h.Sum) / float64(h.Count)
 			}
 			top := 0
-			for i, cnt := range h.buckets {
+			for i, cnt := range h.Buckets {
 				if cnt > 0 {
 					top = i
 				}
@@ -316,7 +228,7 @@ func (r *Registry) Summary() string {
 			if top > 0 {
 				hi = 1<<uint(top) - 1
 			}
-			fmt.Fprintf(&b, "%-52s %14d %14.2f %14d\n", k, h.count, mean, hi)
+			fmt.Fprintf(&b, "%-52s %14d %14.2f %14d\n", k, h.Count, mean, hi)
 		}
 	}
 	return b.String()

@@ -28,43 +28,60 @@ func TestLog2HistBuckets(t *testing.T) {
 	}
 }
 
+// record flushes one collector's worth of metrics into p's registry.
+func record(p *Pipeline, fill func(c *Collector)) {
+	c := p.Collector()
+	fill(c)
+	c.Release()
+}
+
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	r.Add("x", 1)
-	r.Max("x", 1)
-	r.Observe("x", 1)
-	r.MergeHist("x", &Log2Hist{Count: 1})
 	if r.Counter("x") != 0 {
 		t.Fatal("nil registry returned a counter")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := EncodeJSON(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if strings.TrimSpace(buf.String()) != "{}" {
-		t.Fatalf("nil WriteJSON = %q", buf.String())
+	var doc map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("nil registry export invalid: %v", err)
+	}
+	for section, metrics := range doc {
+		if len(metrics) != 0 {
+			t.Fatalf("nil registry exported %s: %s", section, buf.String())
+		}
 	}
 	if r.Summary() != "" {
 		t.Fatal("nil Summary non-empty")
 	}
 }
 
+// TestRegistryAccumulates folds two repetitions' collectors into one
+// registry: counters add, high-water gauges keep the maximum and
+// histograms merge bucket-wise.
 func TestRegistryAccumulates(t *testing.T) {
-	r := NewRegistry()
-	r.Add("ops", 3)
-	r.Add("ops", 4)
+	p := NewPipeline()
+	record(p, func(c *Collector) {
+		c.Add("ops", 3)
+		c.Max("hw", 5)
+		c.Observe("h", 10)
+	})
+	record(p, func(c *Collector) {
+		c.Add("ops", 4)
+		c.Max("hw", 3) // lower: ignored
+		var src Log2Hist
+		src.Observe(2)
+		src.Observe(100)
+		c.MergeHist("h", &src)
+	})
+	r := p.Registry()
 	if got := r.Counter("ops"); got != 7 {
 		t.Fatalf("ops = %d", got)
 	}
-	r.Max("hw", 5)
-	r.Max("hw", 3) // lower: ignored
-	r.Observe("h", 10)
-	var src Log2Hist
-	src.Observe(2)
-	src.Observe(100)
-	r.MergeHist("h", &src)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := EncodeJSON(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -95,25 +112,27 @@ func TestRegistryAccumulates(t *testing.T) {
 // Two registries filled in different orders (as parallel workers would)
 // must serialize byte-identically.
 func TestWriteJSONOrderIndependent(t *testing.T) {
-	fill := func(r *Registry, reversed bool) {
+	fill := func(p *Pipeline, reversed bool) {
 		ops := [][2]uint64{{1, 10}, {2, 20}, {3, 30}}
 		if reversed {
 			ops = [][2]uint64{{3, 30}, {2, 20}, {1, 10}}
 		}
 		for _, op := range ops {
-			r.Add("a", op[1])
-			r.Max("m", op[1])
-			r.Observe("h", op[0])
+			record(p, func(c *Collector) {
+				c.Add("a", op[1])
+				c.Max("m", op[1])
+				c.Observe("h", op[0])
+			})
 		}
 	}
-	a, b := NewRegistry(), NewRegistry()
+	a, b := NewPipeline(), NewPipeline()
 	fill(a, false)
 	fill(b, true)
 	var ba, bb bytes.Buffer
-	if err := a.WriteJSON(&ba); err != nil {
+	if err := EncodeJSON(&ba, a.Registry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteJSON(&bb); err != nil {
+	if err := EncodeJSON(&bb, b.Registry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
@@ -122,11 +141,13 @@ func TestWriteJSONOrderIndependent(t *testing.T) {
 }
 
 func TestSummaryMentionsEverything(t *testing.T) {
-	r := NewRegistry()
-	r.Add("layer/ops", 1)
-	r.Max("layer/hw", 2)
-	r.Observe("layer/hist", 3)
-	s := r.Summary()
+	p := NewPipeline()
+	record(p, func(c *Collector) {
+		c.Add("layer/ops", 1)
+		c.Max("layer/hw", 2)
+		c.Observe("layer/hist", 3)
+	})
+	s := p.Registry().Summary()
 	for _, want := range []string{"layer/ops", "layer/hw", "layer/hist"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)

@@ -21,8 +21,8 @@ import (
 // Bucket lines carry cumulative counts (mirroring the Prometheus
 // rendering) keyed by the log-2 inclusive upper bound. Lines are emitted
 // in snapshot order with no timestamp by default — equal snapshots render
-// byte-identical files (the golden-file test pins this); a collection
-// timestamp can be stamped per-sink for real ingestion.
+// byte-identical files (the golden-file test pins this); EncodeInflux can
+// stamp a collection timestamp for real ingestion.
 
 // EncodeInflux writes snap as InfluxDB line protocol. ts, when nonzero,
 // is appended to every line as the nanosecond timestamp.
@@ -102,23 +102,8 @@ func influxTag(v string) string {
 }
 
 // NewInfluxSink returns a sink writing the snapshot as InfluxDB line
-// protocol to path on every flush. The default (no timestamp) output is
-// deterministic; SetTimestamp stamps lines for real ingestion.
-func NewInfluxSink(path string) *InfluxSink {
-	s := &InfluxSink{}
-	s.name = "influx:" + path
-	s.path = path
-	s.enc = func(w io.Writer, snap *Snapshot) error { return EncodeInflux(w, snap, s.ts) }
-	return s
+// protocol to path at Close, without timestamps, so the file is
+// bit-reproducible run to run.
+func NewInfluxSink(path string) Sink {
+	return &fileSink{path: path, enc: func(w io.Writer, snap *Snapshot) error { return EncodeInflux(w, snap, 0) }}
 }
-
-// InfluxSink is the line-protocol file sink (see NewInfluxSink).
-type InfluxSink struct {
-	fileSink
-	ts int64
-}
-
-// SetTimestamp stamps every subsequently written line with the given
-// nanosecond timestamp. Zero (the default) omits timestamps and keeps the
-// file bit-reproducible run to run.
-func (s *InfluxSink) SetTimestamp(ns int64) { s.ts = ns }

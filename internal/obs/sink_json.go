@@ -78,19 +78,15 @@ func writeValueMap(b *bufio.Writer, vals []MetricValue) {
 	}
 }
 
-// fileSink shares the rewrite-on-flush mechanics of the file-backed
-// snapshot sinks: each Flush (and the final Close) truncates the file and
-// renders the snapshot from scratch, so the file always holds one
-// complete, deterministic document.
+// fileSink is the file-backed sink every constructor returns: Close
+// creates the file and encodes the final snapshot (or, for the trace
+// sinks, the tracer) into it as one complete, deterministic document.
 type fileSink struct {
-	name string
 	path string
 	enc  func(io.Writer, *Snapshot) error
 }
 
-func (s *fileSink) Name() string { return s.name }
-
-func (s *fileSink) Flush(snap *Snapshot) error {
+func (s *fileSink) Close(snap *Snapshot) error {
 	f, err := os.Create(s.path)
 	if err != nil {
 		return err
@@ -102,10 +98,8 @@ func (s *fileSink) Flush(snap *Snapshot) error {
 	return f.Close()
 }
 
-func (s *fileSink) Close(snap *Snapshot) error { return s.Flush(snap) }
-
 // NewJSONSink returns a sink writing the registry JSON export schema to
-// path on every flush (the pipeline form of the -metrics flag).
+// path at Close (the pipeline form of the -metrics flag).
 func NewJSONSink(path string) Sink {
-	return &fileSink{name: "json:" + path, path: path, enc: EncodeJSON}
+	return &fileSink{path: path, enc: EncodeJSON}
 }

@@ -138,8 +138,8 @@ func EncodeProm(w io.Writer, snap *Snapshot) error {
 }
 
 // NewPromSink returns a sink writing the OpenMetrics exposition text to
-// path on every flush — the file-backed twin of the /metrics endpoint,
-// for scrapers pointed at node-local textfile collectors.
+// path at Close — the file-backed twin of the /metrics endpoint, for
+// scrapers pointed at node-local textfile collectors.
 func NewPromSink(path string) Sink {
-	return &fileSink{name: "prom:" + path, path: path, enc: EncodeProm}
+	return &fileSink{path: path, enc: EncodeProm}
 }

@@ -1,76 +1,27 @@
 package obs
 
-import (
-	"fmt"
-	"os"
-)
+import "io"
 
 // Trace-backed sinks: unlike the snapshot sinks, these render the
-// pipeline's event tracer rather than the merged metric model. They are
-// write-once — trace events accumulate across the whole run and are only
-// complete at Close — so Flush is a no-op and the file is produced
-// exactly once. Constructing either sink enables the pipeline's tracer,
-// which is what turns event recording on; without one of these sinks the
+// pipeline's event tracer rather than the merged metric model. Trace
+// events accumulate across the whole run, and the file is produced once,
+// at Close. Constructing either sink enables the pipeline's tracer, which
+// is what turns event recording on; without one of these sinks the
 // pipeline carries no tracer and the simulation skips event capture
 // entirely (the zero-cost contract).
-
-// traceSink writes the Chrome trace-event JSON document at Close.
-type traceSink struct {
-	t    *Tracer
-	path string
-}
 
 // NewTraceSink enables p's tracer and returns a sink that writes the
 // Chrome trace-event JSON (chrome://tracing, Perfetto) to path when the
 // pipeline closes.
 func NewTraceSink(p *Pipeline, path string) Sink {
-	return &traceSink{t: p.EnableTrace(), path: path}
-}
-
-func (s *traceSink) Name() string               { return "trace:" + s.path }
-func (s *traceSink) Flush(snap *Snapshot) error { return nil }
-
-func (s *traceSink) Close(snap *Snapshot) error {
-	f, err := os.Create(s.path)
-	if err != nil {
-		return err
-	}
-	if err := s.t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// utilCSVSink writes per-resource utilization timelines (derived from the
-// tracer's counter tracks) as one CSV per matched resource prefix.
-type utilCSVSink struct {
-	t    *Tracer
-	path string
-	// prefix selects which counter tracks render ("ost/", "oss/", ...).
-	prefix string
+	t := p.EnableTrace()
+	return &fileSink{path: path, enc: func(w io.Writer, _ *Snapshot) error { return t.WriteJSON(w) }}
 }
 
 // NewUtilCSVSink enables p's tracer and returns a sink that writes the
-// utilization timeline CSV for counter tracks matching prefix to path
-// when the pipeline closes. This is the -utilcsv flag's implementation:
-// the bespoke writer the CLIs used to carry is now just a sink
-// configuration.
+// utilization timeline CSV for counter tracks matching prefix ("ost",
+// "oss", ...) to path when the pipeline closes (the -utilcsv flag).
 func NewUtilCSVSink(p *Pipeline, path, prefix string) Sink {
-	return &utilCSVSink{t: p.EnableTrace(), path: path, prefix: prefix}
-}
-
-func (s *utilCSVSink) Name() string               { return fmt.Sprintf("utilcsv:%s:%s", s.prefix, s.path) }
-func (s *utilCSVSink) Flush(snap *Snapshot) error { return nil }
-
-func (s *utilCSVSink) Close(snap *Snapshot) error {
-	f, err := os.Create(s.path)
-	if err != nil {
-		return err
-	}
-	if err := s.t.WriteUtilCSV(f, s.prefix); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	t := p.EnableTrace()
+	return &fileSink{path: path, enc: func(w io.Writer, _ *Snapshot) error { return t.WriteUtilCSV(w, prefix) }}
 }

@@ -434,8 +434,9 @@ func (n *Network) Components() int { return len(n.comps) }
 // that moves its rate, and with rate 0 at completion or abort. Re-balances
 // run once per kernel event, so the callback sees the rates current at
 // event boundaries, not the intermediate rates between two mutations of
-// one event. Used by the trace recorder to build bandwidth timelines
-// (Figure 9 style) from live simulations. Pass nil to remove the observer.
+// one event. examples/timeline builds a bandwidth timeline (Figure 9
+// style) from it, and the fuzzers log through it. Pass nil to remove the
+// observer.
 func (n *Network) Observe(fn func(at simkernel.Time, f *Flow, rate float64)) {
 	n.observer = fn
 }
