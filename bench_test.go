@@ -8,7 +8,7 @@
 //	go test -bench=. -benchmem
 //
 // The per-figure benchmarks use a reduced repetition count per iteration;
-// cmd/figures regenerates the full 100-repetition campaigns.
+// `beegfsim figures` regenerates the full 100-repetition campaigns.
 package repro
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 func benchOpts(i int) experiments.Options {
-	return experiments.Options{Reps: 5, Seed: uint64(i + 1), FastProtocol: true}
+	return experiments.Options{Reps: 5, Seed: uint64(i + 1)}
 }
 
 // BenchmarkFig2 regenerates Figure 2a (bandwidth vs data size, scenario 1)
@@ -92,7 +92,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		boxes, err := experiments.Fig8(experiments.Options{Reps: 12, Seed: uint64(i + 1), FastProtocol: true})
+		boxes, err := experiments.Fig8(experiments.Options{Reps: 12, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		boxes, err := experiments.Fig10(experiments.Options{Reps: 12, Seed: uint64(i + 1), FastProtocol: true})
+		boxes, err := experiments.Fig10(experiments.Options{Reps: 12, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Fig11(experiments.Options{Reps: 3, Seed: uint64(i + 1), FastProtocol: true})
+		cells, err := experiments.Fig11(experiments.Options{Reps: 3, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12(experiments.Options{Reps: 5, Seed: uint64(i + 1), FastProtocol: true})
+		rows, err := experiments.Fig12(experiments.Options{Reps: 5, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	var p float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12(experiments.Options{Reps: 25, Seed: uint64(i + 1), FastProtocol: true})
+		rows, err := experiments.Fig12(experiments.Options{Reps: 25, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkAblationContention(b *testing.B) {
 				// Two apps forced onto the same 4 targets by pinning the
 				// directory default and creating back-to-back after a full
 				// cursor wrap.
-				proto := experiments.Protocol{Repetitions: 10, BlockSize: 5, MinWait: 0.5, MaxWait: 1, Seed: uint64(i + 1)}
+				proto := experiments.Protocol{Repetitions: 10, BlockSize: 5, Seed: uint64(i + 1)}
 				camp := experiments.Campaign{Platform: p, Proto: proto, BackgroundCreateRate: 4}
 				params := ior.Params{Nodes: 8, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(32 * beegfs.GiB)
 				recs, err := camp.Run([]experiments.Config{{Label: "conc", Params: params, Apps: 2}})

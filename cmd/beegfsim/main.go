@@ -1,135 +1,172 @@
-// Command beegfsim is the simulator's CLI: inspect a platform, run a
-// single IOR-style benchmark, ask the stripe-count recommender, or print
-// the Figure-9-style allocation timeline.
+// Command beegfsim is the simulator's CLI: regenerate the paper's figures,
+// run an IOR-style benchmark, inspect a platform, ask the stripe-count
+// recommender, print the Figure-9-style allocation timeline, replay a job
+// trace, or run the paper's whole evaluation methodology.
 //
 // Usage:
 //
-//	beegfsim topology  [-scenario 1|2]
-//	beegfsim run       [-scenario 1|2] [-nodes N] [-ppn P] [-count K] [-size GiB] [-reps R] [-seed S] [-chooser roundrobin|random|balanced] [-nn]
-//	beegfsim recommend [-scenario 1|2] [-nodes N] [-ppn P] [-chooser ...]
-//	beegfsim timeline  [-scenario 1|2] [-alloc m1,m2] [-size GiB] [-nodes N] [-ppn P]
-//	beegfsim replay    [-scenario 1|2] -trace jobs.json [-pool N] [-seed S]
-//	beegfsim methodology [-scenario 1|2 | -config spec.json] [-reps R]
+//	beegfsim figures     [-fig all|2a|...|scale] [-reps N] [-out DIR] [-cpuprofile F] [-memprofile F] [campaign flags]
+//	beegfsim ior         [-a POSIX] [-b 1g] [-t 1m] [-s N] [-F] [-w] [-r] [-i N] [-nodes N] [-ppn P] [-count K]
+//	                     [-scenario 1|2] [-chooser C | -config spec.json] [-hb-interval S ...] [campaign flags]
+//	beegfsim topology    [-scenario 1|2 | -config spec.json]
+//	beegfsim recommend   [-scenario 1|2] [-nodes N] [-ppn P] [-chooser C]
+//	beegfsim timeline    [-scenario 1|2] [-alloc m1,m2] [-size GiB] [-nodes N] [-ppn P]
+//	beegfsim replay      [-scenario 1|2 | -config spec.json] -trace jobs.json [-pool N] [-seed S]
+//	beegfsim methodology [-scenario 1|2 | -config spec.json] [-reps R] [-maxnodes N] [-seed S]
+//
+// figures and ior share the campaign flags: -seed, -workers, the metrics
+// sinks -metrics/-prom/-influx/-trace/-utilcsv and the live endpoint
+// -serve/-serve-linger. Both repeat their runs through the one §III-C
+// campaign engine (experiments.Campaign), so their numbers are identical
+// at every -workers count and with or without any sink. Every command
+// rejects invalid input before it simulates anything.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/beegfs"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ior"
 	"repro/internal/methodology"
 	"repro/internal/report"
-	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// commands is the dispatch table, in usage order.
+var commands = []struct {
+	name, summary string
+	run           func(args []string, w io.Writer) error
+}{
+	{"figures", "regenerate the paper's figures and the extension campaigns (tables + CSV)", figuresCmd},
+	{"ior", "run an IOR-style benchmark under the §III-C protocol, with IOR's own flags", iorCmd},
+	{"topology", "show the platform's components (Figure 1's architecture)", topology},
+	{"recommend", "evaluate every stripe count and recommend the default", recommend},
+	{"timeline", "per-server write timeline for an allocation (Figure 9)", timeline},
+	{"replay", "replay a JSON job trace through a FCFS node scheduler", replay},
+	{"methodology", "run the paper's evaluation pipeline on a platform (size -> node -> count sweep)", methodologyCmd},
+}
+
+// errUsage reports a command line the flag package has already explained
+// on stderr.
+var errUsage = errors.New("invalid command line")
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "topology":
-		err = topology(args)
-	case "run":
-		err = runCmd(args)
-	case "recommend":
-		err = recommend(args)
-	case "timeline":
-		err = timeline(args)
-	case "replay":
-		err = replay(args)
-	case "methodology":
-		err = methodologyCmd(args)
-	case "-h", "--help", "help":
-		usage()
+	err := dispatch(os.Args[1], os.Args[2:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
 	default:
-		usage()
-		err = fmt.Errorf("unknown command %q", cmd)
-	}
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "beegfsim:", err)
 		os.Exit(1)
 	}
 }
 
+func dispatch(name string, args []string, w io.Writer) error {
+	for _, c := range commands {
+		if c.name == name {
+			return c.run(args, w)
+		}
+	}
+	usage()
+	switch name {
+	case "-h", "--help", "help":
+		return nil
+	}
+	return fmt.Errorf("unknown command %q", name)
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `beegfsim — BeeGFS target-allocation simulator (CLUSTER'22 reproduction)
-
-commands:
-  topology   show the platform's components (Figure 1's architecture)
-  run        execute IOR-style write benchmarks
-  recommend  evaluate every stripe count and recommend the default
-  timeline   per-server write timeline for an allocation (Figure 9)
-  replay     replay a JSON job trace through a FCFS node scheduler
-  methodology run the paper's full evaluation pipeline on a platform
-             (size sweep -> node sweep -> count sweep -> recommendation)`)
-}
-
-func scenarioFlag(fs *flag.FlagSet) *int {
-	return fs.Int("scenario", 1, "PlaFRIM network scenario: 1 (Ethernet) or 2 (Omnipath)")
-}
-
-func configFlag(fs *flag.FlagSet) *string {
-	return fs.String("config", "", "JSON platform spec file (overrides -scenario and -chooser)")
-}
-
-func platformFrom(configPath string, scen int, chooser string) (cluster.Platform, error) {
-	if configPath == "" {
-		return platform(scen, chooser)
+	fmt.Fprintln(os.Stderr, "beegfsim — BeeGFS target-allocation simulator (CLUSTER'22 reproduction)\n\ncommands:")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.name, c.summary)
 	}
-	data, err := os.ReadFile(configPath)
-	if err != nil {
-		return cluster.Platform{}, err
+}
+
+// parse parses a subcommand's flags; positional arguments are errors.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
 	}
-	spec, err := cluster.ParseSpec(data)
-	if err != nil {
-		return cluster.Platform{}, err
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+	}
+	return nil
+}
+
+// platformFlags select the platform a subcommand runs on: a PlaFRIM
+// scenario (plus a target chooser where the subcommand takes one), or a
+// JSON platform spec that replaces both. Either way the platform is built
+// through cluster.Spec, which owns the chooser names.
+type platformFlags struct {
+	fs       *flag.FlagSet
+	scenario *int
+	chooser  *string // nil: the subcommand has no -chooser
+	config   *string // nil: the subcommand has no -config
+}
+
+func addPlatformFlags(fs *flag.FlagSet, chooser, config bool) platformFlags {
+	pf := platformFlags{fs: fs, scenario: fs.Int("scenario", 1, "PlaFRIM network scenario: 1 (Ethernet) or 2 (Omnipath)")}
+	if chooser {
+		pf.chooser = fs.String("chooser", "roundrobin", "target chooser: roundrobin, random, balanced or randominternode")
+	}
+	if config {
+		pf.config = fs.String("config", "", "JSON platform spec file (replaces -scenario and -chooser)")
+	}
+	return pf
+}
+
+func (pf platformFlags) platform() (cluster.Platform, error) {
+	if pf.config != nil && *pf.config != "" {
+		var clash error
+		pf.fs.Visit(func(f *flag.Flag) {
+			if f.Name == "scenario" || f.Name == "chooser" {
+				clash = fmt.Errorf("-config replaces -%s; give one or the other", f.Name)
+			}
+		})
+		if clash != nil {
+			return cluster.Platform{}, clash
+		}
+		data, err := os.ReadFile(*pf.config)
+		if err != nil {
+			return cluster.Platform{}, err
+		}
+		spec, err := cluster.ParseSpec(data)
+		if err != nil {
+			return cluster.Platform{}, err
+		}
+		return spec.Platform()
+	}
+	if s := *pf.scenario; s != 1 && s != 2 {
+		return cluster.Platform{}, fmt.Errorf("-scenario must be 1 or 2, got %d", s)
+	}
+	spec := cluster.Spec{Base: "scenario" + strconv.Itoa(*pf.scenario)}
+	if pf.chooser != nil {
+		spec.Chooser = *pf.chooser
 	}
 	return spec.Platform()
 }
 
-func platform(s int, chooser string) (cluster.Platform, error) {
-	var p cluster.Platform
-	switch s {
-	case 1:
-		p = cluster.PlaFRIM(cluster.Scenario1Ethernet)
-	case 2:
-		p = cluster.PlaFRIM(cluster.Scenario2Omnipath)
-	default:
-		return p, fmt.Errorf("scenario must be 1 or 2, got %d", s)
-	}
-	switch chooser {
-	case "", "roundrobin":
-	case "random":
-		p.FS.Chooser = beegfs.RandomChooser{}
-	case "balanced":
-		p.FS.Chooser = &beegfs.BalancedChooser{}
-	case "randominternode":
-		p.FS.Chooser = beegfs.RandomInterNodeChooser{}
-	default:
-		return p, fmt.Errorf("unknown chooser %q", chooser)
-	}
-	return p, nil
-}
-
-func topology(args []string) error {
-	fs := flag.NewFlagSet("topology", flag.ExitOnError)
-	scen := scenarioFlag(fs)
-	config := configFlag(fs)
-	if err := fs.Parse(args); err != nil {
+func topology(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("topology", flag.ContinueOnError)
+	pf := addPlatformFlags(fs, false, true)
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	p, err := platformFrom(*config, *scen, "")
+	p, err := pf.platform()
 	if err != nil {
 		return err
 	}
@@ -137,129 +174,40 @@ func topology(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("platform %s\n", p.Name)
-	fmt.Printf("  management service: %d targets registered\n", len(dep.FS.Mgmtd().All()))
-	fmt.Printf("  metadata service:   default stripe count %d, chunk %d KiB\n",
+	fmt.Fprintf(w, "platform %s\n", p.Name)
+	fmt.Fprintf(w, "  management service: %d targets registered\n", len(dep.FS.Mgmtd().All()))
+	fmt.Fprintf(w, "  metadata service:   default stripe count %d, chunk %d KiB\n",
 		p.FS.DefaultPattern.Count, p.FS.DefaultPattern.ChunkSize/1024)
-	fmt.Printf("  chooser:            %s\n", p.FS.Chooser.Name())
+	fmt.Fprintf(w, "  chooser:            %s\n", p.FS.Chooser.Name())
 	for _, h := range dep.FS.Storage().Hosts() {
 		ids := make([]string, 0, len(h.Targets()))
 		for _, t := range h.Targets() {
 			ids = append(ids, strconv.Itoa(t.ID))
 		}
-		fmt.Printf("  %s: OSTs %s", h.Name, strings.Join(ids, ","))
+		fmt.Fprintf(w, "  %s: OSTs %s", h.Name, strings.Join(ids, ","))
 		if nic := dep.FS.ServerNIC(h); nic != nil {
-			fmt.Printf("  (NIC %.0f MiB/s)", nic.Capacity())
+			fmt.Fprintf(w, "  (NIC %.0f MiB/s)", nic.Capacity())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("  client links:       %.0f MiB/s per node\n", p.ClientNICCapacity)
-	fmt.Printf("  registration order: ")
+	fmt.Fprintf(w, "  client links:       %.0f MiB/s per node\n", p.ClientNICCapacity)
 	var order []string
 	for _, t := range dep.FS.Mgmtd().All() {
 		order = append(order, strconv.Itoa(t.ID))
 	}
-	fmt.Println(strings.Join(order, ", "))
+	fmt.Fprintf(w, "  registration order: %s\n", strings.Join(order, ", "))
 	return nil
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	scen := scenarioFlag(fs)
-	nodes := fs.Int("nodes", 8, "compute nodes")
-	ppn := fs.Int("ppn", 8, "processes per node")
-	count := fs.Int("count", 4, "stripe count")
-	size := fs.Int64("size", 32, "total data size in GiB")
-	reps := fs.Int("reps", 10, "repetitions")
-	seed := fs.Uint64("seed", 1, "seed")
-	chooser := fs.String("chooser", "roundrobin", "target chooser")
-	nn := fs.Bool("nn", false, "file-per-process (N-N) instead of shared file (N-1)")
-	df := fs.Bool("df", false, "print per-target storage usage after the runs (beegfs-ctl --storagepools style)")
-	config := configFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := platformFrom(*config, *scen, *chooser)
-	if err != nil {
-		return err
-	}
-	dep, err := p.Deploy()
-	if err != nil {
-		return err
-	}
-	src := rng.New(*seed)
-	params := ior.Params{
-		Nodes: *nodes, PPN: *ppn,
-		TransferSize: 1 * beegfs.MiB,
-		StripeCount:  *count,
-		SetupMean:    p.SetupMean, SetupCV: p.SetupCV,
-	}.WithTotalSize(*size * beegfs.GiB)
-	if *nn {
-		params.Pattern = ior.FilePerProcess
-	}
-	t := report.NewTable(
-		fmt.Sprintf("IOR %s: %d nodes x %d ppn, count %d, %d GiB, scenario %d, chooser %s",
-			params.Pattern, *nodes, *ppn, *count, *size, *scen, p.FS.Chooser.Name()),
-		"rep", "bandwidth_mibs", "allocation", "targets")
-	var samples []float64
-	for rep := 0; rep < *reps; rep++ {
-		dep.ReJitter(src)
-		res, err := ior.Execute(dep.FS, dep.Nodes(*nodes), params, src)
-		if err != nil {
-			return err
-		}
-		alloc := core.FromPerHostMap(res.PerHost, p.FS.Hosts)
-		ids := make([]string, 0, len(res.TargetIDs))
-		for _, id := range res.TargetIDs {
-			ids = append(ids, strconv.Itoa(id))
-		}
-		if len(ids) > 8 {
-			ids = append(ids[:8], "...")
-		}
-		t.AddRow(rep+1, res.Bandwidth, alloc.String(), strings.Join(ids, ","))
-		samples = append(samples, res.Bandwidth)
-	}
-	fmt.Println(t.String())
-	if s, err := stats.Summarize(samples); err == nil {
-		fmt.Printf("mean %.1f MiB/s, sd %.1f, min %.1f, max %.1f", s.Mean, s.SD, s.Min, s.Max)
-		if stats.Bimodal(samples) {
-			fmt.Printf("  [bimodal — see Figure 6a]")
-		}
-		fmt.Println()
-	}
-	if *df {
-		fmt.Println()
-		printDF(dep.FS)
-	}
-	return nil
-}
-
-// printDF renders per-target storage usage, beegfs-ctl style.
-func printDF(fsys *beegfs.FileSystem) {
-	t := report.NewTable("storage targets", "target", "host", "used_gib", "capacity_gib", "use%")
-	for _, tg := range fsys.Storage().Targets() {
-		capGiB := float64(tg.CapacityBytes()) / float64(beegfs.GiB)
-		usedGiB := float64(tg.Used()) / float64(beegfs.GiB)
-		pct := 0.0
-		if capGiB > 0 {
-			pct = usedGiB / capGiB * 100
-		}
-		t.AddRow(tg.ID, tg.Host().Name, usedGiB, capGiB, pct)
-	}
-	fmt.Println(t.String())
-	fmt.Printf("files on the metadata server: %d\n", fsys.Meta().FileCount())
-}
-
-func recommend(args []string) error {
-	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
-	scen := scenarioFlag(fs)
+func recommend(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("recommend", flag.ContinueOnError)
+	pf := addPlatformFlags(fs, true, false)
 	nodes := fs.Int("nodes", 8, "compute nodes of the reference application")
 	ppn := fs.Int("ppn", 8, "processes per node")
-	chooser := fs.String("chooser", "roundrobin", "target chooser")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	p, err := platform(*scen, *chooser)
+	p, err := pf.platform()
 	if err != nil {
 		return err
 	}
@@ -282,7 +230,7 @@ func recommend(args []string) error {
 		return err
 	}
 	t := report.NewTable(
-		fmt.Sprintf("stripe-count analysis: scenario %d, %s chooser, %d nodes x %d ppn", *scen, p.FS.Chooser.Name(), *nodes, *ppn),
+		fmt.Sprintf("stripe-count analysis: scenario %d, %s chooser, %d nodes x %d ppn", *pf.scenario, p.FS.Chooser.Name(), *nodes, *ppn),
 		"count", "mean_mibs", "worst", "best", "bimodal", "allocations")
 	for _, e := range rec.PerCount {
 		var parts []string
@@ -291,24 +239,24 @@ func recommend(args []string) error {
 		}
 		t.AddRow(e.Count, e.Mean, e.Worst, e.Best, e.Bimodal, strings.Join(parts, "; "))
 	}
-	fmt.Println(t.String())
-	fmt.Printf("recommended default stripe count: %d (current default %d, expected gain %+.0f%%)\n",
+	fmt.Fprintln(w, t.String())
+	fmt.Fprintf(w, "recommended default stripe count: %d (current default %d, expected gain %+.0f%%)\n",
 		rec.BestCount, rec.DefaultCount, rec.Gain*100)
-	fmt.Println("paper's recommendation: use the maximum stripe count (lessons 4 and 6).")
+	fmt.Fprintln(w, "paper's recommendation: use the maximum stripe count (lessons 4 and 6).")
 	return nil
 }
 
-func timeline(args []string) error {
-	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	scen := scenarioFlag(fs)
+func timeline(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
+	pf := addPlatformFlags(fs, false, false)
 	allocStr := fs.String("alloc", "1,3", "targets per server, comma-separated")
 	size := fs.Int64("size", 32, "volume in GiB")
 	nodes := fs.Int("nodes", 8, "compute nodes")
 	ppn := fs.Int("ppn", 8, "processes per node")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	p, err := platform(*scen, "")
+	p, err := pf.platform()
 	if err != nil {
 		return err
 	}
@@ -327,7 +275,7 @@ func timeline(args []string) error {
 		return err
 	}
 	t := report.NewTable(
-		fmt.Sprintf("Figure 9 timeline: allocation %s writing %d GiB (scenario %d)", alloc, *size, *scen),
+		fmt.Sprintf("Figure 9 timeline: allocation %s writing %d GiB (scenario %d)", alloc, *size, *pf.scenario),
 		"server", "targets", "data_share", "rate_mibs", "finish_s")
 	maxFinish := 0.0
 	for _, h := range tl {
@@ -336,27 +284,26 @@ func timeline(args []string) error {
 			maxFinish = h.Finish
 		}
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 	if maxFinish > 0 {
-		fmt.Printf("aggregate bandwidth: %.1f MiB/s (completion set by the most loaded server)\n",
+		fmt.Fprintf(w, "aggregate bandwidth: %.1f MiB/s (completion set by the most loaded server)\n",
 			float64(*size)*1024/maxFinish)
 	}
 	return nil
 }
 
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	scen := scenarioFlag(fs)
-	config := configFlag(fs)
+func replay(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	pf := addPlatformFlags(fs, false, true)
 	tracePath := fs.String("trace", "", "JSON job trace (required; see internal/workload.Job)")
 	pool := fs.Int("pool", 32, "compute-node pool size")
 	seed := fs.Uint64("seed", 1, "seed")
 	example := fs.Bool("example", false, "print an example trace and exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *example {
-		data, err := workload.EncodeTrace([]Job{
+		data, err := workload.EncodeTrace([]workload.Job{
 			{ID: "climate", Arrival: 0, Nodes: 16, PPN: 8, StripeCount: 8, TotalGiB: 64},
 			{ID: "genomics", Arrival: 5, Nodes: 8, PPN: 8, StripeCount: 4, TotalGiB: 32},
 			{ID: "checkpoint", Arrival: 9, Nodes: 8, PPN: 8, StripeCount: 8, TotalGiB: 32, ReadBack: true},
@@ -365,7 +312,7 @@ func replay(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(w, string(data))
 		return nil
 	}
 	if *tracePath == "" {
@@ -379,7 +326,7 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := platformFrom(*config, *scen, "")
+	p, err := pf.platform()
 	if err != nil {
 		return err
 	}
@@ -395,38 +342,48 @@ func replay(args []string) error {
 		if r.ReadBandwidth > 0 {
 			readCol = fmt.Sprintf("%.0f", r.ReadBandwidth)
 		}
-		ids := make([]string, 0, len(r.TargetIDs))
-		for _, id := range r.TargetIDs {
-			ids = append(ids, strconv.Itoa(id))
-		}
 		t.AddRow(r.Job.ID, r.Job.Arrival, r.Queued, float64(r.Start), float64(r.End),
-			r.Bandwidth, readCol, r.Stretch(), strings.Join(ids, ","))
+			r.Bandwidth, readCol, r.Stretch(), joinIDs(r.TargetIDs, 0))
 	}
-	fmt.Println(t.String())
+	fmt.Fprintln(w, t.String())
 	return nil
 }
 
-// Job aliases workload.Job for the -example literal above.
-type Job = workload.Job
+// joinIDs renders target ids comma-separated, eliding all after the
+// first max (0 = keep all).
+func joinIDs(ids []int, max int) string {
+	parts := make([]string, 0, len(ids))
+	for i, id := range ids {
+		if max > 0 && i == max {
+			parts = append(parts, "...")
+			break
+		}
+		parts = append(parts, strconv.Itoa(id))
+	}
+	return strings.Join(parts, ",")
+}
 
-func methodologyCmd(args []string) error {
-	fs := flag.NewFlagSet("methodology", flag.ExitOnError)
-	scen := scenarioFlag(fs)
-	config := configFlag(fs)
+func methodologyCmd(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("methodology", flag.ContinueOnError)
+	pf := addPlatformFlags(fs, false, true)
 	reps := fs.Int("reps", 30, "repetitions per configuration (paper: 100)")
 	maxNodes := fs.Int("maxnodes", 32, "node-sweep upper bound")
 	seed := fs.Uint64("seed", 1, "seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	p, err := platformFrom(*config, *scen, "")
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be at least 1, got %d", *reps)
+	}
+	if *maxNodes < 1 {
+		return fmt.Errorf("-maxnodes must be at least 1, got %d", *maxNodes)
+	}
+	p, err := pf.platform()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("running the paper's evaluation methodology on %s...\n\n", p.Name)
-	rep, err := methodology.Run(p, methodology.Options{
-		Reps: *reps, Seed: *seed, MaxNodes: *maxNodes, FastProtocol: true,
-	})
+	fmt.Fprintf(w, "running the paper's evaluation methodology on %s...\n\n", p.Name)
+	rep, err := methodology.Run(p, methodology.Options{Reps: *reps, Seed: *seed, MaxNodes: *maxNodes})
 	if err != nil {
 		return err
 	}
@@ -434,15 +391,15 @@ func methodologyCmd(args []string) error {
 	for _, pt := range rep.SizeSweep {
 		t1.AddRow(pt.X, pt.Mean, pt.SD, fmt.Sprintf("[%.0f, %.0f]", pt.CILow, pt.CIHigh))
 	}
-	fmt.Println(t1.String())
-	fmt.Printf("-> chosen total size: %d GiB (paper chose 32)\n\n", rep.ChosenSizeGiB)
+	fmt.Fprintln(w, t1.String())
+	fmt.Fprintf(w, "-> chosen total size: %d GiB (paper chose 32)\n\n", rep.ChosenSizeGiB)
 
 	t2 := report.NewTable("stage 2 — node sweep (Figure 4)", "nodes", "mean_mibs", "sd", "ci95")
 	for _, pt := range rep.NodeSweep {
 		t2.AddRow(pt.X, pt.Mean, pt.SD, fmt.Sprintf("[%.0f, %.0f]", pt.CILow, pt.CIHigh))
 	}
-	fmt.Println(t2.String())
-	fmt.Printf("-> plateau at %d nodes (+%.0f%% over one node; lesson 1); stage 3 uses %d nodes\n\n",
+	fmt.Fprintln(w, t2.String())
+	fmt.Fprintf(w, "-> plateau at %d nodes (+%.0f%% over one node; lesson 1); stage 3 uses %d nodes\n\n",
 		rep.PlateauNodes, rep.NodeGain*100, rep.Stage3Nodes)
 
 	t3 := report.NewTable("stage 3 — stripe-count sweep (Figures 6/8/10)",
@@ -454,11 +411,11 @@ func methodologyCmd(args []string) error {
 		}
 		t3.AddRow(row.Count, row.Mean, row.Worst, row.Best, row.Bimodal, strings.Join(cls, "; "))
 	}
-	fmt.Println(t3.String())
-	fmt.Printf("-> recommended default stripe count: %d (gain over current default: %+.0f%%)\n",
+	fmt.Fprintln(w, t3.String())
+	fmt.Fprintf(w, "-> recommended default stripe count: %d (gain over current default: %+.0f%%)\n",
 		rep.RecommendedCount, rep.GainOverDefault*100)
 	if rep.BalanceGoverned {
-		fmt.Println("-> allocation balance governs performance (lesson 4): prefer a balanced chooser")
+		fmt.Fprintln(w, "-> allocation balance governs performance (lesson 4): prefer a balanced chooser")
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ func main() {
 	for _, count := range []int{2, 4, 8} {
 		p := params
 		p.StripeCount = count
-		proto := experiments.Protocol{Repetitions: 25, BlockSize: 5, MinWait: 1, MaxWait: 4, Seed: uint64(100 + count)}
+		proto := experiments.Protocol{Repetitions: 25, BlockSize: 5, Seed: uint64(100 + count)}
 		camp := experiments.Campaign{Platform: platform, Proto: proto, BackgroundCreateRate: 4}
 
 		eq := apps * count

@@ -12,9 +12,9 @@ import (
 	"repro/internal/beegfs"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/ior"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -33,35 +33,35 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dep, err := p.Deploy()
+		// One campaign per chooser: 12 repetitions of every stripe count
+		// under the §III-C protocol.
+		counts := []int{2, 4, 8, 12, 16}
+		var cfgs []experiments.Config
+		for _, count := range counts {
+			cfgs = append(cfgs, experiments.Config{
+				Label: fmt.Sprintf("count%d", count),
+				Params: ior.Params{
+					Nodes: 16, PPN: 8,
+					TransferSize: 1 * beegfs.MiB,
+					StripeCount:  count,
+				}.WithTotalSize(32 * beegfs.GiB),
+			})
+		}
+		proto := experiments.Protocol{Repetitions: 12, BlockSize: 6, Seed: 11}
+		recs, err := experiments.Campaign{Platform: p, Proto: proto}.Run(cfgs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		src := rng.New(11)
+		byLabel := experiments.GroupByLabel(recs)
 		t := report.NewTable(
 			fmt.Sprintf("quad-OSS platform (4 hosts x 4 OSTs, 25 GbE), chooser %s", chooser.Name()),
 			"count", "mean_mibs", "sd", "worst", "best")
-		for _, count := range []int{2, 4, 8, 12, 16} {
-			params := ior.Params{
-				Nodes: 16, PPN: 8,
-				TransferSize: 1 * beegfs.MiB,
-				StripeCount:  count,
-				SetupMean:    p.SetupMean, SetupCV: p.SetupCV,
-			}.WithTotalSize(32 * beegfs.GiB)
-			var samples []float64
-			for rep := 0; rep < 12; rep++ {
-				dep.ReJitter(src)
-				res, err := ior.Execute(dep.FS, dep.Nodes(16), params, src)
-				if err != nil {
-					log.Fatal(err)
-				}
-				samples = append(samples, res.Bandwidth)
-			}
-			s, err := stats.Summarize(samples)
+		for i, cfg := range cfgs {
+			s, err := stats.Summarize(experiments.Bandwidths(byLabel[cfg.Label]))
 			if err != nil {
 				log.Fatal(err)
 			}
-			t.AddRow(count, s.Mean, s.SD, s.Min, s.Max)
+			t.AddRow(counts[i], s.Mean, s.SD, s.Min, s.Max)
 		}
 		fmt.Println(t.String())
 	}

@@ -62,5 +62,5 @@ func main() {
 	fmt.Printf("analytic model for %s at 1 node x 1 proc: %.0f MiB/s\n",
 		alloc, m.Bandwidth(alloc, 1, 1))
 	fmt.Println("\nnext: examples/stripetuning applies the paper's methodology;")
-	fmt.Println("      cmd/figures regenerates every figure of the evaluation.")
+	fmt.Println("      go run ./cmd/beegfsim figures regenerates every figure of the evaluation.")
 }

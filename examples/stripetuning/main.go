@@ -33,11 +33,7 @@ func main() {
 			}.WithTotalSize(32 * beegfs.GiB),
 		})
 	}
-	proto := experiments.Protocol{
-		Repetitions: 40, BlockSize: 10,
-		MinWait: 1, MaxWait: 5, // virtual-time waits between blocks
-		Seed: 2022,
-	}
+	proto := experiments.Protocol{Repetitions: 40, BlockSize: 10, Seed: 2022}
 	recs, err := experiments.Campaign{Platform: platform, Proto: proto}.Run(cfgs)
 	if err != nil {
 		log.Fatal(err)

@@ -126,6 +126,9 @@ func (m Model) Timeline(alloc Allocation, volumeMiB float64, nodes, ppn int) ([]
 	if volumeMiB <= 0 {
 		return nil, fmt.Errorf("core: non-positive volume")
 	}
+	if nodes < 1 || ppn < 1 {
+		return nil, fmt.Errorf("core: need at least one node and one process per node, got %d/%d", nodes, ppn)
+	}
 	depth := m.targetDepth(alloc, nodes, ppn)
 	sat := 1.0
 	if m.FS.Storage.SatHalf > 0 {

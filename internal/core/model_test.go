@@ -171,6 +171,12 @@ func TestTimeline(t *testing.T) {
 	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 0, 8, 8); err == nil {
 		t.Fatal("zero volume accepted")
 	}
+	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 100, 0, 8); err == nil {
+		t.Fatal("zero nodes accepted")
+	}
+	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 100, 8, 0); err == nil {
+		t.Fatal("zero processes per node accepted")
+	}
 }
 
 // Cross-validation: for deterministic platforms (no jitter, no setup),

@@ -109,6 +109,12 @@ func TestRecommendErrors(t *testing.T) {
 	if _, err := Recommend(m, plafrimHostOrder, "mystery", 4, 8, 8); err == nil {
 		t.Fatal("unknown chooser accepted")
 	}
+	if _, err := Recommend(m, plafrimHostOrder, "roundrobin", 4, 0, 8); err == nil {
+		t.Fatal("zero nodes accepted")
+	}
+	if _, err := Recommend(m, plafrimHostOrder, "roundrobin", 4, 8, -1); err == nil {
+		t.Fatal("negative processes per node accepted")
+	}
 }
 
 // The adaptive-policy question from §I: would adapting each application's

@@ -113,7 +113,7 @@ func ExtChaos(opts Options) ([]ExtChaosRow, error) {
 	scens := []cluster.Scenario{cluster.Scenario1Ethernet, cluster.Scenario2Omnipath}
 	profiles := ChaosProfiles()
 	rows := make([]ExtChaosRow, len(scens)*len(profiles))
-	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
+	err := forEachCell(len(rows), opts.Workers, func(_ *worker, cell int) error {
 		scen := scens[cell/len(profiles)]
 		pi := cell % len(profiles)
 		prof := profiles[pi]

@@ -13,7 +13,7 @@ import (
 // Test options: enough repetitions for shape checks, small enough to keep
 // the suite fast.
 func testOpts(seed uint64, reps int) Options {
-	return Options{Reps: reps, Seed: seed, FastProtocol: true}
+	return Options{Reps: reps, Seed: seed}
 }
 
 func TestProtocolValidate(t *testing.T) {
@@ -23,8 +23,6 @@ func TestProtocolValidate(t *testing.T) {
 	bad := []Protocol{
 		{Repetitions: 0, BlockSize: 10},
 		{Repetitions: 10, BlockSize: 0},
-		{Repetitions: 10, BlockSize: 10, MinWait: -1},
-		{Repetitions: 10, BlockSize: 10, MinWait: 5, MaxWait: 1},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -38,7 +36,7 @@ func TestCampaignRunsAllRepetitions(t *testing.T) {
 		{Label: "a", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(2 * beegfs.GiB)},
 		{Label: "b", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(2 * beegfs.GiB)},
 	}
-	proto := Protocol{Repetitions: 7, BlockSize: 3, MinWait: 0.1, MaxWait: 0.5, Seed: 1}
+	proto := Protocol{Repetitions: 7, BlockSize: 3, Seed: 1}
 	recs, err := Campaign{Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet), Proto: proto}.Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +67,7 @@ func TestCampaignBlockOrderRandomized(t *testing.T) {
 			{Label: "a", Params: ior.Params{Nodes: 1, PPN: 2, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(256 * beegfs.MiB)},
 			{Label: "b", Params: ior.Params{Nodes: 1, PPN: 2, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(256 * beegfs.MiB)},
 		}
-		proto := Protocol{Repetitions: 10, BlockSize: 10, MinWait: 0.01, MaxWait: 0.02, Seed: seed}
+		proto := Protocol{Repetitions: 10, BlockSize: 10, Seed: seed}
 		recs, err := Campaign{Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet), Proto: proto}.Run(cfgs)
 		if err != nil {
 			t.Fatal(err)
@@ -463,7 +461,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			{Label: "a", Params: ior.Params{Nodes: 4, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(8 * beegfs.GiB)},
 			{Label: "b", Params: ior.Params{Nodes: 4, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 8}.WithTotalSize(8 * beegfs.GiB), Apps: 2},
 		}
-		proto := Protocol{Repetitions: 6, BlockSize: 3, MinWait: 0.5, MaxWait: 2, Seed: 77}
+		proto := Protocol{Repetitions: 6, BlockSize: 3, Seed: 77}
 		recs, err := Campaign{
 			Platform: cluster.PlaFRIM(cluster.Scenario2Omnipath),
 			Proto:    proto, Workers: workers, BackgroundCreateRate: 4,
@@ -502,7 +500,7 @@ func TestCampaignSurvivesTargetFailure(t *testing.T) {
 		Label:  "x",
 		Params: ior.Params{Nodes: 4, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 7}.WithTotalSize(4 * beegfs.GiB),
 	}
-	proto := Protocol{Repetitions: 4, BlockSize: 2, MinWait: 0.1, MaxWait: 0.5, Seed: 5}
+	proto := Protocol{Repetitions: 4, BlockSize: 2, Seed: 5}
 	recs, err := Campaign{
 		Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
 		Proto:    proto,

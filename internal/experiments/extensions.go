@@ -31,7 +31,7 @@ func ExtNN(opts Options) ([]ExtNNRow, error) {
 	}
 	const modes = 3
 	means := make([]float64, len(geometries)*modes)
-	err := forEachCell(len(means), opts.Workers, func(i int) error {
+	err := forEachCell(len(means), opts.Workers, func(_ *worker, i int) error {
 		gi, mode := i/modes, i%modes
 		g := geometries[gi]
 		p := cluster.PlaFRIM(cluster.Scenario2Omnipath)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestExtNN(t *testing.T) {
-	rows, err := ExtNN(Options{Reps: 6, Seed: 1, FastProtocol: true})
+	rows, err := ExtNN(Options{Reps: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestExtNN(t *testing.T) {
 }
 
 func TestExtRead(t *testing.T) {
-	rows, err := ExtRead(Options{Reps: 20, Seed: 1, FastProtocol: true})
+	rows, err := ExtRead(Options{Reps: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

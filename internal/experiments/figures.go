@@ -17,9 +17,6 @@ import (
 type Options struct {
 	Reps int
 	Seed uint64
-	// FastProtocol shortens the inter-block waits (tests); the default
-	// reproduces the paper's 1-30 minute waits.
-	FastProtocol bool
 	// Workers bounds how many repetitions (and independent figure cells)
 	// simulate concurrently. 0 selects runtime.NumCPU(); 1 is fully
 	// serial. Results are bit-identical for every value.
@@ -34,9 +31,6 @@ func (o Options) protocol() Protocol {
 	p := DefaultProtocol(o.Seed)
 	if o.Reps > 0 {
 		p.Repetitions = o.Reps
-	}
-	if o.FastProtocol {
-		p.MinWait, p.MaxWait = 0.5, 2
 	}
 	return p
 }
@@ -152,7 +146,7 @@ type Fig5Series struct {
 func Fig5(scenario cluster.Scenario, opts Options) ([]Fig5Series, error) {
 	ppns := []int{8, 16}
 	out := make([]Fig5Series, len(ppns))
-	err := forEachCell(len(ppns), opts.Workers, func(i int) error {
+	err := forEachCell(len(ppns), opts.Workers, func(_ *worker, i int) error {
 		ppn := ppns[i]
 		o := opts
 		o.Seed = opts.Seed*2 + uint64(ppn)

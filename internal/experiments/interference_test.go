@@ -34,7 +34,7 @@ func TestInterferenceWidensSpread(t *testing.T) {
 			Label:  "x",
 			Params: ior.Params{Nodes: 8, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 8}.WithTotalSize(32 * beegfs.GiB),
 		}
-		proto := Protocol{Repetitions: 30, BlockSize: 10, MinWait: 0.5, MaxWait: 2, Seed: 9}
+		proto := Protocol{Repetitions: 30, BlockSize: 10, Seed: 9}
 		recs, err := Campaign{Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet), Proto: proto, Interference: inj}.Run([]Config{cfg})
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestInterferenceBadConfigSurfacesError(t *testing.T) {
 }
 
 func TestComparePolicies(t *testing.T) {
-	res, err := ComparePolicies(2, Options{Reps: 10, Seed: 3, FastProtocol: true})
+	res, err := ComparePolicies(2, Options{Reps: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func obsTestCampaign(pl *obs.Pipeline, workers int) ([]Record, error) {
 		{Label: "obs-a", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 2}.WithTotalSize(beegfs.GiB)},
 		{Label: "obs-b", Params: ior.Params{Nodes: 2, PPN: 4, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(beegfs.GiB)},
 	}
-	proto := Protocol{Repetitions: 4, BlockSize: 2, MinWait: 0.1, MaxWait: 0.5, Seed: 7}
+	proto := Protocol{Repetitions: 4, BlockSize: 2, Seed: 7}
 	return Campaign{
 		Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
 		Proto:    proto,
@@ -196,7 +196,7 @@ func TestPipelineDoesNotPerturbResults(t *testing.T) {
 // a pipeline, and the pipeline sees the activity only that campaign has.
 // The scale cells export counters only and claim no trace.
 func TestExtensionCampaignsDoNotPerturb(t *testing.T) {
-	opts := Options{Reps: 3, Seed: 9, FastProtocol: true, Workers: 2}
+	opts := Options{Reps: 3, Seed: 9, Workers: 2}
 	for _, tc := range []struct {
 		name    string
 		run     func(Options) (any, error)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/beegfs"
@@ -22,7 +23,7 @@ func smallCfg(label string) Config {
 // list of every other worker count, including the NumCPU default.
 func TestWorkersOneMatchesPool(t *testing.T) {
 	run := func(workers int) []Record {
-		proto := Protocol{Repetitions: 5, BlockSize: 2, MinWait: 0.1, MaxWait: 0.5, Seed: 11}
+		proto := Protocol{Repetitions: 5, BlockSize: 2, Seed: 11}
 		recs, err := Campaign{
 			Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
 			Proto:    proto, Workers: workers,
@@ -56,13 +57,40 @@ func TestWorkersExceedingUnitsCompletes(t *testing.T) {
 	}
 }
 
+// Each pool goroutine keeps its worker, and so its deployment, for the
+// whole Run: the serial path deploys once, and a pool of W goroutines at
+// most W times, however many units they run.
+func TestEachWorkerDeploysOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		deps := map[*cluster.Deployment]bool{}
+		_, err := Campaign{
+			Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
+			Proto:    Protocol{Repetitions: 6, BlockSize: 2, Seed: 5},
+			Workers:  workers,
+			Setup: func(d *cluster.Deployment) error {
+				mu.Lock()
+				deps[d] = true
+				mu.Unlock()
+				return nil
+			},
+		}.Run([]Config{smallCfg("a"), smallCfg("b")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(deps) < 1 || len(deps) > workers {
+			t.Errorf("workers=%d: 12 units ran on %d deployments", workers, len(deps))
+		}
+	}
+}
+
 // A failing repetition must surface the error of the first failing unit in
 // EXECUTION order — the one the serial protocol would have reported — no
 // matter which worker finishes first.
 func TestWorkerErrorPropagationByIndex(t *testing.T) {
 	// One config, one block: execution order == repetition order, so the
 	// serial run would fail at rep 1 (never rep 4).
-	proto := Protocol{Repetitions: 6, BlockSize: 6, MinWait: 0.1, MaxWait: 0.5, Seed: 3}
+	proto := Protocol{Repetitions: 6, BlockSize: 6, Seed: 3}
 	fail := func(dep *cluster.Deployment, rec *Record) error {
 		if rec.Rep == 1 || rec.Rep == 4 {
 			return fmt.Errorf("inspect failed at rep %d", rec.Rep)
@@ -88,7 +116,7 @@ func TestWorkerErrorPropagationByIndex(t *testing.T) {
 // and the fault-schedule resilience campaign.
 func TestSerialParallelEquivalence(t *testing.T) {
 	opts := func(workers, reps int) Options {
-		return Options{Reps: reps, Seed: 21, FastProtocol: true, Workers: workers}
+		return Options{Reps: reps, Seed: 21, Workers: workers}
 	}
 	cases := []struct {
 		name string
@@ -123,7 +151,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			return det, nil
 		}},
 		{"interference", func(w int) (any, error) {
-			proto := Protocol{Repetitions: 6, BlockSize: 3, MinWait: 0.5, MaxWait: 2, Seed: 13}
+			proto := Protocol{Repetitions: 6, BlockSize: 3, Seed: 13}
 			return Campaign{
 				Platform:     cluster.PlaFRIM(cluster.Scenario1Ethernet),
 				Proto:        proto,

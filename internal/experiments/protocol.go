@@ -7,10 +7,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/beegfs"
@@ -28,28 +25,23 @@ import (
 //  1. generate a list of all benchmark runs (Repetitions per experiment);
 //  2. divide the list into blocks of BlockSize executions;
 //  3. execute the blocks in random order, one run at a time;
-//  4. impose a random wait (MinWait..MaxWait seconds of virtual time)
-//     between blocks.
+//  4. impose a random wait (1-30 minutes in the paper) between blocks.
 //
 // Randomized block order and inter-block waits decorrelate repetitions
 // from transient system state; in the simulator, the "system state" is the
 // per-run capacity jitter redrawn by ReJitter. Because only time
 // *differences* enter any result (bandwidth = volume / (end - start)), the
-// inter-block waits provably cannot change a record; the engine therefore
-// keeps the wait parameters for protocol fidelity but does not burn
-// virtual time on them.
+// inter-block waits provably cannot change a record, so the engine does
+// not simulate them.
 type Protocol struct {
 	Repetitions int
 	BlockSize   int
-	MinWait     float64 // seconds
-	MaxWait     float64
 	Seed        uint64
 }
 
-// DefaultProtocol reproduces the paper: 100 repetitions, blocks of 10,
-// waits of 1-30 minutes.
+// DefaultProtocol reproduces the paper: 100 repetitions in blocks of 10.
 func DefaultProtocol(seed uint64) Protocol {
-	return Protocol{Repetitions: 100, BlockSize: 10, MinWait: 60, MaxWait: 1800, Seed: seed}
+	return Protocol{Repetitions: 100, BlockSize: 10, Seed: seed}
 }
 
 // Validate reports protocol errors.
@@ -59,9 +51,6 @@ func (p Protocol) Validate() error {
 	}
 	if p.BlockSize <= 0 {
 		return fmt.Errorf("experiments: BlockSize must be positive")
-	}
-	if p.MinWait < 0 || p.MaxWait < p.MinWait {
-		return fmt.Errorf("experiments: bad wait range [%v,%v]", p.MinWait, p.MaxWait)
 	}
 	return nil
 }
@@ -343,85 +332,22 @@ const (
 	appSplitBase        = 16
 )
 
-// runUnits executes the schedule on min(Workers, len(exec)) goroutines.
-// Each worker claims the next unclaimed execution position (an atomic
-// counter), runs it on the deployment it owns, and stores the result in
-// its slot. On error the first failing unit *by execution position* wins —
-// exactly the error the serial run would have returned — and positions
-// after it are skipped (they cannot change the outcome).
+// runUnits executes the schedule on the worker pool: each pool goroutine
+// runs the units it claims on the deployment its worker owns and stores
+// each record in the unit's execution slot. On error the first failing
+// unit *by execution position* wins — exactly the error the serial run
+// would have returned.
 func (c Campaign) runUnits(cfgs []Config, exec []unit) ([]Record, error) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(exec) {
-		workers = len(exec)
-	}
-	if workers <= 1 {
-		// Serial path: identical semantics, no goroutines.
-		var w worker
-		out := make([]Record, 0, len(exec))
-		for i := range exec {
-			rec, err := c.runUnit(&w, cfgs[exec[i].cfg], &exec[i])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-		return out, nil
-	}
 	recs := make([]Record, len(exec))
-	errs := make([]error, len(exec))
-	var next atomic.Int64
-	next.Store(-1)
-	minErr := atomic.Int64{}
-	minErr.Store(math.MaxInt64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var w worker
-			for {
-				i := int(next.Add(1))
-				if i >= len(exec) {
-					return
-				}
-				if int64(i) > minErr.Load() {
-					// A unit after the earliest known error cannot be
-					// reported; skipping it keeps the returned error
-					// deterministic and saves work.
-					continue
-				}
-				rec, err := c.runUnit(&w, cfgs[exec[i].cfg], &exec[i])
-				if err != nil {
-					errs[i] = err
-					for {
-						cur := minErr.Load()
-						if int64(i) >= cur || minErr.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					continue
-				}
-				recs[i] = rec
-			}
-		}()
-	}
-	wg.Wait()
-	if m := minErr.Load(); m != math.MaxInt64 {
-		return nil, errs[m]
+	err := forEachCell(len(exec), c.Workers, func(w *worker, i int) error {
+		rec, err := c.runUnit(w, cfgs[exec[i].cfg], &exec[i])
+		recs[i] = rec
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
-}
-
-// worker is one campaign worker's simulator state, kept for the whole Run
-// and touched by that worker's goroutine only: the deployment it owns
-// (nil until its first unit) and the ior runner that recycles segment
-// drivers across its units.
-type worker struct {
-	dep *cluster.Deployment
-	ior ior.Runner
 }
 
 // prepare readies w's deployment for unit u: it deploys the platform on

@@ -71,7 +71,7 @@ func ExtResilience(opts Options) ([]ExtResilienceRow, error) {
 	// The (scenario, scheme) cells are independent campaigns; run them on
 	// the cell pool and stitch the per-cell rows back in nested-loop order.
 	cellRows := make([][]ExtResilienceRow, len(scens)*len(schemes))
-	err := forEachCell(len(cellRows), opts.Workers, func(cell int) error {
+	err := forEachCell(len(cellRows), opts.Workers, func(_ *worker, cell int) error {
 		scen := scens[cell/len(schemes)]
 		si := cell % len(schemes)
 		scheme := schemes[si]

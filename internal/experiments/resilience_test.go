@@ -32,7 +32,7 @@ func resilienceCampaign(t *testing.T, sched faults.Schedule, seed uint64) []Reco
 		Label:  "r",
 		Params: ior.Params{Nodes: 4, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 4}.WithTotalSize(8 * beegfs.GiB),
 	}
-	proto := Protocol{Repetitions: 6, BlockSize: 3, MinWait: 0.5, MaxWait: 2, Seed: seed}
+	proto := Protocol{Repetitions: 6, BlockSize: 3, Seed: seed}
 	recs, err := Campaign{Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet), Proto: proto, Faults: sched}.Run([]Config{cfg})
 	if err != nil {
 		t.Fatal(err)

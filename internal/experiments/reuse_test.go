@@ -137,7 +137,7 @@ func dirty(t *testing.T, dep *cluster.Deployment) {
 // would make a unit's outcome depend on what the worker ran before it.
 func TestReusedDeploymentMatchesFresh(t *testing.T) {
 	opts := func(reps int) Options {
-		return Options{Reps: reps, Seed: 21, FastProtocol: true, Workers: 1}
+		return Options{Reps: reps, Seed: 21, Workers: 1}
 	}
 	s1, s2 := cluster.Scenario1Ethernet, cluster.Scenario2Omnipath
 	cases := []struct {
@@ -165,7 +165,7 @@ func TestReusedDeploymentMatchesFresh(t *testing.T) {
 		{"interference", func() error {
 			_, err := Campaign{
 				Platform:     cluster.PlaFRIM(s1),
-				Proto:        Protocol{Repetitions: 6, BlockSize: 3, MinWait: 0.5, MaxWait: 2, Seed: 13},
+				Proto:        Protocol{Repetitions: 6, BlockSize: 3, Seed: 13},
 				Workers:      1,
 				Interference: &Interference{Prob: 0.5, Severity: 0.4, Duration: 5, MaxStart: 2},
 			}.Run([]Config{smallCfg("x"), smallCfg("y")})

@@ -406,7 +406,7 @@ func ExtScale(opts Options) ([]ExtScaleRow, error) {
 		}
 	}
 	rows := make([]ExtScaleRow, len(topos))
-	err := forEachCell(len(rows), opts.Workers, func(cell int) error {
+	err := forEachCell(len(rows), opts.Workers, func(_ *worker, cell int) error {
 		topo := topos[cell]
 		row, err := runScaleCell(topo, topo.jobsPerRep*reps, seeds[cell], opts.Pipeline)
 		if err != nil {

@@ -105,7 +105,7 @@ func TestHierSolveSelection(t *testing.T) {
 	// shown up as fallbacks.
 	figure := func(t *testing.T) (uint64, uint64, uint64) {
 		pl := obs.NewPipeline()
-		if _, err := Fig6(cluster.Scenario2Omnipath, Options{Reps: 1, Seed: 9, FastProtocol: true, Workers: 1, Pipeline: pl}); err != nil {
+		if _, err := Fig6(cluster.Scenario2Omnipath, Options{Reps: 1, Seed: 9, Workers: 1, Pipeline: pl}); err != nil {
 			t.Fatal(err)
 		}
 		snap := pl.Registry().Snapshot()

@@ -5,15 +5,31 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cluster"
+	"repro/internal/ior"
 )
 
-// forEachCell runs fn(0..n-1) on up to `workers` goroutines (0 selects
-// runtime.NumCPU(); <=1 runs inline). Figure builders use it to fan
-// independent cells — scenarios, fault schemes, ppn series — out next to
-// the per-campaign repetition pool. Each cell writes its own result slot,
-// so output order never depends on scheduling; on failure the error of the
-// lowest-index failing cell is returned, matching the serial path.
-func forEachCell(n, workers int, fn func(i int) error) error {
+// worker is one pool goroutine's simulator state, kept for the whole pool
+// run and touched by that goroutine only: the deployment it owns (nil
+// until its first campaign unit) and the ior runner that recycles segment
+// drivers across its units. Cells that run whole campaigns of their own
+// leave it untouched.
+type worker struct {
+	dep *cluster.Deployment
+	ior ior.Runner
+}
+
+// forEachCell runs fn(w, 0..n-1) on up to `workers` goroutines (0 selects
+// runtime.NumCPU(); <=1 runs inline), handing each goroutine its own
+// worker. It is the one pool of the package: Campaign.Run fans repetitions
+// out on it, and figure builders fan independent cells — scenarios, fault
+// schemes, ppn series — out next to the per-campaign repetition pool.
+// Each index writes its own result slot, so output order never depends on
+// scheduling; on failure the error of the lowest failing index wins,
+// matching the serial path, and indices after it are skipped (they cannot
+// change the outcome).
+func forEachCell(n, workers int, fn func(w *worker, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -21,8 +37,9 @@ func forEachCell(n, workers int, fn func(i int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
+		var w worker
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(&w, i); err != nil {
 				return err
 			}
 		}
@@ -34,10 +51,11 @@ func forEachCell(n, workers int, fn func(i int) error) error {
 	minErr := atomic.Int64{}
 	minErr.Store(math.MaxInt64)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w worker
 			for {
 				i := int(next.Add(1))
 				if i >= n {
@@ -46,7 +64,7 @@ func forEachCell(n, workers int, fn func(i int) error) error {
 				if int64(i) > minErr.Load() {
 					continue
 				}
-				if err := fn(i); err != nil {
+				if err := fn(&w, i); err != nil {
 					errs[i] = err
 					for {
 						cur := minErr.Load()

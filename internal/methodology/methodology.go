@@ -43,8 +43,6 @@ type Options struct {
 	// PlateauTolerance: a point is "at the plateau" when within this
 	// fraction of the sweep maximum (default 0.03).
 	PlateauTolerance float64
-	// FastProtocol shortens inter-block waits (tests).
-	FastProtocol bool
 	// Workers bounds the campaign worker pool (0 = one per CPU).
 	Workers int
 }
@@ -292,14 +290,7 @@ func campaign(p cluster.Platform, opts Options, stage uint64) experiments.Campai
 	// let odd cursor positions (and allocations the paper never observed,
 	// like (0,4)) leak into later experiments.
 	reps := (opts.Reps + 9) / 10 * 10
-	proto := experiments.Protocol{
-		Repetitions: reps, BlockSize: 10,
-		MinWait: 60, MaxWait: 1800,
-		Seed: opts.Seed*17 + stage,
-	}
-	if opts.FastProtocol {
-		proto.MinWait, proto.MaxWait = 0.5, 2
-	}
+	proto := experiments.Protocol{Repetitions: reps, BlockSize: 10, Seed: opts.Seed*17 + stage}
 	return experiments.Campaign{Platform: p, Proto: proto, Workers: opts.Workers}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func fastOpts(reps int, seed uint64) Options {
-	return Options{Reps: reps, Seed: seed, FastProtocol: true, MaxNodes: 8, MaxSizeGiB: 64}
+	return Options{Reps: reps, Seed: seed, MaxNodes: 8, MaxSizeGiB: 64}
 }
 
 func TestRunOnPlaFRIMScenario1(t *testing.T) {
