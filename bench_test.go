@@ -87,12 +87,16 @@ func BenchmarkFig6(b *testing.B) {
 	b.ReportMetric(count8, "MiB/s@count8")
 }
 
-// BenchmarkFig8 regenerates the Figure 8 allocation boxplots and reports
-// the (3,3)-over-(1,3) gain (paper: >49%).
+// BenchmarkFig8 regenerates the Figure 8 allocation boxplots from Figure
+// 6a's records and reports the (3,3)-over-(1,3) gain (paper: >49%).
 func BenchmarkFig8(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		boxes, err := experiments.Fig8(experiments.Options{Reps: 12, Seed: uint64(i + 1)})
+		pts, err := experiments.Fig6(cluster.Scenario1Ethernet, experiments.Options{Reps: 12, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		boxes, err := experiments.GroupByAllocation(pts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,12 +116,16 @@ func BenchmarkFig8(b *testing.B) {
 	b.ReportMetric(gain*100, "gain%(3,3)/(1,3)")
 }
 
-// BenchmarkFig10 regenerates the Figure 10 boxplots and reports the
-// (3,3)-over-(2,4) gain (paper: 10.15%).
+// BenchmarkFig10 regenerates the Figure 10 boxplots from Figure 6b's
+// records and reports the (3,3)-over-(2,4) gain (paper: 10.15%).
 func BenchmarkFig10(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		boxes, err := experiments.Fig10(experiments.Options{Reps: 12, Seed: uint64(i + 1)})
+		pts, err := experiments.Fig6(cluster.Scenario2Omnipath, experiments.Options{Reps: 12, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		boxes, err := experiments.GroupByAllocation(pts)
 		if err != nil {
 			b.Fatal(err)
 		}

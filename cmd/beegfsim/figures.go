@@ -10,6 +10,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -83,25 +84,55 @@ func figuresCmd(args []string, w io.Writer) error {
 // table), writing its tables to w and its CSVs under outDir (none when
 // outDir is empty).
 func runFigures(w io.Writer, fig string, opts experiments.Options, outDir string) error {
+	r := &figureRun{
+		w: w, opts: opts, outDir: outDir,
+		fig4:  perScenario(opts, experiments.Fig4),
+		fig5:  perScenario(opts, experiments.Fig5),
+		fig6:  perScenario(opts, experiments.Fig6),
+		fig12: sync.OnceValues(func() ([]experiments.Fig12Row, error) { return experiments.Fig12(opts) }),
+	}
 	for _, f := range figures {
-		if fig == "all" && f.name == "13" {
-			// Figure 12's entry already wrote Figure 13.
-			continue
-		}
 		if fig != "all" && fig != f.name {
 			continue
 		}
-		if err := f.fn(w, opts, outDir); err != nil {
+		if err := f.fn(r); err != nil {
 			return fmt.Errorf("fig %s: %w", f.name, err)
 		}
 	}
 	return nil
 }
 
+// figureRun is one runFigures call: where its entries write, the options
+// they simulate with, and the paper campaigns more than one entry reads.
+// Each of those campaigns simulates on first use and hands the same result
+// to every later reader, so Figures 8 and 10 regroup the Figure 6 records,
+// Figure 13 splits the Figure 12 records and the lessons read them all
+// without simulating anything again.
+type figureRun struct {
+	w      io.Writer
+	opts   experiments.Options
+	outDir string
+	fig4   map[cluster.Scenario]func() ([]experiments.SweepPoint, error)
+	fig5   map[cluster.Scenario]func() ([]experiments.Fig5Series, error)
+	fig6   map[cluster.Scenario]func() ([]experiments.CountPoint, error)
+	fig12  func() ([]experiments.Fig12Row, error)
+}
+
+// perScenario returns, for each of the paper's two scenarios, a function
+// that runs campaign on its first call and returns that result on every
+// call.
+func perScenario[T any](opts experiments.Options, campaign func(cluster.Scenario, experiments.Options) (T, error)) map[cluster.Scenario]func() (T, error) {
+	m := make(map[cluster.Scenario]func() (T, error))
+	for _, s := range []cluster.Scenario{cluster.Scenario1Ethernet, cluster.Scenario2Omnipath} {
+		m[s] = sync.OnceValues(func() (T, error) { return campaign(s, opts) })
+	}
+	return m
+}
+
 // figures is the figures command's dispatch table, in -fig all order.
 var figures = []struct {
 	name string
-	fn   func(io.Writer, experiments.Options, string) error
+	fn   func(*figureRun) error
 }{
 	{"2a", fig2(cluster.Scenario1Ethernet)},
 	{"2b", fig2(cluster.Scenario2Omnipath)},
@@ -114,8 +145,8 @@ var figures = []struct {
 	{"8", fig8or10(cluster.Scenario1Ethernet)},
 	{"10", fig8or10(cluster.Scenario2Omnipath)},
 	{"11", fig11},
-	{"12", fig12and13},
-	{"13", fig12and13},
+	{"12", fig12},
+	{"13", fig13},
 	{"lessons", lessons},
 	{"extnn", extNN},
 	{"extread", extRead},
@@ -125,25 +156,29 @@ var figures = []struct {
 	{"scale", scale},
 }
 
-// capReps bounds the repetitions of a campaign too costly to run at the
-// paper's 100, and says so on w when it does.
-func capReps(w io.Writer, fig string, opts experiments.Options, max int) experiments.Options {
+// capReps returns r's options with at most max repetitions, for a
+// campaign too costly to run at the paper's 100, and says so on r's writer
+// when it caps.
+func (r *figureRun) capReps(fig string, max int) experiments.Options {
+	opts := r.opts
 	if opts.Reps > max {
-		fmt.Fprintf(w, "%s: running %d repetitions per cell (-reps %d is capped at %d)\n", fig, max, opts.Reps, max)
+		fmt.Fprintf(r.w, "%s: running %d repetitions per cell (-reps %d is capped at %d)\n", fig, max, opts.Reps, max)
 		opts.Reps = max
 	}
 	return opts
 }
 
-func emit(w io.Writer, t *report.Table, outDir, name string) error {
-	fmt.Fprintln(w, t.String())
-	if outDir == "" {
+// emit prints t on r's writer and writes it as name.csv under r's output
+// directory, if any.
+func (r *figureRun) emit(t *report.Table, name string) error {
+	fmt.Fprintln(r.w, t.String())
+	if r.outDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(r.outDir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(outDir, name+".csv"), []byte(t.CSV()), 0o644)
+	return os.WriteFile(filepath.Join(r.outDir, name+".csv"), []byte(t.CSV()), 0o644)
 }
 
 func scenarioTag(s cluster.Scenario) string {
@@ -153,9 +188,9 @@ func scenarioTag(s cluster.Scenario) string {
 	return "scenario2"
 }
 
-func fig2(s cluster.Scenario) func(io.Writer, experiments.Options, string) error {
-	return func(w io.Writer, opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig2(s, opts)
+func fig2(s cluster.Scenario) func(*figureRun) error {
+	return func(r *figureRun) error {
+		pts, err := experiments.Fig2(s, r.opts)
 		if err != nil {
 			return err
 		}
@@ -165,13 +200,13 @@ func fig2(s cluster.Scenario) func(io.Writer, experiments.Options, string) error
 		for _, p := range pts {
 			t.AddRow(p.X, p.Summary.Mean, p.Summary.SD, p.Summary.Min, p.Summary.Max, p.Summary.N)
 		}
-		return emit(w, t, outDir, "fig2_"+scenarioTag(s))
+		return r.emit(t, "fig2_"+scenarioTag(s))
 	}
 }
 
-func fig4(s cluster.Scenario) func(io.Writer, experiments.Options, string) error {
-	return func(w io.Writer, opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig4(s, opts)
+func fig4(s cluster.Scenario) func(*figureRun) error {
+	return func(r *figureRun) error {
+		pts, err := r.fig4[s]()
 		if err != nil {
 			return err
 		}
@@ -185,17 +220,17 @@ func fig4(s cluster.Scenario) func(io.Writer, experiments.Options, string) error
 			labels = append(labels, fmt.Sprintf("N=%d", int(p.X)))
 			means = append(means, p.Summary.Mean)
 		}
-		if err := emit(w, t, outDir, "fig4_"+scenarioTag(s)); err != nil {
+		if err := r.emit(t, "fig4_"+scenarioTag(s)); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, report.Bars(labels, means, 50))
+		fmt.Fprintln(r.w, report.Bars(labels, means, 50))
 		return nil
 	}
 }
 
-func fig5(s cluster.Scenario) func(io.Writer, experiments.Options, string) error {
-	return func(w io.Writer, opts experiments.Options, outDir string) error {
-		series, err := experiments.Fig5(s, opts)
+func fig5(s cluster.Scenario) func(*figureRun) error {
+	return func(r *figureRun) error {
+		series, err := r.fig5[s]()
 		if err != nil {
 			return err
 		}
@@ -207,13 +242,13 @@ func fig5(s cluster.Scenario) func(io.Writer, experiments.Options, string) error
 				t.AddRow(p.X, ser.PPN, p.Summary.Mean, p.Summary.SD)
 			}
 		}
-		return emit(w, t, outDir, "fig5_"+scenarioTag(s))
+		return r.emit(t, "fig5_"+scenarioTag(s))
 	}
 }
 
-func fig6(s cluster.Scenario) func(io.Writer, experiments.Options, string) error {
-	return func(w io.Writer, opts experiments.Options, outDir string) error {
-		pts, err := experiments.Fig6(s, opts)
+func fig6(s cluster.Scenario) func(*figureRun) error {
+	return func(r *figureRun) error {
+		pts, err := r.fig6[s]()
 		if err != nil {
 			return err
 		}
@@ -228,30 +263,30 @@ func fig6(s cluster.Scenario) func(io.Writer, experiments.Options, string) error
 				ys = append(ys, v)
 			}
 		}
-		if err := emit(w, t, outDir, "fig6_"+scenarioTag(s)); err != nil {
+		if err := r.emit(t, "fig6_"+scenarioTag(s)); err != nil {
 			return err
 		}
 		// The paper's dot cloud: one column per stripe count.
-		fmt.Fprintln(w, report.Scatter(xs, ys, 64, 14))
+		fmt.Fprintln(r.w, report.Scatter(xs, ys, 64, 14))
 		return nil
 	}
 }
 
-func fig8or10(s cluster.Scenario) func(io.Writer, experiments.Options, string) error {
-	return func(w io.Writer, opts experiments.Options, outDir string) error {
-		var boxes []experiments.AllocBox
-		var err error
-		name := "fig8"
-		title := "Figure 8 (scenario1): boxplots by (min,max) OST allocation"
-		if s == cluster.Scenario2Omnipath {
-			boxes, err = experiments.Fig10(opts)
-			name = "fig10"
-			title = "Figure 10 (scenario2): boxplots by (min,max) OST allocation"
-		} else {
-			boxes, err = experiments.Fig8(opts)
-		}
+// fig8or10 regroups scenario s's Figure 6 records by (min,max) allocation:
+// Figure 8 for scenario 1, Figure 10 for scenario 2.
+func fig8or10(s cluster.Scenario) func(*figureRun) error {
+	return func(r *figureRun) error {
+		pts, err := r.fig6[s]()
 		if err != nil {
 			return err
+		}
+		boxes, err := experiments.GroupByAllocation(pts)
+		if err != nil {
+			return err
+		}
+		name, title := "fig8", "Figure 8 (scenario1): boxplots by (min,max) OST allocation"
+		if s == cluster.Scenario2Omnipath {
+			name, title = "fig10", "Figure 10 (scenario2): boxplots by (min,max) OST allocation"
 		}
 		t := report.NewTable(title, "alloc", "n", "mean", "min", "q1", "median", "q3", "max")
 		lo, hi := boxes[0].Box.Min, boxes[0].Box.Max
@@ -264,19 +299,19 @@ func fig8or10(s cluster.Scenario) func(io.Writer, experiments.Options, string) e
 				hi = b.Box.Max
 			}
 		}
-		if err := emit(w, t, outDir, name); err != nil {
+		if err := r.emit(t, name); err != nil {
 			return err
 		}
 		for _, b := range boxes {
-			fmt.Fprintf(w, "%-6s %s\n", b.Alloc, report.BoxRow(b.Box.Min, b.Box.Q1, b.Box.Median, b.Box.Q3, b.Box.Max, lo, hi, 60))
+			fmt.Fprintf(r.w, "%-6s %s\n", b.Alloc, report.BoxRow(b.Box.Min, b.Box.Q1, b.Box.Median, b.Box.Q3, b.Box.Max, lo, hi, 60))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(r.w)
 		return nil
 	}
 }
 
-func fig11(w io.Writer, opts experiments.Options, outDir string) error {
-	cells, err := experiments.Fig11(opts)
+func fig11(r *figureRun) error {
+	cells, err := experiments.Fig11(r.opts)
 	if err != nil {
 		return err
 	}
@@ -286,50 +321,57 @@ func fig11(w io.Writer, opts experiments.Options, outDir string) error {
 	for _, c := range cells {
 		t.AddRow(c.Count, c.Nodes, c.Mean)
 	}
-	return emit(w, t, outDir, "fig11")
+	return r.emit(t, "fig11")
 }
 
-func fig12and13(w io.Writer, opts experiments.Options, outDir string) error {
-	rows, err := experiments.Fig12(opts)
+func fig12(r *figureRun) error {
+	rows, err := r.fig12()
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Figure 12: concurrent applications vs single-application baselines (scenario 2)",
 		"apps", "count", "individual_mean", "solo_mean", "aggregate_mean", "equivalent_single_mean")
-	for _, r := range rows {
-		t.AddRow(r.Apps, r.Count, r.IndividualMean, r.SoloMean, r.AggregateMean, r.EquivalentSingleMean)
+	for _, row := range rows {
+		t.AddRow(row.Apps, row.Count, row.IndividualMean, row.SoloMean, row.AggregateMean, row.EquivalentSingleMean)
 	}
-	if err := emit(w, t, outDir, "fig12"); err != nil {
+	return r.emit(t, "fig12")
+}
+
+// fig13 splits Figure 12's 2-app x 4-OST records by target overlap.
+func fig13(r *figureRun) error {
+	rows, err := r.fig12()
+	if err != nil {
 		return err
 	}
 	res, err := experiments.Fig13(rows)
 	if err != nil {
 		return err
 	}
-	t13 := report.NewTable(
+	t := report.NewTable(
 		"Figure 13: 2 apps x 4 OSTs, share-all vs share-none (paper: Welch p = 0.9031)",
 		"group", "n", "mean_mibs", "sd", "ks_normality_p")
 	sAll, _ := stats.Summarize(res.ShareAll)
 	sNone, _ := stats.Summarize(res.ShareNone)
-	t13.AddRow("share-all", sAll.N, sAll.Mean, sAll.SD, res.KSAll.P)
-	t13.AddRow("share-none", sNone.N, sNone.Mean, sNone.SD, res.KSNone.P)
-	if err := emit(w, t13, outDir, "fig13"); err != nil {
+	t.AddRow("share-all", sAll.N, sAll.Mean, sAll.SD, res.KSAll.P)
+	t.AddRow("share-none", sNone.N, sNone.Mean, sNone.SD, res.KSNone.P)
+	if err := r.emit(t, "fig13"); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "Welch two-sample t-test: t = %.3f, df = %.1f, p = %.4f\n", res.Welch.T, res.Welch.DF, res.Welch.P)
-	fmt.Fprintf(w, "Mann-Whitney U (nonparametric): U = %.1f, z = %.3f, p = %.4f\n\n", res.MannWhitney.U, res.MannWhitney.Z, res.MannWhitney.P)
+	fmt.Fprintf(r.w, "Welch two-sample t-test: t = %.3f, df = %.1f, p = %.4f\n", res.Welch.T, res.Welch.DF, res.Welch.P)
+	fmt.Fprintf(r.w, "Mann-Whitney U (nonparametric): U = %.1f, z = %.3f, p = %.4f\n\n", res.MannWhitney.U, res.MannWhitney.Z, res.MannWhitney.P)
 	return nil
 }
 
-func lessons(w io.Writer, opts experiments.Options, outDir string) error {
-	// Gather the minimal campaigns needed to evaluate all seven lessons.
-	fmt.Fprintln(w, "Evaluating the paper's seven lessons against fresh simulated campaigns...")
-	s1, err := experiments.Fig4(cluster.Scenario1Ethernet, opts)
+// lessons evaluates the paper's seven lessons on the Figure 4, 5b, 6 and
+// 12 campaigns of this run.
+func lessons(r *figureRun) error {
+	fmt.Fprintln(r.w, "Evaluating the paper's seven lessons against fresh simulated campaigns...")
+	s1, err := r.fig4[cluster.Scenario1Ethernet]()
 	if err != nil {
 		return err
 	}
-	s2, err := experiments.Fig4(cluster.Scenario2Omnipath, opts)
+	s2, err := r.fig4[cluster.Scenario2Omnipath]()
 	if err != nil {
 		return err
 	}
@@ -342,7 +384,7 @@ func lessons(w io.Writer, opts experiments.Options, outDir string) error {
 	}
 	byNodes1, byNodes2 := toMap(s1), toMap(s2)
 
-	f5, err := experiments.Fig5(cluster.Scenario2Omnipath, opts)
+	f5, err := r.fig5[cluster.Scenario2Omnipath]()
 	if err != nil {
 		return err
 	}
@@ -350,7 +392,7 @@ func lessons(w io.Writer, opts experiments.Options, outDir string) error {
 	ratioPpn := f5[1].Points[1].Summary.Mean / f5[0].Points[1].Summary.Mean
 	ratioNodes := f5[0].Points[2].Summary.Mean / f5[0].Points[1].Summary.Mean
 
-	pts6a, err := experiments.Fig6(cluster.Scenario1Ethernet, opts)
+	pts6a, err := r.fig6[cluster.Scenario1Ethernet]()
 	if err != nil {
 		return err
 	}
@@ -366,7 +408,7 @@ func lessons(w io.Writer, opts experiments.Options, outDir string) error {
 		}
 	}
 
-	pts6b, err := experiments.Fig6(cluster.Scenario2Omnipath, opts)
+	pts6b, err := r.fig6[cluster.Scenario2Omnipath]()
 	if err != nil {
 		return err
 	}
@@ -388,7 +430,7 @@ func lessons(w io.Writer, opts experiments.Options, outDir string) error {
 		}
 	}
 
-	rows12, err := experiments.Fig12(opts)
+	rows12, err := r.fig12()
 	if err != nil {
 		return err
 	}
@@ -410,112 +452,108 @@ func lessons(w io.Writer, opts experiments.Options, outDir string) error {
 	for _, v := range verdicts {
 		t.AddRow(v.Lesson, v.Holds, v.Detail)
 	}
-	if err := emit(w, t, outDir, "lessons"); err != nil {
+	if err := r.emit(t, "lessons"); err != nil {
 		return err
 	}
 	if !verdicts[6].Holds {
-		fmt.Fprintln(w, strings.TrimSpace(`
+		fmt.Fprintln(r.w, strings.TrimSpace(`
 Note: lesson 7's strict null result is the documented divergence (see
 DESIGN.md §6): a deterministic capacity model cannot reproduce Figure 13's
 parity while also matching Figures 6b/10. The aggregate-level claim — that
 sharing OSTs never degrades total bandwidth relative to the equivalent
 single application — does hold (Figure 12).`))
-		fmt.Fprintln(w)
+		fmt.Fprintln(r.w)
 	}
 	return nil
 }
 
-func extNN(w io.Writer, opts experiments.Options, outDir string) error {
+func extNN(r *figureRun) error {
 	// The full-repetition campaign is expensive for this 12-cell matrix.
-	opts = capReps(w, "extnn", opts, 20)
-	rows, err := experiments.ExtNN(opts)
+	rows, err := experiments.ExtNN(r.capReps("extnn", 20))
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Extension: N-1 vs N-N access patterns (scenario 2, count 8; §VI future work)",
 		"nodes", "ppn", "shared_n1_mibs", "perproc_nn_mibs", "nn_mds2000_mibs")
-	for _, r := range rows {
-		t.AddRow(r.Nodes, r.PPN, r.SharedMean, r.PerProcMean, r.PerProcLimitedMean)
+	for _, row := range rows {
+		t.AddRow(row.Nodes, row.PPN, row.SharedMean, row.PerProcMean, row.PerProcLimitedMean)
 	}
-	if err := emit(w, t, outDir, "ext_nn"); err != nil {
+	if err := r.emit(t, "ext_nn"); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "N-N matches N-1 while the MDS keeps up; a rate-limited MDS taxes N-N with scale.")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w, "N-N matches N-1 while the MDS keeps up; a rate-limited MDS taxes N-N with scale.")
+	fmt.Fprintln(r.w)
 	return nil
 }
 
-func extRead(w io.Writer, opts experiments.Options, outDir string) error {
-	rows, err := experiments.ExtRead(opts)
+func extRead(r *figureRun) error {
+	rows, err := experiments.ExtRead(r.opts)
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Extension: write vs read-back per stripe count (scenario 1; §III-B future work)",
 		"count", "write_mibs", "read_mibs", "write_bimodal", "read_bimodal")
-	for _, r := range rows {
-		t.AddRow(r.Count, r.WriteMean, r.ReadMean, r.WriteBimodal, r.ReadBimodal)
+	for _, row := range rows {
+		t.AddRow(row.Count, row.WriteMean, row.ReadMean, row.WriteBimodal, row.ReadBimodal)
 	}
-	if err := emit(w, t, outDir, "ext_read"); err != nil {
+	if err := r.emit(t, "ext_read"); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Reads track writes and inherit the allocation bimodality, as the paper expected (§III-B).")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w, "Reads track writes and inherit the allocation bimodality, as the paper expected (§III-B).")
+	fmt.Fprintln(r.w)
 	return nil
 }
 
-func resilience(w io.Writer, opts experiments.Options, outDir string) error {
+func resilience(r *figureRun) error {
 	// 2 scenarios x 4 fault schemes.
-	opts = capReps(w, "resilience", opts, 20)
-	rows, err := experiments.ExtResilience(opts)
+	rows, err := experiments.ExtResilience(r.capReps("resilience", 20))
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Extension: write bandwidth and completion time under mid-run faults, by (min,max) allocation",
 		"scenario", "fault", "alloc", "n", "bw_mean_mibs", "bw_sd", "sec_mean", "sec_sd")
-	for _, r := range rows {
-		t.AddRow(r.Scenario, r.Fault, r.Alloc, r.N, r.BWMean, r.BWSD, r.SecMean, r.SecSD)
+	for _, row := range rows {
+		t.AddRow(row.Scenario, row.Fault, row.Alloc, row.N, row.BWMean, row.BWSD, row.SecMean, row.SecSD)
 	}
-	if err := emit(w, t, outDir, "ext_resilience"); err != nil {
+	if err := r.emit(t, "ext_resilience"); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Mid-run OST/OSS failures lower mean bandwidth and stretch completion times;")
-	fmt.Fprintln(w, "the retry/backoff + mirror-failover path keeps every repetition completing.")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w, "Mid-run OST/OSS failures lower mean bandwidth and stretch completion times;")
+	fmt.Fprintln(r.w, "the retry/backoff + mirror-failover path keeps every repetition completing.")
+	fmt.Fprintln(r.w)
 	return nil
 }
 
-func chaos(w io.Writer, opts experiments.Options, outDir string) error {
+func chaos(r *figureRun) error {
 	// 2 scenarios x 3 chaos profiles, each repetition draining a full
 	// invariant audit.
-	opts = capReps(w, "chaos", opts, 20)
-	rows, err := experiments.ExtChaos(opts)
+	rows, err := experiments.ExtChaos(r.capReps("chaos", 20))
 	if err != nil {
 		return err
 	}
 	t := report.NewTable(
 		"Extension: chaos campaign under heartbeat-driven failure detection (invariants audited per repetition)",
 		"scenario", "profile", "episodes", "n", "bw_mean_mibs", "bw_sd", "sec_mean", "sec_sd", "failed_side_ops")
-	for _, r := range rows {
-		t.AddRow(r.Scenario, r.Profile, r.Episodes, r.N, r.BWMean, r.BWSD, r.SecMean, r.SecSD, r.FailedOps)
+	for _, row := range rows {
+		t.AddRow(row.Scenario, row.Profile, row.Episodes, row.N, row.BWMean, row.BWSD, row.SecMean, row.SecSD, row.FailedOps)
 	}
-	if err := emit(w, t, outDir, "ext_chaos"); err != nil {
+	if err := r.emit(t, "ext_chaos"); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Seeded random fault storms — fail-stop, fail-slow, partitions — under heartbeat")
-	fmt.Fprintln(w, "detection: every repetition passed the durability/convergence/conservation/")
-	fmt.Fprintln(w, "boundedness audit at quiesce.")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w, "Seeded random fault storms — fail-stop, fail-slow, partitions — under heartbeat")
+	fmt.Fprintln(r.w, "detection: every repetition passed the durability/convergence/conservation/")
+	fmt.Fprintln(r.w, "boundedness audit at quiesce.")
+	fmt.Fprintln(r.w)
 	return nil
 }
 
-func scale(w io.Writer, opts experiments.Options, outDir string) error {
+func scale(r *figureRun) error {
 	// Each repetition adds a dozen-plus churn jobs per cell; 40 reps
 	// already means thousands of jobs on the large fabric.
-	opts = capReps(w, "scale", opts, 40)
-	rows, err := experiments.ExtScale(opts)
+	rows, err := experiments.ExtScale(r.capReps("scale", 40))
 	if err != nil {
 		return err
 	}
@@ -525,31 +563,31 @@ func scale(w io.Writer, opts experiments.Options, outDir string) error {
 		"Extension: fat-tree job churn at scale — one solve per dirty component per event",
 		"topology", "racks", "targets", "jobs", "bw_mean_mibs", "bw_min", "bw_max",
 		"peak_flows", "events", "solves", "solves_per_event")
-	for _, r := range rows {
-		t.AddRow(r.Topology, r.Racks, r.Targets, r.Jobs, r.BWMean, r.BWMin, r.BWMax,
-			r.PeakFlows, r.Events, r.Solves, r.SolvesPerEvent)
+	for _, row := range rows {
+		t.AddRow(row.Topology, row.Racks, row.Targets, row.Jobs, row.BWMean, row.BWMin, row.BWMax,
+			row.PeakFlows, row.Events, row.Solves, row.SolvesPerEvent)
 	}
-	if err := emit(w, t, outDir, "ext_scale"); err != nil {
+	if err := r.emit(t, "ext_scale"); err != nil {
 		return err
 	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-10s wall %6.2fs  %9.0f events/s  step p50 %6.1fus p99 %6.1fus  hierarchical %d of %d solves\n",
-			r.Topology, r.WallSec, r.EventsPerSec, r.StepP50us, r.StepP99us, r.HierSolves, r.Solves)
+	for _, row := range rows {
+		fmt.Fprintf(r.w, "  %-10s wall %6.2fs  %9.0f events/s  step p50 %6.1fus p99 %6.1fus  hierarchical %d of %d solves\n",
+			row.Topology, row.WallSec, row.EventsPerSec, row.StepP50us, row.StepP99us, row.HierSolves, row.Solves)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The network solves each component an event touched once, when the event")
-	fmt.Fprintln(w, "returns, so an event that starts or finishes many flows still costs one solve.")
-	fmt.Fprintln(w, "On the core topologies, cross-rack drains fuse the racks into one component,")
-	fmt.Fprintln(w, "which the network solves by rack-local groups once it is large enough.")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w)
+	fmt.Fprintln(r.w, "The network solves each component an event touched once, when the event")
+	fmt.Fprintln(r.w, "returns, so an event that starts or finishes many flows still costs one solve.")
+	fmt.Fprintln(r.w, "On the core topologies, cross-rack drains fuse the racks into one component,")
+	fmt.Fprintln(r.w, "which the network solves by rack-local groups once it is large enough.")
+	fmt.Fprintln(r.w)
 	return nil
 }
 
-func policy(w io.Writer, opts experiments.Options, outDir string) error {
+func policy(r *figureRun) error {
 	t := report.NewTable(
 		"Extension: 'always max stripe count' vs adaptive per-app counts (scenario 2)",
 		"apps", "max_count_aggregate", "adapted_aggregate", "max_gain_%")
-	opts = capReps(w, "policy", opts, 25)
+	opts := r.capReps("policy", 25)
 	for _, apps := range []int{2, 4} {
 		o := opts
 		o.Seed = opts.Seed + uint64(apps)
@@ -559,10 +597,10 @@ func policy(w io.Writer, opts experiments.Options, outDir string) error {
 		}
 		t.AddRow(apps, res.MaxCountAggregate, res.AdaptedAggregate, res.Gain*100)
 	}
-	if err := emit(w, t, outDir, "ext_policy"); err != nil {
+	if err := r.emit(t, "ext_policy"); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Adapting per-application stripe counts to avoid sharing buys nothing (§I/§VI).")
-	fmt.Fprintln(w)
+	fmt.Fprintln(r.w, "Adapting per-application stripe counts to avoid sharing buys nothing (§I/§VI).")
+	fmt.Fprintln(r.w)
 	return nil
 }

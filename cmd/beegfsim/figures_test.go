@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,26 +70,85 @@ func TestFiguresExtensionFigures(t *testing.T) {
 // TestFiguresEveryFigureRecords runs every entry of the dispatch table
 // with a sinkless pipeline attached: each must record kernel activity, and
 // every progress label it registers must complete exactly the repetitions
-// it announced. Figures 12, 13 and lessons need about 20 repetitions for
-// their share-all/share-none groups to fill.
+// it announced. Figure 13 and lessons need about 20 repetitions for their
+// share-all/share-none groups to fill. Under "all" each campaign simulates
+// once: 8, 10, 13 and lessons regroup the campaigns of other entries, so
+// "all" records as many repetitions as the other entries run alone.
 func TestFiguresEveryFigureRecords(t *testing.T) {
+	record := func(t *testing.T, fig string) uint64 {
+		opts := tinyOpts()
+		opts.Reps = 20
+		opts.Pipeline = obs.NewPipeline()
+		if err := runFigures(io.Discard, fig, opts, ""); err != nil {
+			t.Fatal(err)
+		}
+		if got := opts.Pipeline.Registry().Counter("simkernel/events_dispatched"); got == 0 {
+			t.Fatal("simkernel/events_dispatched is zero")
+		}
+		for _, rs := range opts.Pipeline.Runs() {
+			if rs.Done != rs.Total {
+				t.Errorf("progress %q: %d of %d repetitions", rs.Label, rs.Done, rs.Total)
+			}
+		}
+		return opts.Pipeline.Registry().Counter("experiments/repetitions")
+	}
+	reps := map[string]uint64{}
 	for _, f := range figures {
-		t.Run(f.name, func(t *testing.T) {
-			opts := tinyOpts()
-			opts.Reps = 20
-			opts.Pipeline = obs.NewPipeline()
-			if err := runFigures(io.Discard, f.name, opts, ""); err != nil {
-				t.Fatal(err)
+		t.Run(f.name, func(t *testing.T) { reps[f.name] = record(t, f.name) })
+	}
+	t.Run("all", func(t *testing.T) {
+		var want uint64
+		for _, f := range figures {
+			n, ok := reps[f.name]
+			if !ok {
+				t.Skipf("entry %s did not run alone", f.name)
 			}
-			if got := opts.Pipeline.Registry().Counter("simkernel/events_dispatched"); got == 0 {
-				t.Fatal("simkernel/events_dispatched is zero")
+			if !slices.Contains([]string{"8", "10", "13", "lessons"}, f.name) {
+				want += n
 			}
-			for _, rs := range opts.Pipeline.Runs() {
-				if rs.Done != rs.Total {
-					t.Errorf("progress %q: %d of %d repetitions", rs.Label, rs.Done, rs.Total)
-				}
-			}
-		})
+		}
+		if got := record(t, "all"); got != want {
+			t.Fatalf("all recorded %d repetitions, want %d", got, want)
+		}
+	})
+}
+
+// TestFiguresDerivedEntriesWriteOwnCSV runs each entry that reads another
+// entry's campaign, and Figure 12 whose records Figure 13 splits, on its
+// own: each must write exactly its own CSV, byte-equal to the one "all"
+// writes.
+func TestFiguresDerivedEntriesWriteOwnCSV(t *testing.T) {
+	opts := tinyOpts()
+	opts.Reps = 20
+	all := t.TempDir()
+	if err := runFigures(io.Discard, "all", opts, all); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ fig, csv string }{
+		{"8", "fig8.csv"}, {"10", "fig10.csv"}, {"12", "fig12.csv"}, {"13", "fig13.csv"}, {"lessons", "lessons.csv"},
+	} {
+		dir := t.TempDir()
+		if err := runFigures(io.Discard, f.fig, opts, dir); err != nil {
+			t.Fatalf("fig %s: %v", f.fig, err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 1 || files[0].Name() != f.csv {
+			t.Errorf("fig %s wrote %v, want only %s", f.fig, files, f.csv)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, f.csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(all, f.csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("fig %s alone wrote\n%s\nall wrote\n%s", f.fig, got, want)
+		}
 	}
 }
 

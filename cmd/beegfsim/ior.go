@@ -140,7 +140,12 @@ func iorCmd(args []string, w io.Writer) error {
 			reads = append(reads, res.ReadBandwidth)
 			readCol = fmt.Sprintf("%.2f", res.ReadBandwidth)
 		}
-		fmt.Fprintf(w, "%-4d  %12.2f  %12s  %-8s  %s\n", rec.Rep+1, res.Bandwidth, readCol, rec.Alloc(), joinIDs(res.TargetIDs, 8))
+		// Each file of a file-per-process run has its own allocation.
+		allocCol := "-"
+		if !*fpp {
+			allocCol = rec.Alloc().String()
+		}
+		fmt.Fprintf(w, "%-4d  %12.2f  %12s  %-8s  %s\n", rec.Rep+1, res.Bandwidth, readCol, allocCol, joinIDs(res.TargetIDs, 8))
 	}
 	fmt.Fprintln(w)
 	printSummary(w, "write", writes)

@@ -83,6 +83,8 @@ func TestIOREndToEndWithHeartbeats(t *testing.T) {
 // and with a metrics sink: the printed report must be byte-identical.
 // Stripe count 2 on scenario 1 makes the allocation depend on the
 // round-robin cursor each repetition inherits from the ones before it.
+// The file-per-process run creates one file per task, so no single
+// (min,max) allocation describes a repetition: its alloc column reads "-".
 func TestIORIdenticalAcrossWorkersAndObservers(t *testing.T) {
 	heartbeats := []string{"-hb-interval", "0.5", "-hb-timeout", "1", "-hb-offline", "2.5", "-rpc-timeout", "0.25"}
 	for _, base := range [][]string{
@@ -95,6 +97,14 @@ func TestIORIdenticalAcrossWorkersAndObservers(t *testing.T) {
 		want := run("-workers", "1")
 		if rows := strings.Count(want, " MiB/sec"); rows == 0 {
 			t.Fatalf("%q printed no summary:\n%s", base, want)
+		}
+		_, table, _ := strings.Cut(want, "targets\n")
+		rows, _, _ := strings.Cut(table, "\n\n")
+		for _, row := range strings.Split(rows, "\n") {
+			alloc := strings.Fields(row)[3]
+			if fpp := base[0] == "-F"; fpp != (alloc == "-") {
+				t.Errorf("%q: row %q has alloc %q", base, row, alloc)
+			}
 		}
 		for _, extra := range [][]string{
 			{"-workers", "2"},

@@ -16,6 +16,16 @@ func testOpts(seed uint64, reps int) Options {
 	return Options{Reps: reps, Seed: seed}
 }
 
+// allocBoxes regroups scenario s's Figure 6 records by (min,max)
+// allocation: Figure 8 for scenario 1, Figure 10 for scenario 2.
+func allocBoxes(s cluster.Scenario, opts Options) ([]AllocBox, error) {
+	pts, err := Fig6(s, opts)
+	if err != nil {
+		return nil, err
+	}
+	return GroupByAllocation(pts)
+}
+
 func TestProtocolValidate(t *testing.T) {
 	if err := DefaultProtocol(1).Validate(); err != nil {
 		t.Fatal(err)
@@ -203,7 +213,7 @@ func TestFig6Scenario2MonotoneMeans(t *testing.T) {
 }
 
 func TestFig8AllocationOrdering(t *testing.T) {
-	boxes, err := Fig8(testOpts(6, 30))
+	boxes, err := allocBoxes(cluster.Scenario1Ethernet, testOpts(6, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +244,7 @@ func TestFig8AllocationOrdering(t *testing.T) {
 }
 
 func TestFig10BalancedAdvantage(t *testing.T) {
-	boxes, err := Fig10(testOpts(7, 30))
+	boxes, err := allocBoxes(cluster.Scenario2Omnipath, testOpts(7, 30))
 	if err != nil {
 		t.Fatal(err)
 	}

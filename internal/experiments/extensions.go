@@ -118,3 +118,48 @@ func ExtRead(opts Options) ([]ExtReadRow, error) {
 	}
 	return out, nil
 }
+
+// PolicyComparison answers the paper's §I motivation question: would a
+// policy that adapts each application's stripe count (to avoid sharing
+// targets) beat the simple "everyone uses the maximum" default?
+type PolicyComparison struct {
+	// MaxCountAggregate is the mean Equation-1 aggregate when every
+	// application uses all targets.
+	MaxCountAggregate float64
+	// AdaptedAggregate is the mean aggregate when each application gets
+	// targets/apps targets (disjoint by construction under round-robin).
+	AdaptedAggregate float64
+	// Gain is MaxCountAggregate/AdaptedAggregate - 1: positive or ~zero
+	// means the adaptive policy buys nothing (the paper's conclusion).
+	Gain float64
+}
+
+// ComparePolicies runs both policies with `apps` concurrent applications
+// (8 nodes x 8 ppn, 32 GiB each) on a fresh scenario-2 deployment.
+func ComparePolicies(apps int, opts Options) (PolicyComparison, error) {
+	if apps <= 1 {
+		return PolicyComparison{}, fmt.Errorf("experiments: need at least 2 applications")
+	}
+	p := cluster.PlaFRIM(cluster.Scenario2Omnipath)
+	total := p.FS.Hosts * p.FS.TargetsPerHost
+	adapted := total / apps
+	if adapted < 1 {
+		adapted = 1
+	}
+	cfgs := []Config{
+		{Label: "max", Params: baseParams(8, 8, total, 32*beegfs.GiB), Apps: apps},
+		{Label: "adapted", Params: baseParams(8, 8, adapted, 32*beegfs.GiB), Apps: apps},
+	}
+	recs, err := opts.campaign(p).Run(cfgs)
+	if err != nil {
+		return PolicyComparison{}, err
+	}
+	byLabel := GroupByLabel(recs)
+	var out PolicyComparison
+	out.MaxCountAggregate = stats.Mean(Aggregates(byLabel["max"]))
+	out.AdaptedAggregate = stats.Mean(Aggregates(byLabel["adapted"]))
+	if out.AdaptedAggregate > 0 {
+		out.Gain = out.MaxCountAggregate/out.AdaptedAggregate - 1
+	}
+	return out, nil
+}

@@ -60,3 +60,24 @@ func TestExtRead(t *testing.T) {
 		t.Fatalf("count-8 read %v vs write %v", rows[7].ReadMean, rows[7].WriteMean)
 	}
 }
+
+func TestComparePolicies(t *testing.T) {
+	res, err := ComparePolicies(2, Options{Reps: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MaxCountAggregate <= 0 || res.AdaptedAggregate <= 0 {
+		t.Fatalf("aggregates = %+v", res)
+	}
+	// The paper's conclusion: adapting per-application stripe counts to
+	// avoid target sharing does NOT beat "everyone uses the maximum".
+	if res.Gain < -0.05 {
+		t.Fatalf("adaptive policy beat max-count by %.1f%% — contradicts lesson 7's consequence", -res.Gain*100)
+	}
+}
+
+func TestComparePoliciesRejectsSingleApp(t *testing.T) {
+	if _, err := ComparePolicies(1, Options{Reps: 1}); err == nil {
+		t.Fatal("apps=1 accepted")
+	}
+}

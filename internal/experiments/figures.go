@@ -245,25 +245,6 @@ func GroupByAllocation(points []CountPoint) ([]AllocBox, error) {
 	return out, nil
 }
 
-// Fig8 regenerates Figure 8 (scenario 1 boxplots by allocation) from
-// fresh Figure 6a data.
-func Fig8(opts Options) ([]AllocBox, error) {
-	pts, err := Fig6(cluster.Scenario1Ethernet, opts)
-	if err != nil {
-		return nil, err
-	}
-	return GroupByAllocation(pts)
-}
-
-// Fig10 regenerates Figure 10 (scenario 2 boxplots by allocation).
-func Fig10(opts Options) ([]AllocBox, error) {
-	pts, err := Fig6(cluster.Scenario2Omnipath, opts)
-	if err != nil {
-		return nil, err
-	}
-	return GroupByAllocation(pts)
-}
-
 // Fig11Cell is one (stripe count, node count) mean of Figure 11.
 type Fig11Cell struct {
 	Count int

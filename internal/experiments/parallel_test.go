@@ -112,8 +112,8 @@ func TestWorkerErrorPropagationByIndex(t *testing.T) {
 }
 
 // Serial and parallel execution agree bit-for-bit for every campaign
-// flavour: plain figures, cell-pooled figures, extensions, interference
-// and the fault-schedule resilience campaign.
+// flavour: plain figures, cell-pooled figures, extensions and the
+// fault-schedule resilience campaign.
 func TestSerialParallelEquivalence(t *testing.T) {
 	opts := func(workers, reps int) Options {
 		return Options{Reps: reps, Seed: 21, Workers: workers}
@@ -126,8 +126,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		{"fig4", func(w int) (any, error) { return Fig4(cluster.Scenario1Ethernet, opts(w, 2)) }},
 		{"fig5", func(w int) (any, error) { return Fig5(cluster.Scenario2Omnipath, opts(w, 2)) }},
 		{"fig6", func(w int) (any, error) { return Fig6(cluster.Scenario1Ethernet, opts(w, 3)) }},
-		{"fig8", func(w int) (any, error) { return Fig8(opts(w, 4)) }},
-		{"fig10", func(w int) (any, error) { return Fig10(opts(w, 4)) }},
+		{"fig8", func(w int) (any, error) { return allocBoxes(cluster.Scenario1Ethernet, opts(w, 4)) }},
+		{"fig10", func(w int) (any, error) { return allocBoxes(cluster.Scenario2Omnipath, opts(w, 4)) }},
 		{"fig11", func(w int) (any, error) { return Fig11(opts(w, 1)) }},
 		{"fig12", func(w int) (any, error) { return Fig12(opts(w, 2)) }},
 		{"ext-nn", func(w int) (any, error) { return ExtNN(opts(w, 2)) }},
@@ -149,15 +149,6 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				det[i] = r.Deterministic()
 			}
 			return det, nil
-		}},
-		{"interference", func(w int) (any, error) {
-			proto := Protocol{Repetitions: 6, BlockSize: 3, Seed: 13}
-			return Campaign{
-				Platform:     cluster.PlaFRIM(cluster.Scenario1Ethernet),
-				Proto:        proto,
-				Workers:      w,
-				Interference: &Interference{Prob: 0.5, Severity: 0.4, Duration: 5, MaxStart: 2},
-			}.Run([]Config{smallCfg("x")})
 		}},
 	}
 	for _, tc := range cases {

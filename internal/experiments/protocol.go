@@ -138,9 +138,6 @@ type Campaign struct {
 	// calling goroutine (the serial path). Results are identical for
 	// every value.
 	Workers int
-	// Interference, when non-nil, injects transient capacity-loss events
-	// (§III-C item ii) with the configured probability per repetition.
-	Interference *Interference
 	// Faults, when non-empty, is armed at the start of every repetition
 	// with times relative to the repetition's beginning: each run then
 	// experiences the same mid-run failure/recovery script (the resilience
@@ -241,11 +238,6 @@ func (c Campaign) schedule(cfgs []Config) ([]unit, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("experiments: no configurations")
 	}
-	if c.Interference != nil {
-		if err := c.Interference.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	src := rng.New(c.Proto.Seed)
 	// Step 1: the full run list, per experiment.
 	var list []unit
@@ -327,9 +319,8 @@ func (c Campaign) cursorAdvance(cfg Config, u *unit, nTargets int) int {
 // Child-stream ids within a unit's source. Fixed and disjoint, so adding a
 // consumer never perturbs the others.
 const (
-	interferenceSplitID = 2
-	bgSplitID           = 3
-	appSplitBase        = 16
+	bgSplitID    = 3
+	appSplitBase = 16
 )
 
 // runUnits executes the schedule on the worker pool: each pool goroutine
@@ -408,16 +399,12 @@ func (c Campaign) runUnit(w *worker, cfg Config, u *unit) (Record, error) {
 	apps := cfg.apps()
 	// Split all child streams before any direct draw on u.src (the
 	// repo-wide "split first, draw later" contract).
-	interSrc := u.src.Split(interferenceSplitID)
 	bgSrc := u.src.Split(bgSplitID)
 	appSrcs := make([]*rng.Source, apps)
 	for a := range appSrcs {
 		appSrcs[a] = u.src.Split(appSplitBase + uint64(a))
 	}
 	dep.ReJitter(u.src)
-	if c.Interference != nil {
-		c.Interference.arm(dep, interSrc)
-	}
 	if len(c.Faults) > 0 {
 		inj := faults.NewInjector(dep.FS)
 		if st != nil {

@@ -148,8 +148,8 @@ func TestReusedDeploymentMatchesFresh(t *testing.T) {
 		{"fig4", func() error { _, err := Fig4(s2, opts(2)); return err }},
 		{"fig5", func() error { _, err := Fig5(s2, opts(2)); return err }},
 		{"fig6", func() error { _, err := Fig6(s1, opts(3)); return err }},
-		{"fig8", func() error { _, err := Fig8(opts(3)); return err }},
-		{"fig10", func() error { _, err := Fig10(opts(3)); return err }},
+		{"fig8", func() error { _, err := allocBoxes(s1, opts(3)); return err }},
+		{"fig10", func() error { _, err := allocBoxes(s2, opts(3)); return err }},
 		{"fig11", func() error { _, err := Fig11(opts(1)); return err }},
 		// Concurrent applications with background creates moving the
 		// round-robin cursor.
@@ -162,15 +162,6 @@ func TestReusedDeploymentMatchesFresh(t *testing.T) {
 		// chain an invariant checker onto the op observer.
 		{"ext-chaos", func() error { _, err := ExtChaos(opts(2)); return err }},
 		{"policies", func() error { _, err := ComparePolicies(2, opts(3)); return err }},
-		{"interference", func() error {
-			_, err := Campaign{
-				Platform:     cluster.PlaFRIM(s1),
-				Proto:        Protocol{Repetitions: 6, BlockSize: 3, Seed: 13},
-				Workers:      1,
-				Interference: &Interference{Prob: 0.5, Severity: 0.4, Duration: 5, MaxStart: 2},
-			}.Run([]Config{smallCfg("x"), smallCfg("y")})
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -150,7 +150,9 @@ type Result struct {
 	// that never clean up eventually fill the storage targets).
 	Paths []string
 	// PerHost maps "oss1"-style host names to how many of the run's
-	// targets they own (N-1 only; used for the (min,max) analysis).
+	// targets they own: the shared file's (N-1), which is the (min,max)
+	// allocation, or the sum over every created file (N-N), which is no
+	// single file's allocation.
 	PerHost map[string]int
 	// WriteEnd is when the write phase finished (== End without
 	// ReadBack).

@@ -200,7 +200,6 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 		return rep, err
 	}
 	byLabel = experiments.GroupByLabel(recs)
-	hostCount := p.FS.Hosts
 	ratioMeans := map[string][]float64{} // balance-ratio bucket -> class means
 	for k := 1; k <= total; k++ {
 		rs := byLabel[fmt.Sprintf("count%02d", k)]
@@ -228,7 +227,6 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 		sort.Slice(row.Classes, func(i, j int) bool { return row.Classes[i].Alloc.Less(row.Classes[j].Alloc) })
 		rep.CountSweep = append(rep.CountSweep, row)
 	}
-	_ = hostCount
 
 	// Recommendation: best mean; ties to the better worst case, then to
 	// the larger count (the paper's rule).

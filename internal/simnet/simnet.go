@@ -517,7 +517,8 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 // component of flows riding it when the current event returns; flows in
 // other components are not settled, re-solved or rescheduled. Used by the
 // storage model when the number of active targets on a host changes
-// (concave controller capacity) and by the interference injector.
+// (concave controller capacity) or a target fails, and by the file system
+// for the client ramp and NIC flaps.
 func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	if capacity < 0 {
 		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, r.Name))

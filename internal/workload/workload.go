@@ -121,8 +121,8 @@ func Replay(platform cluster.Platform, totalNodes int, jobs []Job, seed uint64) 
 }
 
 // ReplayOn replays the trace on an existing deployment, so callers can
-// arm fault schedules or interference on the simulation before the jobs
-// run. The deployment's clock is driven to completion.
+// arm fault schedules on the simulation before the jobs run. The
+// deployment's clock is driven to completion.
 func ReplayOn(dep *cluster.Deployment, setupMean, setupCV float64, totalNodes int, jobs []Job, seed uint64) ([]Result, error) {
 	if totalNodes <= 0 {
 		return nil, fmt.Errorf("workload: need a positive node pool")
