@@ -199,6 +199,9 @@ type FileSystem struct {
 	// is 0); its capacity follows ClientA * activeClients^ClientGamma.
 	clientRamp    *simnet.Resource
 	activeClients int
+	// rampCap[n] memoizes cfg.clientAggregate(n), grown on demand
+	// (rampCapacity).
+	rampCap []float64
 	// rackOf maps each storage host to its rack index and rackUplink holds
 	// one uplink resource per rack; both are nil/empty when rack modelling
 	// is off (Config.RackHosts == 0).
@@ -226,10 +229,12 @@ type FileSystem struct {
 	hb *heartbeatMonitor
 	// dirty indexes mirrored files with degraded writes awaiting resync.
 	dirty map[string]*File
-	// hostShare is issue's per-call scratch (host → fraction of the op's
-	// rate landing on that host), reused to keep the I/O hot path off the
-	// allocator.
-	hostShare map[*storagesim.Host]float64
+	// hostShares is issue's per-call scratch: the fraction of the op's
+	// rate landing on each storage host, in first-use order.
+	hostShares []hostShare
+	// distScratch is the whole-file stripe distribution scratch of
+	// precheckCapacity and accountStorage.
+	distScratch []int64
 	// usageList is issue's reusable flow-usage list. simnet.Start
 	// compiles UsageList into the flow's dense vector synchronously and
 	// never reads it again, so one scratch slice serves every op; issue
@@ -405,7 +410,9 @@ func (fs *FileSystem) Reset(chooser TargetChooser) error {
 		nicSlow:      fs.nicSlow,
 		hb:           fs.hb,
 		dirty:        fs.dirty,
-		hostShare:    fs.hostShare,
+		rampCap:      fs.rampCap,
+		hostShares:   fs.hostShares,
+		distScratch:  fs.distScratch,
 		usageList:    fs.usageList,
 		clients:      fs.clients,
 		freePlans:    fs.freePlans,
@@ -465,7 +472,16 @@ func (fs *FileSystem) noteClientOps(c *Client, delta int) {
 	if n < 1 {
 		n = 1 // idle default so a flow arriving this instant sees ClientA
 	}
-	fs.net.SetCapacity(fs.clientRamp, fs.cfg.ClientA*math.Pow(float64(n), fs.cfg.ClientGamma))
+	fs.net.SetCapacity(fs.clientRamp, fs.rampCapacity(n))
+}
+
+// rampCapacity returns the client-stack capacity with n active nodes,
+// extending the memo table to n on first use.
+func (fs *FileSystem) rampCapacity(n int) float64 {
+	for k := len(fs.rampCap); k <= n; k++ {
+		fs.rampCap = append(fs.rampCap, fs.cfg.clientAggregate(k))
+	}
+	return fs.rampCap[n]
 }
 
 // ClientRamp returns the shared client-stack resource (nil when the ramp
@@ -1039,15 +1055,10 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	usage := fs.usageList[:0]
 	total := float64(plan.totalLen)
 	if total > 0 {
-		// hostShare is per-issue scratch reused across calls; values are
-		// fully rewritten before they are read, and the usage list each
-		// entry feeds is sorted and duplicate-merged downstream
-		// (buildUses), so reuse cannot perturb the arithmetic.
-		if fs.hostShare == nil {
-			fs.hostShare = make(map[*storagesim.Host]float64)
-		}
-		hostShare := fs.hostShare
-		clear(hostShare)
+		// hostShares accumulates each host's weight in target slice order.
+		// The order hosts are emitted in does not matter: each appears
+		// once, and buildUses sorts the usage list by resource.
+		hostShares := fs.hostShares[:0]
 		// rackShare accumulates in the deterministic target slice order
 		// (and is emitted by index below), never in map-iteration order:
 		// float accumulation order must not depend on map layout.
@@ -1061,7 +1072,7 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 				}
 				w := float64(plan.dist[i]) / total
 				usage = append(usage, simnet.ResourceShare{Res: t.Resource(), W: w})
-				hostShare[t.Host()] += w
+				hostShares = addHostShare(hostShares, t.Host(), w)
 				if rackShare != nil {
 					if r := fs.rackOf[t.Host()]; r != clientRack {
 						rackShare[r] += w
@@ -1075,12 +1086,13 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 		// secondaries (server-side forwarding; the client link carries the
 		// data once).
 		addSide(secondaries)
-		for h, w := range hostShare {
-			usage = append(usage, simnet.ResourceShare{Res: h.Controller(), W: w})
-			if nic := fs.serverNIC[h]; nic != nil {
-				usage = append(usage, simnet.ResourceShare{Res: nic, W: w})
+		for _, hs := range hostShares {
+			usage = append(usage, simnet.ResourceShare{Res: hs.h.Controller(), W: hs.w})
+			if nic := fs.serverNIC[hs.h]; nic != nil {
+				usage = append(usage, simnet.ResourceShare{Res: nic, W: hs.w})
 			}
 		}
+		fs.hostShares = hostShares
 		if rackShare != nil {
 			// Cross-rack traffic exits each server rack's uplink with that
 			// rack's share, and (for a placed client) enters the client's
@@ -1128,6 +1140,24 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	// detach the scratch slice so the next issue can reuse it.
 	flow.UsageList = nil
 	return flow, nil
+}
+
+// hostShare is one storage host's fraction of an op's rate.
+type hostShare struct {
+	h *storagesim.Host
+	w float64
+}
+
+// addHostShare adds w to h's entry of shares, appending one on h's first
+// use. An op touches a few hosts, so the scan is cheaper than a map.
+func addHostShare(shares []hostShare, h *storagesim.Host, w float64) []hostShare {
+	for i := range shares {
+		if shares[i].h == h {
+			shares[i].w += w
+			return shares
+		}
+	}
+	return append(shares, hostShare{h: h, w: w})
 }
 
 // targetAvailable reports whether new I/O may be directed at t: the
@@ -1611,7 +1641,7 @@ func (fs *FileSystem) precheckCapacity(f *File, regions []Region) error {
 			projected = end
 		}
 	}
-	dist, err := f.Pattern.RegionDistribution(0, projected)
+	dist, err := fs.fileDistribution(f.Pattern, projected)
 	if err != nil {
 		return err
 	}
@@ -1628,13 +1658,24 @@ func (fs *FileSystem) precheckCapacity(f *File, regions []Region) error {
 	return nil
 }
 
+// fileDistribution returns the per-target bytes of [0, size) under p in
+// the file system's scratch slice, which the next call overwrites.
+func (fs *FileSystem) fileDistribution(p StripePattern, size int64) ([]int64, error) {
+	if cap(fs.distScratch) < p.Count {
+		fs.distScratch = make([]int64, p.Count)
+	}
+	dist := fs.distScratch[:p.Count]
+	clear(dist)
+	return dist, p.AddRegionDistribution(dist, 0, size)
+}
+
 // accountStorage brings the per-target stored bytes up to the file's
 // current dense size.
 func (fs *FileSystem) accountStorage(f *File) {
 	if fs.cfg.Storage.TargetCapacityBytes == 0 {
 		return
 	}
-	dist, err := f.Pattern.RegionDistribution(0, f.Size)
+	dist, err := fs.fileDistribution(f.Pattern, f.Size)
 	if err != nil {
 		return
 	}
@@ -1694,12 +1735,18 @@ func (c Config) ClientRampCap(nodes, ppn int) float64 {
 	if c.ClientA == 0 || nodes <= 0 || ppn <= 0 {
 		return 0
 	}
-	aggregate := c.ClientA * math.Pow(float64(nodes), c.ClientGamma)
+	aggregate := c.clientAggregate(nodes)
 	if c.PpnSat > 0 && ppn > c.PpnSat && c.IntraNodePenalty > 0 {
 		excess := math.Log2(float64(ppn) / float64(c.PpnSat))
 		aggregate *= math.Pow(1-c.IntraNodePenalty, excess)
 	}
 	return aggregate / float64(nodes*ppn)
+}
+
+// clientAggregate is the client ramp's aggregate throughput bound with n
+// active compute nodes, ClientA·n^ClientGamma MiB/s.
+func (c Config) clientAggregate(n int) float64 {
+	return c.ClientA * math.Pow(float64(n), c.ClientGamma)
 }
 
 // RampWeight returns the client-stack usage multiplier for a flow issued

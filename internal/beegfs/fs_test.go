@@ -1,6 +1,7 @@
 package beegfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -547,6 +548,30 @@ func TestSharedClientRampScalesWithActiveNodes(t *testing.T) {
 	}
 	if fs.ActiveClients() != 0 {
 		t.Fatalf("active clients after completion = %d", fs.ActiveClients())
+	}
+	// The ramp's capacity is ClientA·N^γ bit for bit at every node count,
+	// whether the memo table is being filled (first climb) or read back
+	// (second climb).
+	var nodes []*Client
+	for n := 1; n <= 64; n++ {
+		nodes = append(nodes, fs.NewClient(fmt.Sprintf("m%d", n), 0))
+	}
+	for climb := 0; climb < 2; climb++ {
+		for n, c := range nodes {
+			if _, err := fs.StartWrite(&WriteOp{Client: c, File: f, Offset: int64(n) * GiB, Length: GiB, TransferSize: MiB}); err != nil {
+				t.Fatal(err)
+			}
+			want := cfg.ClientA * math.Pow(float64(n+1), cfg.ClientGamma)
+			if got := fs.ClientRamp().Capacity(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("climb %d: ramp capacity with %d active nodes = %v, want %v", climb, n+1, got, want)
+			}
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.ClientRamp().Capacity(); got != cfg.ClientA {
+			t.Fatalf("idle ramp capacity after climb %d = %v, want ClientA", climb, got)
+		}
 	}
 }
 

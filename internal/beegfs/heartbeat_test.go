@@ -104,7 +104,13 @@ func TestReachabilityAccessors(t *testing.T) {
 	if fs.Mgmtd().Consistency(999) != Bad {
 		t.Fatal("unknown target not reported bad")
 	}
-	if fs.Mgmtd().Reachability(101) != Online || fs.Mgmtd().Consistency(101) != Good {
+	if fs.Mgmtd().IsOnline(999) {
+		t.Fatal("unknown target reported online")
+	}
+	if fs.Mgmtd().SetConsistency(999, Good) == nil || fs.Mgmtd().SetReachability(999, Online) == nil {
+		t.Fatal("unknown target accepted by a setter")
+	}
+	if !fs.Mgmtd().IsOnline(101) || fs.Mgmtd().Reachability(101) != Online || fs.Mgmtd().Consistency(101) != Good {
 		t.Fatal("fresh target not online/good")
 	}
 }

@@ -17,6 +17,8 @@ import (
 // stale-view I/O possible between a fault firing and the mgmtd noticing.
 type Mgmtd struct {
 	order []*storagesim.Target
+	// byID indexes order by target ID.
+	byID map[int]*storagesim.Target
 	// reach holds each target's published reachability; absent = Online.
 	reach map[int]Reachability
 	// consistency holds each target's data-trust verdict; absent = Good.
@@ -32,15 +34,16 @@ func NewMgmtd(order []*storagesim.Target) (*Mgmtd, error) {
 	if len(order) == 0 {
 		return nil, fmt.Errorf("beegfs: mgmtd needs at least one target")
 	}
-	seen := make(map[int]bool, len(order))
+	byID := make(map[int]*storagesim.Target, len(order))
 	for _, t := range order {
-		if seen[t.ID] {
+		if byID[t.ID] != nil {
 			return nil, fmt.Errorf("beegfs: duplicate target %d in registration order", t.ID)
 		}
-		seen[t.ID] = true
+		byID[t.ID] = t
 	}
 	return &Mgmtd{
 		order:       append([]*storagesim.Target(nil), order...),
+		byID:        byID,
 		reach:       make(map[int]Reachability),
 		consistency: make(map[int]Consistency),
 	}, nil
@@ -54,7 +57,7 @@ func (m *Mgmtd) reset() {
 	clear(m.consistency)
 	clear(m.subscribers)
 	clear(m.reachSubs)
-	*m = Mgmtd{order: m.order, reach: m.reach, consistency: m.consistency, subscribers: m.subscribers[:0], reachSubs: m.reachSubs[:0]}
+	*m = Mgmtd{order: m.order, byID: m.byID, reach: m.reach, consistency: m.consistency, subscribers: m.subscribers[:0], reachSubs: m.reachSubs[:0]}
 }
 
 // PlaFRIMOrder returns the registration order reported by the paper for
@@ -179,14 +182,7 @@ func (m *Mgmtd) SetConsistency(id int, c Consistency) error {
 // when there is something to restore.
 func (m *Mgmtd) hasConsistencyMarks() bool { return len(m.consistency) > 0 }
 
-func (m *Mgmtd) find(id int) *storagesim.Target {
-	for _, t := range m.order {
-		if t.ID == id {
-			return t
-		}
-	}
-	return nil
-}
+func (m *Mgmtd) find(id int) *storagesim.Target { return m.byID[id] }
 
 // Subscribe registers a callback fired whenever a target crosses the
 // Offline boundary in either direction (transitions between Online and

@@ -57,7 +57,11 @@ func (p StripePattern) RegionDistribution(off, n int64) ([]int64, error) {
 
 // AddRegionDistribution accumulates the region's per-target byte counts
 // into dist (len must be p.Count), sparing hot paths the per-region slice
-// RegionDistribution allocates.
+// RegionDistribution allocates. Of a prefix [0, x) of the file, with
+// x = q·width + r over the stripe width, target i holds
+// q·ChunkSize + clamp(r − i·ChunkSize, 0, ChunkSize) bytes; the region's
+// bytes are its end prefix's minus its start prefix's, so the cost is one
+// pass over the targets whatever the region's length.
 func (p StripePattern) AddRegionDistribution(dist []int64, off, n int64) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -68,52 +72,21 @@ func (p StripePattern) AddRegionDistribution(dist []int64, off, n int64) error {
 	if n == 0 {
 		return nil
 	}
-	stripeWidth := p.ChunkSize * int64(p.Count)
-	// Whole stripes fully covered contribute ChunkSize to every target.
-	// Work chunk by chunk only on the ragged edges.
-	firstChunk := off / p.ChunkSize
-	lastChunk := (off + n - 1) / p.ChunkSize
-	if lastChunk-firstChunk < 2*int64(p.Count) {
-		// Small region: walk the chunks directly.
-		for c := firstChunk; c <= lastChunk; c++ {
-			lo := c * p.ChunkSize
-			hi := lo + p.ChunkSize
-			if lo < off {
-				lo = off
-			}
-			if hi > off+n {
-				hi = off + n
-			}
-			dist[p.TargetOfChunk(c)] += hi - lo
-		}
-		return nil
-	}
-	// Large region: peel the ragged head up to a stripe boundary, the
-	// ragged tail from the last stripe boundary, and account the aligned
-	// middle arithmetically.
-	headEnd := ((off + stripeWidth - 1) / stripeWidth) * stripeWidth
-	tailStart := ((off + n) / stripeWidth) * stripeWidth
-	for c := firstChunk; c*p.ChunkSize < headEnd; c++ {
-		lo := c * p.ChunkSize
-		hi := lo + p.ChunkSize
-		if lo < off {
-			lo = off
-		}
-		dist[p.TargetOfChunk(c)] += hi - lo
-	}
-	for c := tailStart / p.ChunkSize; c <= lastChunk; c++ {
-		lo := c * p.ChunkSize
-		hi := lo + p.ChunkSize
-		if hi > off+n {
-			hi = off + n
-		}
-		dist[p.TargetOfChunk(c)] += hi - lo
-	}
-	if tailStart > headEnd {
-		perTarget := (tailStart - headEnd) / int64(p.Count)
-		for i := range dist {
-			dist[i] += perTarget
-		}
+	width := p.ChunkSize * int64(p.Count)
+	qLo, rLo := off/width, off%width
+	qHi, rHi := (off+n)/width, (off+n)%width
+	whole := (qHi - qLo) * p.ChunkSize
+	dist = dist[:p.Count]
+	for i := range dist {
+		start := int64(i) * p.ChunkSize
+		dist[i] += whole + p.stripeTail(rHi-start) - p.stripeTail(rLo-start)
 	}
 	return nil
+}
+
+// stripeTail returns clamp(v, 0, ChunkSize): the bytes a target holds of
+// a prefix's last, partial stripe when the prefix ends v bytes past the
+// start of the target's chunk in that stripe.
+func (p StripePattern) stripeTail(v int64) int64 {
+	return min(max(v, 0), p.ChunkSize)
 }

@@ -172,7 +172,7 @@ func (h *Host) updateCapacity() {
 	m := h.ActiveTargets()
 	var c float64
 	if m > 0 {
-		c = h.sys.cfg.SingleTargetRate * math.Pow(float64(m), h.sys.cfg.Beta) * h.jitter
+		c = h.sys.hostCapacity(m) * h.jitter
 	} else {
 		// Idle host: keep a nominal capacity so a future flow arriving in
 		// the same instant doesn't observe 0.
@@ -189,8 +189,10 @@ type Target struct {
 	host     *Host
 	resource *simnet.Resource
 	jitter   float64
-	// writers counts concurrent writer handles per application name.
-	writers map[string]int
+	// writers counts concurrent writer handles per application, one
+	// entry per distinct application in no particular order. A target
+	// has a handful of writers, so a linear scan beats hashing the name.
+	writers []writer
 	// writeDepth is the total registered request-queue depth, driving the
 	// concurrency saturation ramp.
 	writeDepth float64
@@ -202,6 +204,23 @@ type Target struct {
 	// slow, when in (0,1), multiplies the target's capacity at every
 	// recomputation (fail-slow gray failure); 0 means full speed.
 	slow float64
+}
+
+// writer is one application's count of concurrent writer handles on a
+// target.
+type writer struct {
+	app string
+	n   int
+}
+
+// writerIndex returns the position of app in t.writers, or -1.
+func (t *Target) writerIndex(app string) int {
+	for i := range t.writers {
+		if t.writers[i].app == app {
+			return i
+		}
+	}
+	return -1
 }
 
 // SetFailed marks the target as failed (true) or recovered (false). While
@@ -298,8 +317,8 @@ func (t *Target) updateCapacity() {
 		return
 	}
 	c := t.peak() * t.jitter
-	if sp := t.host.sys.cfg.SharePenalty; sp > 0 && len(t.writers) > 1 {
-		c *= math.Pow(sp, float64(len(t.writers)-1))
+	if t.host.sys.cfg.SharePenalty > 0 && len(t.writers) > 1 {
+		c *= t.host.sys.sharePenalty(len(t.writers))
 	}
 	if sh := t.host.sys.cfg.SatHalf; sh > 0 {
 		c *= t.writeDepth / (t.writeDepth + sh)
@@ -319,7 +338,11 @@ func (t *Target) Acquire(app string, depth float64) {
 		panic(fmt.Sprintf("storagesim: negative depth %v on target %d", depth, t.ID))
 	}
 	prevActive := len(t.writers) > 0
-	t.writers[app]++
+	if i := t.writerIndex(app); i >= 0 {
+		t.writers[i].n++
+	} else {
+		t.writers = append(t.writers, writer{app: app, n: 1})
+	}
 	t.writeDepth += depth
 	t.updateCapacity()
 	if !prevActive {
@@ -330,14 +353,17 @@ func (t *Target) Acquire(app string, depth float64) {
 // Release undoes one Acquire by app. Releasing an application that holds no
 // writer panics — it always indicates an accounting bug in the caller.
 func (t *Target) Release(app string, depth float64) {
-	n, ok := t.writers[app]
-	if !ok {
+	i := t.writerIndex(app)
+	if i < 0 {
 		panic(fmt.Sprintf("storagesim: Release of %q on target %d without Acquire", app, t.ID))
 	}
-	if n == 1 {
-		delete(t.writers, app)
+	if t.writers[i].n > 1 {
+		t.writers[i].n--
 	} else {
-		t.writers[app] = n - 1
+		last := len(t.writers) - 1
+		t.writers[i] = t.writers[last]
+		t.writers[last] = writer{}
+		t.writers = t.writers[:last]
 	}
 	t.writeDepth -= depth
 	if t.writeDepth < 1e-9 {
@@ -356,6 +382,12 @@ type System struct {
 	net     *simnet.Network
 	hosts   []*Host
 	targets []*Target // all targets, host-major order
+	// hostCap[m] is cfg.HostCapacity(m) and sharePow[k] is
+	// cfg.SharePenalty^(k-1), each grown on first use (hostCapacity,
+	// sharePenalty): a capacity recomputation reads the bits the formula
+	// would produce without evaluating its power.
+	hostCap  []float64
+	sharePow []float64
 }
 
 // NewSystem builds nHosts hosts with targetsPerHost targets each. Target
@@ -379,7 +411,6 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 			t := &Target{
 				ID:       h*100 + i,
 				host:     host,
-				writers:  make(map[string]int),
 				resource: net.AddResource(fmt.Sprintf("ost%d", h*100+i), cfg.SingleTargetRate),
 			}
 			host.targets = append(host.targets, t)
@@ -399,7 +430,7 @@ func (s *System) Reset() {
 		*h = Host{Name: h.Name, sys: h.sys, controller: h.controller, targets: h.targets}
 		for _, t := range h.targets {
 			clear(t.writers)
-			*t = Target{ID: t.ID, host: t.host, resource: t.resource, writers: t.writers}
+			*t = Target{ID: t.ID, host: t.host, resource: t.resource, writers: t.writers[:0]}
 		}
 		h.init()
 	}
@@ -415,6 +446,24 @@ func (h *Host) init() {
 		t.updateCapacity()
 	}
 	h.updateCapacity()
+}
+
+// hostCapacity returns cfg.HostCapacity(m), extending the table to m on
+// first use.
+func (s *System) hostCapacity(m int) float64 {
+	for k := len(s.hostCap); k <= m; k++ {
+		s.hostCap = append(s.hostCap, s.cfg.HostCapacity(k))
+	}
+	return s.hostCap[m]
+}
+
+// sharePenalty returns cfg.SharePenalty^(writers-1), extending the table
+// to the writer count on first use.
+func (s *System) sharePenalty(writers int) float64 {
+	for k := len(s.sharePow); k <= writers; k++ {
+		s.sharePow = append(s.sharePow, math.Pow(s.cfg.SharePenalty, float64(k-1)))
+	}
+	return s.sharePow[writers]
 }
 
 // Config returns the system's device-model configuration.

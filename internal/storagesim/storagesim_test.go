@@ -1,6 +1,7 @@
 package storagesim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,143 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 		}
 	}()
 	sys.Targets()[0].Release("ghost", 1)
+}
+
+// sameBits reports whether two capacities are the same float64, bit for
+// bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestCapacityCurvesBitExact holds the memoized capacity tables to the
+// formulas they stand for, bit for bit: with m of a host's 16 targets
+// active, its controller sits at HostCapacity(m) times the host's jitter,
+// and a target shared by k applications under the SharePenalty ablation
+// sits at its jittered peak times SharePenalty^(k-1).
+func TestCapacityCurvesBitExact(t *testing.T) {
+	cfg := detConfig()
+	cfg.HostJitterCV = 0.1
+	cfg.TargetJitterCV = 0.1
+	cfg.SharePenalty = 0.8
+	_, _, sys := newSys(t, cfg, 1, 16)
+	sys.ReJitter(rng.New(3))
+	h := sys.Hosts()[0]
+	for m, tg := range h.Targets() {
+		tg.Acquire("a", 1)
+		if got, want := h.Controller().Capacity(), cfg.HostCapacity(m+1)*h.jitter; !sameBits(got, want) {
+			t.Fatalf("controller with %d active targets = %v, want %v", m+1, got, want)
+		}
+	}
+	tg := h.Targets()[0]
+	for k := 2; k <= 6; k++ {
+		tg.Acquire(fmt.Sprintf("app%d", k), 1)
+		want := tg.peak() * tg.jitter * math.Pow(cfg.SharePenalty, float64(k-1))
+		if got := tg.Resource().Capacity(); !sameBits(got, want) {
+			t.Fatalf("target with %d writers = %v, want %v", k, got, want)
+		}
+	}
+}
+
+// writerModel is the map-based reference of one target's writer set.
+type writerModel struct {
+	writers map[string]int
+	depth   float64
+}
+
+// TestWriterSetMatchesMapModel drives random Acquire/Release sequences
+// over 24 applications on the three targets of one host against a map
+// model of the writer sets. After every step each target's distinct
+// writer count, queue depth and capacity, and the host's controller
+// capacity, must equal what the model computes from the formulas.
+func TestWriterSetMatchesMapModel(t *testing.T) {
+	cfg := detConfig()
+	cfg.HostJitterCV = 0.05
+	cfg.TargetJitterCV = 0.05
+	cfg.SharePenalty = 0.9
+	cfg.SatHalf = 4
+	_, _, sys := newSys(t, cfg, 1, 3)
+	sys.ReJitter(rng.New(11))
+	h := sys.Hosts()[0]
+	targets := h.Targets()
+	models := make([]writerModel, len(targets))
+	for i := range models {
+		models[i].writers = make(map[string]int)
+	}
+	apps := make([]string, 24)
+	for i := range apps {
+		apps[i] = fmt.Sprintf("app%02d", i)
+	}
+	// Each application always registers the same depth, so a Release
+	// carries its Acquire's depth as the contract requires.
+	depthOf := func(app int) float64 { return float64(1 + app%4) }
+	check := func(step int) {
+		t.Helper()
+		active := 0
+		for i, tg := range targets {
+			m := models[i]
+			if tg.Writers() != len(m.writers) || tg.WriteDepth() != m.depth {
+				t.Fatalf("step %d target %d: %d writers, depth %v; model %d, %v",
+					step, tg.ID, tg.Writers(), tg.WriteDepth(), len(m.writers), m.depth)
+			}
+			want := tg.peak() * tg.jitter
+			if len(m.writers) > 1 {
+				want *= math.Pow(cfg.SharePenalty, float64(len(m.writers)-1))
+			}
+			want *= m.depth / (m.depth + cfg.SatHalf)
+			if got := tg.Resource().Capacity(); !sameBits(got, want) {
+				t.Fatalf("step %d target %d: capacity %v, model %v", step, tg.ID, got, want)
+			}
+			if len(m.writers) > 0 {
+				active++
+			}
+		}
+		want := cfg.SingleTargetRate * h.jitter
+		if active > 0 {
+			want = cfg.HostCapacity(active) * h.jitter
+		}
+		if got := h.Controller().Capacity(); !sameBits(got, want) {
+			t.Fatalf("step %d: controller %v with %d active targets, model %v", step, got, active, want)
+		}
+	}
+	src := rng.New(7)
+	most := 0
+	for step := 0; step < 20000; step++ {
+		i := src.Intn(len(targets))
+		a := src.Intn(len(apps))
+		app, d := apps[a], depthOf(a)
+		m := &models[i]
+		if m.writers[app] > 0 && src.Intn(3) > 0 {
+			targets[i].Release(app, d)
+			if m.writers[app]--; m.writers[app] == 0 {
+				delete(m.writers, app)
+			}
+			if m.depth -= d; m.depth < 1e-9 {
+				m.depth = 0
+			}
+		} else {
+			targets[i].Acquire(app, d)
+			m.writers[app]++
+			m.depth += d
+		}
+		most = max(most, len(m.writers))
+		check(step)
+	}
+	if most < 16 {
+		t.Fatalf("the walk reached at most %d writers on a target; it should explore large writer sets", most)
+	}
+	// Draining every writer returns each target and the host to idle.
+	for i, tg := range targets {
+		for a, app := range apps {
+			for models[i].writers[app] > 0 {
+				tg.Release(app, depthOf(a))
+				models[i].writers[app]--
+			}
+		}
+		if tg.Writers() != 0 || tg.WriteDepth() != 0 {
+			t.Fatalf("target %d after draining: %d writers, depth %v", tg.ID, tg.Writers(), tg.WriteDepth())
+		}
+	}
+	if got, want := h.Controller().Capacity(), cfg.SingleTargetRate*h.jitter; !sameBits(got, want) {
+		t.Fatalf("idle controller %v, want %v", got, want)
+	}
 }
 
 func TestSharePenaltyDisabledByDefault(t *testing.T) {
