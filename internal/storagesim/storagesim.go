@@ -172,7 +172,7 @@ func (h *Host) updateCapacity() {
 	m := h.ActiveTargets()
 	var c float64
 	if m > 0 {
-		c = h.sys.hostCapacity(m) * h.jitter
+		c = h.sys.hostCap[m] * h.jitter
 	} else {
 		// Idle host: keep a nominal capacity so a future flow arriving in
 		// the same instant doesn't observe 0.
@@ -317,8 +317,8 @@ func (t *Target) updateCapacity() {
 		return
 	}
 	c := t.peak() * t.jitter
-	if t.host.sys.cfg.SharePenalty > 0 && len(t.writers) > 1 {
-		c *= t.host.sys.sharePenalty(len(t.writers))
+	if sp := t.host.sys.cfg.SharePenalty; sp > 0 && len(t.writers) > 1 {
+		c *= math.Pow(sp, float64(len(t.writers)-1))
 	}
 	if sh := t.host.sys.cfg.SatHalf; sh > 0 {
 		c *= t.writeDepth / (t.writeDepth + sh)
@@ -382,12 +382,10 @@ type System struct {
 	net     *simnet.Network
 	hosts   []*Host
 	targets []*Target // all targets, host-major order
-	// hostCap[m] is cfg.HostCapacity(m) and sharePow[k] is
-	// cfg.SharePenalty^(k-1), each grown on first use (hostCapacity,
-	// sharePenalty): a capacity recomputation reads the bits the formula
-	// would produce without evaluating its power.
-	hostCap  []float64
-	sharePow []float64
+	// hostCap[m] is cfg.HostCapacity(m) for m = 0..targetsPerHost, so a
+	// controller recomputation reads the bits the formula would produce
+	// without evaluating its power.
+	hostCap []float64
 }
 
 // NewSystem builds nHosts hosts with targetsPerHost targets each. Target
@@ -400,7 +398,10 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 	if nHosts <= 0 || targetsPerHost <= 0 {
 		return nil, fmt.Errorf("storagesim: need at least one host and one target, got %d/%d", nHosts, targetsPerHost)
 	}
-	s := &System{cfg: cfg, net: net}
+	s := &System{cfg: cfg, net: net, hostCap: make([]float64, targetsPerHost+1)}
+	for m := range s.hostCap {
+		s.hostCap[m] = cfg.HostCapacity(m)
+	}
 	for h := 1; h <= nHosts; h++ {
 		host := &Host{
 			Name:       fmt.Sprintf("oss%d", h),
@@ -446,24 +447,6 @@ func (h *Host) init() {
 		t.updateCapacity()
 	}
 	h.updateCapacity()
-}
-
-// hostCapacity returns cfg.HostCapacity(m), extending the table to m on
-// first use.
-func (s *System) hostCapacity(m int) float64 {
-	for k := len(s.hostCap); k <= m; k++ {
-		s.hostCap = append(s.hostCap, s.cfg.HostCapacity(k))
-	}
-	return s.hostCap[m]
-}
-
-// sharePenalty returns cfg.SharePenalty^(writers-1), extending the table
-// to the writer count on first use.
-func (s *System) sharePenalty(writers int) float64 {
-	for k := len(s.sharePow); k <= writers; k++ {
-		s.sharePow = append(s.sharePow, math.Pow(s.cfg.SharePenalty, float64(k-1)))
-	}
-	return s.sharePow[writers]
 }
 
 // Config returns the system's device-model configuration.

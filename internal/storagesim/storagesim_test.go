@@ -167,11 +167,11 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 // bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestCapacityCurvesBitExact holds the memoized capacity tables to the
-// formulas they stand for, bit for bit: with m of a host's 16 targets
-// active, its controller sits at HostCapacity(m) times the host's jitter,
-// and a target shared by k applications under the SharePenalty ablation
-// sits at its jittered peak times SharePenalty^(k-1).
+// TestCapacityCurvesBitExact holds the capacity curves to their formulas,
+// bit for bit: with m of a host's 16 targets active, its controller sits
+// at HostCapacity(m) times the host's jitter (read from the system's
+// table), and a target shared by k applications under the SharePenalty
+// ablation sits at its jittered peak times SharePenalty^(k-1).
 func TestCapacityCurvesBitExact(t *testing.T) {
 	cfg := detConfig()
 	cfg.HostJitterCV = 0.1
