@@ -66,6 +66,7 @@ func (st *RunStats) FlushTo(reg *obs.Collector) {
 	// core-switched fat trees. Zero on PlaFRIM.
 	reg.Add("simnet/hier_solves", n.HierSolves)
 	reg.Add("simnet/hier_fallbacks", n.HierFallbacks)
+	reg.Add("simnet/hier_groups_reused", n.HierGroupsReused)
 	reg.MergeHist("simnet/hier_groups", &n.HierGroups)
 	reg.MergeHist("simnet/hier_group_flows", &n.HierGroupFlows)
 	// Per-solve wall-clock latency is host-dependent; the runtime/

@@ -49,7 +49,23 @@ package simnet
 // reproduce identical bits, so skipping the re-sum is sound — and the
 // separator sweep reruns only when a separator-touching flow froze. The
 // flat solver re-sums every unfrozen flow every pass; here each pass
-// re-sums only the groups the previous pass's freezes touched. When the
+// re-sums only the groups the previous pass's freezes touched. The
+// separator sweep reads each flow's separator entries from a per-flow list
+// (Flow.hseps) built at retain, and the group sweeps skip separator
+// entries by a flag cached in the usage entry, so neither sweep tests the
+// other's entries.
+//
+// The same argument carries the first pass ACROSS solves. At pass 1 no
+// flow is frozen, so a local resource's sumW is the ordered sum of the
+// weights of all its users, in canonical flow order: it depends on the
+// resource's user set alone (each user's weight and (Name, seq) key are
+// fixed while it is in flight), not on capacities, fill or the rest of
+// the component. hierState caches that sum per resource and invalidates
+// it whenever the user set changes (a flow retained or released on the
+// resource, or a Network reset). A group whose resources all hold valid
+// entries loads its first-pass sums instead of re-summing them: the same
+// operand sequence, so the same bits. An event changes one or two racks,
+// so the other groups skip their first sweep. When the
 // partition is degenerate (no separators in the component, fewer than two
 // rack-local groups, or a tiny component) trySolve reports false and the
 // caller runs the flat solver — the fallback is invisible in the output
@@ -126,6 +142,12 @@ type hierState struct {
 	slotOf    []int32
 	slotEpoch []uint32
 	epoch     uint32
+	// firstSum is, per resource idx, the local resource's demand sum at
+	// the first pass of the last solve that accumulated it; firstOK marks
+	// the entries whose user set has not changed since (see run). Grown
+	// with parent.
+	firstSum []float64
+	firstOK  []bool
 
 	groups  []hierGroup
 	ngroups int
@@ -140,16 +162,27 @@ type hierState struct {
 	active int
 }
 
-// reset restarts the union-find and empties the separator scratch,
-// keeping every backing array: the state SetSeparators creates, for a
-// network whose flows are all gone (see Network.Reset).
+// reset restarts the union-find, drops every cached first-pass sum and
+// empties the separator scratch, keeping every backing array: the state
+// SetSeparators creates, for a network whose flows are all gone (see
+// Network.Reset). The flow lists are truncated by reslicing during a run,
+// so their whole backing arrays are cleared: a reset network holds no
+// flow of the previous run.
 func (h *hierState) reset() {
+	for i := range h.groups {
+		g := &h.groups[i]
+		clear(g.flows[:cap(g.flows)])
+		clear(g.capped[:cap(g.capped)])
+	}
+	clear(h.sepFlows[:cap(h.sepFlows)])
 	*h = hierState{
 		n:         h.n,
 		minFlows:  h.minFlows,
 		parent:    h.parent[:0],
 		slotOf:    h.slotOf[:0],
 		slotEpoch: h.slotEpoch[:0],
+		firstSum:  h.firstSum[:0],
+		firstOK:   h.firstOK[:0],
 		groups:    h.groups,
 		sepRes:    h.sepRes[:0],
 		sepFlows:  h.sepFlows[:0],
@@ -181,13 +214,16 @@ func (n *Network) SetSeparators(rs ...*Resource) {
 	}
 }
 
-// growParent extends the union-find (and the root→slot maps) to cover
-// resource idx values up to maxIdx, each new entry its own root.
+// growParent extends the union-find (and the root→slot maps and the
+// first-pass cache) to cover resource idx values up to maxIdx, each new
+// entry its own root with no cached sum.
 func (h *hierState) growParent(maxIdx int) {
 	for len(h.parent) <= maxIdx {
 		h.parent = append(h.parent, int32(len(h.parent)))
 		h.slotOf = append(h.slotOf, 0)
 		h.slotEpoch = append(h.slotEpoch, 0)
+		h.firstSum = append(h.firstSum, 0)
+		h.firstOK = append(h.firstOK, false)
 	}
 }
 
@@ -203,20 +239,25 @@ func (h *hierState) find(idx int32) int32 {
 // unionFlow joins the non-separator resources of a starting flow into one
 // group. Called from retain, so every in-flight flow's local resources
 // share a root by the time any solve partitions them. It also records the
-// flow's hroot handle and hsep flag, so the per-solve partition never
-// walks f.uses.
+// flow's hroot handle, its separator entries (hseps) and each entry's sep
+// flag, so neither the per-solve partition nor the sums dereference the
+// flow's resources to classify them. The flow joins the user set of each
+// of its local resources, so their cached first-pass sums are dropped.
 func (h *hierState) unionFlow(f *Flow) {
 	root := int32(-1)
-	f.hsep = false
+	f.hseps = f.hseps[:0]
 	for i := range f.uses {
-		r := f.uses[i].res
+		u := &f.uses[i]
+		r := u.res
+		u.sep = r.sep
 		if r.sep {
-			f.hsep = true
+			f.hseps = append(f.hseps, ResourceShare{Res: r, W: u.w})
 			continue
 		}
 		if int(r.idx) >= len(h.parent) {
 			h.growParent(int(r.idx))
 		}
+		h.firstOK[r.idx] = false
 		x := h.find(r.idx)
 		if root < 0 {
 			root = x
@@ -225,6 +266,16 @@ func (h *hierState) unionFlow(f *Flow) {
 		}
 	}
 	f.hroot = root
+}
+
+// releaseFlow drops the cached first-pass sums of a departing flow's
+// local resources, whose user sets it leaves. Called from release.
+func (h *hierState) releaseFlow(f *Flow) {
+	for i := range f.uses {
+		if u := &f.uses[i]; !u.sep {
+			h.firstOK[u.res.idx] = false
+		}
+	}
 }
 
 // group returns slot's group, growing the slice as needed; callers must
@@ -296,7 +347,7 @@ func (h *hierState) partition(c *component) bool {
 			slot = int32(sepOnly)
 		}
 		f.hgroup = slot
-		if f.hsep {
+		if len(f.hseps) > 0 {
 			f.hgroup |= hsepBit
 			h.sepFlows = append(h.sepFlows, f)
 		}
@@ -347,6 +398,10 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 	for _, r := range resources {
 		r.load = 0
 	}
+	// The first pass's group sums: loaded from the cache where no flow
+	// joined or left the group's resources since they were accumulated,
+	// accumulated and cached otherwise.
+	reused := 0
 	for slot := 0; slot < h.ngroups; slot++ {
 		g := &h.groups[slot]
 		g.unfrozen = g.unfrozen[:0]
@@ -358,7 +413,15 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 			g.cands = append(g.cands, int32(i))
 		}
 		g.capHead = 0
-		g.touched = true
+		if h.loadFirst(g) {
+			reused++
+		} else {
+			g.recompute()
+			h.storeFirst(g)
+		}
+	}
+	if st != nil {
+		st.HierGroupsReused += uint64(reused)
 	}
 	h.sepCands = h.sepCands[:0]
 	for i := range h.sepRes {
@@ -370,8 +433,9 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 	maxIter := len(flows) + len(resources) + 1
 	iter := 0
 	for ; h.active > 0 && iter <= maxIter; iter++ {
-		// Re-accumulate the groups the previous pass's freezes touched;
-		// everything else keeps sums whose operand sequences are unchanged.
+		// Re-accumulate the groups the previous pass's freezes touched
+		// (none before the first pass); everything else keeps sums whose
+		// operand sequences are unchanged.
 		for slot := 0; slot < h.ngroups; slot++ {
 			if g := &h.groups[slot]; g.touched {
 				g.recompute()
@@ -515,7 +579,7 @@ func (g *hierGroup) recompute() {
 		// The flow's local entries in uses order: the same additions the
 		// flat solver's sweep performs for these resources.
 		for i := range f.uses {
-			if u := &f.uses[i]; !u.res.sep {
+			if u := &f.uses[i]; !u.sep {
 				u.res.sumW += u.w
 			}
 		}
@@ -533,9 +597,43 @@ func (g *hierGroup) recompute() {
 	g.touched = false
 }
 
+// loadFirst sets a group's first-pass sums from the cache when every
+// resource of the group holds a valid entry, compacting cands by
+// recompute's rule, and reports whether it did. The group's lists must be
+// in their first-pass state: every flow unfrozen, every resource a
+// candidate.
+func (h *hierState) loadFirst(g *hierGroup) bool {
+	for _, r := range g.res {
+		if !h.firstOK[r.idx] {
+			return false
+		}
+	}
+	k := 0
+	for i, r := range g.res {
+		r.sumW = h.firstSum[r.idx]
+		if r.sumW == 0 {
+			continue
+		}
+		g.cands[k] = int32(i)
+		k++
+	}
+	g.cands = g.cands[:k]
+	g.touched = false
+	return true
+}
+
+// storeFirst caches the first-pass sums a group just accumulated.
+func (h *hierState) storeFirst(g *hierGroup) {
+	for _, r := range g.res {
+		h.firstSum[r.idx] = r.sumW
+		h.firstOK[r.idx] = true
+	}
+}
+
 // recomputeSep rebuilds the separator demand sums from the unfrozen
 // separator-touching flows in canonical flow order, compacting the flow
-// list and the candidate list.
+// list and the candidate list. Each flow contributes its hseps entries,
+// its separator entries in uses order.
 func (h *hierState) recomputeSep() {
 	for _, si := range h.sepCands {
 		h.sepRes[si].sumW = 0
@@ -547,10 +645,8 @@ func (h *hierState) recomputeSep() {
 		}
 		h.sepFlows[k] = f
 		k++
-		for i := range f.uses {
-			if u := &f.uses[i]; u.res.sep {
-				u.res.sumW += u.w
-			}
+		for _, e := range f.hseps {
+			e.Res.sumW += e.W
 		}
 	}
 	h.sepFlows = h.sepFlows[:k]

@@ -88,7 +88,11 @@ func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *com
 // gated against the checked-in BENCH ledger in CI; the racks=R/perRack=N
 // pairs sweep the component size down to where the partition stops
 // paying, which is where hierMinFlowsDefault sits (each reports its
-// component's flow count).
+// component's flow count). Every hier row drops the cached first-pass
+// sums before each solve, so each solve is cold, as the ledger's were.
+// hier-onerack, ungated, drops one rack's group per solve instead: the
+// shape of a churn event, which changes one rack and leaves the other
+// groups to reuse their first pass.
 func BenchmarkHierSolve(b *testing.B) {
 	const targetsPerRack = 32
 	flat := func(racks, flowsPerRack int) func(*testing.B) {
@@ -105,11 +109,13 @@ func BenchmarkHierSolve(b *testing.B) {
 	hier := func(racks, flowsPerRack int) func(*testing.B) {
 		return func(b *testing.B) {
 			net, c := hierNet(racks, targetsPerRack, flowsPerRack, true)
-			net.hier.minFlows = 0
+			h := net.hier
+			h.minFlows = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !net.hier.trySolve(c, &net.sv, nil) {
+				clear(h.firstOK)
+				if !h.trySolve(c, &net.sv, nil) {
 					b.Fatal("hierarchical solve declined the fused component")
 				}
 			}
@@ -118,6 +124,25 @@ func BenchmarkHierSolve(b *testing.B) {
 	}
 	b.Run("flat", flat(16, 256))
 	b.Run("hier", hier(16, 256))
+	b.Run("hier-onerack", func(b *testing.B) {
+		net, c := hierNet(16, targetsPerRack, 256, true)
+		h := net.hier
+		h.minFlows = 0
+		if !h.trySolve(c, &net.sv, nil) {
+			b.Fatal("hierarchical solve declined the fused component")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range h.groups[i%h.ngroups].res {
+				h.firstOK[r.idx] = false
+			}
+			if !h.trySolve(c, &net.sv, nil) {
+				b.Fatal("hierarchical solve declined the fused component")
+			}
+		}
+		b.ReportMetric(float64(len(c.flows)), "flows")
+	})
 	for _, racks := range []int{4, 16} {
 		for _, perRack := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 			name := fmt.Sprintf("racks=%d/perRack=%d/", racks, perRack)

@@ -169,6 +169,20 @@ func FuzzHierarchicalVsFlatSolve(f *testing.F) {
 	f.Add([]byte{0x02, 0x00, 0x01, 0x05, 0x09, 0x11, 0x22, 0x07, 0x00, 0x00, 0x81, 0x3f, 0x06, 0x02, 0x00, 0x17, 0x28, 0x00, 0x01, 0x44, 0x55, 0x66, 0x04, 0x77, 0x1f})
 	f.Add([]byte{0x03, 0x04, 0x07, 0x0e, 0x1c, 0x38, 0x70, 0x60, 0x05, 0x01, 0x00, 0x27, 0x13, 0x02, 0x01, 0x39, 0x51, 0x00, 0x03, 0x0b, 0x2d, 0x04, 0x00, 0x1a})
 	f.Add([]byte{0x00, 0x01, 0x03, 0x27, 0x09, 0x30, 0x0a, 0x02, 0x00, 0x04, 0xc1, 0x17, 0x00, 0x00, 0x91, 0x27, 0x02, 0x04, 0x61, 0x47, 0x01, 0x02, 0x05, 0x00})
+	// Three racks of one 25 MiB/s local behind 50 MiB/s uplinks and a
+	// 75 MiB/s core. Rack 2 starts a cross-rack and a local 96 MiB write,
+	// rack 0 a local write that a cross-rack one then merges into the
+	// fused component. Rack 2 then stays idle for nine events (short
+	// starts and completions and a capacity change in racks 0 and 1), so
+	// its group keeps reusing its first-pass sums, until its cross-rack
+	// write is aborted.
+	f.Add([]byte{0x05, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x17, 0x00, 0x05, 0x01, 0x01, 0x17, 0x01, 0x01,
+		0x01, 0x02, 0x06, 0x02, 0x02, 0x01, 0x03, 0x03, 0x00, 0x05,
+		0x01, 0x04, 0x01, 0x00, 0x06, 0x00, 0x00, 0x00, 0x04, 0x03, 0x03,
+		0x00, 0x01, 0x06, 0x00, 0x0c, 0x00, 0x01, 0x05, 0x03, 0x00,
+		0x01, 0x00, 0x09, 0x00, 0x04, 0x00, 0x01, 0x01, 0x0a, 0x00,
+		0x05, 0x00, 0x00, 0x05, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -252,6 +266,80 @@ func TestHierExactPathUsed(t *testing.T) {
 		t.Fatal("degenerate partition did not count a fallback")
 	}
 	verifyNet(t, tp2.net)
+}
+
+// TestHierReusesUnchangedGroups pins down which groups of a hierarchical
+// solve load their first-pass sums from earlier solves: exactly those
+// whose resources no flow joined or left since. A fused three-rack
+// component takes a start in rack 0, an abort in rack 1 and a capacity
+// change on a rack-2 local resource, each in an event of its own. Inside
+// the event, before its solve, only the changed rack's entry is invalid;
+// the solve re-sums that rack, reuses the others and caches every rack
+// again.
+func TestHierReusesUnchangedGroups(t *testing.T) {
+	sim := simkernel.New()
+	net := New(sim)
+	var st Stats
+	net.SetStats(&st)
+	locals := make([]*Resource, 3)
+	seps := make([]*Resource, 3)
+	for r := range locals {
+		locals[r] = net.AddResource(fmt.Sprintf("rack%d/l0", r), 1000)
+		seps[r] = net.AddResource(fmt.Sprintf("rack%d/up", r), 80)
+	}
+	core := net.AddResource("core", 120)
+	net.SetSeparators(append(seps, core)...)
+	net.hier.minFlows = 0
+	// A rack-local and a cross-rack write per rack; the core fuses the
+	// racks into one component of three groups.
+	var loc []*Flow
+	for r := range locals {
+		loc = append(loc, &Flow{Name: fmt.Sprintf("loc%d", r), Volume: 1e6, Usage: map[*Resource]float64{locals[r]: 1}})
+		net.Start(loc[r])
+		net.Start(&Flow{Name: fmt.Sprintf("cross%d", r), Volume: 1e6, Usage: map[*Resource]float64{locals[r]: 0.25, seps[r]: 1, core: 1}})
+	}
+	verifyNet(t, net)
+	cached := func(r int) bool { return net.hier.firstOK[locals[r].idx] }
+	for r := range locals {
+		if !cached(r) {
+			t.Fatalf("rack %d's first-pass sum is not cached after the set-up solves", r)
+		}
+	}
+
+	step := func(what string, changed int, mutate func()) {
+		t.Helper()
+		solves, reused := st.HierSolves, st.HierGroupsReused
+		sim.After(1, func() {
+			mutate()
+			for r := range locals {
+				if cached(r) == (r == changed) {
+					t.Errorf("%s: rack %d's first-pass sum cached=%v before the solve", what, r, cached(r))
+				}
+			}
+		})
+		if !sim.Step() {
+			t.Fatalf("%s: no event ran", what)
+		}
+		want := uint64(len(locals))
+		if changed >= 0 {
+			want--
+		}
+		if st.HierSolves != solves+1 || st.HierGroupsReused-reused != want {
+			t.Fatalf("%s: %d hierarchical solves reusing %d groups, want 1 reusing %d",
+				what, st.HierSolves-solves, st.HierGroupsReused-reused, want)
+		}
+		for r := range locals {
+			if !cached(r) {
+				t.Errorf("%s: rack %d's first-pass sum is not cached after the solve", what, r)
+			}
+		}
+		verifyNet(t, net)
+	}
+	step("start in rack 0", 0, func() {
+		net.Start(&Flow{Name: "late0", Volume: 1e6, Usage: map[*Resource]float64{locals[0]: 0.5}})
+	})
+	step("abort in rack 1", 1, func() { net.Abort(loc[1]) })
+	step("capacity change in rack 2", -1, func() { net.SetCapacity(locals[2], 500) })
 }
 
 // TestHierSetupValidation covers the separator declaration: it is the

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -12,7 +13,8 @@ import (
 // hierarchical union-find coarsened, stats and an observer attached —
 // resets it together with its simulation (in either order: the network's
 // reset takes its completion events off the queue itself), and replays the
-// scenario on it.
+// scenario on it. The reset network must hold no flow in any scratch list
+// and no valid cached first-pass sum.
 // The replay's observable log (every rate change, completion and abort,
 // float bits spelled out) and its solver counters must equal those of a
 // new network built for the same scenario.
@@ -22,6 +24,11 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 		{0x02, 0x00, 0x01, 0x05, 0x09, 0x11, 0x22, 0x07, 0x00, 0x00, 0x81, 0x3f, 0x06, 0x02, 0x00, 0x17, 0x28, 0x00, 0x01, 0x44, 0x55, 0x66, 0x04, 0x77, 0x1f},
 		{0x03, 0x04, 0x07, 0x0e, 0x1c, 0x38, 0x70, 0x60, 0x05, 0x01, 0x00, 0x27, 0x13, 0x02, 0x01, 0x39, 0x51, 0x00, 0x03, 0x0b, 0x2d, 0x04, 0x00, 0x1a},
 		{0x00, 0x01, 0x03, 0x27, 0x09, 0x30, 0x0a, 0x02, 0x00, 0x04, 0xc1, 0x17, 0x00, 0x00, 0x91, 0x27, 0x02, 0x04, 0x61, 0x47, 0x01, 0x02, 0x05, 0x00},
+		// FuzzHierarchicalVsFlatSolve's idle-rack seed: the only one whose
+		// dirtying run merges components and solves by partition before
+		// the reset, so the scratch-list and cache checks have something
+		// to find.
+		{0x05, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x17, 0x00, 0x05, 0x01, 0x01, 0x17, 0x01, 0x01, 0x01, 0x02, 0x06, 0x02, 0x02, 0x01, 0x03, 0x03, 0x00, 0x05, 0x01, 0x04, 0x01, 0x00, 0x06, 0x00, 0x00, 0x00, 0x04, 0x03, 0x03, 0x00, 0x01, 0x06, 0x00, 0x0c, 0x00, 0x01, 0x05, 0x03, 0x00, 0x01, 0x00, 0x09, 0x00, 0x04, 0x00, 0x01, 0x01, 0x0a, 0x00, 0x05, 0x00, 0x00, 0x05, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x01},
 	}
 	for i, data := range corpus {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
@@ -75,8 +82,29 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 						r.Name, r.Capacity(), r.registered, len(r.users), r.nActive)
 				}
 			}
-			if len(w.net.hier.parent) != 0 {
+			h := w.net.hier
+			if len(h.parent) != 0 {
 				t.Fatal("Reset kept the hierarchical union-find")
+			}
+			// The scratch lists are truncated by reslicing, so each is
+			// checked over its whole backing array: a reset network must
+			// not keep the dropped flows (and their callbacks) alive.
+			holdsFlow := func(s []*Flow) bool {
+				return slices.ContainsFunc(s[:cap(s)], func(f *Flow) bool { return f != nil })
+			}
+			if holdsFlow(w.net.mergeFlows) || holdsFlow(w.net.mergeCapped) || holdsFlow(h.sepFlows) {
+				t.Fatal("a merge or separator scratch list holds a flow after Reset")
+			}
+			for g := range h.groups {
+				if holdsFlow(h.groups[g].flows) || holdsFlow(h.groups[g].capped) {
+					t.Fatalf("hierarchical group %d holds a flow after Reset", g)
+				}
+			}
+			// Every first-pass sum the replay can read, once the cache has
+			// grown over all resources, must be invalid.
+			h.growParent(len(w.net.resources))
+			if slices.Contains(h.firstOK, true) {
+				t.Fatal("Reset kept a cached first-pass sum")
 			}
 			for _, f := range inFlight {
 				if f.inNet || f.queued {

@@ -145,11 +145,14 @@ type ResourceShare struct {
 // use is one dense entry of a flow's usage vector: a resource and the
 // fraction of the flow's rate consumed on it. upos is the entry's current
 // position in res.users while the flow is in flight (maintained by
-// retain/release).
+// retain/release). sep caches res.sep for the hierarchical solver, set by
+// unionFlow on networks with declared separators; it sits in the struct's
+// padding.
 type use struct {
 	res  *Resource
 	w    float64
 	upos int32
+	sep  bool
 }
 
 // Flow is a data stream with a fixed volume routed over a set of resources.
@@ -231,9 +234,12 @@ type Flow struct {
 	//            resources: any member's root at start time. The union-find
 	//            only coarsens, so find(hroot) always yields the flow's
 	//            current group root; -1 for separator-only flows.
-	//   hsep   — static flag: the usage vector touches >= 1 separator.
+	//   hseps  — the usage vector's separator entries, in uses order, so
+	//            the separator sweep reads only these; empty when the flow
+	//            touches no separator. Rebuilt in place, keeping its
+	//            backing array as uses does.
 	hroot int32
-	hsep  bool
+	hseps []ResourceShare
 }
 
 // Rate returns the flow's fair-share rate in MiB/s as of the last solve of
@@ -458,14 +464,15 @@ func (n *Network) init() {
 // Reset returns the network to the state of a new one with the same
 // registered resources, in registration order: every resource back at its
 // registered capacity with an empty user index, no components, flows or
-// pending flush, the start sequence and the hierarchical union-find
-// restarted, and no stats sink or observer attached. Separator
-// declarations stay. Flows still in flight are dropped without a callback
-// and may be started again. Components go back to the free list and
-// scratch buffers keep their capacity, so a reused network does not
-// regrow them. The components' completion events are cancelled, so they
-// leave the simulation's queue whether it is reset before the network or
-// not. Like every mutation, Reset must not run inside an event.
+// pending flush, the start sequence, the hierarchical union-find and its
+// cached first-pass sums restarted, and no stats sink or observer
+// attached. Separator declarations stay. Flows still in flight are
+// dropped without a callback and may be started again. Components go back
+// to the free list and scratch buffers keep their capacity, so a reused
+// network does not regrow them, but hold no flow. The components'
+// completion events are cancelled, so they leave the simulation's queue
+// whether it is reset before the network or not. Like every mutation,
+// Reset must not run inside an event.
 func (n *Network) Reset() {
 	for _, c := range n.comps {
 		for _, f := range c.flows {
@@ -482,15 +489,21 @@ func (n *Network) Reset() {
 	if n.hier != nil {
 		n.hier.reset()
 	}
+	// The merge scratch is truncated by reslicing, so entries past its
+	// length may still name flows of this run; clear the whole backing
+	// array, or the reset network would keep them (and their callbacks)
+	// alive.
+	clear(n.mergeFlows[:cap(n.mergeFlows)])
+	clear(n.mergeCapped[:cap(n.mergeCapped)])
 	*n = Network{
 		sim:         n.sim,
 		resources:   n.resources,
 		comps:       n.comps[:0],
 		compPool:    n.compPool,
 		oldRates:    n.oldRates,
-		mergeFlows:  n.mergeFlows,
+		mergeFlows:  n.mergeFlows[:0],
 		mergeRes:    n.mergeRes,
-		mergeCapped: n.mergeCapped,
+		mergeCapped: n.mergeCapped[:0],
 		ufParent:    n.ufParent,
 		fragOf:      n.fragOf,
 		frags:       n.frags,
@@ -582,6 +595,9 @@ func (n *Network) release(f *Flow) {
 				n.resObserver(n.sim.Now(), r, 0)
 			}
 		}
+	}
+	if n.hier != nil {
+		n.hier.releaseFlow(f)
 	}
 }
 

@@ -71,6 +71,10 @@ type Stats struct {
 	// neither.
 	HierSolves    uint64
 	HierFallbacks uint64
+	// HierGroupsReused counts the groups of hierarchical solves that
+	// loaded their first-pass demand sums from earlier solves instead of
+	// re-summing them: groups no flow joined or left since.
+	HierGroupsReused uint64
 	// FlushWaveWidth is the histogram of dirty components per end-of-event
 	// flush.
 	FlushWaveWidth obs.Log2Hist
