@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/simkernel"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -324,33 +323,6 @@ func betaName(beta float64) string {
 		return "beta0.8"
 	default:
 		return "beta1.0-linear"
-	}
-}
-
-// BenchmarkAblationSolver measures the weighted max-min fair-share solver
-// itself — the inner loop of every simulated byte.
-func BenchmarkAblationSolver(b *testing.B) {
-	for _, nFlows := range []int{8, 64, 256} {
-		b.Run(fmt.Sprintf("flows%d", nFlows), func(b *testing.B) {
-			src := rng.New(1)
-			net := simnet.New(simkernel.New())
-			resources := make([]*simnet.Resource, 12)
-			for i := range resources {
-				resources[i] = net.AddResource(fmt.Sprintf("r%d", i), 100+src.Float64()*1000)
-			}
-			flows := make([]*simnet.Flow, nFlows)
-			for i := range flows {
-				usage := make(map[*simnet.Resource]float64)
-				for _, j := range src.Perm(len(resources))[:3] {
-					usage[resources[j]] = 0.25 + src.Float64()*0.75
-				}
-				flows[i] = &simnet.Flow{Name: fmt.Sprintf("f%d", i), Usage: usage}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				simnet.FairShare(flows)
-			}
-		})
 	}
 }
 

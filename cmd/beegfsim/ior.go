@@ -24,10 +24,11 @@ import (
 //
 // Sizes accept k/m/g suffixes (KiB/MiB/GiB), as in IOR. The repetitions
 // run as one experiments.Campaign under the paper's §III-C protocol:
-// blocks of 10 in random order, each repetition's files removed after it
-// (as IOR does), and rows printed in execution order. Each repetition's
-// rng stream is keyed by its index, so the output is identical at every
-// -workers count and with or without sinks or healthy heartbeats.
+// blocks of 10 in random order, each on a freshly reset file system (as
+// if IOR had deleted its files), and rows printed in execution order.
+// Each repetition's rng stream is keyed by its index, so the output is
+// identical at every -workers count and with or without sinks or healthy
+// heartbeats.
 func iorCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ior", flag.ContinueOnError)
 	api := fs.String("a", "POSIX", "API (POSIX only, as in the paper)")

@@ -59,7 +59,7 @@ func abortTargetAt(sim *simkernel.Simulation, fs *FileSystem, id int, at float64
 		_ = fs.Mgmtd().SetOnline(id, false)
 		tg := fs.Storage().TargetByID(id)
 		tg.SetFailed(true)
-		for _, fl := range fs.Network().FlowsUsing(tg.Resource()) {
+		for _, fl := range fs.Network().AppendFlowsUsingAny(nil, tg.Resource()) {
 			fs.Network().Abort(fl)
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -236,7 +237,7 @@ type FileSystem struct {
 	// precheckCapacity and accountStorage.
 	distScratch []int64
 	// usageList is issue's reusable flow-usage list. simnet.Start
-	// compiles UsageList into the flow's dense vector synchronously and
+	// compiles Flow.Usage into the flow's dense vector synchronously and
 	// never reads it again, so one scratch slice serves every op; issue
 	// detaches it from the flow right after Start.
 	usageList []simnet.ResourceShare
@@ -347,18 +348,16 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 }
 
 // init sets the per-run values New and Reset share beyond the zero state:
-// the file system's two mgmtd subscriptions and the metadata service's
+// the file system's mgmtd subscription and the metadata service's
 // latencies and rate.
 func (fs *FileSystem) init() {
-	// A target coming back online may unblock pending mirror resyncs.
-	fs.mgmtd.Subscribe(func(t *storagesim.Target, online bool) {
-		if online {
-			fs.startResyncs()
-		}
-	})
 	fs.mgmtd.SubscribeReach(func(t *storagesim.Target, from, to Reachability) {
 		if fs.stats != nil {
 			fs.stats.ReachTransitions++
+		}
+		// A target leaving Offline may unblock pending mirror resyncs.
+		if from == Offline {
+			fs.startResyncs()
 		}
 	})
 	fs.meta.CreateLatency = fs.cfg.CreateLatency
@@ -1134,11 +1133,11 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	flow.Name = name
 	flow.Volume = volMiB
 	flow.Cap = op.RateCap
-	flow.UsageList = usage
+	flow.Usage = usage
 	fs.net.Start(flow)
 	// Start has compiled the usage list into the flow's dense vector;
 	// detach the scratch slice so the next issue can reuse it.
-	flow.UsageList = nil
+	flow.Usage = nil
 	return flow, nil
 }
 
@@ -1434,9 +1433,8 @@ func (fs *FileSystem) startResync(f *File) {
 	const app = "resync"
 	const depth = 1.0
 	var acquired []*storagesim.Target
-	seen := make(map[*storagesim.Target]bool)
-	usage := make(map[*simnet.Resource]float64)
-	hostShare := make(map[*storagesim.Host]float64)
+	var usage []simnet.ResourceShare
+	var hostShares []hostShare
 	tf := float64(total)
 	addPair := func(src, dst *storagesim.Target, bytes int64) {
 		if bytes == 0 {
@@ -1444,10 +1442,9 @@ func (fs *FileSystem) startResync(f *File) {
 		}
 		w := float64(bytes) / tf
 		for _, t := range [2]*storagesim.Target{src, dst} {
-			usage[t.Resource()] += w
-			hostShare[t.Host()] += w
-			if !seen[t] {
-				seen[t] = true
+			usage = append(usage, simnet.ResourceShare{Res: t.Resource(), W: w})
+			hostShares = addHostShare(hostShares, t.Host(), w)
+			if !slices.Contains(acquired, t) {
 				acquired = append(acquired, t)
 			}
 		}
@@ -1456,10 +1453,10 @@ func (fs *FileSystem) startResync(f *File) {
 		addPair(f.mirrors[i], f.Targets[i], f.dirtyP[i])
 		addPair(f.Targets[i], f.mirrors[i], f.dirtyS[i])
 	}
-	for h, w := range hostShare {
-		usage[h.Controller()] += w
-		if nic := fs.serverNIC[h]; nic != nil {
-			usage[nic] += w
+	for _, hs := range hostShares {
+		usage = append(usage, simnet.ResourceShare{Res: hs.h.Controller(), W: hs.w})
+		if nic := fs.serverNIC[hs.h]; nic != nil {
+			usage = append(usage, simnet.ResourceShare{Res: nic, W: hs.w})
 		}
 	}
 	for _, t := range acquired {
@@ -1527,7 +1524,7 @@ func (fs *FileSystem) resyncEligible(t *storagesim.Target) bool {
 
 // refreshConsistency restores the Good verdict for every NeedsResync
 // target no dirty file still depends on. Called when a file's dirt is
-// fully cleared (resync completion or unlink); the scan is guarded so
+// fully cleared by a resync's completion; the scan is guarded so
 // fault-free runs never pay for it.
 func (fs *FileSystem) refreshConsistency() {
 	if !fs.mgmtd.hasConsistencyMarks() {
@@ -1701,30 +1698,6 @@ func (fs *FileSystem) accountStorage(f *File) {
 			}
 		}
 	}
-}
-
-// Remove deletes a file: its metadata entry and its chunks' storage
-// accounting.
-func (fs *FileSystem) Remove(path string) error {
-	f := fs.meta.files[path]
-	if f == nil {
-		return fmt.Errorf("beegfs: file %q does not exist", path)
-	}
-	for i, t := range f.Targets {
-		if i < len(f.stored) && f.stored[i] > 0 {
-			t.Free(f.stored[i])
-		}
-	}
-	for i, t := range f.mirrors {
-		if i < len(f.storedM) && f.storedM[i] > 0 {
-			t.Free(f.storedM[i])
-		}
-	}
-	// A deleted file has nothing left to resync; targets whose only dirt
-	// it held go back to Good.
-	delete(fs.dirty, path)
-	fs.refreshConsistency()
-	return fs.meta.Remove(path)
 }
 
 // ClientRampCap returns the per-process rate cap (MiB/s) implied by the

@@ -146,7 +146,7 @@ func TestMetaDirPrefixMatching(t *testing.T) {
 	}
 }
 
-func TestMetaRemoveAndOps(t *testing.T) {
+func TestMetaOpCounts(t *testing.T) {
 	_, fs := newFS(t, testConfig())
 	if _, err := fs.Create("/f", nil); err != nil {
 		t.Fatal(err)
@@ -154,13 +154,7 @@ func TestMetaRemoveAndOps(t *testing.T) {
 	if fs.Meta().Lookup("/f") == nil {
 		t.Fatal("lookup failed")
 	}
-	if err := fs.Meta().Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Meta().Remove("/f"); err == nil {
-		t.Fatal("double remove accepted")
-	}
-	if fs.Meta().Ops["create"] != 1 || fs.Meta().Ops["unlink"] != 1 || fs.Meta().Ops["stat"] == 0 {
+	if fs.Meta().Ops["create"] != 1 || fs.Meta().Ops["stat"] != 1 {
 		t.Fatalf("op counts = %v", fs.Meta().Ops)
 	}
 }
@@ -697,18 +691,6 @@ func TestCapacityAccounting(t *testing.T) {
 		if f.StoredOn(i) != 512*MiB {
 			t.Fatalf("file stored[%d] = %d", i, f.StoredOn(i))
 		}
-	}
-	// Remove frees the space.
-	if err := fs.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	for i, tg := range f.Targets {
-		if tg.Used() != 0 {
-			t.Fatalf("target %d not freed: %d", i, tg.Used())
-		}
-	}
-	if err := fs.Remove("/f"); err == nil {
-		t.Fatal("double remove accepted")
 	}
 }
 

@@ -166,9 +166,10 @@ func (m *heartbeatMonitor) runSweep() {
 		m.fs.stats.HeartbeatSweeps++
 		m.fs.stats.SweepTargets.Observe(uint64(len(mg.order)))
 	}
-	// ProbablyOffline -> Online promotions do not cross the legacy
-	// offline boundary, so the Subscribe-driven resync restart never
-	// fires for them; retry pending resyncs on any promotion.
+	// The file system's reach subscription restarts resyncs only when a
+	// target leaves Offline, so a ProbablyOffline -> Online promotion
+	// does not; retry pending resyncs once per sweep that promoted any
+	// target, after every transition of the sweep.
 	if promoted && len(m.fs.dirty) > 0 {
 		m.fs.startResyncs()
 	}

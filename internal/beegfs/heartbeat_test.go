@@ -158,25 +158,76 @@ func TestCreateFallsBackWhenAllSuspected(t *testing.T) {
 	}
 }
 
-// The legacy online/offline Subscribe only fires when the Offline boundary
-// is crossed: Online -> ProbablyOffline is invisible to it, while the
-// reachability subscription sees every hop.
-func TestSubscribeFiresOnOfflineBoundaryOnly(t *testing.T) {
-	_, fs := newFS(t, hbConfig())
-	var legacyCount, reach int
-	fs.Mgmtd().Subscribe(func(tg *storagesim.Target, online bool) { legacyCount++ })
-	fs.Mgmtd().SubscribeReach(func(tg *storagesim.Target, from, to Reachability) { reach++ })
-	steps := []Reachability{ProbablyOffline, Offline, ProbablyOffline, Online}
-	for _, r := range steps {
-		if err := fs.Mgmtd().SetReachability(101, r); err != nil {
-			t.Fatal(err)
+// A pending mirror resync restarts when a target leaves Offline, and not
+// on the Online -> ProbablyOffline or ProbablyOffline -> Offline hops,
+// while the reachability subscription sees every effective hop.
+func TestLeavingOfflineRestartsResync(t *testing.T) {
+	sim, fs := newFS(t, testConfig())
+	client := fs.NewClient("n1", 0)
+	f, err := fs.CreateMirrored("/m", 1, 512*KiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := f.Targets[0]
+	if err := fs.Mgmtd().SetOnline(primary.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	primary.SetFailed(true)
+	if _, err := fs.StartWrite(&WriteOp{Client: client, File: f, Length: 64 * MiB, TransferSize: MiB}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f.DirtyBytes() == 0 {
+		t.Fatal("degraded write left no dirty bytes")
+	}
+	// The primary leaves Offline while its device is still failed, so the
+	// restart it triggers finds the resync blocked. Then the device
+	// recovers unseen by the mgmtd: the resync could run, but nothing has
+	// retried it.
+	if err := fs.Mgmtd().SetReachability(primary.ID, ProbablyOffline); err != nil {
+		t.Fatal(err)
+	}
+	if f.resyncing {
+		t.Fatal("resync started onto a failed target")
+	}
+	primary.SetFailed(false)
+
+	var other *storagesim.Target
+	for _, tg := range fs.Mgmtd().All() {
+		if tg != primary && tg.ID != f.MirrorIDs()[0] {
+			other = tg
+			break
 		}
 	}
-	if reach != 4 {
-		t.Fatalf("reach subscriber saw %d transitions, want 4", reach)
+	reach := 0
+	fs.Mgmtd().SubscribeReach(func(tg *storagesim.Target, from, to Reachability) { reach++ })
+	steps := []struct {
+		to        Reachability
+		resyncing bool
+	}{
+		{ProbablyOffline, false},
+		{Offline, false},
+		{ProbablyOffline, true},
+		{Online, true},
 	}
-	if legacyCount != 2 {
-		t.Fatalf("legacy subscriber saw %d events, want 2 (offline + back)", legacyCount)
+	for i, st := range steps {
+		if err := fs.Mgmtd().SetReachability(other.ID, st.to); err != nil {
+			t.Fatal(err)
+		}
+		if f.resyncing != st.resyncing {
+			t.Fatalf("step %d (to %v): resyncing = %v, want %v", i, st.to, f.resyncing, st.resyncing)
+		}
+	}
+	if reach != len(steps) {
+		t.Fatalf("reach subscriber saw %d transitions, want %d", reach, len(steps))
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f.DirtyBytes() != 0 {
+		t.Fatalf("%d dirty bytes left after the resync", f.DirtyBytes())
 	}
 }
 

@@ -195,12 +195,6 @@ func TestMirroredCapacityDoubleAccounted(t *testing.T) {
 	if used := mirror.Used(); used != 1*GiB {
 		t.Fatalf("mirror used %d", used)
 	}
-	if err := fs.Remove("/m"); err != nil {
-		t.Fatal(err)
-	}
-	if f.Targets[0].Used() != 0 || mirror.Used() != 0 {
-		t.Fatal("mirrored space not freed")
-	}
 }
 
 // Degraded-mode write failover: with the primary down, writes land on the

@@ -23,7 +23,6 @@ type Mgmtd struct {
 	reach map[int]Reachability
 	// consistency holds each target's data-trust verdict; absent = Good.
 	consistency map[int]Consistency
-	subscribers []func(t *storagesim.Target, online bool)
 	reachSubs   []func(t *storagesim.Target, from, to Reachability)
 }
 
@@ -55,9 +54,8 @@ func NewMgmtd(order []*storagesim.Target) (*Mgmtd, error) {
 func (m *Mgmtd) reset() {
 	clear(m.reach)
 	clear(m.consistency)
-	clear(m.subscribers)
 	clear(m.reachSubs)
-	*m = Mgmtd{order: m.order, byID: m.byID, reach: m.reach, consistency: m.consistency, subscribers: m.subscribers[:0], reachSubs: m.reachSubs[:0]}
+	*m = Mgmtd{order: m.order, byID: m.byID, reach: m.reach, consistency: m.consistency, reachSubs: m.reachSubs[:0]}
 }
 
 // PlaFRIMOrder returns the registration order reported by the paper for
@@ -184,26 +182,17 @@ func (m *Mgmtd) hasConsistencyMarks() bool { return len(m.consistency) > 0 }
 
 func (m *Mgmtd) find(id int) *storagesim.Target { return m.byID[id] }
 
-// Subscribe registers a callback fired whenever a target crosses the
-// Offline boundary in either direction (transitions between Online and
-// ProbablyOffline do not fire, and redundant updates do not fire). The
-// file system uses it to kick off mirror resyncs on recovery.
-func (m *Mgmtd) Subscribe(fn func(t *storagesim.Target, online bool)) {
-	m.subscribers = append(m.subscribers, fn)
-}
-
 // SubscribeReach registers a callback fired on every effective
-// reachability transition, including the Online⇄ProbablyOffline hops the
-// legacy Subscribe cannot see.
+// reachability transition, in registration order; redundant updates do
+// not fire. The file system uses it to restart mirror resyncs when a
+// target leaves Offline.
 func (m *Mgmtd) SubscribeReach(fn func(t *storagesim.Target, from, to Reachability)) {
 	m.reachSubs = append(m.reachSubs, fn)
 }
 
 // SetReachability publishes a new reachability verdict for a target.
 // Redundant updates are no-ops; effective ones notify the reach
-// subscribers (the tracer among them) and — when the Offline boundary is
-// crossed — the legacy online/offline subscribers. Unknown IDs return an
-// error.
+// subscribers (the tracer among them). Unknown IDs return an error.
 func (m *Mgmtd) SetReachability(id int, to Reachability) error {
 	t := m.find(id)
 	if t == nil {
@@ -220,12 +209,6 @@ func (m *Mgmtd) SetReachability(id int, to Reachability) error {
 	}
 	for _, fn := range m.reachSubs {
 		fn(t, from, to)
-	}
-	if (from == Offline) != (to == Offline) {
-		online := to != Offline
-		for _, fn := range m.subscribers {
-			fn(t, online)
-		}
 	}
 	return nil
 }
@@ -444,15 +427,5 @@ func (m *MetaService) create(path string, f *File) error {
 	}
 	m.files[path] = f
 	m.Ops["create"]++
-	return nil
-}
-
-// Remove deletes a file's metadata entry.
-func (m *MetaService) Remove(path string) error {
-	if _, ok := m.files[path]; !ok {
-		return fmt.Errorf("beegfs: file %q does not exist", path)
-	}
-	delete(m.files, path)
-	m.Ops["unlink"]++
 	return nil
 }

@@ -73,47 +73,56 @@ type Platform struct {
 	SetupCV   float64
 }
 
+// preset returns the calibration every platform builder shares, for
+// nHosts storage hosts of targetsPerHost OSTs each behind client and
+// server links of linkRate raw MiB/s (protocol efficiency applied): the
+// PlaFRIM storage device model, a 4 × 512 KiB default pattern, the
+// metadata latencies, the ppn saturation point, the client retry policy,
+// 2% server NIC jitter and a generic per-run setup overhead. Each builder
+// then states only what differs.
+func preset(name string, nHosts, targetsPerHost int, linkRate float64, chooser beegfs.TargetChooser) Platform {
+	return Platform{
+		Name: name,
+		FS: beegfs.Config{
+			Storage:           storagesim.PlaFRIMConfig(),
+			Hosts:             nHosts,
+			TargetsPerHost:    targetsPerHost,
+			ServerNICCapacity: linkRate * protocolEfficiency,
+			DefaultPattern:    beegfs.StripePattern{Count: 4, ChunkSize: 512 * beegfs.KiB},
+			Chooser:           chooser,
+			CreateLatency:     0.02,
+			OpenLatency:       0.005,
+			PpnSat:            8,
+			// Client retry policy under fault injection: first re-issue
+			// after 0.5 s of virtual time, then capped exponential
+			// backoff, up to 8 attempts (~65 s budget — outlasts transient
+			// outages, fails fast on permanent ones).
+			RetryTimeout:     0.5,
+			RetryBackoffBase: 0.5,
+			RetryMax:         8,
+		},
+		ClientNICCapacity: linkRate * protocolEfficiency,
+		ServerNICJitterCV: 0.02,
+		SetupMean:         0.25,
+		SetupCV:           0.4,
+	}
+}
+
 // PlaFRIM returns the Bora + BeeGFS 7.2.3 platform of the paper in the
 // given network scenario, with the device model calibrated per DESIGN.md
 // §3. The chooser is PlaFRIM's rotating round-robin; replace FS.Chooser to
 // study alternatives (Figure 6a discussion, ablation benches).
 func PlaFRIM(s Scenario) Platform {
-	fs := beegfs.Config{
-		Storage:        storagesim.PlaFRIMConfig(),
-		Hosts:          2,
-		TargetsPerHost: 4,
-		DefaultPattern: beegfs.StripePattern{Count: 4, ChunkSize: 512 * beegfs.KiB},
-		Chooser:        &beegfs.RoundRobinChooser{},
-		CreateLatency:  0.02,
-		OpenLatency:    0.005,
-		PpnSat:         8,
-		// Client retry policy under fault injection: first re-issue after
-		// 0.5 s of virtual time, then capped exponential backoff, up to 8
-		// attempts (~65 s budget — outlasts transient outages, fails fast
-		// on permanent ones).
-		RetryTimeout:     0.5,
-		RetryBackoffBase: 0.5,
-		RetryMax:         8,
-	}
-	p := Platform{
-		FS:                fs,
-		ServerNICJitterCV: 0.02,
-		SetupMean:         0.15,
-		SetupCV:           0.5,
-	}
+	var p Platform
 	switch s {
 	case Scenario1Ethernet:
-		p.Name = "plafrim-scenario1"
-		p.FS.ServerNICCapacity = ethernetLineRate * protocolEfficiency
-		p.ClientNICCapacity = ethernetLineRate * protocolEfficiency
+		p = preset("plafrim-scenario1", 2, 4, ethernetLineRate, &beegfs.RoundRobinChooser{})
 		// Client/TCP-stack ramp fitted to Figure 4a: one node reaches
 		// ~880 MiB/s; the plateau (~1460) arrives around 4 nodes.
 		p.FS.ClientA = 880
 		p.FS.ClientGamma = 0.45
 	case Scenario2Omnipath:
-		p.Name = "plafrim-scenario2"
-		p.FS.ServerNICCapacity = omnipathLineRate * protocolEfficiency
-		p.ClientNICCapacity = omnipathLineRate * protocolEfficiency
+		p = preset("plafrim-scenario2", 2, 4, omnipathLineRate, &beegfs.RoundRobinChooser{})
 		// Client ramp fitted to Figure 4b: one node reaches ~1631 MiB/s,
 		// and the aggregate grows as 1631·N^0.45 until a stripe count's
 		// storage ceiling is hit — which is what makes higher stripe
@@ -125,6 +134,8 @@ func PlaFRIM(s Scenario) Platform {
 	default:
 		panic(fmt.Sprintf("cluster: unknown scenario %d", s))
 	}
+	p.SetupMean = 0.15
+	p.SetupCV = 0.5
 	return p
 }
 
@@ -179,31 +190,9 @@ func Custom(name string, nHosts, targetsPerHost int, linkRate float64, chooser b
 	if err := checkShape("Custom", nHosts, targetsPerHost, linkRate, chooser); err != nil {
 		return Platform{}, err
 	}
-	fs := beegfs.Config{
-		Storage:           storagesim.PlaFRIMConfig(),
-		Hosts:             nHosts,
-		TargetsPerHost:    targetsPerHost,
-		DefaultPattern:    beegfs.StripePattern{Count: 4, ChunkSize: 512 * beegfs.KiB},
-		Chooser:           chooser,
-		CreateLatency:     0.02,
-		OpenLatency:       0.005,
-		PpnSat:            8,
-		ServerNICCapacity: linkRate * protocolEfficiency,
-		RetryTimeout:      0.5,
-		RetryBackoffBase:  0.5,
-		RetryMax:          8,
-	}
-	if fs.DefaultPattern.Count > nHosts*targetsPerHost {
-		fs.DefaultPattern.Count = nHosts * targetsPerHost
-	}
-	return Platform{
-		Name:              name,
-		FS:                fs,
-		ClientNICCapacity: linkRate * protocolEfficiency,
-		ServerNICJitterCV: 0.02,
-		SetupMean:         0.25,
-		SetupCV:           0.4,
-	}, nil
+	p := preset(name, nHosts, targetsPerHost, linkRate, chooser)
+	p.FS.DefaultPattern.Count = min(p.FS.DefaultPattern.Count, nHosts*targetsPerHost)
+	return p, nil
 }
 
 // Deployment is a live simulated instance of a platform: a simulation

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/beegfs"
-	"repro/internal/storagesim"
 )
 
 // FatTreeSpec shapes a multi-rack, over-subscribed datacenter platform —
@@ -67,34 +66,12 @@ func FatTree(name string, spec FatTreeSpec) (Platform, error) {
 	if err := checkShape("FatTree", spec.Racks*spec.OSSPerRack, spec.TargetsPerOSS, spec.LinkRate, chooser); err != nil {
 		return Platform{}, err
 	}
-	fs := beegfs.Config{
-		Storage:            storagesim.PlaFRIMConfig(),
-		Hosts:              spec.Racks * spec.OSSPerRack,
-		TargetsPerHost:     spec.TargetsPerOSS,
-		DefaultPattern:     beegfs.StripePattern{Count: 4, ChunkSize: 512 * beegfs.KiB},
-		Chooser:            chooser,
-		CreateLatency:      0.02,
-		OpenLatency:        0.005,
-		PpnSat:             8,
-		ServerNICCapacity:  spec.LinkRate * protocolEfficiency,
-		RackHosts:          spec.OSSPerRack,
-		RackUplinkCapacity: spec.UplinkRate * protocolEfficiency,
-		CoreCapacity:       spec.CoreRate * protocolEfficiency,
-		RetryTimeout:       0.5,
-		RetryBackoffBase:   0.5,
-		RetryMax:           8,
-	}
-	if fs.DefaultPattern.Count > spec.TargetsPerOSS {
-		fs.DefaultPattern.Count = spec.TargetsPerOSS
-	}
-	return Platform{
-		Name:              name,
-		FS:                fs,
-		ClientNICCapacity: spec.LinkRate * protocolEfficiency,
-		ServerNICJitterCV: 0.02,
-		SetupMean:         0.25,
-		SetupCV:           0.4,
-	}, nil
+	p := preset(name, spec.Racks*spec.OSSPerRack, spec.TargetsPerOSS, spec.LinkRate, chooser)
+	p.FS.RackHosts = spec.OSSPerRack
+	p.FS.RackUplinkCapacity = spec.UplinkRate * protocolEfficiency
+	p.FS.CoreCapacity = spec.CoreRate * protocolEfficiency
+	p.FS.DefaultPattern.Count = min(p.FS.DefaultPattern.Count, spec.TargetsPerOSS)
+	return p, nil
 }
 
 // FatTreeCore builds the over-subscribed single-core variant of the

@@ -45,12 +45,12 @@ func newWriteCycle(tb testing.TB) *writeCycle {
 	return c
 }
 
-// newFile (re)creates the shared file and points the ops at its first
-// blocks.
+// newFile creates the shared file, after resetting the deployment if an
+// earlier one exists, and points the ops at its first blocks.
 func (c *writeCycle) newFile(tb testing.TB) {
 	tb.Helper()
 	if c.ops[0].File != nil {
-		if err := c.dep.FS.Remove("/cycle"); err != nil {
+		if err := c.dep.Reset(c.dep.Platform.FS.Chooser); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -534,38 +534,28 @@ func TestCampaignSurvivesTargetFailure(t *testing.T) {
 	}
 }
 
-// Campaigns clean up after themselves: benchmark files are deleted after
-// each repetition (as IOR does), so storage-target usage returns to zero
-// and hundred-repetition campaigns cannot hit ENOSPC.
-func TestCampaignCleansUpFiles(t *testing.T) {
+// Every repetition starts from an empty file system: the deployment's
+// reset drops the previous repetition's files and their stored bytes. On
+// targets that hold one repetition's file but not two, a one-worker
+// campaign (one deployment, reset between repetitions) must therefore
+// complete every repetition instead of running out of space.
+func TestCampaignRepetitionsStartEmpty(t *testing.T) {
 	cfg := Config{
 		Label:  "x",
 		Params: ior.Params{Nodes: 4, PPN: 8, TransferSize: beegfs.MiB, StripeCount: 8}.WithTotalSize(32 * beegfs.GiB),
 	}
-	proto := Protocol{Repetitions: 5, BlockSize: 5, Seed: 3}
-	inspected := 0
-	_, err := Campaign{
-		Platform: cluster.PlaFRIM(cluster.Scenario2Omnipath),
-		Proto:    proto,
-		Workers:  1, // keep the plain inspected counter race-free
-		// Inspect runs post-cleanup on each repetition's private deployment.
-		Inspect: func(dep *cluster.Deployment, rec *Record) error {
-			inspected++
-			if n := dep.FS.Meta().FileCount(); n != 0 {
-				t.Errorf("rep %d: %d files left after cleanup", rec.Rep, n)
-			}
-			for _, tg := range dep.FS.Storage().Targets() {
-				if tg.Used() != 0 {
-					t.Errorf("rep %d: target %d still holds %d bytes", rec.Rep, tg.ID, tg.Used())
-				}
-			}
-			return nil
-		},
+	platform := cluster.PlaFRIM(cluster.Scenario2Omnipath)
+	// 32 GiB over 8 targets stores 4 GiB on each.
+	platform.FS.Storage.TargetCapacityBytes = 6 * beegfs.GiB
+	recs, err := Campaign{
+		Platform: platform,
+		Proto:    Protocol{Repetitions: 5, BlockSize: 5, Seed: 3},
+		Workers:  1,
 	}.Run([]Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inspected != 5 {
-		t.Fatalf("Inspect ran %d times, want 5", inspected)
+	if len(recs) != 5 {
+		t.Fatalf("%d records, want 5", len(recs))
 	}
 }

@@ -93,17 +93,17 @@ func TestWorkerErrorPropagationByIndex(t *testing.T) {
 	proto := Protocol{Repetitions: 6, BlockSize: 6, Seed: 3}
 	fail := func(dep *cluster.Deployment, rec *Record) error {
 		if rec.Rep == 1 || rec.Rep == 4 {
-			return fmt.Errorf("inspect failed at rep %d", rec.Rep)
+			return fmt.Errorf("quiesce failed at rep %d", rec.Rep)
 		}
 		return nil
 	}
 	for attempt := 0; attempt < 10; attempt++ {
 		_, err := Campaign{
 			Platform: cluster.PlaFRIM(cluster.Scenario1Ethernet),
-			Proto:    proto, Workers: 4, Inspect: fail,
+			Proto:    proto, Workers: 4, Quiesce: fail,
 		}.Run([]Config{smallCfg("x")})
 		if err == nil {
-			t.Fatal("failing Inspect did not fail the campaign")
+			t.Fatal("failing Quiesce did not fail the campaign")
 		}
 		if !strings.Contains(err.Error(), "rep 1") {
 			t.Fatalf("attempt %d: got %q, want the rep-1 error", attempt, err)

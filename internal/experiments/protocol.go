@@ -161,18 +161,13 @@ type Campaign struct {
 	// scheduled events) lasts until the next repetition's reset.
 	Setup func(*cluster.Deployment) error
 	// Quiesce, when non-nil, runs after a repetition's applications have
-	// finished and results are gathered but BEFORE benchmark files are
-	// removed: the hook's chance to drain remaining simulation activity
-	// (fault recoveries, pending resyncs) and assert invariants against the
-	// still-present files. Activity it leaves pending is dropped by the
-	// next reset. Same concurrency caveat as Setup.
+	// finished and results are gathered: the hook's chance to drain
+	// remaining simulation activity (fault recoveries, pending resyncs)
+	// and assert invariants against the repetition's files. The files,
+	// their stored bytes and anything the hook leaves pending are dropped
+	// by the next repetition's reset, so the hook must not keep the
+	// deployment. Same concurrency caveat as Setup.
 	Quiesce func(*cluster.Deployment, *Record) error
-	// Inspect, when non-nil, runs right after a repetition finishes, with
-	// the repetition's deployment and completed record (post-cleanup
-	// assertions, extra metrics). The deployment is reset for the worker's
-	// next repetition afterwards, so the hook must not keep it. Same
-	// concurrency caveat as Setup.
-	Inspect func(*cluster.Deployment, *Record) error
 	// Pipeline, when non-nil, records the campaign. Each repetition
 	// enables activity counters on its deployment, records them into a
 	// private collector shard and folds the shard into the pipeline's
@@ -494,20 +489,6 @@ func (c Campaign) runUnit(w *worker, cfg Config, u *unit) (Record, error) {
 	}
 	if c.Quiesce != nil {
 		if err := c.Quiesce(dep, &rec); err != nil {
-			return Record{}, err
-		}
-	}
-	// Clean up the benchmark files (as IOR does by default) so campaigns
-	// of hundreds of 32 GiB repetitions do not fill the storage targets.
-	for _, run := range runs {
-		for _, path := range run.Result().Paths {
-			if err := dep.FS.Remove(path); err != nil {
-				return Record{}, fmt.Errorf("experiments: cleanup of %q failed: %w", path, err)
-			}
-		}
-	}
-	if c.Inspect != nil {
-		if err := c.Inspect(dep, &rec); err != nil {
 			return Record{}, err
 		}
 	}

@@ -118,7 +118,6 @@ func dirty(t *testing.T, dep *cluster.Deployment) {
 	dep.EnableStats()
 	survived := func() { t.Fatal("an observer or subscription survived Reset") }
 	fs.SetOpObserver(func(beegfs.OpEvent) { survived() })
-	fs.Mgmtd().Subscribe(func(*storagesim.Target, bool) { survived() })
 	fs.Mgmtd().SubscribeReach(func(*storagesim.Target, beegfs.Reachability, beegfs.Reachability) { survived() })
 	dep.Net.Observe(func(simkernel.Time, *simnet.Flow, float64) { survived() })
 	dep.Net.ObserveSolves(func(simkernel.Time, simnet.SolveInfo) { survived() })

@@ -20,7 +20,7 @@
 // Determinism contract: the same seed plus the same schedule replays
 // bit-identically — events fire in time order (slice order among
 // same-time events), and flow aborts happen in name-sorted order
-// (simnet.FlowsUsing).
+// (simnet.Network.AppendFlowsUsingAny).
 package faults
 
 import (

@@ -82,8 +82,6 @@ func (c *Checker) Check() error {
 	}
 
 	// 1. Durability: acknowledged writes must be covered by the file size.
-	// Paths since unlinked are exempt — deletion is the caller's choice,
-	// not data loss.
 	for _, f := range files {
 		if end, ok := c.ackedEnd[f.Path]; ok && f.Size < end {
 			fail("durability: %q has size %d below acknowledged write end %d", f.Path, f.Size, end)

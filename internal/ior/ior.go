@@ -145,9 +145,7 @@ type Result struct {
 	// TargetIDs are the stripe targets of the shared file (N-1), or of
 	// every created file concatenated (N-N).
 	TargetIDs []int
-	// Paths lists the file(s) the run created, so callers can remove them
-	// afterwards (IOR deletes its test file unless -k is given; campaigns
-	// that never clean up eventually fill the storage targets).
+	// Paths lists the file(s) the run created, in creation order.
 	Paths []string
 	// PerHost maps "oss1"-style host names to how many of the run's
 	// targets they own: the shared file's (N-1), which is the (min,max)

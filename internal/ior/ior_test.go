@@ -366,16 +366,13 @@ func BenchmarkExecute8Nodes(b *testing.B) {
 	}
 	src := rng.New(1)
 	for i := 0; i < b.N; i++ {
-		res, err := Execute(dep.FS, dep.Nodes(8), baseParams(8, 4), src)
-		if err != nil {
+		if _, err := Execute(dep.FS, dep.Nodes(8), baseParams(8, 4), src); err != nil {
 			b.Fatal(err)
 		}
-		// Delete the test file, as IOR does, so long bench runs do not
-		// fill the simulated 16 TB targets.
-		for _, path := range res.Paths {
-			if err := dep.FS.Remove(path); err != nil {
-				b.Fatal(err)
-			}
+		// Start over, so long bench runs do not fill the simulated
+		// targets.
+		if err := dep.Reset(dep.Platform.FS.Chooser); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

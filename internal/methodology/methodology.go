@@ -31,40 +31,24 @@ import (
 
 // Options tunes the pipeline.
 type Options struct {
-	// Reps per configuration (the paper used 100).
+	// Reps per configuration (the paper used 100); at least 1.
 	Reps int
 	Seed uint64
-	// MaxNodes bounds the node sweep (default 32).
+	// MaxNodes bounds the node sweep; at least 1.
 	MaxNodes int
-	// MaxSizeGiB bounds the data-size sweep (default 64).
-	MaxSizeGiB int64
-	// PPN is the processes per node (default 8, the paper's choice).
-	PPN int
-	// PlateauTolerance: a point is "at the plateau" when within this
-	// fraction of the sweep maximum (default 0.03).
-	PlateauTolerance float64
 	// Workers bounds the campaign worker pool (0 = one per CPU).
 	Workers int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Reps <= 0 {
-		o.Reps = 100
-	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 32
-	}
-	if o.MaxSizeGiB <= 0 {
-		o.MaxSizeGiB = 64
-	}
-	if o.PPN <= 0 {
-		o.PPN = 8
-	}
-	if o.PlateauTolerance <= 0 {
-		o.PlateauTolerance = 0.03
-	}
-	return o
-}
+const (
+	// maxSizeGiB bounds the data-size sweep.
+	maxSizeGiB = 64
+	// ppn is the processes per node, the paper's choice.
+	ppn = 8
+	// plateauTolerance: a point is "at the plateau" when within this
+	// fraction of the sweep maximum.
+	plateauTolerance = 0.03
+)
 
 // SweepPoint is one measurement of a sweep stage.
 type SweepPoint struct {
@@ -121,7 +105,12 @@ type Report struct {
 // Run executes the three stages; each campaign deploys its own fresh
 // instances of the platform (one per repetition worker).
 func Run(p cluster.Platform, opts Options) (Report, error) {
-	opts = opts.withDefaults()
+	if opts.Reps < 1 {
+		return Report{}, fmt.Errorf("methodology: Reps must be at least 1, got %d", opts.Reps)
+	}
+	if opts.MaxNodes < 1 {
+		return Report{}, fmt.Errorf("methodology: MaxNodes must be at least 1, got %d", opts.MaxNodes)
+	}
 	rep := Report{Platform: p.Name}
 
 	// ---- Stage 1: data size (Figure 2). 4 nodes x PPN, default count.
@@ -130,14 +119,14 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 		stage1Nodes = opts.MaxNodes
 	}
 	var sizes []int64
-	for g := int64(1); g <= opts.MaxSizeGiB; g *= 2 {
+	for g := int64(1); g <= maxSizeGiB; g *= 2 {
 		sizes = append(sizes, g)
 	}
 	var cfgs []experiments.Config
 	for _, g := range sizes {
 		cfgs = append(cfgs, experiments.Config{
 			Label:  fmt.Sprintf("size%03d", g),
-			Params: params(stage1Nodes, opts.PPN, 0, g*beegfs.GiB),
+			Params: params(stage1Nodes, 0, g*beegfs.GiB),
 		})
 	}
 	recs, err := campaign(p, opts, 1).Run(cfgs)
@@ -152,7 +141,7 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 		}
 		rep.SizeSweep = append(rep.SizeSweep, pt)
 	}
-	rep.ChosenSizeGiB = chooseSize(sizes, rep.SizeSweep, opts.PlateauTolerance)
+	rep.ChosenSizeGiB = chooseSize(sizes, rep.SizeSweep, plateauTolerance)
 
 	// ---- Stage 2: node sweep (Figure 4) at the chosen size.
 	var nodes []int
@@ -163,7 +152,7 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 	for _, n := range nodes {
 		cfgs = append(cfgs, experiments.Config{
 			Label:  fmt.Sprintf("n%03d", n),
-			Params: params(n, opts.PPN, 0, rep.ChosenSizeGiB*beegfs.GiB),
+			Params: params(n, 0, rep.ChosenSizeGiB*beegfs.GiB),
 		})
 	}
 	recs, err = campaign(p, opts, 2).Run(cfgs)
@@ -178,7 +167,7 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 		}
 		rep.NodeSweep = append(rep.NodeSweep, pt)
 	}
-	rep.PlateauNodes, rep.NodeGain = choosePlateau(nodes, rep.NodeSweep, opts.PlateauTolerance)
+	rep.PlateauNodes, rep.NodeGain = choosePlateau(nodes, rep.NodeSweep, plateauTolerance)
 
 	// ---- Stage 3: stripe-count sweep (Figures 6/8/10), at twice the
 	// plateau so higher counts are not client-limited (lesson 6; the
@@ -192,7 +181,7 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 	for k := 1; k <= total; k++ {
 		cfgs = append(cfgs, experiments.Config{
 			Label:  fmt.Sprintf("count%02d", k),
-			Params: params(rep.Stage3Nodes, opts.PPN, k, rep.ChosenSizeGiB*beegfs.GiB),
+			Params: params(rep.Stage3Nodes, k, rep.ChosenSizeGiB*beegfs.GiB),
 		})
 	}
 	recs, err = campaign(p, opts, 3).Run(cfgs)
@@ -271,7 +260,9 @@ func Run(p cluster.Platform, opts Options) (Report, error) {
 	return rep, nil
 }
 
-func params(nodes, ppn, count int, total int64) ior.Params {
+// params is one sweep point's IOR run: nodes × ppn processes writing
+// total bytes in 1 MiB transfers at stripe count (0 = the default).
+func params(nodes, count int, total int64) ior.Params {
 	return ior.Params{
 		Nodes: nodes, PPN: ppn,
 		TransferSize: 1 * beegfs.MiB,

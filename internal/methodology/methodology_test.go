@@ -8,7 +8,7 @@ import (
 )
 
 func fastOpts(reps int, seed uint64) Options {
-	return Options{Reps: reps, Seed: seed, MaxNodes: 8, MaxSizeGiB: 64}
+	return Options{Reps: reps, Seed: seed, MaxNodes: 8}
 }
 
 func TestRunOnPlaFRIMScenario1(t *testing.T) {
@@ -113,9 +113,12 @@ func TestChoosePlateau(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Reps != 100 || o.MaxNodes != 32 || o.MaxSizeGiB != 64 || o.PPN != 8 {
-		t.Fatalf("defaults = %+v", o)
+// Run rejects repetition and node bounds below 1 instead of silently
+// defaulting them.
+func TestRunRejectsInvalidOptions(t *testing.T) {
+	for _, o := range []Options{{Reps: 0, MaxNodes: 8}, {Reps: -1, MaxNodes: 8}, {Reps: 10, MaxNodes: 0}, {Reps: 10, MaxNodes: -2}} {
+		if _, err := Run(cluster.PlaFRIM(cluster.Scenario1Ethernet), o); err == nil {
+			t.Fatalf("Run accepted %+v", o)
+		}
 	}
 }

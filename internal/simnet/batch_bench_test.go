@@ -21,7 +21,7 @@ func manyCompNet(comps int) (*simkernel.Simulation, *Network, []*Resource) {
 			net.Start(&Flow{
 				Name:   fmt.Sprintf("g%03d/f%d", c, i),
 				Volume: 1e15,
-				Usage:  map[*Resource]float64{shared[c]: 1, own: 1},
+				Usage:  []ResourceShare{{shared[c], 1}, {own, 1}},
 			})
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkEventBatchRamp(b *testing.B) {
 				flows[c] = Flow{
 					Name:   "f",
 					Volume: 1e15,
-					Usage:  map[*Resource]float64{ramp: 0.5, own[c]: 1},
+					Usage:  []ResourceShare{{ramp, 0.5}, {own[c], 1}},
 				}
 				net.Start(&flows[c])
 			}

@@ -31,7 +31,7 @@ func rampWorld(n int, shape int) (*simkernel.Simulation, *Network, []*Flow, []si
 		flows[i] = &Flow{
 			Name:       fmt.Sprintf("c%03d", i),
 			Volume:     50 + float64(i%11)*8,
-			Usage:      map[*Resource]float64{ramp: 0.5, own: 1},
+			Usage:      []ResourceShare{{ramp, 0.5}, {own, 1}},
 			OnComplete: func(at simkernel.Time) { done[i] = at },
 		}
 	}
@@ -125,19 +125,19 @@ func TestBatchedRecycledFlowRestart(t *testing.T) {
 			shared := net.AddResource("shared", 1000)
 			long := make([]*Flow, 60)
 			for i := range long {
-				long[i] = &Flow{Name: fmt.Sprintf("long%02d", i), Volume: 1e6, Usage: map[*Resource]float64{shared: 1}}
+				long[i] = &Flow{Name: fmt.Sprintf("long%02d", i), Volume: 1e6, Usage: []ResourceShare{{shared, 1}}}
 				net.Start(long[i])
 			}
 			short := make([]*Flow, workers)
 			finishedAt := make([]simkernel.Time, workers)
 			for w := range short {
 				other := net.AddResource(fmt.Sprintf("other%d", w), 100)
-				f := &Flow{Name: fmt.Sprintf("short%d", w), Volume: 1, Usage: map[*Resource]float64{shared: 1}}
+				f := &Flow{Name: fmt.Sprintf("short%d", w), Volume: 1, Usage: []ResourceShare{{shared, 1}}}
 				f.OnComplete = func(at simkernel.Time) {
 					finishedAt[w] = at
 					f.OnComplete = nil
 					f.Volume = 1e6
-					f.Usage = map[*Resource]float64{other: 1}
+					f.Usage = []ResourceShare{{other, 1}}
 					net.Start(f)
 				}
 				short[w] = f
@@ -217,7 +217,7 @@ func TestBatchedMidInstantCompletionGuard(t *testing.T) {
 		f := &Flow{
 			Name:       "f",
 			Volume:     100, // completes at t=1 at full rate
-			Usage:      map[*Resource]float64{link: 1},
+			Usage:      []ResourceShare{{link, 1}},
 			OnComplete: func(at simkernel.Time) { doneAt = at },
 		}
 		sim.At(0, func() { net.Start(f) })
@@ -254,8 +254,8 @@ func TestBatchedIdleCapacityCadence(t *testing.T) {
 		net := New(sim)
 		a := net.AddResource("a", 100)
 		idle := net.AddResource("idle", 10)
-		f := &Flow{Name: "f", Volume: 60, Usage: map[*Resource]float64{a: 1}}
-		g := &Flow{Name: "g", Volume: 45, Usage: map[*Resource]float64{a: 1}}
+		f := &Flow{Name: "f", Volume: 60, Usage: []ResourceShare{{a, 1}}}
+		g := &Flow{Name: "g", Volume: 45, Usage: []ResourceShare{{a, 1}}}
 		sim.At(0, func() { net.Start(f) })
 		sim.At(0.5, func() {
 			net.Start(g)

@@ -9,17 +9,20 @@ import (
 
 // Weighted max-min fairness over shared resources: the classic two-link
 // example. Flow c crosses both links, so it is bottlenecked by the slower
-// one; flow a then takes the slack on L1.
-func ExampleFairShare() {
+// one; flow a then takes the slack on L1. Started outside the event loop,
+// each flow's rate is solved as soon as Start returns.
+func ExampleFlow_Rate() {
 	sim := simkernel.New()
 	net := simnet.New(sim)
 	l1 := net.AddResource("L1", 10)
 	l2 := net.AddResource("L2", 8)
-	a := &simnet.Flow{Name: "a", Usage: map[*simnet.Resource]float64{l1: 1}}
-	b := &simnet.Flow{Name: "b", Usage: map[*simnet.Resource]float64{l2: 1}}
-	c := &simnet.Flow{Name: "c", Usage: map[*simnet.Resource]float64{l1: 1, l2: 1}}
-	rates := simnet.FairShare([]*simnet.Flow{a, b, c})
-	fmt.Printf("a=%.0f b=%.0f c=%.0f\n", rates[0], rates[1], rates[2])
+	a := &simnet.Flow{Name: "a", Volume: 100, Usage: []simnet.ResourceShare{{Res: l1, W: 1}}}
+	b := &simnet.Flow{Name: "b", Volume: 100, Usage: []simnet.ResourceShare{{Res: l2, W: 1}}}
+	c := &simnet.Flow{Name: "c", Volume: 100, Usage: []simnet.ResourceShare{{Res: l1, W: 1}, {Res: l2, W: 1}}}
+	for _, f := range []*simnet.Flow{a, b, c} {
+		net.Start(f)
+	}
+	fmt.Printf("a=%.0f b=%.0f c=%.0f\n", a.Rate(), b.Rate(), c.Rate())
 	// Output:
 	// a=6 b=4 c=4
 }
@@ -35,7 +38,7 @@ func ExampleNetwork() {
 	flow := &simnet.Flow{
 		Name:   "ior",
 		Volume: 32 * 1024, // 32 GiB in MiB
-		Usage:  map[*simnet.Resource]float64{oss1: 0.25, oss2: 0.75},
+		Usage:  []simnet.ResourceShare{{Res: oss1, W: 0.25}, {Res: oss2, W: 0.75}},
 		OnComplete: func(at simkernel.Time) {
 			fmt.Printf("done at %.1fs -> %.0f MiB/s\n", float64(at), 32*1024/float64(at))
 		},

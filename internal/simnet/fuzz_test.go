@@ -130,6 +130,19 @@ func buildWorld(sc fzScenario, forceGlobal, oracle bool) *fzWorld {
 	return w
 }
 
+// setShare sets r's weight in a usage list, replacing an earlier entry
+// for r, so a harness that names one resource twice keeps the last weight
+// instead of the sum Start would compile from two entries.
+func setShare(usage []ResourceShare, r *Resource, w float64) []ResourceShare {
+	for i := range usage {
+		if usage[i].Res == r {
+			usage[i].W = w
+			return usage
+		}
+	}
+	return append(usage, ResourceShare{r, w})
+}
+
 // solved is the oracle's per-mutation solve; a no-op in other worlds.
 func (w *fzWorld) solved() {
 	if w.oracle {
@@ -144,18 +157,17 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 		f := &Flow{
 			Name:   fmt.Sprintf("f%03d", len(w.started)),
 			Volume: 4.0 * float64(1+int(op.a)%32),
-			Usage:  map[*Resource]float64{},
 		}
 		if sc.shared {
-			f.Usage[w.res[0]] = 1
+			f.Usage = setShare(f.Usage, w.res[0], 1)
 		}
 		for j := 0; j < len(w.res) && j < 8; j++ {
 			if op.b>>uint(j)&1 == 1 {
-				f.Usage[w.res[j]] = 0.25 * float64(1+(int(op.a)+j)%4)
+				f.Usage = setShare(f.Usage, w.res[j], 0.25*float64(1+(int(op.a)+j)%4))
 			}
 		}
 		if len(f.Usage) == 0 {
-			f.Usage[w.res[int(op.b)%len(w.res)]] = 1
+			f.Usage = setShare(f.Usage, w.res[int(op.b)%len(w.res)], 1)
 		}
 		if op.c%4 == 0 {
 			f.Cap = 10.0 * float64(1+int(op.c)%16)
@@ -205,7 +217,7 @@ func (w *fzWorld) respawn(f *Flow, op fop) {
 		g := &Flow{
 			Name:   f.Name + "s",
 			Volume: f.Volume / 2,
-			Usage:  map[*Resource]float64{r: 0.5, w.res[int(op.a)%len(w.res)]: 1},
+			Usage:  setShare([]ResourceShare{{r, 0.5}}, w.res[int(op.a)%len(w.res)], 1),
 		}
 		g.OnComplete = func(at simkernel.Time) { w.done(g, at) }
 		w.started = append(w.started, g)
@@ -214,7 +226,7 @@ func (w *fzWorld) respawn(f *Flow, op fop) {
 	case 2:
 		f.OnComplete = func(at simkernel.Time) { w.done(f, at) }
 		f.Volume = 2 + float64(op.a%16)
-		f.Usage = map[*Resource]float64{r: 1}
+		f.Usage = []ResourceShare{{r, 1}}
 		w.net.Start(f)
 		w.solved()
 	}
@@ -448,10 +460,7 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 		f := &Flow{
 			Name:   fmt.Sprintf("L%04d", i),
 			Volume: 8 + float64(b%64),
-			Usage: map[*Resource]float64{
-				shared:           0.125,
-				extras[i%nExtra]: 0.25 + 0.25*float64(b%4),
-			},
+			Usage:  []ResourceShare{{shared, 0.125}, {extras[i%nExtra], 0.25 + 0.25*float64(b%4)}},
 		}
 		if i%3 != 0 {
 			f.Cap = 4 * float64(1+(i*7+b)%32)

@@ -40,16 +40,15 @@ func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *com
 	if hier {
 		net.SetSeparators(seps...)
 	}
-	stripe := func(usage map[*Resource]float64, r int) {
+	stripe := func(usage []ResourceShare, r int) []ResourceShare {
 		for _, j := range src.Perm(targetsPerRack)[:4] {
-			usage[tgts[r][j]] = 0.25 + src.Float64()*0.5
+			usage = append(usage, ResourceShare{tgts[r][j], 0.25 + src.Float64()*0.5})
 		}
+		return usage
 	}
 	for i := 0; i < racks*flowsPerRack; i++ {
 		r := i % racks
-		usage := make(map[*Resource]float64, 4)
-		stripe(usage, r)
-		f := &Flow{Name: fmt.Sprintf("f%05d", i), Volume: 1e15, Usage: usage}
+		f := &Flow{Name: fmt.Sprintf("f%05d", i), Volume: 1e15, Usage: stripe(nil, r)}
 		// Per-rack cap bands with a straggler minority: freezes walk the
 		// racks one band at a time instead of sweeping every group at once.
 		if i%8 != 0 {
@@ -64,8 +63,7 @@ func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *com
 		// one through this rack's uplink, one through the next's.
 		for k := 0; k < 2; k++ {
 			rr := (r + k) % racks
-			usage := map[*Resource]float64{core: 1, ups[rr]: 1}
-			stripe(usage, rr)
+			usage := stripe([]ResourceShare{{core, 1}, {ups[rr], 1}}, rr)
 			net.Start(&Flow{Name: fmt.Sprintf("drain%02d-%d", r, k), Volume: 1e15, Usage: usage})
 		}
 	}
@@ -207,10 +205,10 @@ func hierChurn(hier bool, jobs int) churnResult {
 			usage = append(usage, ResourceShare{ups[rack], 1}, ResourceShare{core, 1})
 		}
 		f := &Flow{
-			Name:      fmt.Sprintf("f%05d", i),
-			Volume:    2048 + 512*float64(src.Intn(4)),
-			Cap:       capped,
-			UsageList: usage,
+			Name:   fmt.Sprintf("f%05d", i),
+			Volume: 2048 + 512*float64(src.Intn(4)),
+			Cap:    capped,
+			Usage:  usage,
 		}
 		f.OnComplete = func(at simkernel.Time) {
 			active--

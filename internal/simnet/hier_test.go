@@ -115,20 +115,17 @@ func applyHier(w *fzWorld, sc hierScenario, op fop) {
 		f := &Flow{
 			Name:   fmt.Sprintf("f%03d", len(w.started)),
 			Volume: 4.0 * float64(1+int(op.a)%24),
-			Usage:  map[*Resource]float64{},
 		}
 		switch kind := int(op.c) % 8; {
 		case kind == 7:
-			f.Usage[uplink] = 0.5 + 0.25*float64(int(op.b)%3)
-			f.Usage[core] = 1
+			f.Usage = []ResourceShare{{uplink, 0.5 + 0.25*float64(int(op.b)%3)}, {core, 1}}
 		case kind >= 4:
-			f.Usage[local(int(op.b))] = 0.25 * float64(1+int(op.b)%4)
-			f.Usage[uplink] = 1
-			f.Usage[core] = 0.5
+			f.Usage = []ResourceShare{{local(int(op.b)), 0.25 * float64(1+int(op.b)%4)}, {uplink, 1}, {core, 0.5}}
 		default:
-			f.Usage[local(int(op.b))] = 0.25 * float64(1+int(op.b)%4)
+			f.Usage = []ResourceShare{{local(int(op.b)), 0.25 * float64(1+int(op.b)%4)}}
 			if op.b>>6&1 == 1 {
-				f.Usage[local(int(op.b)+1)] = 0.5
+				// One local per rack makes this the same resource again.
+				f.Usage = setShare(f.Usage, local(int(op.b)+1), 0.5)
 			}
 		}
 		if op.c%4 == 0 {
@@ -233,7 +230,7 @@ func newHierTestTopo(t *testing.T, localCap, upCap, coreCap float64) *hierTestTo
 	return tp
 }
 
-func (tp *hierTestTopo) start(name string, usage map[*Resource]float64) *Flow {
+func (tp *hierTestTopo) start(name string, usage []ResourceShare) *Flow {
 	f := &Flow{Name: name, Volume: 1e6, Usage: usage}
 	tp.net.Start(f)
 	return f
@@ -245,11 +242,11 @@ func (tp *hierTestTopo) start(name string, usage map[*Resource]float64) *Flow {
 // back with the fallback counter ticking.
 func TestHierExactPathUsed(t *testing.T) {
 	tp := newHierTestTopo(t, 1000, 80, 120)
-	tp.start("loc0", map[*Resource]float64{tp.l0: 1})
-	tp.start("loc1", map[*Resource]float64{tp.l1: 1})
-	tp.start("cross0", map[*Resource]float64{tp.l0: 0.25, tp.u0: 1, tp.core: 1})
-	tp.start("cross1", map[*Resource]float64{tp.l1: 0.25, tp.u1: 1, tp.core: 1})
-	tp.start("drain", map[*Resource]float64{tp.u0: 0.5, tp.core: 1})
+	tp.start("loc0", []ResourceShare{{tp.l0, 1}})
+	tp.start("loc1", []ResourceShare{{tp.l1, 1}})
+	tp.start("cross0", []ResourceShare{{tp.l0, 0.25}, {tp.u0, 1}, {tp.core, 1}})
+	tp.start("cross1", []ResourceShare{{tp.l1, 0.25}, {tp.u1, 1}, {tp.core, 1}})
+	tp.start("drain", []ResourceShare{{tp.u0, 0.5}, {tp.core, 1}})
 	if tp.st.HierSolves == 0 {
 		t.Fatalf("no hierarchical solves on a two-rack component: %+v", tp.st)
 	}
@@ -258,7 +255,7 @@ func TestHierExactPathUsed(t *testing.T) {
 	// A component confined to one rack has a single local group: the
 	// partition is degenerate and the flat solver must run instead.
 	tp2 := newHierTestTopo(t, 1000, 80, 120)
-	tp2.start("only", map[*Resource]float64{tp2.l0: 1, tp2.u0: 1})
+	tp2.start("only", []ResourceShare{{tp2.l0, 1}, {tp2.u0, 1}})
 	if tp2.st.HierSolves != 0 {
 		t.Fatalf("one-rack component took the hierarchical path: %+v", tp2.st)
 	}
@@ -294,9 +291,9 @@ func TestHierReusesUnchangedGroups(t *testing.T) {
 	// racks into one component of three groups.
 	var loc []*Flow
 	for r := range locals {
-		loc = append(loc, &Flow{Name: fmt.Sprintf("loc%d", r), Volume: 1e6, Usage: map[*Resource]float64{locals[r]: 1}})
+		loc = append(loc, &Flow{Name: fmt.Sprintf("loc%d", r), Volume: 1e6, Usage: []ResourceShare{{locals[r], 1}}})
 		net.Start(loc[r])
-		net.Start(&Flow{Name: fmt.Sprintf("cross%d", r), Volume: 1e6, Usage: map[*Resource]float64{locals[r]: 0.25, seps[r]: 1, core: 1}})
+		net.Start(&Flow{Name: fmt.Sprintf("cross%d", r), Volume: 1e6, Usage: []ResourceShare{{locals[r], 0.25}, {seps[r], 1}, {core, 1}}})
 	}
 	verifyNet(t, net)
 	cached := func(r int) bool { return net.hier.firstOK[locals[r].idx] }
@@ -336,7 +333,7 @@ func TestHierReusesUnchangedGroups(t *testing.T) {
 		verifyNet(t, net)
 	}
 	step("start in rack 0", 0, func() {
-		net.Start(&Flow{Name: "late0", Volume: 1e6, Usage: map[*Resource]float64{locals[0]: 0.5}})
+		net.Start(&Flow{Name: "late0", Volume: 1e6, Usage: []ResourceShare{{locals[0], 0.5}}})
 	})
 	step("abort in rack 1", 1, func() { net.Abort(loc[1]) })
 	step("capacity change in rack 2", -1, func() { net.SetCapacity(locals[2], 500) })
@@ -373,7 +370,7 @@ func TestHierSetupValidation(t *testing.T) {
 	gl := New(sim)
 	gl.forceGlobal = true
 	expectPanic("forceGlobal", func() { gl.SetSeparators(gl.AddResource("up", 1)) })
-	f := &Flow{Name: "f", Volume: 10, Usage: map[*Resource]float64{r: 1}}
+	f := &Flow{Name: "f", Volume: 10, Usage: []ResourceShare{{r, 1}}}
 	net.Start(f)
 	expectPanic("in-flight separators", func() { net.SetSeparators(r) })
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/simkernel"
@@ -60,20 +59,22 @@ func verifyKKT(t *testing.T, flows []*Flow, resources []*Resource) {
 
 // TestSolveOptimalityKKT checks the solver against the max-min definition
 // on hand-built shapes with known closed-form answers, then sweeps seeded
-// random topologies, verifying the KKT conditions and diffing the
-// incremental solver against the retained reference at 0 ULP on the
-// unindexed (FairShare) path.
+// random topologies, verifying the KKT conditions and diffing the solve
+// each Start runs on a Network against the retained reference at 0 ULP.
 func TestSolveOptimalityKKT(t *testing.T) {
 	t.Run("closedForm", func(t *testing.T) {
-		a := &Resource{Name: "a", capacity: 100}
-		b := &Resource{Name: "b", capacity: 30}
-		f1 := &Flow{Name: "f1", Usage: map[*Resource]float64{a: 1, b: 1}}
-		f2 := &Flow{Name: "f2", Usage: map[*Resource]float64{a: 1}}
-		f3 := &Flow{Name: "f3", Usage: map[*Resource]float64{a: 1}, Cap: 20}
-		rates := FairShare([]*Flow{f1, f2, f3})
+		net := New(simkernel.New())
+		a := net.AddResource("a", 100)
+		b := net.AddResource("b", 30)
+		f1 := &Flow{Name: "f1", Volume: 1e6, Usage: []ResourceShare{{a, 1}, {b, 1}}}
+		f2 := &Flow{Name: "f2", Volume: 1e6, Usage: []ResourceShare{{a, 1}}}
+		f3 := &Flow{Name: "f3", Volume: 1e6, Usage: []ResourceShare{{a, 1}}, Cap: 20}
+		for _, f := range []*Flow{f1, f2, f3} {
+			net.Start(f)
+		}
 		// f1 bottlenecks on b at 30; f3 caps at 20; f2 takes the rest of a.
-		if rates[0] != 30 || rates[2] != 20 || rates[1] != 50 {
-			t.Fatalf("closed-form rates wrong: got %v, want [30 50 20]", rates)
+		if f1.rate != 30 || f2.rate != 50 || f3.rate != 20 {
+			t.Fatalf("closed-form rates wrong: got [%v %v %v], want [30 50 20]", f1.rate, f2.rate, f3.rate)
 		}
 		verifyKKT(t, []*Flow{f1, f2, f3}, []*Resource{a, b})
 	})
@@ -120,17 +121,14 @@ func TestSolveOptimalityKKT(t *testing.T) {
 			flows := make([]*Flow, nFlows)
 			for i := range flows {
 				rack := rng.Intn(nRacks)
-				f := &Flow{Name: fmt.Sprintf("f%02d", i), Volume: 1e6, Usage: map[*Resource]float64{}}
+				f := &Flow{Name: fmt.Sprintf("f%02d", i), Volume: 1e6}
 				switch rng.Intn(4) {
 				case 0: // rack-local
-					f.Usage[locals[rack][rng.Intn(nLocals)]] = 0.25 * float64(1+rng.Intn(8))
+					f.Usage = []ResourceShare{{locals[rack][rng.Intn(nLocals)], 0.25 * float64(1+rng.Intn(8))}}
 				case 1: // separator-only drain
-					f.Usage[uplinks[rack]] = 0.25 * float64(1+rng.Intn(4))
-					f.Usage[core] = 1
+					f.Usage = []ResourceShare{{uplinks[rack], 0.25 * float64(1+rng.Intn(4))}, {core, 1}}
 				default: // cross-rack
-					f.Usage[locals[rack][rng.Intn(nLocals)]] = 0.25 * float64(1+rng.Intn(8))
-					f.Usage[uplinks[rack]] = 1
-					f.Usage[core] = 0.5
+					f.Usage = []ResourceShare{{locals[rack][rng.Intn(nLocals)], 0.25 * float64(1+rng.Intn(8))}, {uplinks[rack], 1}, {core, 0.5}}
 				}
 				if rng.Intn(3) == 0 {
 					f.Cap = 5 * float64(1+rng.Intn(24))
@@ -156,52 +154,44 @@ func TestSolveOptimalityKKT(t *testing.T) {
 		}
 	})
 
+	// randomSweep is the flat-topology sweep: random resources and flows,
+	// each flow started on a Network, so the solve under test is the
+	// freeze loop every campaign runs.
 	t.Run("randomSweep", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		for cse := 0; cse < 250; cse++ {
+			net := New(simkernel.New())
 			nRes := 1 + rng.Intn(8)
 			resources := make([]*Resource, nRes)
 			for i := range resources {
-				resources[i] = &Resource{Name: fmt.Sprintf("r%d", i), capacity: 10 * float64(1+rng.Intn(50))}
+				resources[i] = net.AddResource(fmt.Sprintf("r%d", i), 10*float64(1+rng.Intn(50)))
 			}
 			nFlows := 1 + rng.Intn(40)
 			flows := make([]*Flow, nFlows)
 			for i := range flows {
-				f := &Flow{Name: fmt.Sprintf("f%02d", i), Usage: map[*Resource]float64{}}
+				f := &Flow{Name: fmt.Sprintf("f%02d", i), Volume: 1e6}
 				for _, j := range rng.Perm(nRes)[:1+rng.Intn(nRes)] {
-					f.Usage[resources[j]] = 0.25 * float64(1+rng.Intn(8))
+					f.Usage = append(f.Usage, ResourceShare{resources[j], 0.25 * float64(1+rng.Intn(8))})
 				}
 				if rng.Intn(3) == 0 {
 					f.Cap = 5 * float64(1+rng.Intn(24))
 				}
 				flows[i] = f
+				net.Start(f)
 			}
-			rates := FairShare(flows)
 			verifyKKT(t, flows, resources)
-
-			// Differential: the retained reference must agree bit for bit.
-			// Rebuild the resource list exactly as FairShare does (first-use
-			// order, then registration/name sort) and re-solve.
-			seen := map[*Resource]bool{}
-			var used []*Resource
-			for _, f := range flows {
-				for i := range f.uses {
-					if r := f.uses[i].res; !seen[r] {
-						seen[r] = true
-						used = append(used, r)
-					}
-				}
-			}
-			sort.Slice(used, func(i, j int) bool {
-				if used[i].idx != used[j].idx {
-					return used[i].idx < used[j].idx
-				}
-				return used[i].Name < used[j].Name
-			})
-			solveReference(flows, used)
+			want := make([]uint64, nFlows)
 			for i, f := range flows {
-				if math.Float64bits(f.rate) != math.Float64bits(rates[i]) {
-					t.Fatalf("case %d: flow %s incremental rate %v, reference %v", cse, f.Name, rates[i], f.rate)
+				want[i] = math.Float64bits(f.rate)
+			}
+			// Differential: the retained reference, re-solving each
+			// component, must agree bit for bit.
+			for _, c := range net.comps {
+				solveReference(c.flows, c.resources)
+			}
+			for i, f := range flows {
+				if got := math.Float64bits(f.rate); got != want[i] {
+					t.Fatalf("case %d: flow %s network rate bits %x, reference %x", cse, f.Name, want[i], got)
 				}
 			}
 		}

@@ -25,9 +25,9 @@ func TestCompletionRankOrder(t *testing.T) {
 		return &world{sim: sim, net: New(sim)}
 	}
 	flow := func(w *world, name string, volume float64, rs ...*Resource) *Flow {
-		f := &Flow{Name: name, Volume: volume, Usage: map[*Resource]float64{}}
+		f := &Flow{Name: name, Volume: volume}
 		for _, r := range rs {
-			f.Usage[r] = 1
+			f.Usage = append(f.Usage, ResourceShare{r, 1})
 		}
 		f.OnComplete = func(at simkernel.Time) { w.log = append(w.log, fmt.Sprintf("%s@%v", name, at)) }
 		return f

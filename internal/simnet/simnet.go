@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/simkernel"
@@ -37,11 +36,10 @@ type Resource struct {
 	// restores it.
 	registered float64
 
-	// idx is the 1-based registration order within a Network; 0 for
-	// resources constructed outside a Network (FairShare-only use). It
-	// gives the solver a stable, allocation-free resource ordering. It and
-	// the three fields after it are 32-bit or smaller so the struct keeps
-	// its 192-byte allocation size class.
+	// idx is the 1-based registration order within a Network. It gives
+	// the solver a stable, allocation-free resource ordering. It and the
+	// three fields after it are 32-bit or smaller so the struct keeps its
+	// 192-byte allocation size class.
 	idx int32
 
 	// sep marks a declared separator resource (see Network.SetSeparators):
@@ -164,21 +162,14 @@ type Flow struct {
 	// resource availability. Used for per-process client-side limits.
 	Cap float64
 
-	// Usage maps each resource the flow touches to the fraction of the
+	// Usage lists each resource the flow touches with the fraction of the
 	// flow's rate consumed on it (usually 1 for its own NIC, m_i/k for a
-	// storage host's share of a striped write). It is the construction
-	// API; Start compiles it into a dense slice the solver iterates
-	// without map lookups.
-	Usage map[*Resource]float64
-
-	// UsageList is the allocation-light alternative to Usage: a dense
-	// list of (resource, weight) entries, taking precedence over Usage
-	// when non-nil. Entries may repeat a resource; their weights add, in
-	// list order, exactly as repeated `Usage[r] += w` insertions would.
-	// Start compiles the list synchronously and never reads it again, so
-	// a caller issuing many flows may reuse one backing slice, detaching
-	// it (UsageList = nil) once Start returns.
-	UsageList []ResourceShare
+	// storage host's share of a striped write). Entries may repeat a
+	// resource; their weights add, in list order. Start compiles the list
+	// synchronously into a dense, sorted slice and never reads it again,
+	// so a caller issuing many flows may reuse one backing slice,
+	// detaching it (Usage = nil) once Start returns.
+	Usage []ResourceShare
 
 	// OnComplete, if non-nil, fires when the last byte is transferred.
 	OnComplete func(at simkernel.Time)
@@ -189,8 +180,8 @@ type Flow struct {
 	// Exactly one of OnComplete/OnAbort fires per started flow.
 	OnAbort func(at simkernel.Time)
 
-	// uses is the dense, (idx, name)-sorted compilation of Usage, built
-	// once per Start so the solver's hot loops touch no maps.
+	// uses is the dense, registration-ordered compilation of Usage with
+	// repeated resources merged, built once per Start.
 	uses []use
 
 	// remaining is the unsent volume as of settledAt; the live value is
@@ -281,67 +272,49 @@ func (f *Flow) usesRes(r *Resource) bool {
 	return false
 }
 
-// buildUses compiles f.UsageList (or, when that is nil, f.Usage) into the
-// dense uses slice, validating weights. The slice is ordered by
-// (registration idx, name) so solver iteration order never depends on map
-// iteration.
+// buildUses compiles f.Usage into the dense uses slice, validating
+// weights. The slice is in registration order, and repeated resources are
+// merged, so solver iteration order depends only on the set of resources
+// touched.
 func (f *Flow) buildUses() {
-	n := len(f.Usage)
-	if f.UsageList != nil {
-		n = len(f.UsageList)
-	}
-	if cap(f.uses) < n {
-		f.uses = make([]use, 0, n)
+	if cap(f.uses) < len(f.Usage) {
+		f.uses = make([]use, 0, len(f.Usage))
 	} else {
 		f.uses = f.uses[:0]
 	}
-	if f.UsageList != nil {
-		for _, e := range f.UsageList {
-			if e.W <= 0 {
-				panic(fmt.Sprintf("simnet: non-positive usage weight %v on %s", e.W, e.Res.Name))
-			}
-			f.uses = append(f.uses, use{res: e.Res, w: e.W})
+	for _, e := range f.Usage {
+		if e.W <= 0 {
+			panic(fmt.Sprintf("simnet: non-positive usage weight %v on %s", e.W, e.Res.Name))
 		}
-	} else {
-		for r, w := range f.Usage {
-			if w <= 0 {
-				panic(fmt.Sprintf("simnet: non-positive usage weight %v on %s", w, r.Name))
-			}
-			f.uses = append(f.uses, use{res: r, w: w})
-		}
+		f.uses = append(f.uses, use{res: e.Res, w: e.W})
 	}
-	// Insertion sort into (idx, Name) order: usage vectors are small (one
-	// entry per touched resource), and an inlined sort keeps Start off the
-	// sort.Slice closure allocation. The sort is stable (strict-greater
-	// shifts only), which the duplicate merge below relies on.
+	// Insertion sort into registration order: usage vectors are small
+	// (one entry per touched resource), and an inlined sort keeps Start
+	// off the sort.Slice closure allocation. The sort is stable
+	// (strict-greater shifts only), so a repeated resource's entries stay
+	// in list order and summing each adjacent run adds their weights in
+	// list order.
 	for i := 1; i < len(f.uses); i++ {
 		u := f.uses[i]
 		j := i
 		for ; j > 0; j-- {
-			a, b := f.uses[j-1].res, u.res
-			if a.idx < b.idx || (a.idx == b.idx && a.Name <= b.Name) {
+			if f.uses[j-1].res.idx <= u.res.idx {
 				break
 			}
 			f.uses[j] = f.uses[j-1]
 		}
 		f.uses[j] = u
 	}
-	if f.UsageList != nil {
-		// A list may name a resource more than once where a map insert
-		// would have accumulated in place. Stable sort keeps duplicates in
-		// list order, so summing adjacent runs adds the weights in exactly
-		// the sequence repeated map insertions would have.
-		k := 0
-		for i := 0; i < len(f.uses); i++ {
-			if k > 0 && f.uses[k-1].res == f.uses[i].res {
-				f.uses[k-1].w += f.uses[i].w
-				continue
-			}
-			f.uses[k] = f.uses[i]
-			k++
+	k := 0
+	for i := 0; i < len(f.uses); i++ {
+		if k > 0 && f.uses[k-1].res == f.uses[i].res {
+			f.uses[k-1].w += f.uses[i].w
+			continue
 		}
-		f.uses = f.uses[:k]
+		f.uses[k] = f.uses[i]
+		k++
 	}
+	f.uses = f.uses[:k]
 }
 
 // Network couples a set of resources and active flows to a simulation
@@ -367,8 +340,8 @@ type Network struct {
 	resources []*Resource
 
 	// nActive counts in-flight flows; the flows themselves live only in
-	// their component's (Name, seq)-sorted registry, which backs both the
-	// solver and the public queries (FlowsUsing and friends).
+	// their component's (Name, seq)-sorted registry, which backs the
+	// solver.
 	nActive int
 
 	// comps holds the live connected components in creation order.
@@ -457,7 +430,6 @@ func New(sim *simkernel.Simulation) *Network {
 // init sets the fields a new or reset network must not leave at their
 // zero value.
 func (n *Network) init() {
-	n.sv.indexed = true
 	n.flushFn = n.flush
 }
 
@@ -612,7 +584,7 @@ func (n *Network) Start(f *Flow) {
 	if f.Volume < 0 {
 		panic("simnet: negative flow volume")
 	}
-	if len(f.Usage) == 0 && len(f.UsageList) == 0 && f.Cap <= 0 && f.Volume > 0 {
+	if len(f.Usage) == 0 && f.Cap <= 0 && f.Volume > 0 {
 		panic("simnet: flow with no resource usage and no cap cannot be paced")
 	}
 	if f.inNet {
@@ -766,28 +738,6 @@ func (n *Network) detach(f *Flow, now simkernel.Time) *component {
 	f.queued = false
 	f.comp = nil
 	return c
-}
-
-// FlowsUsing returns the in-flight flows whose usage vector touches r, in
-// deterministic (name-sorted) order. Fault injection uses it to abort
-// everything riding a failed resource. Allocates a fresh slice; hot paths
-// should use AppendFlowsUsing with a reusable buffer instead.
-func (n *Network) FlowsUsing(r *Resource) []*Flow {
-	return n.AppendFlowsUsing(nil, r)
-}
-
-// AppendFlowsUsing appends the in-flight flows touching r to dst (which may
-// be nil or a recycled buffer) and returns the extended slice. Output is in
-// deterministic (Name, seq) order. The per-resource user index makes this
-// O(matches log matches): no component scan at all. The index itself is
-// unordered, so the appended region is sorted here.
-func (n *Network) AppendFlowsUsing(dst []*Flow, r *Resource) []*Flow {
-	base := len(dst)
-	for i := range r.users {
-		dst = append(dst, r.users[i].f)
-	}
-	slices.SortFunc(dst[base:], flowCmp)
-	return dst
 }
 
 // AppendFlowsUsingAny appends the in-flight flows touching any resource in
@@ -1092,36 +1042,4 @@ func solveReference(flows []*Flow, resources []*Resource) {
 			f.rate = fill
 		}
 	}
-}
-
-// FairShare computes weighted max-min fair rates for a standalone set of
-// flows (no clock involved) and returns the rate per flow in input order.
-// It does not modify remaining volumes. Intended for tests and for the
-// analytic model's cross-validation; unlike the Network's internal path it
-// allocates (it must discover the resource set from the usage maps).
-func FairShare(flows []*Flow) []float64 {
-	seen := make(map[*Resource]struct{})
-	var resources []*Resource
-	for _, f := range flows {
-		f.buildUses()
-		for i := range f.uses {
-			r := f.uses[i].res
-			if _, ok := seen[r]; !ok {
-				seen[r] = struct{}{}
-				resources = append(resources, r)
-			}
-		}
-	}
-	sort.Slice(resources, func(i, j int) bool {
-		if resources[i].idx != resources[j].idx {
-			return resources[i].idx < resources[j].idx
-		}
-		return resources[i].Name < resources[j].Name
-	})
-	solve(flows, resources)
-	rates := make([]float64, len(flows))
-	for i, f := range flows {
-		rates[i] = f.rate
-	}
-	return rates
 }

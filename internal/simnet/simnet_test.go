@@ -13,13 +13,27 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func res(name string, c float64) *Resource { return &Resource{Name: name, capacity: c} }
+// startRates starts flows on n, each with a volume that keeps it in
+// flight, and returns their rates in input order. Outside the event loop
+// every Start solves at once, so the rates are those of the last solve.
+func startRates(n *Network, flows ...*Flow) []float64 {
+	for _, f := range flows {
+		f.Volume = 1e6
+		n.Start(f)
+	}
+	rates := make([]float64, len(flows))
+	for i, f := range flows {
+		rates[i] = f.Rate()
+	}
+	return rates
+}
 
 func TestFairShareSingleBottleneck(t *testing.T) {
-	l := res("link", 100)
-	f1 := &Flow{Name: "a", Usage: map[*Resource]float64{l: 1}}
-	f2 := &Flow{Name: "b", Usage: map[*Resource]float64{l: 1}}
-	rates := FairShare([]*Flow{f1, f2})
+	n := New(simkernel.New())
+	l := n.AddResource("link", 100)
+	f1 := &Flow{Name: "a", Usage: []ResourceShare{{l, 1}}}
+	f2 := &Flow{Name: "b", Usage: []ResourceShare{{l, 1}}}
+	rates := startRates(n, f1, f2)
 	if !almost(rates[0], 50, 1e-9) || !almost(rates[1], 50, 1e-9) {
 		t.Fatalf("rates = %v, want [50 50]", rates)
 	}
@@ -30,12 +44,13 @@ func TestFairShareClassicMaxMin(t *testing.T) {
 	// f1 uses L1 only; f2 uses L2 only; f3 uses both.
 	// Progressive filling: fill to 4 (L2 saturates: f2+f3), then f1 grows
 	// to 6 on L1.
-	l1 := res("L1", 10)
-	l2 := res("L2", 8)
-	f1 := &Flow{Name: "f1", Usage: map[*Resource]float64{l1: 1}}
-	f2 := &Flow{Name: "f2", Usage: map[*Resource]float64{l2: 1}}
-	f3 := &Flow{Name: "f3", Usage: map[*Resource]float64{l1: 1, l2: 1}}
-	rates := FairShare([]*Flow{f1, f2, f3})
+	n := New(simkernel.New())
+	l1 := n.AddResource("L1", 10)
+	l2 := n.AddResource("L2", 8)
+	f1 := &Flow{Name: "f1", Usage: []ResourceShare{{l1, 1}}}
+	f2 := &Flow{Name: "f2", Usage: []ResourceShare{{l2, 1}}}
+	f3 := &Flow{Name: "f3", Usage: []ResourceShare{{l1, 1}, {l2, 1}}}
+	rates := startRates(n, f1, f2, f3)
 	if !almost(rates[0], 6, 1e-9) || !almost(rates[1], 4, 1e-9) || !almost(rates[2], 4, 1e-9) {
 		t.Fatalf("rates = %v, want [6 4 4]", rates)
 	}
@@ -44,10 +59,11 @@ func TestFairShareClassicMaxMin(t *testing.T) {
 func TestFairShareWeightedUsage(t *testing.T) {
 	// A flow that puts only half its rate on a link can go twice as fast
 	// when that link is the bottleneck.
-	l := res("srv", 100)
-	full := &Flow{Name: "full", Usage: map[*Resource]float64{l: 1}}
-	half := &Flow{Name: "half", Usage: map[*Resource]float64{l: 0.5}}
-	rates := FairShare([]*Flow{full, half})
+	n := New(simkernel.New())
+	l := n.AddResource("srv", 100)
+	full := &Flow{Name: "full", Usage: []ResourceShare{{l, 1}}}
+	half := &Flow{Name: "half", Usage: []ResourceShare{{l, 0.5}}}
+	rates := startRates(n, full, half)
 	// Common fill t: t*1 + t*0.5 = 100 -> t = 66.67 for both flows.
 	if !almost(rates[0], 100.0/1.5, 1e-9) || !almost(rates[1], 100.0/1.5, 1e-9) {
 		t.Fatalf("rates = %v", rates)
@@ -60,10 +76,11 @@ func TestFairShareWeightedUsage(t *testing.T) {
 }
 
 func TestFairShareRespectsCaps(t *testing.T) {
-	l := res("link", 100)
-	capped := &Flow{Name: "capped", Cap: 10, Usage: map[*Resource]float64{l: 1}}
-	free := &Flow{Name: "free", Usage: map[*Resource]float64{l: 1}}
-	rates := FairShare([]*Flow{capped, free})
+	n := New(simkernel.New())
+	l := n.AddResource("link", 100)
+	capped := &Flow{Name: "capped", Cap: 10, Usage: []ResourceShare{{l, 1}}}
+	free := &Flow{Name: "free", Usage: []ResourceShare{{l, 1}}}
+	rates := startRates(n, capped, free)
 	if !almost(rates[0], 10, 1e-9) {
 		t.Fatalf("capped rate = %v, want 10", rates[0])
 	}
@@ -77,16 +94,18 @@ func TestFairShareStripedAccounting(t *testing.T) {
 	// server NICs of capacity B. Host 2 carries 3/4 of the traffic, so the
 	// flow rate is limited to B/(3/4) = 4B/3.
 	b := 1250.0
-	s1 := res("oss1", b)
-	s2 := res("oss2", b)
-	f := &Flow{Name: "w", Usage: map[*Resource]float64{s1: 0.25, s2: 0.75}}
-	rates := FairShare([]*Flow{f})
+	n := New(simkernel.New())
+	s1 := n.AddResource("oss1", b)
+	s2 := n.AddResource("oss2", b)
+	f := &Flow{Name: "w", Usage: []ResourceShare{{s1, 0.25}, {s2, 0.75}}}
+	rates := startRates(n, f)
 	if !almost(rates[0], 4*b/3, 1e-6) {
 		t.Fatalf("rate = %v, want %v", rates[0], 4*b/3)
 	}
 	// Balanced (2,2) reaches 2B.
-	f2 := &Flow{Name: "w2", Usage: map[*Resource]float64{s1: 0.5, s2: 0.5}}
-	rates = FairShare([]*Flow{f2})
+	n.Abort(f)
+	f2 := &Flow{Name: "w2", Usage: []ResourceShare{{s1, 0.5}, {s2, 0.5}}}
+	rates = startRates(n, f2)
 	if !almost(rates[0], 2*b, 1e-6) {
 		t.Fatalf("balanced rate = %v, want %v", rates[0], 2*b)
 	}
@@ -95,16 +114,17 @@ func TestFairShareStripedAccounting(t *testing.T) {
 func TestFairShareNoConstraint(t *testing.T) {
 	// Flow with a cap but no resources: rate = cap.
 	f := &Flow{Name: "f", Cap: 42}
-	rates := FairShare([]*Flow{f})
+	rates := startRates(New(simkernel.New()), f)
 	if !almost(rates[0], 42, 1e-9) {
 		t.Fatalf("rate = %v, want 42", rates[0])
 	}
 }
 
 func TestFairShareZeroCapacityResource(t *testing.T) {
-	l := res("dead", 0)
-	f := &Flow{Name: "f", Usage: map[*Resource]float64{l: 1}}
-	rates := FairShare([]*Flow{f})
+	n := New(simkernel.New())
+	l := n.AddResource("dead", 0)
+	f := &Flow{Name: "f", Usage: []ResourceShare{{l, 1}}}
+	rates := startRates(n, f)
 	if rates[0] != 0 {
 		t.Fatalf("rate over dead link = %v, want 0", rates[0])
 	}
@@ -116,33 +136,39 @@ func TestFairShareZeroCapacityResource(t *testing.T) {
 func TestFairSharePropertyFeasibleAndMaximal(t *testing.T) {
 	check := func(seed uint64) bool {
 		src := rng.New(seed)
+		n := New(simkernel.New())
 		nRes := 1 + src.Intn(5)
 		resources := make([]*Resource, nRes)
 		for i := range resources {
-			resources[i] = res(string(rune('A'+i)), 10+src.Float64()*990)
+			resources[i] = n.AddResource(string(rune('A'+i)), 10+src.Float64()*990)
 		}
 		nFlows := 1 + src.Intn(8)
 		flows := make([]*Flow, nFlows)
 		for i := range flows {
-			usage := make(map[*Resource]float64)
+			var usage []ResourceShare
 			for _, j := range src.Perm(nRes)[:1+src.Intn(nRes)] {
-				usage[resources[j]] = 0.1 + src.Float64()*0.9
+				usage = append(usage, ResourceShare{resources[j], 0.1 + src.Float64()*0.9})
 			}
 			flows[i] = &Flow{Name: string(rune('a' + i)), Usage: usage}
 			if src.Float64() < 0.3 {
 				flows[i].Cap = 1 + src.Float64()*500
 			}
 		}
-		rates := FairShare(flows)
-		// Feasibility.
-		for _, r := range resources {
-			load := 0.0
+		rates := startRates(n, flows...)
+		load := func(r *Resource) float64 {
+			sum := 0.0
 			for i, f := range flows {
-				if w, ok := f.Usage[r]; ok {
-					load += w * rates[i]
+				for _, e := range f.Usage {
+					if e.Res == r {
+						sum += e.W * rates[i]
+					}
 				}
 			}
-			if load > r.capacity+1e-6 {
+			return sum
+		}
+		// Feasibility.
+		for _, r := range resources {
+			if load(r) > r.capacity+1e-6 {
 				return false
 			}
 		}
@@ -152,14 +178,8 @@ func TestFairSharePropertyFeasibleAndMaximal(t *testing.T) {
 				continue
 			}
 			saturated := false
-			for r := range f.Usage {
-				load := 0.0
-				for j, g := range flows {
-					if w, ok := g.Usage[r]; ok {
-						load += w * rates[j]
-					}
-				}
-				if load >= r.capacity-1e-6 {
+			for _, e := range f.Usage {
+				if load(e.Res) >= e.Res.capacity-1e-6 {
 					saturated = true
 					break
 				}
@@ -183,7 +203,7 @@ func TestNetworkSingleFlowCompletion(t *testing.T) {
 	f := &Flow{
 		Name:   "f",
 		Volume: 500,
-		Usage:  map[*Resource]float64{l: 1},
+		Usage:  []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) {
 			doneAt = at
 		},
@@ -208,9 +228,9 @@ func TestNetworkTwoFlowsShareThenSpeedUp(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 100)
 	var t1, t2 simkernel.Time
-	f1 := &Flow{Name: "a", Volume: 100, Usage: map[*Resource]float64{l: 1},
+	f1 := &Flow{Name: "a", Volume: 100, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) { t1 = at }}
-	f2 := &Flow{Name: "b", Volume: 300, Usage: map[*Resource]float64{l: 1},
+	f2 := &Flow{Name: "b", Volume: 300, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) { t2 = at }}
 	n.Start(f1)
 	n.Start(f2)
@@ -233,11 +253,11 @@ func TestNetworkLateArrival(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 100)
 	var ta, tb simkernel.Time
-	fa := &Flow{Name: "a", Volume: 300, Usage: map[*Resource]float64{l: 1},
+	fa := &Flow{Name: "a", Volume: 300, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) { ta = at }}
 	n.Start(fa)
 	sim.At(1, func() {
-		fb := &Flow{Name: "b", Volume: 100, Usage: map[*Resource]float64{l: 1},
+		fb := &Flow{Name: "b", Volume: 100, Usage: []ResourceShare{{l, 1}},
 			OnComplete: func(at simkernel.Time) { tb = at }}
 		n.Start(fb)
 	})
@@ -257,9 +277,9 @@ func TestNetworkAbort(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 100)
 	completed := false
-	fa := &Flow{Name: "a", Volume: 1000, Usage: map[*Resource]float64{l: 1},
+	fa := &Flow{Name: "a", Volume: 1000, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(simkernel.Time) { completed = true }}
-	fb := &Flow{Name: "b", Volume: 100, Usage: map[*Resource]float64{l: 1}}
+	fb := &Flow{Name: "b", Volume: 100, Usage: []ResourceShare{{l, 1}}}
 	n.Start(fa)
 	n.Start(fb)
 	sim.At(0.5, func() { n.Abort(fa) })
@@ -285,7 +305,7 @@ func TestNetworkSetCapacity(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 100)
 	var done simkernel.Time
-	f := &Flow{Name: "f", Volume: 100, Usage: map[*Resource]float64{l: 1},
+	f := &Flow{Name: "f", Volume: 100, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) { done = at }}
 	n.Start(f)
 	sim.At(0.5, func() { n.SetCapacity(l, 50) })
@@ -302,7 +322,7 @@ func TestNetworkZeroVolumeFlow(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 100)
 	fired := false
-	f := &Flow{Name: "f", Volume: 0, Usage: map[*Resource]float64{l: 1},
+	f := &Flow{Name: "f", Volume: 0, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(simkernel.Time) { fired = true }}
 	n.Start(f)
 	if err := sim.Run(); err != nil {
@@ -321,7 +341,7 @@ func TestNetworkStalledFlowResumesOnCapacity(t *testing.T) {
 	n := New(sim)
 	l := n.AddResource("link", 0)
 	var done simkernel.Time
-	f := &Flow{Name: "f", Volume: 100, Usage: map[*Resource]float64{l: 1},
+	f := &Flow{Name: "f", Volume: 100, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(at simkernel.Time) { done = at }}
 	n.Start(f)
 	sim.At(2, func() { n.SetCapacity(l, 100) })
@@ -353,7 +373,7 @@ func TestNetworkNegativeUsagePanics(t *testing.T) {
 			t.Fatal("negative usage weight accepted")
 		}
 	}()
-	n.Start(&Flow{Name: "bad", Volume: 10, Usage: map[*Resource]float64{l: -1}})
+	n.Start(&Flow{Name: "bad", Volume: 10, Usage: []ResourceShare{{l, -1}}})
 }
 
 func TestNetworkConservation(t *testing.T) {
@@ -366,7 +386,7 @@ func TestNetworkConservation(t *testing.T) {
 	finished := 0
 	for i, v := range vols {
 		f := &Flow{Name: string(rune('a' + i)), Volume: v,
-			Usage:      map[*Resource]float64{l: 1},
+			Usage:      []ResourceShare{{l, 1}},
 			OnComplete: func(simkernel.Time) { finished++ }}
 		n.Start(f)
 	}
@@ -398,7 +418,7 @@ func TestNetworkPropertyWorkConservation(t *testing.T) {
 			v := 1 + src.Float64()*100
 			total += v
 			n.Start(&Flow{Name: string(rune('a' + i)), Volume: v,
-				Usage: map[*Resource]float64{l: 1}})
+				Usage: []ResourceShare{{l, 1}}})
 		}
 		if err := sim.Run(); err != nil {
 			return false
@@ -407,26 +427,6 @@ func TestNetworkPropertyWorkConservation(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkFairShare64Flows(b *testing.B) {
-	src := rng.New(1)
-	resources := make([]*Resource, 10)
-	for i := range resources {
-		resources[i] = res(string(rune('A'+i)), 100+src.Float64()*1000)
-	}
-	flows := make([]*Flow, 64)
-	for i := range flows {
-		usage := make(map[*Resource]float64)
-		for _, j := range src.Perm(10)[:3] {
-			usage[resources[j]] = 0.25 + src.Float64()*0.75
-		}
-		flows[i] = &Flow{Name: string(rune('a' + i)), Usage: usage}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FairShare(flows)
 	}
 }
 
@@ -439,7 +439,7 @@ func TestAbortFiresOnAbortWithRemaining(t *testing.T) {
 	completed := false
 	var abortedAt simkernel.Time
 	var remaining float64
-	f := &Flow{Name: "a", Volume: 1000, Usage: map[*Resource]float64{l: 1},
+	f := &Flow{Name: "a", Volume: 1000, Usage: []ResourceShare{{l, 1}},
 		OnComplete: func(simkernel.Time) { completed = true }}
 	f.OnAbort = func(at simkernel.Time) { abortedAt = at; remaining = f.Remaining() }
 	n.Start(f)
@@ -465,18 +465,21 @@ func TestFlowsUsingIsNameSorted(t *testing.T) {
 	l1 := n.AddResource("l1", 100)
 	l2 := n.AddResource("l2", 100)
 	for _, name := range []string{"c", "a", "b"} {
-		u := map[*Resource]float64{l1: 1}
+		u := []ResourceShare{{l1, 1}}
 		if name == "b" {
-			u = map[*Resource]float64{l2: 1}
+			u = []ResourceShare{{l2, 1}}
 		}
 		n.Start(&Flow{Name: name, Volume: 1000, Usage: u})
 	}
-	got := n.FlowsUsing(l1)
+	got := n.AppendFlowsUsingAny(nil, l1)
 	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
-		t.Fatalf("FlowsUsing(l1) = %v", got)
+		t.Fatalf("AppendFlowsUsingAny(l1) = %v", got)
 	}
-	if len(n.FlowsUsing(l2)) != 1 {
-		t.Fatal("FlowsUsing(l2) wrong")
+	if len(n.AppendFlowsUsingAny(nil, l2)) != 1 {
+		t.Fatal("AppendFlowsUsingAny(l2) wrong")
+	}
+	if got := n.AppendFlowsUsingAny(nil, l1, l2); len(got) != 3 || got[0].Name != "a" || got[1].Name != "b" || got[2].Name != "c" {
+		t.Fatalf("AppendFlowsUsingAny(l1, l2) = %v", got)
 	}
 }
 
@@ -502,11 +505,11 @@ func TestAbortRebalanceObserverOrder(t *testing.T) {
 	n.Observe(func(at simkernel.Time, f *Flow, rate float64) {
 		log = append(log, fmt.Sprintf("obs t=%v %s rate=%v", at, f.Name, rate))
 	})
-	fa := &Flow{Name: "fa", Volume: 1000, Usage: map[*Resource]float64{l: 1}}
+	fa := &Flow{Name: "fa", Volume: 1000, Usage: []ResourceShare{{l, 1}}}
 	fa.OnAbort = func(at simkernel.Time) {
 		log = append(log, fmt.Sprintf("abort t=%v fa rem=%v", at, fa.Remaining()))
 	}
-	fb := &Flow{Name: "fb", Volume: 100, Usage: map[*Resource]float64{l: 1}}
+	fb := &Flow{Name: "fb", Volume: 100, Usage: []ResourceShare{{l, 1}}}
 	fb.OnComplete = func(at simkernel.Time) {
 		log = append(log, fmt.Sprintf("done t=%v fb", at))
 	}
@@ -560,9 +563,9 @@ func TestDisjointComponentObserverSilence(t *testing.T) {
 	n.Observe(func(at simkernel.Time, f *Flow, rate float64) {
 		log = append(log, fmt.Sprintf("obs t=%v %s rate=%v", at, f.Name, rate))
 	})
-	b := &Flow{Name: "b", Volume: 1000, Usage: map[*Resource]float64{lb: 1}}
-	a1 := &Flow{Name: "a1", Volume: 400, Usage: map[*Resource]float64{la: 1}}
-	a2 := &Flow{Name: "a2", Volume: 400, Usage: map[*Resource]float64{la: 1}}
+	b := &Flow{Name: "b", Volume: 1000, Usage: []ResourceShare{{lb, 1}}}
+	a1 := &Flow{Name: "a1", Volume: 400, Usage: []ResourceShare{{la, 1}}}
+	a2 := &Flow{Name: "a2", Volume: 400, Usage: []ResourceShare{{la, 1}}}
 	n.Start(b)
 	n.Start(a1)
 	n.Start(a2)

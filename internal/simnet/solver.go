@@ -32,15 +32,11 @@ package simnet
 //     already-computed rates — so walking users (flow-ordered) matches
 //     the reference sweep exactly.
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // solver holds the scratch state of the incremental waterfill. Each
 // Network owns one (workers in a parallel campaign have private
-// Networks, so scratch must not be package-level); FairShare and tests
-// use a throwaway instance via the package-level solve.
+// Networks, so scratch must not be package-level).
 type solver struct {
 	// unfrozen is the compacted still-growing flow list as indices into
 	// the solve's input flow slice, always order-preserving. Indices
@@ -60,10 +56,6 @@ type solver struct {
 	// cands is the compacted candidate bottleneck list as indices into
 	// the solve's input resource slice, always order-preserving.
 	cands []int32
-	// indexed is true when Resource.users is maintained for the input
-	// (Network solves); false for ad hoc FairShare flow sets, which fall
-	// back to the usesRes scan.
-	indexed bool
 
 	fill   float64
 	active int
@@ -108,8 +100,10 @@ func capOrder(a, b *Flow) int {
 // solve assigns weighted max-min fair rates to the flows in place,
 // performing bit-for-bit the same floating-point operations as
 // solveReference on the same input. resources must contain every
-// resource the flows touch, in registration order. capped must be exactly
-// the flows with Cap > 0, in capOrder; nil means none is capped.
+// resource the flows touch, in registration order, and their user indices
+// must list exactly the flows' usage entries, as a Network keeps them for
+// in-flight flows. capped must be exactly the flows with Cap > 0, in
+// capOrder; nil means none is capped.
 // Components maintain the list incrementally, so a solve never rescans
 // its flows for caps.
 func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
@@ -214,17 +208,9 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 			}
 		}
 		if delta <= capDelta && bottleneck != nil {
-			if s.indexed {
-				for i := range bottleneck.users {
-					if f := bottleneck.users[i].f; !f.frozen {
-						s.freeze(f, s.fill)
-					}
-				}
-			} else {
-				for _, fi := range s.unfrozen {
-					if f := flows[fi]; !f.frozen && f.usesRes(bottleneck) {
-						s.freeze(f, s.fill)
-					}
+			for i := range bottleneck.users {
+				if f := bottleneck.users[i].f; !f.frozen {
+					s.freeze(f, s.fill)
 				}
 			}
 		}
@@ -252,18 +238,4 @@ func (s *solver) freeze(f *Flow, rate float64) {
 	f.frozen = true
 	f.rate = rate
 	s.active--
-}
-
-// solve is the package-level entry point used by FairShare and tests: a
-// throwaway unindexed solver over a cap list built and sorted here.
-func solve(flows []*Flow, resources []*Resource) {
-	var capped []*Flow
-	for _, f := range flows {
-		if f.Cap > 0 {
-			capped = append(capped, f)
-		}
-	}
-	slices.SortFunc(capped, capOrder)
-	var s solver
-	s.solve(flows, resources, capped)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // steadyNet builds a network with nFlows long-running flows spread over 12
-// resources (the root BenchmarkAblationSolver topology) and warms the
-// solver once, so subsequent rebalances measure the steady state.
+// resources, each flow on 3 of them, and warms the solver once, so
+// subsequent rebalances measure the steady state.
 func steadyNet(nFlows int) (*Network, []*Resource) {
 	src := rng.New(1)
 	net := New(simkernel.New())
@@ -19,9 +19,9 @@ func steadyNet(nFlows int) (*Network, []*Resource) {
 		resources[i] = net.AddResource(fmt.Sprintf("r%d", i), 100+src.Float64()*1000)
 	}
 	for i := 0; i < nFlows; i++ {
-		usage := make(map[*Resource]float64)
+		var usage []ResourceShare
 		for _, j := range src.Perm(len(resources))[:3] {
-			usage[resources[j]] = 0.25 + src.Float64()*0.75
+			usage = append(usage, ResourceShare{resources[j], 0.25 + src.Float64()*0.75})
 		}
 		net.Start(&Flow{Name: fmt.Sprintf("f%d", i), Volume: 1e15, Usage: usage})
 	}
@@ -97,11 +97,11 @@ func singleCompNet(nFlows int) (*Network, *component) {
 		f := &Flow{
 			Name:   fmt.Sprintf("f%04d", i),
 			Volume: 1e15,
-			Usage: map[*Resource]float64{
-				shared:       0.125,
-				nic:          1,
-				tgt:          0.5 + src.Float64()*0.5,
-				groups[i%12]: 0.25 + src.Float64()*0.75,
+			Usage: []ResourceShare{
+				{shared, 0.125},
+				{nic, 1},
+				{tgt, 0.5 + src.Float64()*0.5},
+				{groups[i%12], 0.25 + src.Float64()*0.75},
 			},
 		}
 		if i%8 != 0 {
@@ -168,9 +168,9 @@ func multiAppNet(nApps int, global bool) (*Network, []*Resource) {
 	}
 	for a := range apps {
 		for i := 0; i < flowsPerApp; i++ {
-			usage := make(map[*Resource]float64)
+			var usage []ResourceShare
 			for _, j := range src.Perm(resPerApp)[:3] {
-				usage[apps[a][j]] = 0.25 + src.Float64()*0.75
+				usage = append(usage, ResourceShare{apps[a][j], 0.25 + src.Float64()*0.75})
 			}
 			net.Start(&Flow{Name: fmt.Sprintf("a%df%d", a, i), Volume: 1e15, Usage: usage})
 		}
@@ -225,7 +225,7 @@ func BenchmarkRebalanceSingleEvent(b *testing.B) {
 	probe := &Flow{
 		Name:   "probe",
 		Volume: 1e15,
-		Usage:  map[*Resource]float64{app0[0]: 1, app0[1]: 0.5},
+		Usage:  []ResourceShare{{app0[0], 1}, {app0[1], 0.5}},
 	}
 	net.Start(probe)
 	net.Abort(probe)

@@ -280,14 +280,6 @@ func (t *Target) Store(bytes int64) error {
 	return nil
 }
 
-// Free releases previously stored bytes (file deletion).
-func (t *Target) Free(bytes int64) {
-	t.usedBytes -= bytes
-	if t.usedBytes < 0 {
-		t.usedBytes = 0
-	}
-}
-
 // Host returns the storage host owning the target.
 func (t *Target) Host() *Host { return t.host }
 

@@ -441,9 +441,9 @@ func TestFlowsThroughStorage(t *testing.T) {
 		f := &simnet.Flow{
 			Name:   string(rune('a' + i)),
 			Volume: 1e9, // long-lived so the steady rate is observable
-			Usage: map[*simnet.Resource]float64{
-				tg.Resource():  1,
-				h.Controller(): 1,
+			Usage: []simnet.ResourceShare{
+				{Res: tg.Resource(), W: 1},
+				{Res: h.Controller(), W: 1},
 			},
 		}
 		net.Start(f)
