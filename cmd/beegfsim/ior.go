@@ -33,7 +33,7 @@ func iorCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ior", flag.ContinueOnError)
 	api := fs.String("a", "POSIX", "API (POSIX only, as in the paper)")
 	bStr := fs.String("b", "1g", "block size per task (accepts k/m/g)")
-	tStr := fs.String("t", "1m", "transfer size (accepts k/m/g)")
+	tStr := fs.String("t", "1m", "transfer size (accepts k/m/g); validated and printed, but no simulated rate depends on it")
 	segments := fs.Int("s", 1, "segment count")
 	fpp := fs.Bool("F", false, "file-per-process (N-N) instead of shared file (N-1)")
 	write := fs.Bool("w", true, "write benchmark")

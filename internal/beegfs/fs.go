@@ -65,17 +65,13 @@ type Config struct {
 	// MDSOpRate is the metadata server's sustained throughput in
 	// operations per second (0 = unlimited); see MetaService.ReserveOps.
 	MDSOpRate float64
-	// TransferLatency is the per-transfer request overhead in seconds,
-	// paid serially by each process (drives Figure 2's small-size
-	// penalty together with CreateLatency).
-	TransferLatency float64
-	// PpnSat is the number of processes per node beyond which additional
-	// processes add no storage concurrency (the client module serializes;
-	// lesson 3). Zero means no limit.
+	// PpnSat is the number of processes per node beyond which intra-node
+	// contention sets in (the client module serializes; lesson 3). Zero
+	// means no limit.
 	PpnSat int
-	// IntraNodePenalty shrinks each process's concurrency contribution by
-	// this fraction per doubling of ppn beyond PpnSat (the "slight
-	// degradation" of Figure 5b). Zero disables it.
+	// IntraNodePenalty is the fraction of a node's client-stack throughput
+	// lost per doubling of ppn beyond PpnSat (the "slight degradation" of
+	// Figure 5b); see RampWeight. Zero disables it.
 	IntraNodePenalty float64
 	// ClientA and ClientGamma bound the deployment's aggregate
 	// client-side throughput to ClientA * N^ClientGamma MiB/s, where N is
@@ -158,7 +154,7 @@ func (c Config) Validate() error {
 	if c.Chooser == nil {
 		return fmt.Errorf("beegfs: nil Chooser")
 	}
-	if c.CreateLatency < 0 || c.OpenLatency < 0 || c.TransferLatency < 0 {
+	if c.CreateLatency < 0 || c.OpenLatency < 0 {
 		return fmt.Errorf("beegfs: negative latency")
 	}
 	if c.MDSOpRate < 0 {
@@ -649,29 +645,21 @@ type WriteOp struct {
 	// Regions, when non-empty, replaces Offset/Length with multiple
 	// contiguous regions (one per coalesced rank).
 	Regions []Region
-	// Procs is the number of ranks this op represents (default 1). It
-	// scales the concurrency depth and divides the serial per-transfer
-	// overhead, which each rank pays in parallel.
+	// Procs is the number of ranks this op represents. It is recorded
+	// only: no rate depends on it, since a coalesced op's ranks share one
+	// flow.
 	Procs int
 	// App identifies the application for target-sharing accounting
 	// (Figures 12 and 13).
 	App string
-	// TransferSize is the request size (IOR "-t"); it sets the in-flight
-	// chunk depth per target. Must be positive.
+	// TransferSize is the request size (IOR "-t"). It is validated
+	// (must be positive) but no rate depends on it.
 	TransferSize int64
-	// RateCap bounds the op's rate in MiB/s (0 = none); for coalesced ops
-	// it is the per-process cap times Procs. The workload layer derives it
-	// from the client ramp model.
-	RateCap float64
-	// DepthScale scales the op's concurrency contribution (the workload
-	// layer uses it for intra-node contention). Zero means 1.
-	DepthScale float64
 	// RampWeight scales the op's usage of the shared client-stack
 	// resource (>1 for over-subscribed nodes — see Config.RampWeight).
 	// Zero means 1.
 	RampWeight float64
-	// OnComplete fires when the last byte has been written AND the
-	// process's serial per-transfer overhead has elapsed.
+	// OnComplete fires when the last byte has been written.
 	OnComplete func(at simkernel.Time)
 	// OnError fires when the op fails terminally: its retry budget is
 	// exhausted, or a fault aborted it with retries disabled. Exactly one
@@ -681,29 +669,6 @@ type WriteOp struct {
 
 	// attempts counts fault-triggered re-issues of this op.
 	attempts int
-}
-
-func (op *WriteOp) procs() int {
-	if op.Procs <= 0 {
-		return 1
-	}
-	return op.Procs
-}
-
-// perTargetDepth returns the request-queue depth the op's processes
-// contribute to each target of the file: transfers of TransferSize bytes
-// split into chunks spread over Count targets, per process.
-func (op *WriteOp) perTargetDepth() float64 {
-	p := op.File.Pattern
-	inflight := float64(op.TransferSize) / float64(p.ChunkSize)
-	if inflight < 1 {
-		inflight = 1
-	}
-	scale := op.DepthScale
-	if scale == 0 {
-		scale = 1
-	}
-	return float64(op.procs()) * scale * inflight / float64(p.Count)
 }
 
 // StartWrite begins the write. It acquires the file's targets, builds the
@@ -730,11 +695,9 @@ type ioPlan struct {
 	op       *WriteOp
 	read     bool
 	app      string
-	depth    float64
 	dist     []int64
 	totalLen int64
 	maxEnd   int64
-	overhead float64
 	baseName string
 	// startAt is when the op was first issued; carried here (not on the
 	// op) because a WriteOp may be reused across sequential ops.
@@ -782,9 +745,6 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 	if app == "" {
 		app = "default"
 	}
-	// Per-transfer request overhead is paid serially by each rank, and
-	// ranks proceed in parallel, so a coalesced op divides it by Procs.
-	nTransfers := (totalLen + op.TransferSize - 1) / op.TransferSize
 	var maxEnd int64
 	for _, reg := range regions {
 		if end := reg.Offset + reg.Length; end > maxEnd {
@@ -797,10 +757,8 @@ func (fs *FileSystem) startIO(op *WriteOp, read bool) (*simnet.Flow, error) {
 	plan.op = op
 	plan.read = read
 	plan.app = app
-	plan.depth = op.perTargetDepth()
 	plan.totalLen = totalLen
 	plan.maxEnd = maxEnd
-	plan.overhead = float64(nTransfers) * fs.cfg.TransferLatency / float64(op.procs())
 	var off [20]byte
 	plan.baseName = app + "/" + op.File.Path + "@" + string(strconv.AppendInt(off[:0], regions[0].Offset, 10))
 	plan.startAt = fs.sim.Now()
@@ -878,9 +836,6 @@ type ioAttempt struct {
 	primaries   []*storagesim.Target
 	secondaries []*storagesim.Target
 	flow        simnet.Flow
-	// finishFn is the pre-bound a.finish method value, so completions
-	// with transfer overhead schedule it without a fresh closure.
-	finishFn func()
 }
 
 // getAttempt takes an attempt from the file system's free list, or
@@ -897,8 +852,7 @@ func (fs *FileSystem) getAttempt() *ioAttempt {
 		fs.freeAttempts = fs.freeAttempts[:k-1]
 	} else {
 		a = &ioAttempt{fs: fs}
-		a.finishFn = a.finish
-		a.flow.OnComplete = a.onComplete
+		a.flow.OnComplete = a.finish
 		a.flow.OnAbort = a.onAbort
 	}
 	return a
@@ -920,25 +874,14 @@ func (a *ioAttempt) release() {
 	fs.noteClientOps(plan.op.Client, -1)
 	for _, t := range a.primaries {
 		if t != nil {
-			t.Release(plan.app, plan.depth)
+			t.Release(plan.app)
 		}
 	}
 	for _, t := range a.secondaries {
 		if t != nil {
-			t.Release(plan.app, plan.depth)
+			t.Release(plan.app)
 		}
 	}
-}
-
-// onComplete fires when the flow's last byte is transferred; the
-// remaining per-transfer request overhead (paid serially by the ranks) is
-// waited out before the op completes.
-func (a *ioAttempt) onComplete(at simkernel.Time) {
-	if a.plan.overhead > 0 {
-		a.fs.sim.After(a.plan.overhead, a.finishFn)
-		return
-	}
-	a.finish()
 }
 
 // attributeBytes credits volMiB of a write attempt's transferred volume
@@ -967,10 +910,11 @@ func (fs *FileSystem) attributeBytes(plan *ioPlan, primaries, secondaries []*sto
 	}
 }
 
-// finish completes the op: releases sessions, accounts the written bytes
-// (including degraded-mirror bookkeeping), recycles the attempt and
-// delivers the caller's completion callback.
-func (a *ioAttempt) finish() {
+// finish completes the op when the flow's last byte is transferred:
+// releases sessions, accounts the written bytes (including
+// degraded-mirror bookkeeping), recycles the attempt and delivers the
+// caller's completion callback.
+func (a *ioAttempt) finish(at simkernel.Time) {
 	fs, plan := a.fs, a.plan
 	op := plan.op
 	a.release()
@@ -986,14 +930,14 @@ func (a *ioAttempt) finish() {
 	if fs.opObserver != nil {
 		fs.opObserver(OpEvent{
 			Client: op.Client.Name, App: plan.app, Path: op.File.Path,
-			Read: plan.read, Start: plan.startAt, End: fs.sim.Now(),
+			Read: plan.read, Start: plan.startAt, End: at,
 			MiB: float64(plan.totalLen) / float64(MiB), Attempts: op.attempts,
 			EndOffset: plan.maxEnd,
 		})
 	}
 	fs.putPlan(plan)
 	if op.OnComplete != nil {
-		op.OnComplete(fs.sim.Now())
+		op.OnComplete(at)
 	}
 }
 
@@ -1043,12 +987,12 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	// all stripe targets), even those receiving no bytes from this region.
 	for _, t := range primaries {
 		if t != nil {
-			t.Acquire(plan.app, plan.depth)
+			t.Acquire(plan.app)
 		}
 	}
 	for _, t := range secondaries {
 		if t != nil {
-			t.Acquire(plan.app, plan.depth)
+			t.Acquire(plan.app)
 		}
 	}
 	usage := fs.usageList[:0]
@@ -1132,7 +1076,6 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 	flow := &a.flow
 	flow.Name = name
 	flow.Volume = volMiB
-	flow.Cap = op.RateCap
 	flow.Usage = usage
 	fs.net.Start(flow)
 	// Start has compiled the usage list into the flow's dense vector;
@@ -1431,7 +1374,6 @@ func (fs *FileSystem) startResync(f *File) {
 		}
 	}
 	const app = "resync"
-	const depth = 1.0
 	var acquired []*storagesim.Target
 	var usage []simnet.ResourceShare
 	var hostShares []hostShare
@@ -1460,7 +1402,7 @@ func (fs *FileSystem) startResync(f *File) {
 		}
 	}
 	for _, t := range acquired {
-		t.Acquire(app, depth)
+		t.Acquire(app)
 	}
 	f.resyncing = true
 	clearedP := append([]int64(nil), f.dirtyP...)
@@ -1472,7 +1414,7 @@ func (fs *FileSystem) startResync(f *File) {
 	}
 	release := func() {
 		for _, t := range acquired {
-			t.Release(app, depth)
+			t.Release(app)
 		}
 		f.resyncing = false
 	}
@@ -1700,10 +1642,12 @@ func (fs *FileSystem) accountStorage(f *File) {
 	}
 }
 
-// ClientRampCap returns the per-process rate cap (MiB/s) implied by the
-// client efficiency model for an application using nodes compute nodes
-// with ppn processes each. Zero means "no cap". Processes beyond PpnSat
-// pay the intra-node contention penalty (Figure 5b's slight degradation).
+// ClientRampCap returns the per-process share (MiB/s) of the client-side
+// bound for an application using nodes compute nodes with ppn processes
+// each: the closed form the analytic model uses. The simulator enforces
+// the same bound as the shared client-stack resource, with RampWeight for
+// the penalty. Zero means "no bound". Processes beyond PpnSat pay the
+// intra-node contention penalty (Figure 5b's slight degradation).
 func (c Config) ClientRampCap(nodes, ppn int) float64 {
 	if c.ClientA == 0 || nodes <= 0 || ppn <= 0 {
 		return 0
@@ -1733,22 +1677,4 @@ func (c Config) RampWeight(ppn int) float64 {
 		return 1 / math.Pow(1-c.IntraNodePenalty, excess)
 	}
 	return 1
-}
-
-// DepthScale returns the concurrency contribution multiplier for one
-// process when ppn processes share a node: processes beyond PpnSat add no
-// depth, and IntraNodePenalty shaves the rest (lesson 3 / Figure 5b).
-func (c Config) DepthScale(ppn int) float64 {
-	if ppn <= 0 {
-		return 0
-	}
-	scale := 1.0
-	if c.PpnSat > 0 && ppn > c.PpnSat {
-		scale = float64(c.PpnSat) / float64(ppn)
-		if c.IntraNodePenalty > 0 {
-			excess := math.Log2(float64(ppn) / float64(c.PpnSat))
-			scale *= math.Pow(1-c.IntraNodePenalty, excess)
-		}
-	}
-	return scale
 }

@@ -287,37 +287,9 @@ func TestStartWriteReleasesTargets(t *testing.T) {
 		if tg.Writers() != 0 {
 			t.Fatalf("target %d writers = %d after completion", tg.ID, tg.Writers())
 		}
-		if tg.WriteDepth() != 0 {
-			t.Fatalf("target %d residual depth %v", tg.ID, tg.WriteDepth())
-		}
 	}
 	if f.Size != 100*MiB {
 		t.Fatalf("file size = %d, want %d", f.Size, 100*MiB)
-	}
-}
-
-func TestStartWriteTransferOverhead(t *testing.T) {
-	cfg := testConfig()
-	cfg.TransferLatency = 0.001
-	sim, fs := newFS(t, cfg)
-	client := fs.NewClient("node1", 0)
-	f, err := fs.CreateWithPattern("/f", StripePattern{Count: 1, ChunkSize: 512 * KiB}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done simkernel.Time
-	if _, err := fs.StartWrite(&WriteOp{
-		Client: client, File: f, Length: 1764 * MiB, TransferSize: 1 * MiB,
-		OnComplete: func(at simkernel.Time) { done = at },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 1764 transfers x 1ms = 1.764s overhead on top of 1s of transfer.
-	if !almost(float64(done), 1+1.764, 1e-6) {
-		t.Fatalf("done at %v, want 2.764", done)
 	}
 }
 
@@ -381,25 +353,6 @@ func TestClientNICLimitsWrite(t *testing.T) {
 	}
 }
 
-func TestRateCapLimitsWrite(t *testing.T) {
-	sim, fs := newFS(t, testConfig())
-	client := fs.NewClient("node1", 0)
-	f, _ := fs.Create("/f", nil)
-	var done simkernel.Time
-	if _, err := fs.StartWrite(&WriteOp{
-		Client: client, File: f, Length: 50 * MiB, TransferSize: 1 * MiB, RateCap: 10,
-		OnComplete: func(at simkernel.Time) { done = at },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !almost(float64(done), 5, 1e-6) {
-		t.Fatalf("capped write finished at %v, want 5s", done)
-	}
-}
-
 func TestClientRampCap(t *testing.T) {
 	cfg := testConfig()
 	cfg.ClientA = 880
@@ -419,33 +372,6 @@ func TestClientRampCap(t *testing.T) {
 	cfg.ClientA = 0
 	if c := cfg.ClientRampCap(4, 8); c != 0 {
 		t.Fatalf("disabled ramp returned %v", c)
-	}
-}
-
-func TestDepthScale(t *testing.T) {
-	cfg := testConfig()
-	cfg.PpnSat = 8
-	if s := cfg.DepthScale(8); s != 1 {
-		t.Fatalf("DepthScale(8) = %v, want 1", s)
-	}
-	if s := cfg.DepthScale(4); s != 1 {
-		t.Fatalf("DepthScale(4) = %v, want 1", s)
-	}
-	// ppn=16 halves each process's contribution: node total stays at 8.
-	if s := cfg.DepthScale(16); !almost(s*16, 8, 1e-9) {
-		t.Fatalf("node depth at ppn=16 = %v, want 8", s*16)
-	}
-	cfg.IntraNodePenalty = 0.1
-	// One doubling beyond PpnSat: node depth = 8 * 0.9.
-	if s := cfg.DepthScale(16); !almost(s*16, 8*0.9, 1e-9) {
-		t.Fatalf("penalized node depth = %v, want %v", s*16, 8*0.9)
-	}
-	if s := cfg.DepthScale(0); s != 0 {
-		t.Fatalf("DepthScale(0) = %v", s)
-	}
-	cfg.PpnSat = 0
-	if s := cfg.DepthScale(32); s != 1 {
-		t.Fatalf("unlimited PpnSat: scale = %v, want 1", s)
 	}
 }
 

@@ -149,8 +149,8 @@ func deploymentState(dep *cluster.Deployment, clients []*beegfs.Client) []string
 			add("resource %s capacity=%v", nic.Name, nic.Capacity())
 		}
 		for _, tg := range h.Targets() {
-			add("target %d capacity=%v used=%d writers=%d depth=%v failed=%v slow=%v reach=%v consistency=%v",
-				tg.ID, tg.Resource().Capacity(), tg.Used(), tg.Writers(), tg.WriteDepth(), tg.Failed(), tg.SlowFactor(),
+			add("target %d capacity=%v used=%d writers=%d failed=%v slow=%v reach=%v consistency=%v",
+				tg.ID, tg.Resource().Capacity(), tg.Used(), tg.Writers(), tg.Failed(), tg.SlowFactor(),
 				fs.Mgmtd().Reachability(tg.ID), fs.Mgmtd().Consistency(tg.ID))
 		}
 	}

@@ -18,42 +18,18 @@ type Model struct {
 	FS beegfs.Config
 	// ClientNIC is each compute node's link capacity (0 = unconstrained).
 	ClientNIC float64
-	// TransferSize is the request size (sets per-target queue depth);
-	// defaults to 1 MiB when zero.
-	TransferSize int64
-}
-
-// targetDepth returns the total request-queue depth per target for an
-// application with the given geometry.
-func (m Model) targetDepth(alloc Allocation, nodes, ppn int) float64 {
-	k := alloc.Count()
-	transfer := m.TransferSize
-	if transfer == 0 {
-		transfer = 1 * beegfs.MiB
-	}
-	inflight := float64(transfer) / float64(m.FS.DefaultPattern.ChunkSize)
-	if inflight < 1 {
-		inflight = 1
-	}
-	scale := m.FS.DepthScale(ppn)
-	return float64(nodes*ppn) * scale * inflight / float64(k)
 }
 
 // ServerSideBandwidth returns the bandwidth bound imposed by the storage
 // servers (devices + controllers + server NICs) for the allocation: the
 // striping sends share m_i/k to server i, so completion is set by the
 // slowest server and BW = k · min_i hostRate(m_i)/m_i.
-func (m Model) ServerSideBandwidth(alloc Allocation, nodes, ppn int) float64 {
+func (m Model) ServerSideBandwidth(alloc Allocation) float64 {
 	k := alloc.Count()
 	if k == 0 {
 		return 0
 	}
-	depth := m.targetDepth(alloc, nodes, ppn)
-	sat := 1.0
-	if m.FS.Storage.SatHalf > 0 {
-		sat = depth / (depth + m.FS.Storage.SatHalf)
-	}
-	targetRate := m.FS.Storage.SingleTargetRate * sat
+	targetRate := m.FS.Storage.SingleTargetRate
 	best := math.Inf(1)
 	for _, mi := range alloc.PerHost {
 		if mi == 0 {
@@ -88,7 +64,7 @@ func (m Model) Bandwidth(alloc Allocation, nodes, ppn int) float64 {
 	if alloc.Count() == 0 || nodes <= 0 || ppn <= 0 {
 		return 0
 	}
-	return math.Min(m.ServerSideBandwidth(alloc, nodes, ppn), m.ClientSideBandwidth(nodes, ppn))
+	return math.Min(m.ServerSideBandwidth(alloc), m.ClientSideBandwidth(nodes, ppn))
 }
 
 // NetworkLimitedBandwidth is the pure §IV-C1 formula (Figure 9): when the
@@ -129,12 +105,7 @@ func (m Model) Timeline(alloc Allocation, volumeMiB float64, nodes, ppn int) ([]
 	if nodes < 1 || ppn < 1 {
 		return nil, fmt.Errorf("core: need at least one node and one process per node, got %d/%d", nodes, ppn)
 	}
-	depth := m.targetDepth(alloc, nodes, ppn)
-	sat := 1.0
-	if m.FS.Storage.SatHalf > 0 {
-		sat = depth / (depth + m.FS.Storage.SatHalf)
-	}
-	targetRate := m.FS.Storage.SingleTargetRate * sat
+	targetRate := m.FS.Storage.SingleTargetRate
 	out := make([]HostTimeline, 0, len(alloc.PerHost))
 	for i, mi := range alloc.PerHost {
 		ht := HostTimeline{Host: i, Targets: mi}

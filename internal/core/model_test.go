@@ -181,7 +181,10 @@ func TestTimeline(t *testing.T) {
 
 // Cross-validation: for deterministic platforms (no jitter, no setup),
 // the analytic model and the discrete-event simulator agree within 2% on
-// every allocation x node-count combination.
+// every allocation x node-count x ppn combination. The rows beyond
+// PpnSat (8) check the one intra-node model from both sides: the
+// simulator's RampWeight on the client-stack usage against the penalty
+// inside the model's ClientRampCap.
 func TestModelMatchesSimulator(t *testing.T) {
 	for _, scenario := range []cluster.Scenario{cluster.Scenario1Ethernet, cluster.Scenario2Omnipath} {
 		p := cluster.PlaFRIM(scenario)
@@ -193,14 +196,17 @@ func TestModelMatchesSimulator(t *testing.T) {
 		p.FS.CreateLatency, p.FS.OpenLatency = 0, 0
 		m := Model{FS: p.FS, ClientNIC: p.ClientNICCapacity}
 		for _, tc := range []struct {
-			count, nodes int
-		}{{1, 8}, {2, 8}, {4, 8}, {8, 8}, {4, 1}, {4, 32}, {8, 32}, {6, 16}} {
+			count, nodes, ppn int
+		}{
+			{1, 8, 8}, {2, 8, 8}, {4, 8, 8}, {8, 8, 8}, {4, 1, 8}, {4, 32, 8}, {8, 32, 8}, {6, 16, 8},
+			{4, 8, 16}, {8, 32, 16}, {8, 16, 32},
+		} {
 			dep, err := p.Deploy()
 			if err != nil {
 				t.Fatal(err)
 			}
 			params := ior.Params{
-				Nodes: tc.nodes, PPN: 8, TransferSize: 1 * beegfs.MiB,
+				Nodes: tc.nodes, PPN: tc.ppn, TransferSize: 1 * beegfs.MiB,
 				StripeCount: tc.count,
 			}.WithTotalSize(32 * beegfs.GiB)
 			res, err := ior.Execute(dep.FS, dep.Nodes(tc.nodes), params, rng.New(1))
@@ -208,10 +214,10 @@ func TestModelMatchesSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			alloc := FromPerHostMap(res.PerHost, 2)
-			want := m.Bandwidth(alloc, tc.nodes, 8)
+			want := m.Bandwidth(alloc, tc.nodes, tc.ppn)
 			if math.Abs(res.Bandwidth-want)/want > 0.02 {
-				t.Errorf("%v count=%d nodes=%d alloc=%s: sim %.0f vs model %.0f",
-					scenario, tc.count, tc.nodes, alloc, res.Bandwidth, want)
+				t.Errorf("%v count=%d nodes=%d ppn=%d alloc=%s: sim %.0f vs model %.0f",
+					scenario, tc.count, tc.nodes, tc.ppn, alloc, res.Bandwidth, want)
 			}
 		}
 	}

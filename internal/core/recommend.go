@@ -318,7 +318,7 @@ func SensitivityClientGamma(m Model, values []float64, ppn, maxNodes int) []Sens
 	for _, gamma := range values {
 		mm := m
 		mm.FS.ClientGamma = gamma
-		ceiling := mm.ServerSideBandwidth(alloc, maxNodes, ppn)
+		ceiling := mm.ServerSideBandwidth(alloc)
 		plateau := maxNodes
 		for n := 1; n <= maxNodes; n++ {
 			if mm.Bandwidth(alloc, n, ppn) >= 0.95*min2(ceiling, mm.ClientSideBandwidth(maxNodes, ppn)) {

@@ -44,7 +44,8 @@ type Params struct {
 	// (IOR -b), in bytes.
 	BlockSize int64
 	// TransferSize is the request size (IOR -t), in bytes. The paper uses
-	// 1 MiB.
+	// 1 MiB. It must be positive and is passed on to each WriteOp, but no
+	// simulated rate depends on it.
 	TransferSize int64
 	// Segments is the IOR -s segment count (default 1).
 	Segments int
@@ -259,7 +260,6 @@ func (rn *Runner) Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params 
 
 	procs := params.Nodes * params.PPN
 	rampWeight := fs.Config().RampWeight(params.PPN)
-	depthScale := fs.Config().DepthScale(params.PPN)
 	if params.Pattern == SharedFile {
 		// Symmetric ranks on one node are coalesced into a single flow
 		// per node (identical max-min rates), so pending counts nodes.
@@ -276,16 +276,16 @@ func (rn *Runner) Start(fs *beegfs.FileSystem, clients []*beegfs.Client, params 
 	}
 	sim.After(setup, func() {
 		if d := fs.Meta().ReserveOps(sim.Now(), metaOps); d > 0 {
-			sim.After(d, func() { r.launch(fs, clients, pattern, pathBase, src, rampWeight, depthScale) })
+			sim.After(d, func() { r.launch(fs, clients, pattern, pathBase, src, rampWeight) })
 			return
 		}
-		r.launch(fs, clients, pattern, pathBase, src, rampWeight, depthScale)
+		r.launch(fs, clients, pattern, pathBase, src, rampWeight)
 	})
 	return r, nil
 }
 
 // launch creates the run's file(s) and starts the write phase.
-func (r *Run) launch(fs *beegfs.FileSystem, clients []*beegfs.Client, pattern beegfs.StripePattern, pathBase string, src *rng.Source, rampWeight, depthScale float64) {
+func (r *Run) launch(fs *beegfs.FileSystem, clients []*beegfs.Client, pattern beegfs.StripePattern, pathBase string, src *rng.Source, rampWeight float64) {
 	params := r.params
 	procs := params.Nodes * params.PPN
 	{
@@ -299,10 +299,10 @@ func (r *Run) launch(fs *beegfs.FileSystem, clients []*beegfs.Client, pattern be
 			r.recordTargets(file)
 			for node := 0; node < params.Nodes; node++ {
 				node := node
-				r.startNodeGroup(file, clients[node], node, rampWeight, depthScale, false)
+				r.startNodeGroup(file, clients[node], node, rampWeight, false)
 				if params.ReadBack {
 					r.readLaunchers = append(r.readLaunchers, func() {
-						r.startNodeGroup(file, clients[node], node, rampWeight, depthScale, true)
+						r.startNodeGroup(file, clients[node], node, rampWeight, true)
 					})
 				}
 			}
@@ -317,11 +317,11 @@ func (r *Run) launch(fs *beegfs.FileSystem, clients []*beegfs.Client, pattern be
 			r.result.Paths = append(r.result.Paths, file.Path)
 			r.recordTargets(file)
 			client := clients[rank%params.Nodes]
-			r.startProcess(file, client, rampWeight, depthScale, false)
+			r.startProcess(file, client, rampWeight, false)
 			if params.ReadBack {
 				file := file
 				r.readLaunchers = append(r.readLaunchers, func() {
-					r.startProcess(file, client, rampWeight, depthScale, true)
+					r.startProcess(file, client, rampWeight, true)
 				})
 			}
 		}
@@ -339,7 +339,7 @@ func (r *Run) recordTargets(f *beegfs.File) {
 // node's ranks in the shared-file mode. Segments run sequentially (IOR
 // semantics: a task moves to its next segment only after finishing the
 // previous one), and rank r lives on node r % Nodes.
-func (r *Run) startNodeGroup(file *beegfs.File, client *beegfs.Client, node int, rampWeight, depthScale float64, read bool) {
+func (r *Run) startNodeGroup(file *beegfs.File, client *beegfs.Client, node int, rampWeight float64, read bool) {
 	p := &r.params
 	g := r.getGroup()
 	g.node, g.read = node, read
@@ -350,7 +350,6 @@ func (r *Run) startNodeGroup(file *beegfs.File, client *beegfs.Client, node int,
 		App:          p.app(),
 		TransferSize: p.TransferSize,
 		RampWeight:   rampWeight,
-		DepthScale:   depthScale,
 		OnComplete:   g.onCompleteFn,
 		OnError:      g.onErrorFn,
 	}
@@ -454,7 +453,7 @@ func (r *Run) startOp(op *beegfs.WriteOp, read bool) error {
 
 // startProcess issues one rank's segments sequentially against its own
 // file (N-N mode).
-func (r *Run) startProcess(file *beegfs.File, client *beegfs.Client, rampWeight, depthScale float64, read bool) {
+func (r *Run) startProcess(file *beegfs.File, client *beegfs.Client, rampWeight float64, read bool) {
 	p := &r.params
 	g := r.getGroup()
 	g.read = read
@@ -465,7 +464,6 @@ func (r *Run) startProcess(file *beegfs.File, client *beegfs.Client, rampWeight,
 		App:          p.app(),
 		TransferSize: p.TransferSize,
 		RampWeight:   rampWeight,
-		DepthScale:   depthScale,
 		OnComplete:   g.onCompleteFn,
 		OnError:      g.onErrorFn,
 	}

@@ -25,9 +25,9 @@ package simnet
 // point at a departed flow; the flush re-arms or cancels it first). What
 // the flush solves is exactly what a solve after the event's last
 // mutation would solve: the waterfill reads only the component's
-// membership (flows in (Name, seq) order, resources in idx order, caps and
-// capacities), never a previous solve's rates, so the rates, unsent
-// volumes and completion instants at every event boundary are
+// membership (flows in (Name, seq) order, resources in idx order, usage
+// weights and capacities), never a previous solve's rates, so the rates,
+// unsent volumes and completion instants at every event boundary are
 // bit-identical to a solve after every mutation. A queued flow keeps its
 // FIFO rank when its instant moves, so the intermediate moves a
 // per-mutation solve would make are invisible. Two things do differ from

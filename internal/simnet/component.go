@@ -28,12 +28,6 @@ import (
 type component struct {
 	// flows is (Name, seq)-sorted: the scoped solver input order.
 	flows []*Flow
-	// capped holds the component's flows with a rate cap, in ascending
-	// (Cap, Name, seq) order. The solver seeds its cap frontier from it
-	// by copy instead of re-sorting every solve; maintained alongside
-	// flows on insert/remove/merge/rebuild. A flow's Cap must therefore
-	// not change while it is in flight.
-	capped []*Flow
 	// resources is registration-idx-sorted and holds exactly the
 	// resources touched by at least one flow of the component.
 	resources []*Resource
@@ -95,23 +89,15 @@ func flowCmp(a, b *Flow) int {
 	return 0
 }
 
-// insertFlow places f into the sorted flow list (and, if capped, the
-// cap-ordered list).
+// insertFlow places f into the sorted flow list.
 func (c *component) insertFlow(f *Flow) {
 	i := sort.Search(len(c.flows), func(i int) bool { return flowBefore(f, c.flows[i]) })
 	c.flows = append(c.flows, nil)
 	copy(c.flows[i+1:], c.flows[i:])
 	c.flows[i] = f
-	if f.Cap > 0 {
-		i = sort.Search(len(c.capped), func(i int) bool { return capOrder(f, c.capped[i]) < 0 })
-		c.capped = append(c.capped, nil)
-		copy(c.capped[i+1:], c.capped[i:])
-		c.capped[i] = f
-	}
 }
 
-// removeFlow deletes f from the sorted flow list (and the cap-ordered
-// list) by identity.
+// removeFlow deletes f from the sorted flow list by identity.
 func (c *component) removeFlow(f *Flow) {
 	i := sort.Search(len(c.flows), func(i int) bool { return !flowBefore(c.flows[i], f) })
 	for ; i < len(c.flows); i++ {
@@ -119,18 +105,6 @@ func (c *component) removeFlow(f *Flow) {
 			copy(c.flows[i:], c.flows[i+1:])
 			c.flows[len(c.flows)-1] = nil
 			c.flows = c.flows[:len(c.flows)-1]
-			break
-		}
-	}
-	if f.Cap <= 0 {
-		return
-	}
-	i = sort.Search(len(c.capped), func(i int) bool { return capOrder(c.capped[i], f) >= 0 })
-	for ; i < len(c.capped); i++ {
-		if c.capped[i] == f {
-			copy(c.capped[i:], c.capped[i+1:])
-			c.capped[len(c.capped)-1] = nil
-			c.capped = c.capped[:len(c.capped)-1]
 			return
 		}
 	}
@@ -160,14 +134,10 @@ func (c *component) reset() {
 	for i := range c.flows {
 		c.flows[i] = nil
 	}
-	for i := range c.capped {
-		c.capped[i] = nil
-	}
 	for i := range c.resources {
 		c.resources[i] = nil
 	}
 	c.flows = c.flows[:0]
-	c.capped = c.capped[:0]
 	c.resources = c.resources[:0]
 	c.stale = false
 	c.mark = false
@@ -243,21 +213,6 @@ func (n *Network) mergeComp(dst, src *component) {
 	n.mergeRes = append(n.mergeRes, dst.resources[i:]...)
 	n.mergeRes = append(n.mergeRes, src.resources[j:]...)
 	dst.resources = append(dst.resources[:0], n.mergeRes...)
-
-	n.mergeCapped = n.mergeCapped[:0]
-	i, j = 0, 0
-	for i < len(dst.capped) && j < len(src.capped) {
-		if capOrder(dst.capped[i], src.capped[j]) < 0 {
-			n.mergeCapped = append(n.mergeCapped, dst.capped[i])
-			i++
-		} else {
-			n.mergeCapped = append(n.mergeCapped, src.capped[j])
-			j++
-		}
-	}
-	n.mergeCapped = append(n.mergeCapped, dst.capped[i:]...)
-	n.mergeCapped = append(n.mergeCapped, src.capped[j:]...)
-	dst.capped = append(dst.capped[:0], n.mergeCapped...)
 
 	for _, f := range src.flows {
 		f.comp = dst
@@ -343,9 +298,7 @@ func (n *Network) rebuildComp(c *component) []*component {
 	// Move the membership aside and reuse c as the first fragment.
 	n.mergeFlows = append(n.mergeFlows[:0], c.flows...)
 	n.mergeRes = append(n.mergeRes[:0], c.resources...)
-	n.mergeCapped = append(n.mergeCapped[:0], c.capped...)
 	c.flows = c.flows[:0]
-	c.capped = c.capped[:0]
 	c.resources = c.resources[:0]
 	n.frags = append(n.frags, c)
 	firstRootPending := true
@@ -373,12 +326,6 @@ func (n *Network) rebuildComp(c *component) []*component {
 		}
 		frag.flows = append(frag.flows, f)
 		f.comp = frag
-	}
-	// Distribute the cap-ordered list the same way: walking the master
-	// list in capOrder and appending to each flow's new fragment keeps
-	// every fragment's capped list sorted without re-sorting.
-	for _, f := range n.mergeCapped {
-		f.comp.capped = append(f.comp.capped, f)
 	}
 	return n.frags
 }

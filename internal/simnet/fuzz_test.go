@@ -169,9 +169,6 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 		if len(f.Usage) == 0 {
 			f.Usage = setShare(f.Usage, w.res[int(op.b)%len(w.res)], 1)
 		}
-		if op.c%4 == 0 {
-			f.Cap = 10.0 * float64(1+int(op.c)%16)
-		}
 		f.OnComplete = func(at simkernel.Time) {
 			w.done(f, at)
 			if sc.respawn {
@@ -424,9 +421,9 @@ func verifyNet(t *testing.T, n *Network) {
 // starve the cheap whole-script differential above. Each input drives
 // 256-1024 flows all riding one shared resource (a single connected
 // component, like every campaign via the client-stack ramp) plus
-// per-group resources, with at most 32 distinct cap values so the pass
-// count stays bounded. All flows start up front (cold solves over a
-// growing set), then the run drains through completions with
+// per-group resources; each pass saturates one of at most 12 resources,
+// so the pass count stays bounded. All flows start up front (cold solves
+// over a growing set), then the run drains through completions with
 // deterministic mid-run aborts; verifyNet re-checks rates against the
 // reference solver at 0 ULP after the event of each checkpoint.
 func FuzzSolveLargeSingleComponent(f *testing.F) {
@@ -461,9 +458,6 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 			Name:   fmt.Sprintf("L%04d", i),
 			Volume: 8 + float64(b%64),
 			Usage:  []ResourceShare{{shared, 0.125}, {extras[i%nExtra], 0.25 + 0.25*float64(b%4)}},
-		}
-		if i%3 != 0 {
-			f.Cap = 4 * float64(1+(i*7+b)%32)
 		}
 		f.OnComplete = func(simkernel.Time) {
 			completed++

@@ -35,13 +35,9 @@ package simnet
 //     bitwise-smallest d, so taking each group's local argmin (its
 //     resources are idx-ordered) and combining by (d, idx) lexicographic
 //     minimum reproduces the same bottleneck and the same delta bits.
-//   - The cap frontier minimum over per-group cap-sorted frontiers equals
-//     the global frontier minimum (a plain float min of unchanged Cap
-//     values), and IEEE subtraction keeps capDelta = minCap - fill
-//     bit-identical.
-//   - Everything else (step = min, fill accumulation, load += sumW·step,
-//     the `Cap <= fill+1e-12` freeze tolerance, the stall and iteration-cap
-//     exits) is the same code on the same values.
+//   - Everything else (the step, fill accumulation, load += sumW·step,
+//     the bottleneck freeze, the stall and iteration-cap exits) is the
+//     same code on the same values.
 //
 // The speedup comes from incrementality ACROSS passes: a group whose
 // frozen set did not change since its last accumulation keeps its sumW
@@ -89,10 +85,15 @@ const hsepBit = int32(1) << 30
 // declines without even partitioning: the partition walk costs
 // O(flows + resources) per solve, which only pays against large enough
 // flat solves. Bit-identity makes the threshold a pure performance
-// choice. It sits at the measured crossover of BenchmarkHierSolve's size
-// sweep: on 4 racks the flat solve wins at 10 and 13 flows, the two tie
-// at 24, and the partition leads from 40 flows on (1.2x, 2.5x by 520);
-// on 16 racks it already leads at 46 flows.
+// choice. It was placed at the crossover of BenchmarkHierSolve's size
+// sweep when the sweep's flows carried rate caps, which made the flat
+// solve run many more passes. On the cap-free sweep (medians of three
+// runs at -cpu 1) the crossover sits higher: on 4 racks the flat solve
+// wins through 24 flows, the two are level at 40 (0.95x), and the
+// partition leads from 72 flows on (1.5x, 1.4x at 520); on 16 racks the
+// flat solve still wins at 46 and 93 flows, and the partition leads
+// from 158 on (1.4x, 3.2x at 2,080). Moving the threshold is a
+// performance change of its own.
 const hierMinFlowsDefault = 32
 
 // hierGroup is one rack-local subproblem of the current partition: the
@@ -100,15 +101,13 @@ const hierMinFlowsDefault = 32
 // order (flows by (Name, seq), resources by idx), plus the group's share
 // of the solve scratch.
 type hierGroup struct {
-	flows  []*Flow
-	res    []*Resource
-	capped []*Flow // cap-ordered subsequence of the component's capped list
+	flows []*Flow
+	res   []*Resource
 
 	// Pass scratch, mirroring the flat solver's compacted lists but
 	// scoped to the group.
 	unfrozen []int32
 	cands    []int32
-	capHead  int
 	// touched marks that a member flow froze since the last sumW
 	// accumulation, so the sums must be recomputed before the next argmin.
 	touched bool
@@ -117,10 +116,8 @@ type hierGroup struct {
 func (g *hierGroup) reset() {
 	g.flows = g.flows[:0]
 	g.res = g.res[:0]
-	g.capped = g.capped[:0]
 	g.unfrozen = g.unfrozen[:0]
 	g.cands = g.cands[:0]
-	g.capHead = 0
 	g.touched = false
 }
 
@@ -172,7 +169,6 @@ func (h *hierState) reset() {
 	for i := range h.groups {
 		g := &h.groups[i]
 		clear(g.flows[:cap(g.flows)])
-		clear(g.capped[:cap(g.capped)])
 	}
 	clear(h.sepFlows[:cap(h.sepFlows)])
 	*h = hierState{
@@ -330,8 +326,8 @@ func (h *hierState) partition(c *component) bool {
 	// Flows: the group of a flow's local resources (they all share a
 	// union-find root, so the cached hroot handle resolves it in one
 	// find); flows touching only separators collect in a dedicated extra
-	// group with no local resources, so the cap frontier and final fill
-	// assignment cover them.
+	// group with no local resources, so the final fill assignment covers
+	// them.
 	sepOnly := -1
 	h.sepFlows = h.sepFlows[:0]
 	for _, f := range c.flows {
@@ -352,9 +348,6 @@ func (h *hierState) partition(c *component) bool {
 			h.sepFlows = append(h.sepFlows, f)
 		}
 		h.groups[slot].flows = append(h.groups[slot].flows, f)
-	}
-	for _, f := range c.capped {
-		h.groups[f.hgroup&^hsepBit].capped = append(h.groups[f.hgroup&^hsepBit].capped, f)
 	}
 	h.ngroups = ng
 	return true
@@ -412,7 +405,6 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 		for i := range g.res {
 			g.cands = append(g.cands, int32(i))
 		}
-		g.capHead = 0
 		if h.loadFirst(g) {
 			reused++
 		} else {
@@ -466,30 +458,10 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 				bneck = r
 			}
 		}
-		// Cap frontier: the global minimum unfrozen cap is the min of the
-		// per-group cap-sorted frontiers.
-		capDelta := math.Inf(1)
-		var minCap float64
-		haveCap := false
-		for slot := 0; slot < h.ngroups; slot++ {
-			g := &h.groups[slot]
-			for g.capHead < len(g.capped) && g.capped[g.capHead].frozen {
-				g.capHead++
-			}
-			if g.capHead < len(g.capped) {
-				if c := g.capped[g.capHead].Cap; !haveCap || c < minCap {
-					minCap = c
-					haveCap = true
-				}
-			}
-		}
-		if haveCap {
-			capDelta = minCap - fill
-		}
-		if math.IsInf(delta, 1) && math.IsInf(capDelta, 1) {
+		if bneck == nil {
 			break
 		}
-		step := math.Min(delta, capDelta)
+		step := delta
 		if step < 0 {
 			step = 0
 		}
@@ -506,27 +478,9 @@ func (h *hierState) run(flows []*Flow, resources []*Resource, st *Stats) int {
 			r.load += r.sumW * step
 		}
 		before := h.active
-		capFired := capDelta <= delta
-		resFired := delta <= capDelta && bneck != nil
-		if capFired {
-			for slot := 0; slot < h.ngroups; slot++ {
-				g := &h.groups[slot]
-				for j := g.capHead; j < len(g.capped); j++ {
-					f := g.capped[j]
-					if f.Cap > fill+1e-12 {
-						break
-					}
-					if !f.frozen {
-						h.freeze(f, f.Cap)
-					}
-				}
-			}
-		}
-		if resFired {
-			for i := range bneck.users {
-				if f := bneck.users[i].f; !f.frozen {
-					h.freeze(f, fill)
-				}
+		for i := range bneck.users {
+			if f := bneck.users[i].f; !f.frozen {
+				h.freeze(f, fill)
 			}
 		}
 		if st != nil {

@@ -14,11 +14,9 @@ import (
 // hierNet builds the oversubscribed fat-tree shape the hierarchical solver
 // targets, as one fused component mirroring the scale campaign's core
 // topologies: each
-// rack holds flowsPerRack local striped writes over its own target links
-// (with rack-banded client caps, so cap-frontier freezes localize to one
-// rack at a time, as the campaign's per-rack job mixes do), and one
-// cross-rack drain pair per rack rides its uplink and the shared 4:1
-// oversubscribed core. The core couples every rack, so the flat solver
+// rack holds flowsPerRack local striped writes over its own target links,
+// and one cross-rack drain pair per rack rides its uplink and the shared
+// 4:1 oversubscribed core. The core couples every rack, so the flat solver
 // sees one giant component while the partition sees `racks` local groups.
 // hier declares the uplinks and core as separators; without it the
 // network has no hierarchical state and every solve is flat.
@@ -48,18 +46,10 @@ func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *com
 	}
 	for i := 0; i < racks*flowsPerRack; i++ {
 		r := i % racks
-		f := &Flow{Name: fmt.Sprintf("f%05d", i), Volume: 1e15, Usage: stripe(nil, r)}
-		// Per-rack cap bands with a straggler minority: freezes walk the
-		// racks one band at a time instead of sweeping every group at once.
-		if i%8 != 0 {
-			f.Cap = 20 + 15*float64(r) + 0.5*float64(i/racks%16)
-		} else {
-			f.Cap = 800 + float64(i)*0.125
-		}
-		net.Start(f)
+		net.Start(&Flow{Name: fmt.Sprintf("f%05d", i), Volume: 1e15, Usage: stripe(nil, r)})
 	}
 	for r := 0; r < racks; r++ {
-		// The drain pair: two uncapped cross-rack writes sharing the core,
+		// The drain pair: two cross-rack writes sharing the core,
 		// one through this rack's uplink, one through the next's.
 		for k := 0; k < 2; k++ {
 			rr := (r + k) % racks
@@ -85,9 +75,10 @@ func hierNet(racks, targetsPerRack, flowsPerRack int, hier bool) (*Network, *com
 // per-solve speedup. flat and hier (16 racks, 256 flows per rack) are
 // gated against the checked-in BENCH ledger in CI; the racks=R/perRack=N
 // pairs sweep the component size down to where the partition stops
-// paying, which is where hierMinFlowsDefault sits (each reports its
-// component's flow count). Every hier row drops the cached first-pass
-// sums before each solve, so each solve is cold, as the ledger's were.
+// paying, the crossover hierMinFlowsDefault is measured against (each
+// reports its component's flow count). Every hier row drops the cached
+// first-pass sums before each solve, so each solve is cold, as the
+// ledger's were.
 // hier-onerack, ungated, drops one rack's group per solve instead: the
 // shape of a churn event, which changes one rack and leaves the other
 // groups to reuse their first pass.
@@ -99,7 +90,7 @@ func BenchmarkHierSolve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.sv.solve(c.flows, c.resources, c.capped)
+				net.sv.solve(c.flows, c.resources)
 			}
 			b.ReportMetric(float64(len(c.flows)), "flows")
 		}
@@ -163,14 +154,12 @@ type churnResult struct {
 
 // hierChurn drives an event-driven job churn over hierNet's fat-tree
 // shape: Poisson arrivals, two in three a rack-local job of 4-7 striped
-// writes under a per-rack client cap (so cap freezes localize to one rack
-// at a time), one in three a cross-rack drain pair through the rack
-// uplinks and the shared core. Arrivals far outpace
-// completions, so the core fuses every rack into one component of over
-// 10k flows at the peak. hier declares the uplinks and core as
-// separators; otherwise the network has no hierarchical state and every
-// solve is flat. All rng draws happen in arrival events, so both modes
-// see the same inputs.
+// writes, one in three a cross-rack drain pair through the rack uplinks
+// and the shared core. Arrivals far outpace completions, so the core
+// fuses every rack into one component of over 10k flows at the peak.
+// hier declares the uplinks and core as separators; otherwise the network
+// has no hierarchical state and every solve is flat. All rng draws happen
+// in arrival events, so both modes see the same inputs.
 func hierChurn(hier bool, jobs int) churnResult {
 	const racks, targetsPerRack = 16, 32
 	src := rng.New(29)
@@ -194,7 +183,7 @@ func hierChurn(hier bool, jobs int) churnResult {
 	var res churnResult
 	net.SetStats(&res.st)
 	active, started, submitted := 0, 0, 0
-	start := func(rack int, drain bool, capped float64) {
+	start := func(rack int, drain bool) {
 		i := started
 		started++
 		usage := make([]ResourceShare, 0, 6)
@@ -207,7 +196,6 @@ func hierChurn(hier bool, jobs int) churnResult {
 		f := &Flow{
 			Name:   fmt.Sprintf("f%05d", i),
 			Volume: 2048 + 512*float64(src.Intn(4)),
-			Cap:    capped,
 			Usage:  usage,
 		}
 		f.OnComplete = func(at simkernel.Time) {
@@ -222,11 +210,11 @@ func hierChurn(hier bool, jobs int) churnResult {
 	arrive = func() {
 		rack := src.Intn(racks)
 		if src.Intn(3) == 0 {
-			start(rack, true, 0)
-			start((rack+1+src.Intn(racks-1))%racks, true, 0)
+			start(rack, true)
+			start((rack+1+src.Intn(racks-1))%racks, true)
 		} else {
 			for k, n := 0, 4+src.Intn(4); k < n; k++ {
-				start(rack, false, 20+15*float64(rack))
+				start(rack, false)
 			}
 		}
 		submitted++

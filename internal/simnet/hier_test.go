@@ -128,9 +128,6 @@ func applyHier(w *fzWorld, sc hierScenario, op fop) {
 				f.Usage = setShare(f.Usage, local(int(op.b)+1), 0.5)
 			}
 		}
-		if op.c%4 == 0 {
-			f.Cap = 10.0 * float64(1+int(op.c)%16)
-		}
 		f.OnComplete = func(at simkernel.Time) {
 			w.log = append(w.log, fmt.Sprintf("done %x %s", math.Float64bits(float64(at)), f.Name))
 		}

@@ -11,12 +11,11 @@ import (
 
 // verifyKKT checks the weighted max-min optimality conditions against the
 // definition rather than against another implementation: no resource may
-// be overloaded, and every flow must either sit at its cap or be
-// bottlenecked on a saturated resource on which no flow runs at a higher
-// rate (so its rate cannot be raised without lowering a flow that is no
-// better off — the max-min KKT argument). Loads are recomputed here from
-// the flows' current rates, so the helper is independent of any solver
-// scratch state.
+// be overloaded, and every flow must be bottlenecked on a saturated
+// resource on which no flow runs at a higher rate (so its rate cannot be
+// raised without lowering a flow that is no better off — the max-min KKT
+// argument). Loads are recomputed here from the flows' current rates, so
+// the helper is independent of any solver scratch state.
 func verifyKKT(t *testing.T, flows []*Flow, resources []*Resource) {
 	t.Helper()
 	load := make(map[*Resource]float64, len(resources))
@@ -37,9 +36,6 @@ func verifyKKT(t *testing.T, flows []*Flow, resources []*Resource) {
 		}
 	}
 	for _, f := range flows {
-		if f.Cap > 0 && f.rate >= f.Cap-rel*f.Cap-1e-12 {
-			continue // pinned at its own cap
-		}
 		bottlenecked := false
 		for i := range f.uses {
 			r := f.uses[i].res
@@ -51,8 +47,8 @@ func verifyKKT(t *testing.T, flows []*Flow, resources []*Resource) {
 			}
 		}
 		if !bottlenecked {
-			t.Fatalf("flow %s at rate %v (cap %v) is neither capped nor bottlenecked on a saturated resource it maximally uses",
-				f.Name, f.rate, f.Cap)
+			t.Fatalf("flow %s at rate %v is not bottlenecked on a saturated resource it maximally uses",
+				f.Name, f.rate)
 		}
 	}
 }
@@ -66,17 +62,19 @@ func TestSolveOptimalityKKT(t *testing.T) {
 		net := New(simkernel.New())
 		a := net.AddResource("a", 100)
 		b := net.AddResource("b", 30)
+		c := net.AddResource("c", 20)
 		f1 := &Flow{Name: "f1", Volume: 1e6, Usage: []ResourceShare{{a, 1}, {b, 1}}}
 		f2 := &Flow{Name: "f2", Volume: 1e6, Usage: []ResourceShare{{a, 1}}}
-		f3 := &Flow{Name: "f3", Volume: 1e6, Usage: []ResourceShare{{a, 1}}, Cap: 20}
+		f3 := &Flow{Name: "f3", Volume: 1e6, Usage: []ResourceShare{{a, 1}, {c, 1}}}
 		for _, f := range []*Flow{f1, f2, f3} {
 			net.Start(f)
 		}
-		// f1 bottlenecks on b at 30; f3 caps at 20; f2 takes the rest of a.
+		// f3 saturates its private c at 20; f1 bottlenecks on b at 30; f2
+		// takes the rest of a.
 		if f1.rate != 30 || f2.rate != 50 || f3.rate != 20 {
 			t.Fatalf("closed-form rates wrong: got [%v %v %v], want [30 50 20]", f1.rate, f2.rate, f3.rate)
 		}
-		verifyKKT(t, []*Flow{f1, f2, f3}, []*Resource{a, b})
+		verifyKKT(t, []*Flow{f1, f2, f3}, []*Resource{a, b, c})
 	})
 
 	// uplinkCoupled sweeps seeded random fat-tree topologies — rack-local
@@ -130,9 +128,6 @@ func TestSolveOptimalityKKT(t *testing.T) {
 				default: // cross-rack
 					f.Usage = []ResourceShare{{locals[rack][rng.Intn(nLocals)], 0.25 * float64(1+rng.Intn(8))}, {uplinks[rack], 1}, {core, 0.5}}
 				}
-				if rng.Intn(3) == 0 {
-					f.Cap = 5 * float64(1+rng.Intn(24))
-				}
 				flows[i] = f
 				net.Start(f)
 			}
@@ -172,9 +167,6 @@ func TestSolveOptimalityKKT(t *testing.T) {
 				f := &Flow{Name: fmt.Sprintf("f%02d", i), Volume: 1e6}
 				for _, j := range rng.Perm(nRes)[:1+rng.Intn(nRes)] {
 					f.Usage = append(f.Usage, ResourceShare{resources[j], 0.25 * float64(1+rng.Intn(8))})
-				}
-				if rng.Intn(3) == 0 {
-					f.Cap = 5 * float64(1+rng.Intn(24))
 				}
 				flows[i] = f
 				net.Start(f)

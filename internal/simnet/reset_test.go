@@ -92,11 +92,11 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 			holdsFlow := func(s []*Flow) bool {
 				return slices.ContainsFunc(s[:cap(s)], func(f *Flow) bool { return f != nil })
 			}
-			if holdsFlow(w.net.mergeFlows) || holdsFlow(w.net.mergeCapped) || holdsFlow(h.sepFlows) {
+			if holdsFlow(w.net.mergeFlows) || holdsFlow(h.sepFlows) {
 				t.Fatal("a merge or separator scratch list holds a flow after Reset")
 			}
 			for g := range h.groups {
-				if holdsFlow(h.groups[g].flows) || holdsFlow(h.groups[g].capped) {
+				if holdsFlow(h.groups[g].flows) {
 					t.Fatalf("hierarchical group %d holds a flow after Reset", g)
 				}
 			}

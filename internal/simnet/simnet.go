@@ -12,8 +12,8 @@
 // paper's Figure 9 timeline and the (min,max) allocation results.
 //
 // Rates are assigned by weighted max-min fairness (progressive filling):
-// all flows grow a common fill level until some resource saturates or a
-// flow hits its rate cap; saturated flows freeze and filling continues.
+// all flows grow a common fill level until some resource saturates;
+// the flows on it freeze and filling continues.
 // This is the standard fluid approximation for TCP-like fair sharing and
 // for request-level fair queueing inside storage servers.
 package simnet
@@ -157,10 +157,6 @@ type use struct {
 type Flow struct {
 	Name   string
 	Volume float64 // MiB to transfer in total
-
-	// Cap, when positive, bounds the flow's rate (MiB/s) regardless of
-	// resource availability. Used for per-process client-side limits.
-	Cap float64
 
 	// Usage lists each resource the flow touches with the fraction of the
 	// flow's rate consumed on it (usually 1 for its own NIC, m_i/k for a
@@ -355,13 +351,12 @@ type Network struct {
 
 	// Scratch buffers for component merge, rebuild and Start, reused
 	// across events so the steady state stays off the allocator.
-	mergeFlows  []*Flow
-	mergeRes    []*Resource
-	mergeCapped []*Flow
-	ufParent    []int32
-	fragOf      []int32
-	frags       []*component
-	startComps  []*component
+	mergeFlows []*Flow
+	mergeRes   []*Resource
+	ufParent   []int32
+	fragOf     []int32
+	frags      []*component
+	startComps []*component
 
 	// forceGlobal, when set before any flow starts, keeps every flow in
 	// one component so each event settles and re-solves the whole active
@@ -466,7 +461,6 @@ func (n *Network) Reset() {
 	// array, or the reset network would keep them (and their callbacks)
 	// alive.
 	clear(n.mergeFlows[:cap(n.mergeFlows)])
-	clear(n.mergeCapped[:cap(n.mergeCapped)])
 	*n = Network{
 		sim:         n.sim,
 		resources:   n.resources,
@@ -475,7 +469,6 @@ func (n *Network) Reset() {
 		oldRates:    n.oldRates,
 		mergeFlows:  n.mergeFlows[:0],
 		mergeRes:    n.mergeRes,
-		mergeCapped: n.mergeCapped[:0],
 		ufParent:    n.ufParent,
 		fragOf:      n.fragOf,
 		frags:       n.frags,
@@ -574,8 +567,8 @@ func (n *Network) release(f *Flow) {
 }
 
 // Start begins transferring a flow. The flow's Volume, Usage and optional
-// Cap/OnComplete must be set; Start panics on a zero-usage flow with
-// positive volume, which would never finish.
+// OnComplete must be set; Start panics on a zero-usage flow with positive
+// volume, which would never finish.
 //
 // Start unions the components of every resource the flow touches into
 // one, settles that merged component and marks it for the end-of-event
@@ -584,8 +577,8 @@ func (n *Network) Start(f *Flow) {
 	if f.Volume < 0 {
 		panic("simnet: negative flow volume")
 	}
-	if len(f.Usage) == 0 && f.Cap <= 0 && f.Volume > 0 {
-		panic("simnet: flow with no resource usage and no cap cannot be paced")
+	if len(f.Usage) == 0 && f.Volume > 0 {
+		panic("simnet: flow with no resource usage cannot be paced")
 	}
 	if f.inNet {
 		panic(fmt.Sprintf("simnet: flow %s started while already in flight", f.Name))
@@ -840,7 +833,7 @@ func (n *Network) rebalanceComp(c *component, now simkernel.Time, trig SolveTrig
 	n.sv.lastGroups = 0
 	hier := n.hier != nil && n.hier.trySolve(c, &n.sv, n.stats)
 	if !hier {
-		n.sv.solve(c.flows, c.resources, c.capped)
+		n.sv.solve(c.flows, c.resources)
 	}
 	if n.stats != nil {
 		n.stats.SolveLatencyNs.Observe(uint64(time.Since(solveStart)))
@@ -983,21 +976,12 @@ func solveReference(flows []*Flow, resources []*Resource) {
 				bottleneck = r
 			}
 		}
-		// Maximum additional fill before some flow hits its cap.
-		capDelta := math.Inf(1)
-		for _, f := range flows {
-			if !f.frozen && f.Cap > 0 {
-				if d := f.Cap - fill; d < capDelta {
-					capDelta = d
-				}
-			}
-		}
-		if math.IsInf(delta, 1) && math.IsInf(capDelta, 1) {
-			// No binding constraint: flows without usage or caps — should
-			// not happen given Start's validation, but guard anyway.
+		if bottleneck == nil {
+			// No binding constraint: flows without usage — should not
+			// happen given Start's validation, but guard anyway.
 			break
 		}
-		step := math.Min(delta, capDelta)
+		step := delta
 		if step < 0 {
 			step = 0
 		}
@@ -1007,24 +991,13 @@ func solveReference(flows []*Flow, resources []*Resource) {
 				r.load += r.sumW * step
 			}
 		}
-		// Freeze flows that hit the binding constraint.
+		// Freeze the flows on the saturated resource.
 		before := active
-		if capDelta <= delta {
-			for _, f := range flows {
-				if !f.frozen && f.Cap > 0 && f.Cap <= fill+1e-12 {
-					f.frozen = true
-					f.rate = f.Cap
-					active--
-				}
-			}
-		}
-		if delta <= capDelta && bottleneck != nil {
-			for _, f := range flows {
-				if !f.frozen && f.usesRes(bottleneck) {
-					f.frozen = true
-					f.rate = fill
-					active--
-				}
+		for _, f := range flows {
+			if !f.frozen && f.usesRes(bottleneck) {
+				f.frozen = true
+				f.rate = fill
+				active--
 			}
 		}
 		if active == before && step == 0 {
@@ -1032,7 +1005,7 @@ func solveReference(flows []*Flow, resources []*Resource) {
 			// not move, so no unfrozen flow's bottleneck changed — every
 			// further iteration would replay this exact state until the
 			// iteration cap. Leaving now assigns the unfrozen flows the
-			// same fill level the capped loop would have produced, so the
+			// same fill level the bounded loop would have produced, so the
 			// result is bit-identical, just cheaper.
 			break
 		}

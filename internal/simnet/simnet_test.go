@@ -75,20 +75,6 @@ func TestFairShareWeightedUsage(t *testing.T) {
 	}
 }
 
-func TestFairShareRespectsCaps(t *testing.T) {
-	n := New(simkernel.New())
-	l := n.AddResource("link", 100)
-	capped := &Flow{Name: "capped", Cap: 10, Usage: []ResourceShare{{l, 1}}}
-	free := &Flow{Name: "free", Usage: []ResourceShare{{l, 1}}}
-	rates := startRates(n, capped, free)
-	if !almost(rates[0], 10, 1e-9) {
-		t.Fatalf("capped rate = %v, want 10", rates[0])
-	}
-	if !almost(rates[1], 90, 1e-9) {
-		t.Fatalf("free flow should take the slack: %v, want 90", rates[1])
-	}
-}
-
 func TestFairShareStripedAccounting(t *testing.T) {
 	// Paper Figure 9: one writer striping over allocation (1,3) across two
 	// server NICs of capacity B. Host 2 carries 3/4 of the traffic, so the
@@ -108,15 +94,6 @@ func TestFairShareStripedAccounting(t *testing.T) {
 	rates = startRates(n, f2)
 	if !almost(rates[0], 2*b, 1e-6) {
 		t.Fatalf("balanced rate = %v, want %v", rates[0], 2*b)
-	}
-}
-
-func TestFairShareNoConstraint(t *testing.T) {
-	// Flow with a cap but no resources: rate = cap.
-	f := &Flow{Name: "f", Cap: 42}
-	rates := startRates(New(simkernel.New()), f)
-	if !almost(rates[0], 42, 1e-9) {
-		t.Fatalf("rate = %v, want 42", rates[0])
 	}
 }
 
@@ -150,9 +127,6 @@ func TestFairSharePropertyFeasibleAndMaximal(t *testing.T) {
 				usage = append(usage, ResourceShare{resources[j], 0.1 + src.Float64()*0.9})
 			}
 			flows[i] = &Flow{Name: string(rune('a' + i)), Usage: usage}
-			if src.Float64() < 0.3 {
-				flows[i].Cap = 1 + src.Float64()*500
-			}
 		}
 		rates := startRates(n, flows...)
 		load := func(r *Resource) float64 {
@@ -172,11 +146,8 @@ func TestFairSharePropertyFeasibleAndMaximal(t *testing.T) {
 				return false
 			}
 		}
-		// Maximality: each flow is at cap or uses a saturated resource.
-		for i, f := range flows {
-			if f.Cap > 0 && almost(rates[i], f.Cap, 1e-6) {
-				continue
-			}
+		// Maximality: each flow uses a saturated resource.
+		for _, f := range flows {
 			saturated := false
 			for _, e := range f.Usage {
 				if load(e.Res) >= e.Res.capacity-1e-6 {
@@ -358,7 +329,7 @@ func TestNetworkInvalidFlowPanics(t *testing.T) {
 	n := New(sim)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("flow without usage or cap accepted")
+			t.Fatal("flow without usage accepted")
 		}
 	}()
 	n.Start(&Flow{Name: "bad", Volume: 10})

@@ -20,16 +20,10 @@ package simnet
 //     without changing the comparison sequence of the surviving
 //     candidates, so the strict `d < delta` first-wins argmin picks the
 //     same bottleneck with the same delta.
-//   - capped: the unfrozen capped flows in ascending Cap order. The
-//     reference computed capDelta = min over unfrozen capped flows of
-//     (Cap - fill); IEEE subtraction is monotonic, so that minimum is
-//     attained at the smallest Cap and equals (minCap - fill) bit for
-//     bit. The sorted list yields it in O(1), and the freeze sweep
-//     "Cap <= fill+1e-12" is a prefix walk instead of a full scan.
 //   - resource freeze via the per-resource user index (Resource.users)
 //     instead of an O(flows) usesRes scan. Freezing order within a pass
 //     has no floating-point effect — freezes only flip flags and assign
-//     already-computed rates — so walking users (flow-ordered) matches
+//     the pass's fill level — so walking users (flow-ordered) matches
 //     the reference sweep exactly.
 
 import "math"
@@ -44,15 +38,6 @@ type solver struct {
 	// write barriers — on small components the barrier traffic of pointer
 	// scratch costs more than the solve itself.
 	unfrozen []int32
-	// capped is the capped flows in ascending (Cap, Name, seq) order;
-	// capped[capHead:] starts at the cap frontier. It aliases the caller's
-	// list — for component solves the component's incrementally
-	// maintained one — and is never written; frozen entries are not
-	// compacted out — the head cursor advances past them, and the freeze
-	// prefix walk skips them — so maintaining the frontier costs
-	// O(freezes) total rather than O(capped) per pass.
-	capped  []*Flow
-	capHead int
 	// cands is the compacted candidate bottleneck list as indices into
 	// the solve's input resource slice, always order-preserving.
 	cands []int32
@@ -71,42 +56,13 @@ type solver struct {
 	lastGroups int
 }
 
-// capOrder sorts capped flows by cap, tie-broken by the canonical flow
-// order. Ties never influence arithmetic (equal caps produce bitwise
-// equal capDeltas and freeze together); the tie-break just keeps the
-// layout deterministic.
-func capOrder(a, b *Flow) int {
-	switch {
-	case a.Cap < b.Cap:
-		return -1
-	case a.Cap > b.Cap:
-		return 1
-	}
-	if a.Name != b.Name {
-		if a.Name < b.Name {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
-}
-
 // solve assigns weighted max-min fair rates to the flows in place,
 // performing bit-for-bit the same floating-point operations as
 // solveReference on the same input. resources must contain every
 // resource the flows touch, in registration order, and their user indices
 // must list exactly the flows' usage entries, as a Network keeps them for
-// in-flight flows. capped must be exactly the flows with Cap > 0, in
-// capOrder; nil means none is capped.
-// Components maintain the list incrementally, so a solve never rescans
-// its flows for caps.
-func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
+// in-flight flows.
+func (s *solver) solve(flows []*Flow, resources []*Resource) {
 	for _, f := range flows {
 		f.frozen = false
 		f.rate = 0
@@ -120,8 +76,6 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 	for i := range flows {
 		s.unfrozen = append(s.unfrozen, int32(i))
 	}
-	s.capped = capped
-	s.capHead = 0
 	s.cands = s.cands[:0]
 	for i := range resources {
 		s.cands = append(s.cands, int32(i))
@@ -168,22 +122,11 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 			}
 		}
 		s.cands = s.cands[:k]
-		// Cap frontier: advance the head cursor past frozen entries; the
-		// head is then the minimum unfrozen cap. IEEE subtraction is
-		// monotonic, so minCap - fill equals the reference's minimum over
-		// all unfrozen capped flows bit for bit.
-		for s.capHead < len(s.capped) && s.capped[s.capHead].frozen {
-			s.capHead++
-		}
-		capDelta := math.Inf(1)
-		if s.capHead < len(s.capped) {
-			capDelta = s.capped[s.capHead].Cap - s.fill
-		}
-		if math.IsInf(delta, 1) && math.IsInf(capDelta, 1) {
+		if bottleneck == nil {
 			// No binding constraint; mirror the reference's guard.
 			break
 		}
-		step := math.Min(delta, capDelta)
+		step := delta
 		if step < 0 {
 			step = 0
 		}
@@ -193,25 +136,11 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 			r.load += r.sumW * step
 		}
 		before := s.active
-		if capDelta <= delta {
-			// The capped list is Cap-ascending, so the flows at or below
-			// the tolerance form a prefix (some already frozen by earlier
-			// resource passes and skipped here).
-			for j := s.capHead; j < len(s.capped); j++ {
-				f := s.capped[j]
-				if f.Cap > s.fill+1e-12 {
-					break
-				}
-				if !f.frozen {
-					s.freeze(f, f.Cap)
-				}
-			}
-		}
-		if delta <= capDelta && bottleneck != nil {
-			for i := range bottleneck.users {
-				if f := bottleneck.users[i].f; !f.frozen {
-					s.freeze(f, s.fill)
-				}
+		for i := range bottleneck.users {
+			if f := bottleneck.users[i].f; !f.frozen {
+				f.frozen = true
+				f.rate = s.fill
+				s.active--
 			}
 		}
 		if s.stats != nil {
@@ -231,11 +160,4 @@ func (s *solver) solve(flows []*Flow, resources []*Resource, capped []*Flow) {
 			f.rate = s.fill
 		}
 	}
-}
-
-// freeze pins f at rate.
-func (s *solver) freeze(f *Flow, rate float64) {
-	f.frozen = true
-	f.rate = rate
-	s.active--
 }

@@ -75,14 +75,15 @@ func BenchmarkSolve256Flows(b *testing.B) { benchmarkSolve(b, 256) }
 // singleCompNet builds the campaign shape at scale: one connected
 // component where every flow rides a shared client-stack ramp plus its
 // own client NIC and its own primary stripe target (the per-client and
-// per-op resources the beegfs layer gives every process), the bulk of
-// the flows are pinned by a low client-side cap, and a straggler
-// minority with distinct higher caps cascades through roomy per-group
-// resources. The solve therefore has a long pass tail in which only a
-// few flows — and only their resources — remain live: exactly where
-// the incremental solver's compacted flow and candidate lists beat the
-// reference's full per-pass rescans of every flow and every (mostly
-// dead) per-client resource.
+// per-op resources the beegfs layer gives every process). Seven flows
+// in eight also share a narrow band resource that holds each of them to
+// 2 MiB/s, so they all freeze in the first pass; the straggler minority
+// has NICs of distinct higher capacities and freezes one per pass
+// through roomy per-group resources. The solve therefore has a long pass
+// tail in which only a few flows — and only their resources — remain
+// live: exactly where the incremental solver's compacted flow and
+// candidate lists beat the reference's full per-pass rescans of every
+// flow and every (mostly dead) per-client resource.
 func singleCompNet(nFlows int) (*Network, *component) {
 	src := rng.New(11)
 	net := New(simkernel.New())
@@ -91,25 +92,24 @@ func singleCompNet(nFlows int) (*Network, *component) {
 	for i := range groups {
 		groups[i] = net.AddResource(fmt.Sprintf("g%d", i), 20000+src.Float64()*500)
 	}
+	band := net.AddResource("band", 2*float64(nFlows-(nFlows+7)/8))
 	for i := 0; i < nFlows; i++ {
-		nic := net.AddResource(fmt.Sprintf("nic%04d", i), 1e5)
+		nicCap := 1e5
+		if i%8 == 0 {
+			nicCap = 50 + float64(i)*0.25
+		}
+		nic := net.AddResource(fmt.Sprintf("nic%04d", i), nicCap)
 		tgt := net.AddResource(fmt.Sprintf("tgt%04d", i), 5e4)
-		f := &Flow{
-			Name:   fmt.Sprintf("f%04d", i),
-			Volume: 1e15,
-			Usage: []ResourceShare{
-				{shared, 0.125},
-				{nic, 1},
-				{tgt, 0.5 + src.Float64()*0.5},
-				{groups[i%12], 0.25 + src.Float64()*0.75},
-			},
+		usage := []ResourceShare{
+			{shared, 0.125},
+			{nic, 1},
+			{tgt, 0.5 + src.Float64()*0.5},
+			{groups[i%12], 0.25 + src.Float64()*0.75},
 		}
 		if i%8 != 0 {
-			f.Cap = 2
-		} else {
-			f.Cap = 50 + float64(i)*0.25
+			usage = append(usage, ResourceShare{band, 1})
 		}
-		net.Start(f)
+		net.Start(&Flow{Name: fmt.Sprintf("f%04d", i), Volume: 1e15, Usage: usage})
 	}
 	return net, net.comps[0]
 }
@@ -125,7 +125,7 @@ func BenchmarkSolveSingleComponent(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.sv.solve(c.flows, c.resources, c.capped)
+				net.sv.solve(c.flows, c.resources)
 			}
 		})
 	}

@@ -26,6 +26,10 @@
 // applications write to the same target. The paper concludes such
 // contention is NOT observed (lesson 7); the knob exists to show what the
 // figures would look like if it were.
+//
+// A target's rate does not depend on how many requests are queued on it:
+// the node-count ramp behind lessons 1, 2 and 6 is modelled on the client
+// side, by beegfs.Config.ClientA and ClientGamma.
 package storagesim
 
 import (
@@ -44,9 +48,6 @@ type Config struct {
 	// Beta is the concavity exponent of the host controller:
 	// C(m) = SingleTargetRate * m^Beta. Beta = 1 means no coupling.
 	Beta float64
-	// TargetPeak caps an individual target's rate. Zero means
-	// SingleTargetRate.
-	TargetPeak float64
 	// HostJitterCV is the coefficient of variation of the per-run,
 	// per-host capacity multiplier (correlated across the host's targets).
 	HostJitterCV float64
@@ -57,12 +58,6 @@ type Config struct {
 	// SharePenalty^(sharers-1) when `sharers` distinct applications write
 	// to it concurrently. Zero disables the (counterfactual) penalty.
 	SharePenalty float64
-	// SatHalf is the half-saturation constant of the target concurrency
-	// ramp: with total registered write depth c, a target reaches
-	// c/(c+SatHalf) of its peak rate. RAID arrays need deep request queues
-	// to stream at full speed, which is why the paper needs many compute
-	// nodes before the plateau (lessons 1, 2, 6). Zero disables the ramp.
-	SatHalf float64
 	// TargetCapacityBytes is each OST's storage capacity (PlaFRIM: 131 TB
 	// over 8 targets ~ 16.4 TB each). Zero disables capacity accounting.
 	TargetCapacityBytes int64
@@ -76,17 +71,11 @@ func (c Config) Validate() error {
 	if c.Beta <= 0 || c.Beta > 1 {
 		return fmt.Errorf("storagesim: Beta must be in (0,1], got %v", c.Beta)
 	}
-	if c.TargetPeak < 0 {
-		return fmt.Errorf("storagesim: TargetPeak must be non-negative, got %v", c.TargetPeak)
-	}
 	if c.HostJitterCV < 0 || c.TargetJitterCV < 0 {
 		return fmt.Errorf("storagesim: jitter CVs must be non-negative")
 	}
 	if c.SharePenalty < 0 || c.SharePenalty > 1 {
 		return fmt.Errorf("storagesim: SharePenalty must be in [0,1], got %v", c.SharePenalty)
-	}
-	if c.SatHalf < 0 {
-		return fmt.Errorf("storagesim: SatHalf must be non-negative, got %v", c.SatHalf)
 	}
 	if c.TargetCapacityBytes < 0 {
 		return fmt.Errorf("storagesim: negative TargetCapacityBytes")
@@ -104,10 +93,6 @@ func PlaFRIMConfig() Config {
 		TargetJitterCV:   0.035,
 		// 131 TB total over 8 OSTs (§III-A), in bytes.
 		TargetCapacityBytes: 131_000_000_000_000 / 8,
-		// SatHalf stays 0: PlaFRIM's node-count ramp is modelled on the
-		// client side (beegfs.Config.ClientA/ClientGamma), which is what
-		// produces Figure 11's count-ordered plateaus. The target-level
-		// ramp remains available as an ablation knob.
 	}
 }
 
@@ -193,9 +178,6 @@ type Target struct {
 	// entry per distinct application in no particular order. A target
 	// has a handful of writers, so a linear scan beats hashing the name.
 	writers []writer
-	// writeDepth is the total registered request-queue depth, driving the
-	// concurrency saturation ramp.
-	writeDepth float64
 	// usedBytes is the space consumed by stored chunks.
 	usedBytes int64
 	// failed pins the target capacity to zero (OST failure) regardless of
@@ -289,17 +271,6 @@ func (t *Target) Resource() *simnet.Resource { return t.resource }
 // Writers returns the number of distinct applications currently writing.
 func (t *Target) Writers() int { return len(t.writers) }
 
-func (t *Target) peak() float64 {
-	p := t.host.sys.cfg.TargetPeak
-	if p == 0 {
-		p = t.host.sys.cfg.SingleTargetRate
-	}
-	return p
-}
-
-// WriteDepth returns the total registered request-queue depth.
-func (t *Target) WriteDepth() float64 { return t.writeDepth }
-
 // updateCapacity pushes the target's current capacity into the network;
 // like Host.updateCapacity it touches only the target's own component
 // and skips the solver entirely while the target is idle.
@@ -308,12 +279,9 @@ func (t *Target) updateCapacity() {
 		t.host.sys.net.SetCapacity(t.resource, 0)
 		return
 	}
-	c := t.peak() * t.jitter
+	c := t.host.sys.cfg.SingleTargetRate * t.jitter
 	if sp := t.host.sys.cfg.SharePenalty; sp > 0 && len(t.writers) > 1 {
 		c *= math.Pow(sp, float64(len(t.writers)-1))
-	}
-	if sh := t.host.sys.cfg.SatHalf; sh > 0 {
-		c *= t.writeDepth / (t.writeDepth + sh)
 	}
 	if t.slow > 0 {
 		c *= t.slow
@@ -321,21 +289,16 @@ func (t *Target) updateCapacity() {
 	t.host.sys.net.SetCapacity(t.resource, c)
 }
 
-// Acquire registers application app as a writer on the target with the
-// given request-queue depth contribution, updating the target's and host's
-// capacities. Each Acquire must be paired with a Release carrying the same
-// depth. Depth must be non-negative.
-func (t *Target) Acquire(app string, depth float64) {
-	if depth < 0 {
-		panic(fmt.Sprintf("storagesim: negative depth %v on target %d", depth, t.ID))
-	}
+// Acquire registers application app as a writer on the target, updating
+// the target's and host's capacities. Each Acquire must be paired with a
+// Release.
+func (t *Target) Acquire(app string) {
 	prevActive := len(t.writers) > 0
 	if i := t.writerIndex(app); i >= 0 {
 		t.writers[i].n++
 	} else {
 		t.writers = append(t.writers, writer{app: app, n: 1})
 	}
-	t.writeDepth += depth
 	t.updateCapacity()
 	if !prevActive {
 		t.host.updateCapacity()
@@ -344,7 +307,7 @@ func (t *Target) Acquire(app string, depth float64) {
 
 // Release undoes one Acquire by app. Releasing an application that holds no
 // writer panics — it always indicates an accounting bug in the caller.
-func (t *Target) Release(app string, depth float64) {
+func (t *Target) Release(app string) {
 	i := t.writerIndex(app)
 	if i < 0 {
 		panic(fmt.Sprintf("storagesim: Release of %q on target %d without Acquire", app, t.ID))
@@ -356,10 +319,6 @@ func (t *Target) Release(app string, depth float64) {
 		t.writers[i] = t.writers[last]
 		t.writers[last] = writer{}
 		t.writers = t.writers[:last]
-	}
-	t.writeDepth -= depth
-	if t.writeDepth < 1e-9 {
-		t.writeDepth = 0
 	}
 	t.updateCapacity()
 	if len(t.writers) == 0 {
@@ -416,7 +375,7 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 }
 
 // Reset returns every host and target to the state NewSystem leaves them
-// in: unit jitter, no writers, queue depth or stored bytes, no failure or
+// in: unit jitter, no writers or stored bytes, no failure or
 // fail-slow pin, and the matching capacities pushed into the network.
 func (s *System) Reset() {
 	for _, h := range s.hosts {

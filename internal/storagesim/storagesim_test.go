@@ -39,7 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		{"beta zero", Config{SingleTargetRate: 1, Beta: 0}, false},
 		{"beta above one", Config{SingleTargetRate: 1, Beta: 1.5}, false},
 		{"beta one ok", Config{SingleTargetRate: 1, Beta: 1}, true},
-		{"negative peak", Config{SingleTargetRate: 1, Beta: 1, TargetPeak: -1}, false},
 		{"negative jitter", Config{SingleTargetRate: 1, Beta: 1, HostJitterCV: -0.1}, false},
 		{"penalty above one", Config{SingleTargetRate: 1, Beta: 1, SharePenalty: 2}, false},
 		{"penalty ok", Config{SingleTargetRate: 1, Beta: 1, SharePenalty: 0.9}, true},
@@ -113,17 +112,17 @@ func TestAcquireUpdatesControllerCapacity(t *testing.T) {
 	_, _, sys := newSys(t, detConfig(), 2, 4)
 	h := sys.Hosts()[0]
 	t1, t2 := h.Targets()[0], h.Targets()[1]
-	t1.Acquire("app", 1)
+	t1.Acquire("app")
 	if !almost(h.Controller().Capacity(), 1764, 1e-6) {
 		t.Fatalf("C after 1 active = %v", h.Controller().Capacity())
 	}
-	t2.Acquire("app", 1)
+	t2.Acquire("app")
 	want := detConfig().HostCapacity(2)
 	if !almost(h.Controller().Capacity(), want, 1e-6) {
 		t.Fatalf("C after 2 active = %v, want %v", h.Controller().Capacity(), want)
 	}
-	t1.Release("app", 1)
-	t2.Release("app", 1)
+	t1.Release("app")
+	t2.Release("app")
 	if h.ActiveTargets() != 0 {
 		t.Fatalf("active targets after release = %d", h.ActiveTargets())
 	}
@@ -133,24 +132,24 @@ func TestAcquireSameTargetTwiceIsOneActive(t *testing.T) {
 	_, _, sys := newSys(t, detConfig(), 1, 4)
 	h := sys.Hosts()[0]
 	tg := h.Targets()[0]
-	tg.Acquire("a", 1)
-	tg.Acquire("a", 1)
-	tg.Acquire("b", 1)
+	tg.Acquire("a")
+	tg.Acquire("a")
+	tg.Acquire("b")
 	if h.ActiveTargets() != 1 {
 		t.Fatalf("ActiveTargets = %d, want 1", h.ActiveTargets())
 	}
 	if tg.Writers() != 2 {
 		t.Fatalf("distinct writers = %d, want 2", tg.Writers())
 	}
-	tg.Release("a", 1)
+	tg.Release("a")
 	if tg.Writers() != 2 {
 		t.Fatalf("writers after partial release = %d, want 2", tg.Writers())
 	}
-	tg.Release("a", 1)
+	tg.Release("a")
 	if tg.Writers() != 1 {
 		t.Fatalf("writers = %d, want 1", tg.Writers())
 	}
-	tg.Release("b", 1)
+	tg.Release("b")
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
@@ -160,7 +159,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 			t.Fatal("unbalanced Release did not panic")
 		}
 	}()
-	sys.Targets()[0].Release("ghost", 1)
+	sys.Targets()[0].Release("ghost")
 }
 
 // sameBits reports whether two capacities are the same float64, bit for
@@ -181,71 +180,59 @@ func TestCapacityCurvesBitExact(t *testing.T) {
 	sys.ReJitter(rng.New(3))
 	h := sys.Hosts()[0]
 	for m, tg := range h.Targets() {
-		tg.Acquire("a", 1)
+		tg.Acquire("a")
 		if got, want := h.Controller().Capacity(), cfg.HostCapacity(m+1)*h.jitter; !sameBits(got, want) {
 			t.Fatalf("controller with %d active targets = %v, want %v", m+1, got, want)
 		}
 	}
 	tg := h.Targets()[0]
 	for k := 2; k <= 6; k++ {
-		tg.Acquire(fmt.Sprintf("app%d", k), 1)
-		want := tg.peak() * tg.jitter * math.Pow(cfg.SharePenalty, float64(k-1))
+		tg.Acquire(fmt.Sprintf("app%d", k))
+		want := cfg.SingleTargetRate * tg.jitter * math.Pow(cfg.SharePenalty, float64(k-1))
 		if got := tg.Resource().Capacity(); !sameBits(got, want) {
 			t.Fatalf("target with %d writers = %v, want %v", k, got, want)
 		}
 	}
 }
 
-// writerModel is the map-based reference of one target's writer set.
-type writerModel struct {
-	writers map[string]int
-	depth   float64
-}
-
 // TestWriterSetMatchesMapModel drives random Acquire/Release sequences
 // over 24 applications on the three targets of one host against a map
 // model of the writer sets. After every step each target's distinct
-// writer count, queue depth and capacity, and the host's controller
-// capacity, must equal what the model computes from the formulas.
+// writer count and capacity, and the host's controller capacity, must
+// equal what the model computes from the formulas.
 func TestWriterSetMatchesMapModel(t *testing.T) {
 	cfg := detConfig()
 	cfg.HostJitterCV = 0.05
 	cfg.TargetJitterCV = 0.05
 	cfg.SharePenalty = 0.9
-	cfg.SatHalf = 4
 	_, _, sys := newSys(t, cfg, 1, 3)
 	sys.ReJitter(rng.New(11))
 	h := sys.Hosts()[0]
 	targets := h.Targets()
-	models := make([]writerModel, len(targets))
+	models := make([]map[string]int, len(targets))
 	for i := range models {
-		models[i].writers = make(map[string]int)
+		models[i] = make(map[string]int)
 	}
 	apps := make([]string, 24)
 	for i := range apps {
 		apps[i] = fmt.Sprintf("app%02d", i)
 	}
-	// Each application always registers the same depth, so a Release
-	// carries its Acquire's depth as the contract requires.
-	depthOf := func(app int) float64 { return float64(1 + app%4) }
 	check := func(step int) {
 		t.Helper()
 		active := 0
 		for i, tg := range targets {
 			m := models[i]
-			if tg.Writers() != len(m.writers) || tg.WriteDepth() != m.depth {
-				t.Fatalf("step %d target %d: %d writers, depth %v; model %d, %v",
-					step, tg.ID, tg.Writers(), tg.WriteDepth(), len(m.writers), m.depth)
+			if tg.Writers() != len(m) {
+				t.Fatalf("step %d target %d: %d writers; model %d", step, tg.ID, tg.Writers(), len(m))
 			}
-			want := tg.peak() * tg.jitter
-			if len(m.writers) > 1 {
-				want *= math.Pow(cfg.SharePenalty, float64(len(m.writers)-1))
+			want := cfg.SingleTargetRate * tg.jitter
+			if len(m) > 1 {
+				want *= math.Pow(cfg.SharePenalty, float64(len(m)-1))
 			}
-			want *= m.depth / (m.depth + cfg.SatHalf)
 			if got := tg.Resource().Capacity(); !sameBits(got, want) {
 				t.Fatalf("step %d target %d: capacity %v, model %v", step, tg.ID, got, want)
 			}
-			if len(m.writers) > 0 {
+			if len(m) > 0 {
 				active++
 			}
 		}
@@ -261,23 +248,18 @@ func TestWriterSetMatchesMapModel(t *testing.T) {
 	most := 0
 	for step := 0; step < 20000; step++ {
 		i := src.Intn(len(targets))
-		a := src.Intn(len(apps))
-		app, d := apps[a], depthOf(a)
-		m := &models[i]
-		if m.writers[app] > 0 && src.Intn(3) > 0 {
-			targets[i].Release(app, d)
-			if m.writers[app]--; m.writers[app] == 0 {
-				delete(m.writers, app)
-			}
-			if m.depth -= d; m.depth < 1e-9 {
-				m.depth = 0
+		app := apps[src.Intn(len(apps))]
+		m := models[i]
+		if m[app] > 0 && src.Intn(3) > 0 {
+			targets[i].Release(app)
+			if m[app]--; m[app] == 0 {
+				delete(m, app)
 			}
 		} else {
-			targets[i].Acquire(app, d)
-			m.writers[app]++
-			m.depth += d
+			targets[i].Acquire(app)
+			m[app]++
 		}
-		most = max(most, len(m.writers))
+		most = max(most, len(m))
 		check(step)
 	}
 	if most < 16 {
@@ -285,14 +267,14 @@ func TestWriterSetMatchesMapModel(t *testing.T) {
 	}
 	// Draining every writer returns each target and the host to idle.
 	for i, tg := range targets {
-		for a, app := range apps {
-			for models[i].writers[app] > 0 {
-				tg.Release(app, depthOf(a))
-				models[i].writers[app]--
+		for _, app := range apps {
+			for models[i][app] > 0 {
+				tg.Release(app)
+				models[i][app]--
 			}
 		}
-		if tg.Writers() != 0 || tg.WriteDepth() != 0 {
-			t.Fatalf("target %d after draining: %d writers, depth %v", tg.ID, tg.Writers(), tg.WriteDepth())
+		if tg.Writers() != 0 {
+			t.Fatalf("target %d after draining: %d writers", tg.ID, tg.Writers())
 		}
 	}
 	if got, want := h.Controller().Capacity(), cfg.SingleTargetRate*h.jitter; !sameBits(got, want) {
@@ -303,14 +285,14 @@ func TestWriterSetMatchesMapModel(t *testing.T) {
 func TestSharePenaltyDisabledByDefault(t *testing.T) {
 	_, _, sys := newSys(t, detConfig(), 1, 1)
 	tg := sys.Targets()[0]
-	tg.Acquire("a", 1)
+	tg.Acquire("a")
 	before := tg.Resource().Capacity()
-	tg.Acquire("b", 1)
+	tg.Acquire("b")
 	if tg.Resource().Capacity() != before {
 		t.Fatal("capacity changed on sharing although SharePenalty = 0")
 	}
-	tg.Release("a", 1)
-	tg.Release("b", 1)
+	tg.Release("a")
+	tg.Release("b")
 }
 
 func TestSharePenaltyAblation(t *testing.T) {
@@ -318,22 +300,22 @@ func TestSharePenaltyAblation(t *testing.T) {
 	cfg.SharePenalty = 0.8
 	_, _, sys := newSys(t, cfg, 1, 1)
 	tg := sys.Targets()[0]
-	tg.Acquire("a", 1)
+	tg.Acquire("a")
 	c1 := tg.Resource().Capacity()
-	tg.Acquire("b", 1)
+	tg.Acquire("b")
 	if !almost(tg.Resource().Capacity(), 0.8*c1, 1e-9) {
 		t.Fatalf("2 sharers: %v, want %v", tg.Resource().Capacity(), 0.8*c1)
 	}
-	tg.Acquire("c", 1)
+	tg.Acquire("c")
 	if !almost(tg.Resource().Capacity(), 0.64*c1, 1e-9) {
 		t.Fatalf("3 sharers: %v, want %v", tg.Resource().Capacity(), 0.64*c1)
 	}
-	tg.Release("c", 1)
+	tg.Release("c")
 	if !almost(tg.Resource().Capacity(), 0.8*c1, 1e-9) {
 		t.Fatal("penalty did not relax on release")
 	}
-	tg.Release("b", 1)
-	tg.Release("a", 1)
+	tg.Release("b")
+	tg.Release("a")
 }
 
 func TestReJitterStatistics(t *testing.T) {
@@ -342,7 +324,7 @@ func TestReJitterStatistics(t *testing.T) {
 	cfg.TargetJitterCV = 0.04
 	_, _, sys := newSys(t, cfg, 2, 4)
 	tg := sys.Targets()[0]
-	tg.Acquire("a", 1)
+	tg.Acquire("a")
 	src := rng.New(42)
 	var caps []float64
 	for i := 0; i < 3000; i++ {
@@ -356,7 +338,7 @@ func TestReJitterStatistics(t *testing.T) {
 	if sd/mean < 0.02 || sd/mean > 0.06 {
 		t.Fatalf("target capacity cv = %v, want ~0.04", sd/mean)
 	}
-	tg.Release("a", 1)
+	tg.Release("a")
 }
 
 func TestReJitterCorrelatedWithinHost(t *testing.T) {
@@ -366,7 +348,7 @@ func TestReJitterCorrelatedWithinHost(t *testing.T) {
 	cfg.HostJitterCV = 0.1
 	_, _, sys := newSys(t, cfg, 1, 2)
 	h := sys.Hosts()[0]
-	h.Targets()[0].Acquire("a", 1)
+	h.Targets()[0].Acquire("a")
 	src := rng.New(7)
 	sys.ReJitter(src)
 	c1 := h.Controller().Capacity()
@@ -375,25 +357,23 @@ func TestReJitterCorrelatedWithinHost(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("controller capacity did not vary across ReJitter")
 	}
-	h.Targets()[0].Release("a", 1)
+	h.Targets()[0].Release("a")
 }
 
-// TestSystemReset dirties every piece of per-run state — jitter, writers
-// and queue depth, stored bytes, failure and fail-slow pins — and checks
+// TestSystemReset dirties every piece of per-run state — jitter, writers,
+// stored bytes, failure and fail-slow pins — and checks
 // that Reset leaves each host and target, and each of their capacities,
 // exactly as NewSystem does, without touching the network itself.
 func TestSystemReset(t *testing.T) {
 	cfg := detConfig()
 	cfg.HostJitterCV = 0.1
 	cfg.TargetJitterCV = 0.1
-	cfg.SatHalf = 2
-	cfg.TargetPeak = 1500
 	cfg.TargetCapacityBytes = 1 << 40
 	_, _, fresh := newSys(t, cfg, 2, 4)
 	_, _, sys := newSys(t, cfg, 2, 4)
 	sys.ReJitter(rng.New(1))
 	for i, tg := range sys.Targets() {
-		tg.Acquire("a", float64(i+1))
+		tg.Acquire("a")
 		if err := tg.Store(int64(i+1) << 20); err != nil {
 			t.Fatal(err)
 		}
@@ -405,9 +385,9 @@ func TestSystemReset(t *testing.T) {
 	sys.Reset()
 	for i, tg := range sys.Targets() {
 		want := fresh.Targets()[i]
-		if tg.Writers() != 0 || tg.WriteDepth() != 0 || tg.Used() != 0 || tg.Failed() || tg.SlowFactor() != 1 {
-			t.Fatalf("target %d after Reset: %d writers, depth %v, %d bytes, failed %v, slow %v",
-				tg.ID, tg.Writers(), tg.WriteDepth(), tg.Used(), tg.Failed(), tg.SlowFactor())
+		if tg.Writers() != 0 || tg.Used() != 0 || tg.Failed() || tg.SlowFactor() != 1 {
+			t.Fatalf("target %d after Reset: %d writers, %d bytes, failed %v, slow %v",
+				tg.ID, tg.Writers(), tg.Used(), tg.Failed(), tg.SlowFactor())
 		}
 		if tg.jitter != 1 || tg.Resource().Capacity() != want.Resource().Capacity() {
 			t.Fatalf("target %d after Reset: jitter %v, capacity %v, want 1 and %v",
@@ -422,8 +402,8 @@ func TestSystemReset(t *testing.T) {
 		}
 	}
 	// A reset target takes a new writer like a fresh one.
-	sys.Targets()[3].Acquire("b", 1)
-	fresh.Targets()[3].Acquire("b", 1)
+	sys.Targets()[3].Acquire("b")
+	fresh.Targets()[3].Acquire("b")
 	if got, want := sys.Targets()[3].Resource().Capacity(), fresh.Targets()[3].Resource().Capacity(); got != want {
 		t.Fatalf("capacity after a post-reset Acquire = %v, fresh %v", got, want)
 	}
@@ -437,7 +417,7 @@ func TestFlowsThroughStorage(t *testing.T) {
 	h := sys.Hosts()[0]
 	var flows []*simnet.Flow
 	for i, tg := range h.Targets() {
-		tg.Acquire("app", 1)
+		tg.Acquire("app")
 		f := &simnet.Flow{
 			Name:   string(rune('a' + i)),
 			Volume: 1e9, // long-lived so the steady rate is observable
@@ -464,7 +444,7 @@ func TestFlowsThroughStorage(t *testing.T) {
 }
 
 // Property: controller capacity is monotone nondecreasing in the number of
-// active targets and never exceeds m * TargetPeak.
+// active targets and never exceeds m * SingleTargetRate.
 func TestPropertyControllerMonotone(t *testing.T) {
 	check := func(rateSeed uint16, betaSeed uint8) bool {
 		rate := 100 + float64(rateSeed%2000)
@@ -505,50 +485,6 @@ func meanSD(xs []float64) (float64, float64) {
 	return m, math.Sqrt(ss / float64(len(xs)-1))
 }
 
-func TestSaturationRamp(t *testing.T) {
-	cfg := detConfig()
-	cfg.SatHalf = 16
-	_, _, sys := newSys(t, cfg, 1, 1)
-	tg := sys.Targets()[0]
-	tg.Acquire("a", 16)
-	// c = SatHalf -> half of peak.
-	if !almost(tg.Resource().Capacity(), 1764/2, 1e-6) {
-		t.Fatalf("capacity at half-saturation = %v, want %v", tg.Resource().Capacity(), 1764.0/2)
-	}
-	tg.Acquire("a", 48) // total depth 64 -> 64/80 = 0.8 of peak
-	if !almost(tg.Resource().Capacity(), 1764*0.8, 1e-6) {
-		t.Fatalf("capacity at depth 64 = %v, want %v", tg.Resource().Capacity(), 1764*0.8)
-	}
-	tg.Release("a", 48)
-	if !almost(tg.Resource().Capacity(), 1764/2, 1e-6) {
-		t.Fatal("saturation did not relax on release")
-	}
-	tg.Release("a", 16)
-	if tg.WriteDepth() != 0 {
-		t.Fatalf("residual depth %v after full release", tg.WriteDepth())
-	}
-}
-
-func TestSaturationDisabledByDefault(t *testing.T) {
-	_, _, sys := newSys(t, detConfig(), 1, 1)
-	tg := sys.Targets()[0]
-	tg.Acquire("a", 0.001)
-	if !almost(tg.Resource().Capacity(), 1764, 1e-9) {
-		t.Fatalf("capacity with SatHalf=0 = %v, want peak", tg.Resource().Capacity())
-	}
-	tg.Release("a", 0.001)
-}
-
-func TestNegativeDepthPanics(t *testing.T) {
-	_, _, sys := newSys(t, detConfig(), 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative depth accepted")
-		}
-	}()
-	sys.Targets()[0].Acquire("a", -1)
-}
-
 // SetFailed pins the component's capacity to zero and the zero survives
 // writer-count and jitter recomputations until recovery.
 func TestSetFailedPinsCapacityToZero(t *testing.T) {
@@ -561,12 +497,12 @@ func TestSetFailedPinsCapacityToZero(t *testing.T) {
 		t.Fatal("failed target has capacity")
 	}
 	// Writer churn and jitter must not resurrect the capacity.
-	tg.Acquire("app", 1)
+	tg.Acquire("app")
 	sys.ReJitter(rng.New(7))
 	if tg.Resource().Capacity() != 0 {
 		t.Fatal("failed target capacity resurrected")
 	}
-	tg.Release("app", 1)
+	tg.Release("app")
 	tg.SetFailed(false)
 	if tg.Resource().Capacity() <= 0 {
 		t.Fatal("recovered target still at zero")
