@@ -45,9 +45,7 @@ func iorCmd(args []string, w io.Writer) error {
 	count := fs.Int("count", 0, "stripe count (0 = directory default)")
 	// Heartbeat-driven failure detection (0 = the default omniscient
 	// model; healthy runs report identical numbers either way).
-	hbInterval := fs.Float64("hb-interval", 0, "management heartbeat interval in seconds (0 = omniscient failure detection)")
-	hbTimeout := fs.Float64("hb-timeout", 0, "silence before a target is probably-offline (default 2x -hb-interval)")
-	hbOffline := fs.Float64("hb-offline", 0, "silence before a target is declared offline (default 5x -hb-interval)")
+	hbInterval := fs.Float64("hb-interval", 0, "management heartbeat interval in seconds; 2 silent intervals make a target probably-offline, 5 offline (0 = omniscient failure detection)")
 	rpcTimeout := fs.Float64("rpc-timeout", 0, "extra delay a client pays per RPC issued against a stale target view")
 	var cf campaignFlags
 	cf.register(fs, 1)
@@ -79,8 +77,7 @@ func iorCmd(args []string, w io.Writer) error {
 	if *hbInterval == 0 && *rpcTimeout != 0 {
 		return fmt.Errorf("-rpc-timeout needs -hb-interval > 0")
 	}
-	p.FS.HeartbeatInterval, p.FS.HeartbeatTimeout = *hbInterval, *hbTimeout
-	p.FS.OfflineTimeout, p.FS.RPCTimeout = *hbOffline, *rpcTimeout
+	p.FS.HeartbeatInterval, p.FS.RPCTimeout = *hbInterval, *rpcTimeout
 	if err := p.FS.Validate(); err != nil {
 		return err
 	}

@@ -55,7 +55,6 @@ func TestIORRejectsInvalidInput(t *testing.T) {
 		{"unknown chooser", []string{"-chooser", "bogus"}},
 		{"config and scenario", []string{"-config", spec, "-scenario", "2"}},
 		{"config and chooser", []string{"-config", spec, "-chooser", "random"}},
-		{"heartbeat timeout without interval", []string{"-hb-timeout", "1"}},
 		{"rpc timeout without interval", []string{"-rpc-timeout", "1"}},
 		{"negative heartbeat interval", []string{"-hb-interval", "-0.5"}},
 		{"removed -o flag", []string{"-o", "/x"}},
@@ -75,7 +74,7 @@ func TestIOREndToEnd(t *testing.T) {
 func TestIOREndToEndWithHeartbeats(t *testing.T) {
 	// Healthy runs must work identically with the heartbeat state machine on.
 	runOK(t, iorCmd, append(append([]string(nil), iorEndToEnd...), "-workers", "1",
-		"-hb-interval", "0.5", "-hb-timeout", "1", "-hb-offline", "2.5", "-rpc-timeout", "0.25")...)
+		"-hb-interval", "0.5", "-rpc-timeout", "0.25")...)
 }
 
 // TestIORIdenticalAcrossWorkersAndObservers runs the same benchmark
@@ -86,7 +85,7 @@ func TestIOREndToEndWithHeartbeats(t *testing.T) {
 // The file-per-process run creates one file per task, so no single
 // (min,max) allocation describes a repetition: its alloc column reads "-".
 func TestIORIdenticalAcrossWorkersAndObservers(t *testing.T) {
-	heartbeats := []string{"-hb-interval", "0.5", "-hb-timeout", "1", "-hb-offline", "2.5", "-rpc-timeout", "0.25"}
+	heartbeats := []string{"-hb-interval", "0.5", "-rpc-timeout", "0.25"}
 	for _, base := range [][]string{
 		{"-b", "64m", "-i", "12", "-r", "-nodes", "2", "-ppn", "2", "-count", "2"},
 		{"-F", "-b", "16m", "-i", "5", "-nodes", "2", "-ppn", "2", "-count", "3", "-scenario", "2"},

@@ -10,7 +10,7 @@
 //	                     [-scenario 1|2] [-chooser C | -config spec.json] [-hb-interval S ...] [campaign flags]
 //	beegfsim topology    [-scenario 1|2 | -config spec.json]
 //	beegfsim recommend   [-scenario 1|2] [-nodes N] [-ppn P] [-chooser C]
-//	beegfsim timeline    [-scenario 1|2] [-alloc m1,m2] [-size GiB] [-nodes N] [-ppn P]
+//	beegfsim timeline    [-scenario 1|2] [-alloc m1,m2] [-size GiB]
 //	beegfsim replay      [-scenario 1|2 | -config spec.json] -trace jobs.json [-pool N] [-seed S]
 //	beegfsim methodology [-scenario 1|2 | -config spec.json] [-reps R] [-maxnodes N] [-seed S]
 //
@@ -251,8 +251,6 @@ func timeline(args []string, w io.Writer) error {
 	pf := addPlatformFlags(fs, false, false)
 	allocStr := fs.String("alloc", "1,3", "targets per server, comma-separated")
 	size := fs.Int64("size", 32, "volume in GiB")
-	nodes := fs.Int("nodes", 8, "compute nodes")
-	ppn := fs.Int("ppn", 8, "processes per node")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -270,7 +268,7 @@ func timeline(args []string, w io.Writer) error {
 	}
 	alloc := core.NewAllocation(perHost)
 	m := core.Model{FS: p.FS, ClientNIC: p.ClientNICCapacity}
-	tl, err := m.Timeline(alloc, float64(*size)*1024, *nodes, *ppn)
+	tl, err := m.Timeline(alloc, float64(*size)*1024)
 	if err != nil {
 		return err
 	}

@@ -94,9 +94,9 @@ func TestTimeline(t *testing.T) {
 		t.Fatalf("no aggregate bandwidth:\n%s", got)
 	}
 	checkRejected(t, timeline, []rejected{
-		{"nodes 0", []string{"-nodes", "0"}},
-		{"ppn 0", []string{"-ppn", "0"}},
-		{"negative nodes", []string{"-nodes", "-1"}},
+		{"negative share", []string{"-alloc=-1,3"}},
+		{"share above targets per host", []string{"-alloc", "5,0"}},
+		{"third server", []string{"-alloc", "1,1,1"}},
 		{"bad alloc", []string{"-alloc", "1,x"}},
 		{"size 0", []string{"-size", "0"}},
 		{"scenario 3", []string{"-scenario", "3"}},

@@ -105,7 +105,6 @@ func TestAbortWithRetriesDisabledSurfacesError(t *testing.T) {
 func TestRetryReissuesRemainingVolume(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryTimeout = 0.5
-	cfg.RetryBackoffBase = 0.5
 	cfg.RetryMax = 8
 	sim, fs := newFS(t, cfg)
 	client := fs.NewClient("n1", 0)

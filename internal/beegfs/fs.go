@@ -84,14 +84,11 @@ type Config struct {
 	ClientA     float64
 	ClientGamma float64
 	// RetryTimeout is the virtual-time delay (seconds) before an I/O op
-	// aborted by a resource failure is re-issued. Zero disables retries:
-	// an aborted or non-issuable op fails immediately.
+	// aborted by a resource failure is re-issued; from the second retry on
+	// it also seeds a capped exponential backoff: retry k waits
+	// RetryTimeout + min(RetryTimeout·2^(k-2), 60·RetryTimeout). Zero
+	// disables retries: an aborted or non-issuable op fails immediately.
 	RetryTimeout float64
-	// RetryBackoffBase seeds the capped exponential backoff added on top
-	// of RetryTimeout from the second retry on: retry k waits
-	// RetryTimeout + min(RetryBackoffBase·2^(k-2), 60·RetryBackoffBase).
-	// Zero falls back to RetryTimeout.
-	RetryBackoffBase float64
 	// RetryMax bounds the number of re-issues per op; once exhausted the
 	// op fails with an *IOFailedError delivered to WriteOp.OnError.
 	RetryMax int
@@ -100,16 +97,11 @@ type Config struct {
 	// servers heartbeat every HeartbeatInterval seconds and the mgmtd
 	// publishes per-target Reachability from what it hears, so clients act
 	// on a *stale* cluster map between a fault firing and its detection.
-	// Zero (the default) keeps the legacy instant-detection model.
+	// A target silent for 2 intervals is demoted to ProbablyOffline (shed
+	// for new creates), and after 5 to Offline (clients stop selecting it;
+	// mirror failover applies). Zero (the default) keeps the legacy
+	// instant-detection model.
 	HeartbeatInterval float64
-	// HeartbeatTimeout is the silence after which a target is demoted to
-	// ProbablyOffline (shed for new creates). Zero defaults to
-	// 2·HeartbeatInterval.
-	HeartbeatTimeout float64
-	// OfflineTimeout is the silence after which a target is published
-	// Offline (clients stop selecting it; mirror failover applies). Zero
-	// defaults to 5·HeartbeatInterval. Must be ≥ HeartbeatTimeout.
-	OfflineTimeout float64
 	// RPCTimeout is the extra virtual-time penalty a client pays when it
 	// issues I/O against a target its stale view says is fine but that is
 	// actually dead — the time a real client burns waiting for the RPC to
@@ -166,17 +158,11 @@ func (c Config) Validate() error {
 	if c.ClientA < 0 || c.ClientGamma < 0 || c.ClientGamma > 1 {
 		return fmt.Errorf("beegfs: bad client ramp parameters")
 	}
-	if c.RetryTimeout < 0 || c.RetryBackoffBase < 0 || c.RetryMax < 0 {
+	if c.RetryTimeout < 0 || c.RetryMax < 0 {
 		return fmt.Errorf("beegfs: negative retry parameters")
 	}
-	if c.HeartbeatInterval < 0 || c.HeartbeatTimeout < 0 || c.OfflineTimeout < 0 || c.RPCTimeout < 0 {
+	if c.HeartbeatInterval < 0 || c.RPCTimeout < 0 {
 		return fmt.Errorf("beegfs: negative heartbeat parameters")
-	}
-	if c.HeartbeatTimeout > 0 && c.OfflineTimeout > 0 && c.OfflineTimeout < c.HeartbeatTimeout {
-		return fmt.Errorf("beegfs: OfflineTimeout %v below HeartbeatTimeout %v", c.OfflineTimeout, c.HeartbeatTimeout)
-	}
-	if c.HeartbeatInterval == 0 && (c.HeartbeatTimeout > 0 || c.OfflineTimeout > 0) {
-		return fmt.Errorf("beegfs: heartbeat timeouts set but HeartbeatInterval is zero")
 	}
 	return nil
 }
@@ -189,9 +175,8 @@ type FileSystem struct {
 	storage *storagesim.System
 	mgmtd   *Mgmtd
 	meta    *MetaService
-	// serverNIC maps each storage host to its network link resource
-	// (nil when ServerNICCapacity is 0).
-	serverNIC map[*storagesim.Host]*simnet.Resource
+	// hosts holds each storage host's state at the host's Index.
+	hosts []hostState
 	// clientRamp is the shared client-stack resource (nil when ClientA
 	// is 0); its capacity follows ClientA * activeClients^ClientGamma.
 	clientRamp    *simnet.Resource
@@ -199,10 +184,8 @@ type FileSystem struct {
 	// rampCap[n] memoizes cfg.clientAggregate(n), grown on demand
 	// (rampCapacity).
 	rampCap []float64
-	// rackOf maps each storage host to its rack index and rackUplink holds
-	// one uplink resource per rack; both are nil/empty when rack modelling
-	// is off (Config.RackHosts == 0).
-	rackOf     map[*storagesim.Host]int
+	// rackUplink holds one uplink resource per rack, empty when rack
+	// modelling is off (Config.RackHosts == 0).
 	rackUplink []*simnet.Resource
 	// core is the shared core-switch resource crossed by all cross-rack
 	// traffic, nil when Config.CoreCapacity is 0.
@@ -213,14 +196,6 @@ type FileSystem struct {
 	rackShare []float64
 	// mirrorCursor rotates buddy-group selection (CreateMirrored).
 	mirrorCursor int
-	// nicDown marks storage hosts whose network link is down (fault
-	// injection); their NIC resource is pinned to zero capacity and their
-	// targets are unavailable to new I/O until the link recovers.
-	nicDown map[*storagesim.Host]bool
-	// nicSlow holds per-host fail-slow NIC factors in (0,1) (SlowFault);
-	// absent = full speed. The factor multiplies the NIC's jittered
-	// capacity and survives ReJitter.
-	nicSlow map[*storagesim.Host]float64
 	// hb is the heartbeat monitor, nil when HeartbeatInterval is 0 (the
 	// legacy omniscient model).
 	hb *heartbeatMonitor
@@ -258,6 +233,32 @@ type FileSystem struct {
 	freeAttempts []*ioAttempt
 }
 
+// hostState is the file system's state of one storage host.
+type hostState struct {
+	// nic is the host's network link resource, nil when ServerNICCapacity
+	// is 0.
+	nic *simnet.Resource
+	// rack is the host's rack index, -1 when rack modelling is off.
+	rack int
+	// nicDown marks a failed network link (fault injection): the NIC is
+	// pinned to zero capacity and the host's targets are unavailable to
+	// new I/O until the link recovers.
+	nicDown bool
+	// nicSlow is the fail-slow NIC factor (SlowFault), 1 at full speed. It
+	// multiplies the NIC's jittered capacity and survives ReJitter.
+	nicSlow float64
+	// hbCut marks a partitioned control path to the mgmtd: the host's
+	// heartbeats are lost while its data path still moves bytes.
+	hbCut bool
+	// dataOnly marks a NIC outage that spares the heartbeat path (the
+	// converse partition): the mgmtd keeps publishing the host's targets
+	// Online while every I/O against them fails.
+	dataOnly bool
+}
+
+// host returns h's state.
+func (fs *FileSystem) host(h *storagesim.Host) *hostState { return &fs.hosts[h.Index()] }
+
 // NextRunSeq returns a fresh 1-based run number for this deployment. The
 // ior runner uses it to give every benchmark run a unique file path.
 func (fs *FileSystem) NextRunSeq() int {
@@ -293,38 +294,35 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 		return nil, err
 	}
 	fs := &FileSystem{
-		cfg:       cfg,
-		sim:       sim,
-		net:       net,
-		storage:   sys,
-		mgmtd:     mgmtd,
-		meta:      meta,
-		serverNIC: make(map[*storagesim.Host]*simnet.Resource),
-		nicDown:   make(map[*storagesim.Host]bool),
-		nicSlow:   make(map[*storagesim.Host]float64),
-		dirty:     make(map[string]*File),
+		cfg:     cfg,
+		sim:     sim,
+		net:     net,
+		storage: sys,
+		mgmtd:   mgmtd,
+		meta:    meta,
+		hosts:   make([]hostState, len(sys.Hosts())),
+		dirty:   make(map[string]*File),
 	}
 	if cfg.HeartbeatInterval > 0 {
 		fs.hb = newHeartbeatMonitor(fs)
 	}
-	if cfg.ServerNICCapacity > 0 {
-		for _, h := range sys.Hosts() {
-			fs.serverNIC[h] = net.AddResource(h.Name+"/nic", cfg.ServerNICCapacity)
+	for i, h := range sys.Hosts() {
+		fs.hosts[i].rack = -1
+		if cfg.ServerNICCapacity > 0 {
+			fs.hosts[i].nic = net.AddResource(h.Name+"/nic", cfg.ServerNICCapacity)
 		}
 	}
 	if cfg.ClientA > 0 {
 		fs.clientRamp = net.AddResource("clientstack", cfg.ClientA)
 	}
 	if cfg.RackHosts > 0 {
-		fs.rackOf = make(map[*storagesim.Host]int)
-		hosts := sys.Hosts()
-		racks := (len(hosts) + cfg.RackHosts - 1) / cfg.RackHosts
+		racks := (len(fs.hosts) + cfg.RackHosts - 1) / cfg.RackHosts
 		fs.rackUplink = make([]*simnet.Resource, racks)
 		for r := 0; r < racks; r++ {
 			fs.rackUplink[r] = net.AddResource(fmt.Sprintf("rack%02d/uplink", r), cfg.RackUplinkCapacity)
 		}
-		for i, h := range hosts {
-			fs.rackOf[h] = i / cfg.RackHosts
+		for i := range fs.hosts {
+			fs.hosts[i].rack = i / cfg.RackHosts
 		}
 		fs.rackShare = make([]float64, racks)
 		// The uplinks and the core are the fabric aggregates that couple
@@ -344,9 +342,13 @@ func New(sim *simkernel.Simulation, net *simnet.Network, cfg Config) (*FileSyste
 }
 
 // init sets the per-run values New and Reset share beyond the zero state:
-// the file system's mgmtd subscription and the metadata service's
-// latencies and rate.
+// every host's link up at full speed with no partition, the file system's
+// mgmtd subscription and the metadata service's rate.
 func (fs *FileSystem) init() {
+	for i := range fs.hosts {
+		h := &fs.hosts[i]
+		*h = hostState{nic: h.nic, rack: h.rack, nicSlow: 1}
+	}
 	fs.mgmtd.SubscribeReach(func(t *storagesim.Target, from, to Reachability) {
 		if fs.stats != nil {
 			fs.stats.ReachTransitions++
@@ -356,8 +358,6 @@ func (fs *FileSystem) init() {
 			fs.startResyncs()
 		}
 	})
-	fs.meta.CreateLatency = fs.cfg.CreateLatency
-	fs.meta.OpenLatency = fs.cfg.OpenLatency
 	fs.meta.OpRate = fs.cfg.MDSOpRate
 }
 
@@ -377,10 +377,8 @@ func (fs *FileSystem) Reset(chooser TargetChooser) error {
 	fs.mgmtd.reset()
 	fs.meta.reset(fs.cfg.DefaultPattern)
 	if fs.hb != nil {
-		fs.hb.reset()
+		fs.hb.sweep = nil
 	}
-	clear(fs.nicDown)
-	clear(fs.nicSlow)
 	clear(fs.dirty)
 	clear(fs.rackShare)
 	for _, c := range fs.clients {
@@ -395,14 +393,11 @@ func (fs *FileSystem) Reset(chooser TargetChooser) error {
 		storage:      fs.storage,
 		mgmtd:        fs.mgmtd,
 		meta:         fs.meta,
-		serverNIC:    fs.serverNIC,
+		hosts:        fs.hosts,
 		clientRamp:   fs.clientRamp,
-		rackOf:       fs.rackOf,
 		rackUplink:   fs.rackUplink,
 		core:         fs.core,
 		rackShare:    fs.rackShare,
-		nicDown:      fs.nicDown,
-		nicSlow:      fs.nicSlow,
 		hb:           fs.hb,
 		dirty:        fs.dirty,
 		rampCap:      fs.rampCap,
@@ -431,12 +426,7 @@ func (fs *FileSystem) Core() *simnet.Resource { return fs.core }
 
 // RackOf returns the rack index of a storage host (-1 when rack modelling
 // is off).
-func (fs *FileSystem) RackOf(h *storagesim.Host) int {
-	if fs.rackOf == nil {
-		return -1
-	}
-	return fs.rackOf[h]
-}
+func (fs *FileSystem) RackOf(h *storagesim.Host) int { return fs.host(h).rack }
 
 // noteClientOps adjusts a client's in-flight write count and updates the
 // shared client-stack capacity when the number of active nodes changes.
@@ -507,7 +497,7 @@ func (fs *FileSystem) Sim() *simkernel.Simulation { return fs.sim }
 
 // ServerNIC returns host's network link resource, or nil when the network
 // side is unconstrained.
-func (fs *FileSystem) ServerNIC(h *storagesim.Host) *simnet.Resource { return fs.serverNIC[h] }
+func (fs *FileSystem) ServerNIC(h *storagesim.Host) *simnet.Resource { return fs.host(h).nic }
 
 // Client is a compute node's mount of the file system: it owns the node's
 // NIC resource.
@@ -1017,7 +1007,7 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 				usage = append(usage, simnet.ResourceShare{Res: t.Resource(), W: w})
 				hostShares = addHostShare(hostShares, t.Host(), w)
 				if rackShare != nil {
-					if r := fs.rackOf[t.Host()]; r != clientRack {
+					if r := fs.host(t.Host()).rack; r != clientRack {
 						rackShare[r] += w
 						crossTotal += w
 					}
@@ -1031,7 +1021,7 @@ func (fs *FileSystem) issue(plan *ioPlan, volMiB float64) (*simnet.Flow, error) 
 		addSide(secondaries)
 		for _, hs := range hostShares {
 			usage = append(usage, simnet.ResourceShare{Res: hs.h.Controller(), W: hs.w})
-			if nic := fs.serverNIC[hs.h]; nic != nil {
+			if nic := fs.host(hs.h).nic; nic != nil {
 				usage = append(usage, simnet.ResourceShare{Res: nic, W: hs.w})
 			}
 		}
@@ -1103,10 +1093,10 @@ func addHostShare(shares []hostShare, h *storagesim.Host, w float64) []hostShare
 }
 
 // targetAvailable reports whether new I/O may be directed at t: the
-// management service considers it online, neither the target nor its host
-// has failed, and the host's network link is up.
+// management service publishes it online and ground truth says it is not
+// dead.
 func (fs *FileSystem) targetAvailable(t *storagesim.Target) bool {
-	return fs.mgmtd.IsOnline(t.ID) && !t.Failed() && !t.Host().Failed() && !fs.nicDown[t.Host()]
+	return fs.mgmtd.online(t) && !fs.groundDead(t)
 }
 
 // replicaAvailable is the availability predicate the client applies when
@@ -1116,7 +1106,7 @@ func (fs *FileSystem) targetAvailable(t *storagesim.Target) bool {
 // target looks fine until the state machine demotes it.
 func (fs *FileSystem) replicaAvailable(t *storagesim.Target) bool {
 	if fs.hb != nil {
-		return fs.mgmtd.IsOnline(t.ID)
+		return fs.mgmtd.online(t)
 	}
 	return fs.targetAvailable(t)
 }
@@ -1126,7 +1116,7 @@ func (fs *FileSystem) replicaAvailable(t *storagesim.Target) bool {
 // (NIC down with heartbeats spared) still kills data RPCs; a fail-slow
 // target does not — it answers, just slowly.
 func (fs *FileSystem) groundDead(t *storagesim.Target) bool {
-	return t.Failed() || t.Host().Failed() || fs.nicDown[t.Host()]
+	return t.Failed() || t.Host().Failed() || fs.host(t.Host()).nicDown
 }
 
 // staleStripe scans an issue's selected replicas for one that ground
@@ -1208,18 +1198,15 @@ func (fs *FileSystem) selectReplicas(f *File, read bool, dist []int64, pBuf, sBu
 // retryDelay returns the virtual-time wait before re-issue number attempt:
 // the plain timeout first, then timeout plus capped exponential backoff.
 func (fs *FileSystem) retryDelay(attempt int) float64 {
+	timeout := fs.cfg.RetryTimeout
 	if attempt <= 1 {
-		return fs.cfg.RetryTimeout
+		return timeout
 	}
-	base := fs.cfg.RetryBackoffBase
-	if base <= 0 {
-		base = fs.cfg.RetryTimeout
-	}
-	d := base * math.Pow(2, float64(attempt-2))
-	if max := 60 * base; d > max {
+	d := timeout * math.Pow(2, float64(attempt-2))
+	if max := 60 * timeout; d > max {
 		d = max
 	}
-	return fs.cfg.RetryTimeout + d
+	return timeout + d
 }
 
 // retryLater schedules the plan's remaining volume for re-issue after the
@@ -1316,11 +1303,11 @@ func (fs *FileSystem) noteDegradedWrite(f *File, plan *ioPlan, primaries, second
 			}
 			if primaries[i] == nil {
 				f.dirtyP[i] += bytes
-				_ = fs.mgmtd.SetConsistency(f.Targets[i].ID, NeedsResync)
+				fs.mgmtd.state(f.Targets[i]).consistency = NeedsResync
 			}
 			if secondaries[i] == nil {
 				f.dirtyS[i] += bytes
-				_ = fs.mgmtd.SetConsistency(f.mirrors[i].ID, NeedsResync)
+				fs.mgmtd.state(f.mirrors[i]).consistency = NeedsResync
 			}
 			dirtied = true
 		}
@@ -1397,7 +1384,7 @@ func (fs *FileSystem) startResync(f *File) {
 	}
 	for _, hs := range hostShares {
 		usage = append(usage, simnet.ResourceShare{Res: hs.h.Controller(), W: hs.w})
-		if nic := fs.serverNIC[hs.h]; nic != nil {
+		if nic := fs.host(hs.h).nic; nic != nil {
 			usage = append(usage, simnet.ResourceShare{Res: nic, W: hs.w})
 		}
 	}
@@ -1451,41 +1438,30 @@ func (fs *FileSystem) startResync(f *File) {
 }
 
 // resyncEligible reports whether a resync flow may read from or write to
-// t: available in ground truth, published as usable when heartbeats are
-// on (the resyncer acts on the same cluster map as any client), and not
-// condemned Bad.
+// t: available in ground truth and in the published map (the resyncer
+// acts on the same cluster map as any client), and not condemned Bad.
 func (fs *FileSystem) resyncEligible(t *storagesim.Target) bool {
-	if !fs.targetAvailable(t) {
-		return false
-	}
-	if fs.hb != nil && !fs.mgmtd.IsOnline(t.ID) {
-		return false
-	}
-	return fs.mgmtd.Consistency(t.ID) != Bad
+	return fs.targetAvailable(t) && fs.mgmtd.state(t).consistency != Bad
 }
 
 // refreshConsistency restores the Good verdict for every NeedsResync
-// target no dirty file still depends on. Called when a file's dirt is
-// fully cleared by a resync's completion; the scan is guarded so
-// fault-free runs never pay for it.
+// target no dirty file still depends on. Only a resync's completion calls
+// it, once the file's dirt is fully cleared.
 func (fs *FileSystem) refreshConsistency() {
-	if !fs.mgmtd.hasConsistencyMarks() {
-		return
-	}
-	needed := make(map[int]bool)
+	needed := make([]bool, len(fs.mgmtd.targets))
 	for _, f := range fs.dirty {
-		for i := range f.Targets {
+		for i, t := range f.Targets {
 			if f.dirtyP[i] > 0 {
-				needed[f.Targets[i].ID] = true
+				needed[t.Index()] = true
 			}
 			if f.dirtyS[i] > 0 {
-				needed[f.mirrors[i].ID] = true
+				needed[f.mirrors[i].Index()] = true
 			}
 		}
 	}
-	for _, t := range fs.mgmtd.order {
-		if fs.mgmtd.Consistency(t.ID) == NeedsResync && !needed[t.ID] {
-			_ = fs.mgmtd.SetConsistency(t.ID, Good)
+	for i := range fs.mgmtd.targets {
+		if st := &fs.mgmtd.targets[i]; st.consistency == NeedsResync && !needed[i] {
+			st.consistency = Good
 		}
 	}
 }
@@ -1503,23 +1479,16 @@ func (fs *FileSystem) DirtyFiles() int { return len(fs.dirty) }
 // become unavailable to new I/O. Restoring the link re-checks pending
 // mirror resyncs.
 func (fs *FileSystem) SetNICDown(h *storagesim.Host, down bool) {
-	if fs.nicDown[h] == down {
+	hs := fs.host(h)
+	if hs.nicDown == down {
 		return
 	}
-	if down {
-		fs.nicDown[h] = true
-	} else {
-		delete(fs.nicDown, h)
-	}
-	if nic := fs.serverNIC[h]; nic != nil {
+	hs.nicDown = down
+	if hs.nic != nil {
 		if down {
-			fs.net.SetCapacity(nic, 0)
+			fs.net.SetCapacity(hs.nic, 0)
 		} else {
-			cap := fs.cfg.ServerNICCapacity
-			if f := fs.nicSlow[h]; f != 0 && f != 1 {
-				cap *= f
-			}
-			fs.net.SetCapacity(nic, cap)
+			fs.net.SetCapacity(hs.nic, fs.cfg.ServerNICCapacity*hs.nicSlow)
 		}
 	}
 	if !down {
@@ -1528,42 +1497,28 @@ func (fs *FileSystem) SetNICDown(h *storagesim.Host, down bool) {
 }
 
 // NICDown reports whether the host's network link is failed.
-func (fs *FileSystem) NICDown(h *storagesim.Host) bool { return fs.nicDown[h] }
+func (fs *FileSystem) NICDown(h *storagesim.Host) bool { return fs.host(h).nicDown }
 
-// SetNICSlow pins (factor in (0,1)) or restores (factor 0 or 1) a host's
-// NIC to a fraction of its capacity — the network half of a fail-slow
-// gray failure. Unlike SetNICDown it aborts nothing, the host's targets
-// stay available, and heartbeats keep flowing: nothing in the control
-// plane ever notices. The factor survives ReJitter (the cluster layer
+// SetNICSlow pins (factor in (0,1)) or restores (factor 1) a host's NIC
+// to a fraction of its capacity — the network half of a fail-slow gray
+// failure. Unlike SetNICDown it aborts nothing, the host's targets stay
+// available, and heartbeats keep flowing: nothing in the control plane
+// ever notices. The factor survives ReJitter (the cluster layer
 // multiplies it back in) and composes with an overlapping outage.
 func (fs *FileSystem) SetNICSlow(h *storagesim.Host, factor float64) {
-	old := fs.nicSlow[h]
-	if old == 0 {
-		old = 1
-	}
-	if factor == 0 {
-		factor = 1
-	}
+	hs := fs.host(h)
+	old := hs.nicSlow
 	if factor == old {
 		return
 	}
-	if factor == 1 {
-		delete(fs.nicSlow, h)
-	} else {
-		fs.nicSlow[h] = factor
-	}
-	if nic := fs.serverNIC[h]; nic != nil && !fs.nicDown[h] {
-		fs.net.SetCapacity(nic, nic.Capacity()/old*factor)
+	hs.nicSlow = factor
+	if hs.nic != nil && !hs.nicDown {
+		fs.net.SetCapacity(hs.nic, hs.nic.Capacity()/old*factor)
 	}
 }
 
 // NICSlowFactor returns the host's fail-slow NIC factor (1 = full speed).
-func (fs *FileSystem) NICSlowFactor(h *storagesim.Host) float64 {
-	if f := fs.nicSlow[h]; f != 0 {
-		return f
-	}
-	return 1
-}
+func (fs *FileSystem) NICSlowFactor(h *storagesim.Host) float64 { return fs.host(h).nicSlow }
 
 // precheckCapacity rejects writes that would overflow a stripe target,
 // projecting the file's dense size after the regions complete. Concurrent

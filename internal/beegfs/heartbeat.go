@@ -10,8 +10,10 @@ import (
 // heartbeatMonitor simulates the mgmtd side of BeeGFS's heartbeat
 // protocol. Storage servers send a heartbeat per target every
 // HeartbeatInterval; the mgmtd demotes a target to ProbablyOffline after
-// HeartbeatTimeout without one and to Offline after OfflineTimeout, and
-// promotes it back to Online on the first heartbeat that gets through.
+// 2 intervals without one and to Offline after 5, and promotes it back to
+// Online on the first heartbeat that gets through. The last heartbeat
+// heard from each target is in the mgmtd's target state; the host
+// partitions are in the file system's host state.
 //
 // Rather than scheduling a sweep event every interval forever (which would
 // keep the kernel queue non-empty and break every campaign's "step until
@@ -28,51 +30,14 @@ type heartbeatMonitor struct {
 	interval float64
 	timeout  float64 // → ProbablyOffline
 	offline  float64 // → Offline
-	// lastSeen records the virtual time of the last heartbeat received per
-	// target ID.
-	lastSeen map[int]simkernel.Time
-	// cut marks hosts whose control path to the mgmtd is partitioned:
-	// heartbeats are lost even though the data path still moves bytes.
-	cut map[*storagesim.Host]bool
-	// dataOnly marks hosts whose *data* NIC outage spares the heartbeat
-	// path (the converse partition): fs.nicDown is set but heartbeats
-	// still arrive, so the mgmtd keeps publishing the target as Online
-	// while every stale I/O against it fails.
-	dataOnly map[*storagesim.Host]bool
 	// sweep is the pending sweep event, nil or fired when the chain is
 	// stopped.
 	sweep *simkernel.Event
 }
 
 func newHeartbeatMonitor(fs *FileSystem) *heartbeatMonitor {
-	cfg := fs.cfg
-	timeout := cfg.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = 2 * cfg.HeartbeatInterval
-	}
-	offline := cfg.OfflineTimeout
-	if offline <= 0 {
-		offline = 5 * cfg.HeartbeatInterval
-	}
-	return &heartbeatMonitor{
-		fs:       fs,
-		interval: cfg.HeartbeatInterval,
-		timeout:  timeout,
-		offline:  offline,
-		lastSeen: make(map[int]simkernel.Time),
-		cut:      make(map[*storagesim.Host]bool),
-		dataOnly: make(map[*storagesim.Host]bool),
-	}
-}
-
-// reset returns the monitor to the state newHeartbeatMonitor creates it
-// in: no heartbeat, partition or pending sweep, the same timing.
-func (m *heartbeatMonitor) reset() {
-	clear(m.lastSeen)
-	clear(m.cut)
-	clear(m.dataOnly)
-	*m = heartbeatMonitor{fs: m.fs, interval: m.interval, timeout: m.timeout, offline: m.offline,
-		lastSeen: m.lastSeen, cut: m.cut, dataOnly: m.dataOnly}
+	interval := fs.cfg.HeartbeatInterval
+	return &heartbeatMonitor{fs: fs, interval: interval, timeout: 2 * interval, offline: 5 * interval}
 }
 
 // alive reports heartbeat ground truth: would a heartbeat for t reach the
@@ -80,21 +45,18 @@ func (m *heartbeatMonitor) reset() {
 // target keeps heartbeating on schedule, which is exactly why gray
 // failures are dangerous.
 func (m *heartbeatMonitor) alive(t *storagesim.Target) bool {
-	h := t.Host()
-	if t.Failed() || h.Failed() || m.cut[h] {
+	hs := m.fs.host(t.Host())
+	if t.Failed() || t.Host().Failed() || hs.hbCut {
 		return false
 	}
-	if m.fs.nicDown[h] && !m.dataOnly[h] {
-		return false
-	}
-	return true
+	return !hs.nicDown || hs.dataOnly
 }
 
 // steady reports whether every target's published reachability agrees
 // with heartbeat ground truth, i.e. no detection or recovery is pending.
 func (m *heartbeatMonitor) steady() bool {
 	for _, t := range m.fs.mgmtd.order {
-		r := m.fs.mgmtd.Reachability(t.ID)
+		r := m.fs.mgmtd.state(t).reach
 		if m.alive(t) {
 			if r != Online {
 				return false
@@ -109,10 +71,10 @@ func (m *heartbeatMonitor) steady() bool {
 // kick (re)starts the sweep chain if some target is out of steady state.
 // The injector calls it after every applied fault event. While the chain
 // was stopped no heartbeats were being recorded, so the kick first
-// back-fills lastSeen for every still-Online target with the most recent
-// interval tick: the target was provably alive until this very instant
-// (the chain only stops in steady state), so every scheduled heartbeat up
-// to and including that tick was delivered.
+// back-fills the last heartbeat of every still-Online target with the
+// most recent interval tick: the target was provably alive until this
+// very instant (the chain only stops in steady state), so every scheduled
+// heartbeat up to and including that tick was delivered.
 func (m *heartbeatMonitor) kick() {
 	if m.sweep != nil && m.sweep.Scheduled() {
 		return
@@ -120,8 +82,8 @@ func (m *heartbeatMonitor) kick() {
 	now := m.fs.sim.Now()
 	lastTick := simkernel.Time(math.Floor(float64(now)/m.interval) * m.interval)
 	for _, t := range m.fs.mgmtd.order {
-		if m.fs.mgmtd.Reachability(t.ID) == Online {
-			m.lastSeen[t.ID] = lastTick
+		if st := m.fs.mgmtd.state(t); st.reach == Online {
+			st.lastSeen = lastTick
 		}
 	}
 	// A kick is also the heartbeat model's "world changed" signal for the
@@ -145,21 +107,21 @@ func (m *heartbeatMonitor) runSweep() {
 	mg := m.fs.mgmtd
 	promoted := false
 	for _, t := range mg.order {
+		st := mg.state(t)
 		if m.alive(t) {
-			m.lastSeen[t.ID] = now
-			if mg.Reachability(t.ID) != Online {
-				_ = mg.SetReachability(t.ID, Online)
+			st.lastSeen = now
+			if st.reach != Online {
+				mg.setReach(t, Online)
 				promoted = true
 			}
 			continue
 		}
-		silent := float64(now - m.lastSeen[t.ID])
-		r := mg.Reachability(t.ID)
+		silent := float64(now - st.lastSeen)
 		switch {
-		case silent >= m.offline && r != Offline:
-			_ = mg.SetReachability(t.ID, Offline)
-		case silent >= m.timeout && r == Online:
-			_ = mg.SetReachability(t.ID, ProbablyOffline)
+		case silent >= m.offline && st.reach != Offline:
+			mg.setReach(t, Offline)
+		case silent >= m.timeout && st.reach == Online:
+			mg.setReach(t, ProbablyOffline)
 		}
 	}
 	if m.fs.stats != nil {
@@ -202,18 +164,12 @@ func (fs *FileSystem) SetHeartbeatCut(h *storagesim.Host, cut bool) {
 	if fs.hb == nil {
 		return
 	}
-	if cut {
-		fs.hb.cut[h] = true
-	} else {
-		delete(fs.hb.cut, h)
-	}
+	fs.host(h).hbCut = cut
 	fs.hb.kick()
 }
 
 // HeartbeatCut reports whether the host's control path is partitioned.
-func (fs *FileSystem) HeartbeatCut(h *storagesim.Host) bool {
-	return fs.hb != nil && fs.hb.cut[h]
-}
+func (fs *FileSystem) HeartbeatCut(h *storagesim.Host) bool { return fs.host(h).hbCut }
 
 // SetDataOnlyPartition marks (or clears) the converse partition for a
 // host: its NIC outage (fs.SetNICDown) affects only the data path, with
@@ -224,16 +180,10 @@ func (fs *FileSystem) SetDataOnlyPartition(h *storagesim.Host, on bool) {
 	if fs.hb == nil {
 		return
 	}
-	if on {
-		fs.hb.dataOnly[h] = true
-	} else {
-		delete(fs.hb.dataOnly, h)
-	}
+	fs.host(h).dataOnly = on
 	fs.hb.kick()
 }
 
 // DataOnlyPartition reports whether the host's NIC outage spares
 // heartbeats.
-func (fs *FileSystem) DataOnlyPartition(h *storagesim.Host) bool {
-	return fs.hb != nil && fs.hb.dataOnly[h]
-}
+func (fs *FileSystem) DataOnlyPartition(h *storagesim.Host) bool { return fs.host(h).dataOnly }

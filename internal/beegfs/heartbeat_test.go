@@ -11,8 +11,6 @@ import (
 func hbConfig() Config {
 	cfg := testConfig()
 	cfg.HeartbeatInterval = 0.5
-	cfg.HeartbeatTimeout = 1.0
-	cfg.OfflineTimeout = 2.5
 	cfg.RPCTimeout = 0.25
 	return cfg
 }
@@ -26,21 +24,11 @@ func TestHeartbeatConfigValidation(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative interval accepted")
 	}
-	bad = hbConfig()
-	bad.OfflineTimeout = 0.5 // below HeartbeatTimeout
-	if bad.Validate() == nil {
-		t.Fatal("offline timeout below heartbeat timeout accepted")
-	}
-	bad = hbConfig()
-	bad.HeartbeatInterval = 0 // timeouts without an interval
-	if bad.Validate() == nil {
-		t.Fatal("timeouts without heartbeat interval accepted")
-	}
 }
 
 // A failed target climbs the reachability ladder on heartbeat-sweep
-// boundaries: ProbablyOffline once HeartbeatTimeout of silence has
-// accumulated, Offline at OfflineTimeout, and back to Online on the first
+// boundaries: ProbablyOffline once 2 intervals of silence have
+// accumulated, Offline at 5, and back to Online on the first
 // sweep after recovery. The sweep chain must also stop afterwards so the
 // simulation drains.
 func TestHeartbeatDetectionLadder(t *testing.T) {

@@ -12,12 +12,11 @@ import (
 )
 
 // retryDelay's documented schedule: RetryTimeout alone for the first
-// re-issue, then RetryTimeout + min(RetryBackoffBase*2^(k-2),
-// 60*RetryBackoffBase) for attempt k.
+// re-issue, then RetryTimeout + min(RetryTimeout*2^(k-2),
+// 60*RetryTimeout) for attempt k.
 func TestRetryDelaySchedule(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryTimeout = 0.5
-	cfg.RetryBackoffBase = 0.5
 	cfg.RetryMax = 32
 	_, fs := newFS(t, cfg)
 	cases := []struct {
@@ -38,19 +37,19 @@ func TestRetryDelaySchedule(t *testing.T) {
 	}
 }
 
-// With RetryBackoffBase zero, the backoff falls back to RetryTimeout as
-// its base instead of collapsing to an instant-retry storm.
+// The backoff's base and cap scale with RetryTimeout, so a shorter
+// timeout backs off proportionally faster instead of keeping a fixed
+// schedule.
 func TestRetryDelayZeroBaseFallback(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryTimeout = 0.25
-	cfg.RetryBackoffBase = 0
 	cfg.RetryMax = 8
 	_, fs := newFS(t, cfg)
 	if got, want := fs.retryDelay(2), 0.25+0.25; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("retryDelay(2) = %v, want %v (base falls back to RetryTimeout)", got, want)
+		t.Fatalf("retryDelay(2) = %v, want %v (the base is RetryTimeout)", got, want)
 	}
 	if got, want := fs.retryDelay(12), 0.25+60*0.25; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("retryDelay(12) = %v, want %v (cap uses the fallback base)", got, want)
+		t.Fatalf("retryDelay(12) = %v, want %v (the cap is 60 RetryTimeouts)", got, want)
 	}
 }
 
@@ -60,7 +59,6 @@ func TestRetryDelayZeroBaseFallback(t *testing.T) {
 func TestRetryExhaustionMatchesStats(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryTimeout = 0.5
-	cfg.RetryBackoffBase = 0.5
 	cfg.RetryMax = 3
 	sim, fs := newFS(t, cfg)
 	var st Stats
@@ -107,7 +105,6 @@ func TestRetryExhaustionMatchesStats(t *testing.T) {
 func TestFlowNamesMatchFormat(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetryTimeout = 0.5
-	cfg.RetryBackoffBase = 0.5
 	cfg.RetryMax = 4
 	sim, fs := newFS(t, cfg)
 	client := fs.NewClient("n1", 0)

@@ -17,13 +17,20 @@ import (
 // stale-view I/O possible between a fault firing and the mgmtd noticing.
 type Mgmtd struct {
 	order []*storagesim.Target
-	// byID indexes order by target ID.
+	// byID indexes order by target ID for the ID-addressed API.
 	byID map[int]*storagesim.Target
-	// reach holds each target's published reachability; absent = Online.
-	reach map[int]Reachability
-	// consistency holds each target's data-trust verdict; absent = Good.
-	consistency map[int]Consistency
-	reachSubs   []func(t *storagesim.Target, from, to Reachability)
+	// targets holds each target's published state at the target's Index.
+	targets   []targetState
+	reachSubs []func(t *storagesim.Target, from, to Reachability)
+}
+
+// targetState is the mgmtd's state of one target. The zero value is a
+// fresh target: Online, Good, never heard from.
+type targetState struct {
+	reach       Reachability
+	consistency Consistency
+	// lastSeen is the virtual time of the last heartbeat received.
+	lastSeen simkernel.Time
 }
 
 // NewMgmtd registers the targets in the given order. The order matters:
@@ -38,25 +45,32 @@ func NewMgmtd(order []*storagesim.Target) (*Mgmtd, error) {
 		if byID[t.ID] != nil {
 			return nil, fmt.Errorf("beegfs: duplicate target %d in registration order", t.ID)
 		}
+		if t.Index() >= len(order) {
+			return nil, fmt.Errorf("beegfs: target %d has index %d, beyond the %d registered targets", t.ID, t.Index(), len(order))
+		}
 		byID[t.ID] = t
 	}
 	return &Mgmtd{
-		order:       append([]*storagesim.Target(nil), order...),
-		byID:        byID,
-		reach:       make(map[int]Reachability),
-		consistency: make(map[int]Consistency),
+		order:   append([]*storagesim.Target(nil), order...),
+		byID:    byID,
+		targets: make([]targetState, len(order)),
 	}, nil
 }
 
 // reset returns the service to the state NewMgmtd creates it in: every
-// target published Online and Good, no subscriber, the same registration
-// order.
+// target published Online and Good and never heard from, no subscriber,
+// the same registration order.
 func (m *Mgmtd) reset() {
-	clear(m.reach)
-	clear(m.consistency)
+	clear(m.targets)
 	clear(m.reachSubs)
-	*m = Mgmtd{order: m.order, byID: m.byID, reach: m.reach, consistency: m.consistency, reachSubs: m.reachSubs[:0]}
+	m.reachSubs = m.reachSubs[:0]
 }
+
+// state returns t's state.
+func (m *Mgmtd) state(t *storagesim.Target) *targetState { return &m.targets[t.Index()] }
+
+// online reports whether t is published as usable (anything but Offline).
+func (m *Mgmtd) online(t *storagesim.Target) bool { return m.state(t).reach != Offline }
 
 // PlaFRIMOrder returns the registration order reported by the paper for
 // PlaFRIM's two-host, four-targets-each deployment:
@@ -104,7 +118,7 @@ func InterleavedOrder(sys *storagesim.System) []*storagesim.Target {
 func (m *Mgmtd) Online() []*storagesim.Target {
 	out := make([]*storagesim.Target, 0, len(m.order))
 	for _, t := range m.order {
-		if m.reach[t.ID] != Offline {
+		if m.online(t) {
 			out = append(out, t)
 		}
 	}
@@ -119,7 +133,7 @@ func (m *Mgmtd) Online() []*storagesim.Target {
 func (m *Mgmtd) CreationCandidates() []*storagesim.Target {
 	out := make([]*storagesim.Target, 0, len(m.order))
 	for _, t := range m.order {
-		if m.reach[t.ID] == Online && m.consistency[t.ID] != Bad {
+		if st := m.state(t); st.reach == Online && st.consistency != Bad {
 			out = append(out, t)
 		}
 	}
@@ -137,50 +151,40 @@ func (m *Mgmtd) All() []*storagesim.Target {
 // IsOnline reports whether the target with the given ID is published as
 // usable (anything but Offline). Unknown IDs report false.
 func (m *Mgmtd) IsOnline(id int) bool {
-	if m.reach[id] == Offline {
-		return false
-	}
-	return m.find(id) != nil
+	t := m.byID[id]
+	return t != nil && m.online(t)
 }
 
 // Reachability returns the published reachability of a target. Unknown IDs
 // report Offline.
 func (m *Mgmtd) Reachability(id int) Reachability {
-	if m.find(id) == nil {
+	t := m.byID[id]
+	if t == nil {
 		return Offline
 	}
-	return m.reach[id]
+	return m.state(t).reach
 }
 
 // Consistency returns the published consistency of a target. Unknown IDs
 // report Bad.
 func (m *Mgmtd) Consistency(id int) Consistency {
-	if m.find(id) == nil {
+	t := m.byID[id]
+	if t == nil {
 		return Bad
 	}
-	return m.consistency[id]
+	return m.state(t).consistency
 }
 
 // SetConsistency publishes a target's consistency verdict. Unknown IDs
 // return an error.
 func (m *Mgmtd) SetConsistency(id int, c Consistency) error {
-	if m.find(id) == nil {
+	t := m.byID[id]
+	if t == nil {
 		return fmt.Errorf("beegfs: unknown target %d", id)
 	}
-	if c == Good {
-		delete(m.consistency, id)
-	} else {
-		m.consistency[id] = c
-	}
+	m.state(t).consistency = c
 	return nil
 }
-
-// hasConsistencyMarks reports whether any target is currently published as
-// other than Good — a cheap guard so the Good-restoring rescan only runs
-// when there is something to restore.
-func (m *Mgmtd) hasConsistencyMarks() bool { return len(m.consistency) > 0 }
-
-func (m *Mgmtd) find(id int) *storagesim.Target { return m.byID[id] }
 
 // SubscribeReach registers a callback fired on every effective
 // reachability transition, in registration order; redundant updates do
@@ -194,23 +198,25 @@ func (m *Mgmtd) SubscribeReach(fn func(t *storagesim.Target, from, to Reachabili
 // Redundant updates are no-ops; effective ones notify the reach
 // subscribers (the tracer among them). Unknown IDs return an error.
 func (m *Mgmtd) SetReachability(id int, to Reachability) error {
-	t := m.find(id)
+	t := m.byID[id]
 	if t == nil {
 		return fmt.Errorf("beegfs: unknown target %d", id)
 	}
-	from := m.reach[id]
+	m.setReach(t, to)
+	return nil
+}
+
+// setReach publishes t's reachability as SetReachability does.
+func (m *Mgmtd) setReach(t *storagesim.Target, to Reachability) {
+	st := m.state(t)
+	from := st.reach
 	if from == to {
-		return nil
+		return
 	}
-	if to == Online {
-		delete(m.reach, id)
-	} else {
-		m.reach[id] = to
-	}
+	st.reach = to
 	for _, fn := range m.reachSubs {
 		fn(t, from, to)
 	}
-	return nil
 }
 
 // SetOnline marks a target fully Online (true) or Offline (false) — the
@@ -287,17 +293,13 @@ func (f *File) TargetIDs() []int {
 }
 
 // MetaService models one BeeGFS metadata server (MDS) with its metadata
-// target (MDT). It owns the file-system tree, per-directory stripe
-// defaults, and charges a fixed virtual-time cost per metadata operation
-// (consumed by the workload layer when timing runs, since IOR's reported
-// bandwidth includes open/create).
+// target (MDT). It owns the file-system tree and per-directory stripe
+// defaults, and queues metadata operations at its sustained rate. The
+// per-operation create and open latencies the workload layer charges come
+// from Config.
 type MetaService struct {
 	files map[string]*File
 	dirs  map[string]StripePattern
-	// CreateLatency and OpenLatency are the virtual-time costs (seconds)
-	// of creating and opening a file.
-	CreateLatency float64
-	OpenLatency   float64
 	// OpRate is the MDS's sustained metadata throughput in operations per
 	// second (0 = unlimited). Bursts of operations beyond it queue — the
 	// mechanism that makes file-per-process runs with many ranks
@@ -346,7 +348,7 @@ func NewMetaService(defaultPattern StripePattern) (*MetaService, error) {
 
 // reset returns the service to the state NewMetaService creates it in: an
 // empty tree under a root directory carrying defaultPattern, no operation
-// counts, an idle queue and zero latencies.
+// counts, an idle queue and no rate limit.
 func (m *MetaService) reset(defaultPattern StripePattern) {
 	clear(m.files)
 	clear(m.dirs)

@@ -3,9 +3,9 @@ package beegfs
 // Reachability is the management service's per-target liveness verdict, the
 // three-state machine real BeeGFS drives from storage-server heartbeats:
 //
-//	Online ──(HeartbeatTimeout missed)──▶ ProbablyOffline ──(OfflineTimeout)──▶ Offline
-//	   ▲                                                                          │
-//	   └────────────────────── heartbeat received ────────────────────────────────┘
+//	Online ──(2 intervals silent)──▶ ProbablyOffline ──(5 intervals silent)──▶ Offline
+//	   ▲                                                                         │
+//	   └────────────────────────── heartbeat received ───────────────────────────┘
 //
 // Only the Offline verdict makes clients stop using a target for in-flight
 // I/O; ProbablyOffline is a hedge consulted at file-create time so new files
@@ -18,11 +18,13 @@ type Reachability int
 const (
 	// Online means heartbeats are arriving on schedule.
 	Online Reachability = iota
-	// ProbablyOffline means HeartbeatTimeout elapsed without a heartbeat;
-	// the target is shed for new creates but still tried for in-flight I/O.
+	// ProbablyOffline means two heartbeat intervals elapsed without a
+	// heartbeat; the target is shed for new creates but still tried for
+	// in-flight I/O.
 	ProbablyOffline
-	// Offline means OfflineTimeout elapsed: the mgmtd publishes the target
-	// as down, clients stop selecting it, and buddy-mirror failover applies.
+	// Offline means five intervals elapsed without a heartbeat: the mgmtd
+	// publishes the target as down, clients stop selecting it, and
+	// buddy-mirror failover applies.
 	Offline
 )
 

@@ -97,9 +97,8 @@ func preset(name string, nHosts, targetsPerHost int, linkRate float64, chooser b
 			// after 0.5 s of virtual time, then capped exponential
 			// backoff, up to 8 attempts (~65 s budget — outlasts transient
 			// outages, fails fast on permanent ones).
-			RetryTimeout:     0.5,
-			RetryBackoffBase: 0.5,
-			RetryMax:         8,
+			RetryTimeout: 0.5,
+			RetryMax:     8,
 		},
 		ClientNICCapacity: linkRate * protocolEfficiency,
 		ServerNICJitterCV: 0.02,

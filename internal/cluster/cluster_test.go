@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/beegfs"
@@ -221,6 +222,28 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{bad json`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// A negative count, size or rate in a spec is an error naming its JSON
+// field, never a silent fallback to the base's value.
+func TestSpecRejectsNegativeFields(t *testing.T) {
+	for _, c := range []struct{ field, spec string }{
+		{"hosts", `{"base":"scenario1","hosts":-3}`},
+		{"targets_per_host", `{"base":"custom","link_rate_mibs":1250,"targets_per_host":-1}`},
+		{"default_stripe_count", `{"base":"scenario2","default_stripe_count":-2}`},
+		{"chunk_size_kib", `{"base":"scenario1","chunk_size_kib":-8}`},
+		{"link_rate_mibs", `{"base":"scenario1","link_rate_mibs":-1250}`},
+		{"mds_op_rate", `{"base":"scenario1","mds_op_rate":-5}`},
+		{"hosts", `{"base":"scenario1","hosts":-3,"default_stripe_count":-2,"chunk_size_kib":-8,"mds_op_rate":-5}`},
+	} {
+		s, err := ParseSpec([]byte(c.spec))
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if _, err := s.Platform(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %s", c.spec, err, c.field)
+		}
 	}
 }
 

@@ -48,7 +48,6 @@ func TestPresetsPinned(t *testing.T) {
 				ClientA:           880,
 				ClientGamma:       0.45,
 				RetryTimeout:      0.5,
-				RetryBackoffBase:  0.5,
 				RetryMax:          8,
 			},
 			ClientNICCapacity: 1100,
@@ -72,7 +71,6 @@ func TestPresetsPinned(t *testing.T) {
 				ClientA:           1631,
 				ClientGamma:       0.45,
 				RetryTimeout:      0.5,
-				RetryBackoffBase:  0.5,
 				RetryMax:          8,
 			},
 			ClientNICCapacity: 11000,
@@ -93,7 +91,6 @@ func TestPresetsPinned(t *testing.T) {
 				OpenLatency:       0.005,
 				PpnSat:            8,
 				RetryTimeout:      0.5,
-				RetryBackoffBase:  0.5,
 				RetryMax:          8,
 			},
 			ClientNICCapacity: 2200,
@@ -116,7 +113,6 @@ func TestPresetsPinned(t *testing.T) {
 				OpenLatency:        0.005,
 				PpnSat:             8,
 				RetryTimeout:       0.5,
-				RetryBackoffBase:   0.5,
 				RetryMax:           8,
 			},
 			ClientNICCapacity: 1100,
@@ -140,7 +136,6 @@ func TestPresetsPinned(t *testing.T) {
 				OpenLatency:        0.005,
 				PpnSat:             8,
 				RetryTimeout:       0.5,
-				RetryBackoffBase:   0.5,
 				RetryMax:           8,
 			},
 			ClientNICCapacity: 1100,

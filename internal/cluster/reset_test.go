@@ -167,8 +167,8 @@ func deploymentState(dep *cluster.Deployment, clients []*beegfs.Client) []string
 		add("client %s rack=%d nic=%s capacity=%v", c.Name, c.Rack(), c.NIC().Name, c.NIC().Capacity())
 	}
 	m := fs.Meta()
-	add("meta ops=%v busyUntil=%v latencies=%v/%v/%v scratchPattern=%+v",
-		m.Ops, m.BusyUntil(), m.CreateLatency, m.OpenLatency, m.OpRate, m.PatternFor("/scratch/x"))
+	add("meta ops=%v busyUntil=%v opRate=%v scratchPattern=%+v",
+		m.Ops, m.BusyUntil(), m.OpRate, m.PatternFor("/scratch/x"))
 	for _, f := range m.Files() {
 		add("file %s size=%d targets=%v mirrors=%v dirty=%d", f.Path, f.Size, f.TargetIDs(), f.MirrorIDs(), f.DirtyBytes())
 	}

@@ -11,7 +11,7 @@ import (
 // Spec is the JSON-serializable description of a Platform, so that
 // deployments can be version-controlled and shared (the chooser is named,
 // not embedded). Zero-valued calibration fields inherit the PlaFRIM
-// defaults of the named scenario base.
+// defaults of the named scenario base; negative ones are rejected.
 type Spec struct {
 	Name string `json:"name"`
 	// Base names the preset to start from: "scenario1", "scenario2", or
@@ -20,7 +20,8 @@ type Spec struct {
 	// Hosts and TargetsPerHost reshape the storage side (0 = keep base).
 	Hosts          int `json:"hosts,omitempty"`
 	TargetsPerHost int `json:"targets_per_host,omitempty"`
-	// Chooser: "roundrobin", "random" or "balanced" ("" = keep base).
+	// Chooser: "roundrobin", "random", "balanced" or "randominternode"
+	// ("" = keep base).
 	Chooser string `json:"chooser,omitempty"`
 	// DefaultStripeCount and ChunkSizeKiB override the directory default.
 	DefaultStripeCount int   `json:"default_stripe_count,omitempty"`
@@ -34,6 +35,21 @@ type Spec struct {
 // Platform materializes the spec.
 func (s Spec) Platform() (Platform, error) {
 	var p Platform
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{
+		{"hosts", float64(s.Hosts)},
+		{"targets_per_host", float64(s.TargetsPerHost)},
+		{"default_stripe_count", float64(s.DefaultStripeCount)},
+		{"chunk_size_kib", float64(s.ChunkSizeKiB)},
+		{"link_rate_mibs", s.LinkRateMiBs},
+		{"mds_op_rate", s.MDSOpRate},
+	} {
+		if f.value < 0 {
+			return p, fmt.Errorf("cluster: negative %s %v", f.name, f.value)
+		}
+	}
 	switch s.Base {
 	case "scenario1":
 		p = PlaFRIM(Scenario1Ethernet)

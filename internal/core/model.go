@@ -93,17 +93,23 @@ type HostTimeline struct {
 // Timeline reproduces Figure 9 quantitatively: for a volume (MiB) written
 // over the allocation with per-server rate bounds, it returns each
 // server's share, rate and finish time. The aggregate bandwidth is
-// volume / max(Finish).
-func (m Model) Timeline(alloc Allocation, volumeMiB float64, nodes, ppn int) ([]HostTimeline, error) {
+// volume / max(Finish). The allocation needs one entry per storage host,
+// each between 0 and the host's target count.
+func (m Model) Timeline(alloc Allocation, volumeMiB float64) ([]HostTimeline, error) {
+	if len(alloc.PerHost) != m.FS.Hosts {
+		return nil, fmt.Errorf("core: allocation %v has %d servers, the platform has %d", alloc, len(alloc.PerHost), m.FS.Hosts)
+	}
+	for _, mi := range alloc.PerHost {
+		if mi < 0 || mi > m.FS.TargetsPerHost {
+			return nil, fmt.Errorf("core: allocation %v puts %d targets on a server of %d", alloc, mi, m.FS.TargetsPerHost)
+		}
+	}
 	k := alloc.Count()
 	if k == 0 {
 		return nil, fmt.Errorf("core: empty allocation")
 	}
 	if volumeMiB <= 0 {
 		return nil, fmt.Errorf("core: non-positive volume")
-	}
-	if nodes < 1 || ppn < 1 {
-		return nil, fmt.Errorf("core: need at least one node and one process per node, got %d/%d", nodes, ppn)
 	}
 	targetRate := m.FS.Storage.SingleTargetRate
 	out := make([]HostTimeline, 0, len(alloc.PerHost))

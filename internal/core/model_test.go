@@ -145,7 +145,7 @@ func TestModelDegenerateInputs(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	m := modelFor(cluster.Scenario1Ethernet)
-	tl, err := m.Timeline(NewAllocation([]int{1, 3}), 32768, 8, 8)
+	tl, err := m.Timeline(NewAllocation([]int{1, 3}), 32768)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +165,20 @@ func TestTimeline(t *testing.T) {
 	if !almost(bw, m.Bandwidth(NewAllocation([]int{1, 3}), 8, 8), 1) {
 		t.Fatalf("timeline bandwidth %v disagrees with model", bw)
 	}
-	if _, err := m.Timeline(Allocation{}, 100, 8, 8); err == nil {
-		t.Fatal("empty allocation accepted")
-	}
-	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 0, 8, 8); err == nil {
-		t.Fatal("zero volume accepted")
-	}
-	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 100, 0, 8); err == nil {
-		t.Fatal("zero nodes accepted")
-	}
-	if _, err := m.Timeline(NewAllocation([]int{1, 1}), 100, 8, 0); err == nil {
-		t.Fatal("zero processes per node accepted")
+	for _, bad := range []struct {
+		name    string
+		perHost []int
+		volume  float64
+	}{
+		{"empty allocation", []int{0, 0}, 100},
+		{"zero volume", []int{1, 1}, 0},
+		{"negative share", []int{-1, 3}, 100},
+		{"share above targets per host", []int{5, 0}, 100},
+		{"third server", []int{1, 1, 1}, 100},
+	} {
+		if _, err := m.Timeline(NewAllocation(bad.perHost), bad.volume); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
 	}
 }
 

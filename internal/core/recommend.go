@@ -186,8 +186,8 @@ type Recommendation struct {
 }
 
 // Recommend evaluates every stripe count on the model under the given
-// chooser ("roundrobin", "random" or "balanced"), for an application
-// geometry of nodes × ppn, and recommends the default.
+// chooser ("roundrobin", "random", "balanced" or "randominternode"), for
+// an application geometry of nodes × ppn, and recommends the default.
 //
 // hostOf is the registration order (server index per target); it is also
 // used to derive targets-per-host for the random chooser.

@@ -23,8 +23,6 @@ import (
 func ChaosPlatform(scen cluster.Scenario) cluster.Platform {
 	p := cluster.PlaFRIM(scen)
 	p.FS.HeartbeatInterval = 0.5
-	p.FS.HeartbeatTimeout = 1.0
-	p.FS.OfflineTimeout = 2.5
 	p.FS.RPCTimeout = 0.25
 	return p
 }

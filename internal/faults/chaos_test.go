@@ -20,8 +20,6 @@ func deployHB(t *testing.T, s cluster.Scenario) *cluster.Deployment {
 	t.Helper()
 	p := cluster.PlaFRIM(s)
 	p.FS.HeartbeatInterval = 0.5
-	p.FS.HeartbeatTimeout = 1.0
-	p.FS.OfflineTimeout = 2.5
 	p.FS.RPCTimeout = 0.25
 	dep, err := p.Deploy()
 	if err != nil {

@@ -101,6 +101,7 @@ func PlaFRIMConfig() Config {
 type Host struct {
 	Name       string
 	sys        *System
+	index      int
 	controller *simnet.Resource
 	targets    []*Target
 	jitter     float64
@@ -108,6 +109,9 @@ type Host struct {
 	// regardless of jitter redraws or active-target changes.
 	failed bool
 }
+
+// Index returns the host's position in System.Hosts.
+func (h *Host) Index() int { return h.index }
 
 // Controller returns the host's controller resource. Flows writing to any
 // of the host's targets must include it in their usage with the same weight
@@ -171,6 +175,7 @@ type Target struct {
 	// ID follows the paper's numbering: host 1 holds 101..10x, host 2
 	// holds 201..20x.
 	ID       int
+	index    int
 	host     *Host
 	resource *simnet.Resource
 	jitter   float64
@@ -183,8 +188,8 @@ type Target struct {
 	// failed pins the target capacity to zero (OST failure) regardless of
 	// jitter redraws or writer-count changes.
 	failed bool
-	// slow, when in (0,1), multiplies the target's capacity at every
-	// recomputation (fail-slow gray failure); 0 means full speed.
+	// slow multiplies the target's capacity at every recomputation: a
+	// fraction in (0,1) under a fail-slow gray failure, 1 at full speed.
 	slow float64
 }
 
@@ -219,14 +224,11 @@ func (t *Target) SetFailed(failed bool) {
 func (t *Target) Failed() bool { return t.failed }
 
 // SetSlow pins the target to a fraction of its capacity (factor in (0,1))
-// or restores full speed (factor 0 or 1) — the device half of a fail-slow
+// or restores full speed (factor 1) — the device half of a fail-slow
 // gray failure. The target keeps serving I/O and, crucially, keeps
 // heartbeating: nothing marks it failed, so only throughput observation
 // can reveal it.
 func (t *Target) SetSlow(factor float64) {
-	if factor == 1 {
-		factor = 0
-	}
 	if t.slow == factor {
 		return
 	}
@@ -235,12 +237,7 @@ func (t *Target) SetSlow(factor float64) {
 }
 
 // SlowFactor returns the target's fail-slow pin (1 = full speed).
-func (t *Target) SlowFactor() float64 {
-	if t.slow == 0 {
-		return 1
-	}
-	return t.slow
-}
+func (t *Target) SlowFactor() float64 { return t.slow }
 
 // Used returns the bytes stored on the target.
 func (t *Target) Used() int64 { return t.usedBytes }
@@ -265,6 +262,9 @@ func (t *Target) Store(bytes int64) error {
 // Host returns the storage host owning the target.
 func (t *Target) Host() *Host { return t.host }
 
+// Index returns the target's position in System.Targets.
+func (t *Target) Index() int { return t.index }
+
 // Resource returns the target's own capacity resource.
 func (t *Target) Resource() *simnet.Resource { return t.resource }
 
@@ -283,10 +283,7 @@ func (t *Target) updateCapacity() {
 	if sp := t.host.sys.cfg.SharePenalty; sp > 0 && len(t.writers) > 1 {
 		c *= math.Pow(sp, float64(len(t.writers)-1))
 	}
-	if t.slow > 0 {
-		c *= t.slow
-	}
-	t.host.sys.net.SetCapacity(t.resource, c)
+	t.host.sys.net.SetCapacity(t.resource, c*t.slow)
 }
 
 // Acquire registers application app as a writer on the target, updating
@@ -357,11 +354,13 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 		host := &Host{
 			Name:       fmt.Sprintf("oss%d", h),
 			sys:        s,
+			index:      h - 1,
 			controller: net.AddResource(fmt.Sprintf("oss%d/ctl", h), cfg.SingleTargetRate),
 		}
 		for i := 1; i <= targetsPerHost; i++ {
 			t := &Target{
 				ID:       h*100 + i,
+				index:    len(s.targets),
 				host:     host,
 				resource: net.AddResource(fmt.Sprintf("ost%d", h*100+i), cfg.SingleTargetRate),
 			}
@@ -379,22 +378,22 @@ func NewSystem(net *simnet.Network, cfg Config, nHosts, targetsPerHost int) (*Sy
 // fail-slow pin, and the matching capacities pushed into the network.
 func (s *System) Reset() {
 	for _, h := range s.hosts {
-		*h = Host{Name: h.Name, sys: h.sys, controller: h.controller, targets: h.targets}
+		*h = Host{Name: h.Name, sys: h.sys, index: h.index, controller: h.controller, targets: h.targets}
 		for _, t := range h.targets {
 			clear(t.writers)
-			*t = Target{ID: t.ID, host: t.host, resource: t.resource, writers: t.writers[:0]}
+			*t = Target{ID: t.ID, index: t.index, host: t.host, resource: t.resource, writers: t.writers[:0]}
 		}
 		h.init()
 	}
 }
 
 // init sets the per-run values NewSystem and Reset share beyond the zero
-// state — unit jitter — and pushes the host's and its targets'
-// capacities, the controller's last so it sees the targets idle.
+// state — unit jitter and full speed — and pushes the host's and its
+// targets' capacities, the controller's last so it sees the targets idle.
 func (h *Host) init() {
 	h.jitter = 1
 	for _, t := range h.targets {
-		t.jitter = 1
+		t.jitter, t.slow = 1, 1
 		t.updateCapacity()
 	}
 	h.updateCapacity()

@@ -61,8 +61,13 @@ func TestNewSystemLayout(t *testing.T) {
 	// Paper-style IDs: 101..104, 201..204.
 	wantIDs := []int{101, 102, 103, 104, 201, 202, 203, 204}
 	for i, tgt := range sys.Targets() {
-		if tgt.ID != wantIDs[i] {
-			t.Fatalf("target[%d].ID = %d, want %d", i, tgt.ID, wantIDs[i])
+		if tgt.ID != wantIDs[i] || tgt.Index() != i {
+			t.Fatalf("target[%d] has ID %d and index %d, want %d and %d", i, tgt.ID, tgt.Index(), wantIDs[i], i)
+		}
+	}
+	for i, h := range sys.Hosts() {
+		if h.Index() != i {
+			t.Fatalf("host[%d].Index() = %d", i, h.Index())
 		}
 	}
 	if sys.TargetByID(203) == nil || sys.TargetByID(999) != nil {
