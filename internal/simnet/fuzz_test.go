@@ -45,13 +45,23 @@ type fop struct {
 // fzScenario is a fully decoded fuzz input: a resource set and a time-
 // ordered op script, interpretable against any Network implementation.
 // With respawn set, a started flow's OnComplete may start a successor flow
-// or restart the same *Flow (see fzWorld.respawn).
+// or restart the same *Flow (see fzWorld.respawn). With offGrid set, a
+// start op with an odd c byte moves its flow's weights off the demand grid
+// (see offGridWeight), so a script mixes components the flat solve sums
+// exactly with components it sweeps, and components that turn from one to
+// the other as flows come and go.
 type fzScenario struct {
 	caps    []float64
 	shared  bool
 	respawn bool
+	offGrid bool
 	ops     []fop
 }
+
+// offGridWeight moves a fuzzed weight off the demand grid. The factor is
+// not a dyadic fraction, so the product has bits below 2^-32 and sums of
+// such weights round: the order of the sweep's additions matters.
+func offGridWeight(w float64) float64 { return w * 1.1 }
 
 func decodeScenario(data []byte) fzScenario {
 	r := &fzReader{data: data}
@@ -61,7 +71,9 @@ func decodeScenario(data []byte) fzScenario {
 	for i := range sc.caps {
 		sc.caps[i] = 25.0 * float64(1+int(r.byte()%40))
 	}
-	sc.shared = r.byte()&1 == 1
+	b := r.byte()
+	sc.shared = b&1 == 1
+	sc.offGrid = b&4 != 0
 	t := simkernel.Time(0)
 	for len(sc.ops) < 48 && !r.done() {
 		k := r.byte() % 4
@@ -168,6 +180,11 @@ func (w *fzWorld) apply(sc fzScenario, op fop) {
 		}
 		if len(f.Usage) == 0 {
 			f.Usage = setShare(f.Usage, w.res[int(op.b)%len(w.res)], 1)
+		}
+		if sc.offGrid && op.c&1 == 1 {
+			for i := range f.Usage {
+				f.Usage[i].W = offGridWeight(f.Usage[i].W)
+			}
 		}
 		f.OnComplete = func(at simkernel.Time) {
 			w.done(f, at)
@@ -303,19 +320,19 @@ func verifyNet(t *testing.T, n *Network) {
 					active++
 				}
 			}
-			if int(r.nActive) != active {
-				t.Fatalf("resource %s nActive=%d, %d active flows use it", r.Name, r.nActive, active)
-			}
 			if active == 0 {
 				t.Fatalf("resource %s registered with no active flow", r.Name)
 			}
 			// The per-resource user index must hold exactly the active
-			// flows touching r, with the compiled weights and consistent
-			// back-indices (the index itself is unordered).
+			// flows touching r, with consistent back-indices (the index
+			// itself is unordered), and the demand and off-grid count must
+			// add up the weights it points at.
 			if len(r.users) != active {
 				t.Fatalf("resource %s user index has %d entries, %d active flows use it", r.Name, len(r.users), active)
 			}
 			seen := make(map[*Flow]bool, len(r.users))
+			var demand int64
+			var offGrid int32
 			for j := range r.users {
 				u := r.users[j]
 				if seen[u.f] {
@@ -328,9 +345,15 @@ func verifyNet(t *testing.T, n *Network) {
 				if u.f.uses[u.ui].upos != int32(j) {
 					t.Fatalf("resource %s user %s has upos=%d, index position %d", r.Name, u.f.Name, u.f.uses[u.ui].upos, j)
 				}
-				if u.w != u.f.uses[u.ui].w {
-					t.Fatalf("resource %s user index weight %v for %s, usage vector says %v", r.Name, u.w, u.f.Name, u.f.uses[u.ui].w)
+				if units, ok := gridUnits(u.f.uses[u.ui].w); ok {
+					demand += units
+				} else {
+					offGrid++
 				}
+			}
+			if r.demand != demand || r.offGrid != offGrid {
+				t.Fatalf("resource %s keeps demand %d and %d off-grid users, its users add up to %d and %d",
+					r.Name, r.demand, r.offGrid, demand, offGrid)
 			}
 			roots[find(r)] = true
 		}
@@ -425,11 +448,16 @@ func verifyNet(t *testing.T, n *Network) {
 // so the pass count stays bounded. All flows start up front (cold solves
 // over a growing set), then the run drains through completions with
 // deterministic mid-run aborts; verifyNet re-checks rates against the
-// reference solver at 0 ULP after the event of each checkpoint.
+// reference solver at 0 ULP after the event of each checkpoint. Bits 1
+// and 2 of the first byte move the even- and the odd-numbered flows'
+// weights off the demand grid: with one of them set, the component is
+// swept while an off-grid flow is in flight and summed exactly otherwise.
 func FuzzSolveLargeSingleComponent(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x03, 0x01, 0x07, 0x13, 0x2a, 0x05, 0x19, 0x40, 0x77, 0x02})
 	f.Add([]byte{0x09, 0x01, 0x05, 0x02, 0x61, 0x0e, 0x55, 0x23, 0x31, 0x12, 0x43, 0x09, 0x28, 0x16})
 	f.Add([]byte{0x11, 0x02, 0x01, 0x03, 0x66, 0x04, 0x39, 0x51, 0x7f, 0x20, 0x0b, 0x2d})
+	f.Add([]byte{0x06, 0x00, 0x03, 0x01, 0x07, 0x13, 0x2a, 0x05, 0x19, 0x40, 0x77, 0x02})
+	f.Add([]byte{0x04, 0x01, 0x05, 0x02, 0x61, 0x0e, 0x55, 0x23, 0x31, 0x12, 0x43, 0x09, 0x28, 0x16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
@@ -458,6 +486,11 @@ func fzLargeSingleComponent(t *testing.T, data []byte) {
 			Name:   fmt.Sprintf("L%04d", i),
 			Volume: 8 + float64(b%64),
 			Usage:  []ResourceShare{{shared, 0.125}, {extras[i%nExtra], 0.25 + 0.25*float64(b%4)}},
+		}
+		if data[0]>>(1+i%2)&1 == 1 {
+			for k := range f.Usage {
+				f.Usage[k].W = offGridWeight(f.Usage[k].W)
+			}
 		}
 		f.OnComplete = func(simkernel.Time) {
 			completed++
@@ -654,6 +687,11 @@ func FuzzIncrementalVsGlobalSolve(f *testing.F) {
 	f.Add([]byte{0x05, 0x08, 0x18, 0x28, 0x38, 0x48, 0x00, 0x01, 0x03, 0x22, 0x33, 0x44, 0x02, 0x05, 0x07, 0x03, 0x06, 0x11})
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 0x00})
 	f.Add([]byte{0x04, 0x01, 0x02, 0x03, 0x04, 0x05, 0x01, 0x01, 0x10, 0x03, 0x01, 0x01, 0x20, 0x0c, 0x01, 0x01, 0x30, 0x30, 0x02, 0x01, 0x00})
+	// Every flow off the demand grid, all through a shared resource.
+	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x04, 0x05, 0x00, 0x01, 0x11, 0x03, 0x01, 0x01, 0x02, 0x22, 0x06, 0x03, 0x00, 0x01, 0x33, 0x0c, 0x05, 0x02, 0x03, 0x01, 0x03, 0x01, 0x02, 0x10, 0x00, 0x02, 0x07, 0x30, 0x07, 0x00, 0x00, 0x1f, 0x21, 0x09, 0x01, 0x00, 0x05, 0x14, 0x0b, 0x03, 0x02, 0x01, 0x22, 0x00, 0x01, 0x2a, 0x3c, 0x0d, 0x02, 0x01, 0x03})
+	// On- and off-grid flows in one script: components that hold both,
+	// and an exact one that an off-grid flow joins and leaves.
+	f.Add([]byte{0x03, 0x10, 0x20, 0x30, 0x01, 0x00, 0x04, 0x04, 0x00, 0x01, 0x11, 0x03, 0x00, 0x01, 0x02, 0x22, 0x06, 0x03, 0x00, 0x01, 0x33, 0x30, 0x02, 0x02, 0x03, 0x01, 0x00, 0x01, 0x14, 0x21, 0x05, 0x03, 0x01, 0x02, 0x10, 0x00, 0x02, 0x07, 0x18, 0x08})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeScenario(data)
 		if len(sc.ops) == 0 {

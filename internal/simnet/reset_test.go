@@ -53,12 +53,19 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 			for w.sim.Executed() < peakAt && w.sim.Step() {
 			}
 			// A capacity write outside the event loop, on top of whatever
-			// the scenario's own capacity ops left behind.
+			// the scenario's own capacity ops left behind, and a flow off
+			// the demand grid, so Reset has an off-grid count to clear
+			// beside the demands.
 			w.net.SetCapacity(w.res[0], 1)
+			offGrid := &Flow{Name: "offgrid", Volume: 1e9, Usage: []ResourceShare{{w.res[0], 0.1}, {w.res[len(w.res)-1], 1}}}
+			w.net.Start(offGrid)
+			if w.res[0].offGrid == 0 || w.res[len(w.res)-1].demand == 0 {
+				t.Fatal("the dirtying run left no off-grid count or demand to clear")
+			}
 			if w.net.ActiveFlows() == 0 || w.sim.Pending() == 0 {
 				t.Fatalf("scenario %d left nothing in flight to reset (%d flows, %d events)", i, w.net.ActiveFlows(), w.sim.Pending())
 			}
-			inFlight := w.started
+			inFlight := append(w.started, offGrid)
 			if i%2 == 0 {
 				w.sim.Reset()
 				w.net.Reset()
@@ -77,9 +84,9 @@ func TestNetworkResetMatchesFresh(t *testing.T) {
 				t.Fatalf("after Reset: %d flows in %d components", w.net.ActiveFlows(), w.net.Components())
 			}
 			for k, r := range w.res {
-				if r.Capacity() != fresh.res[k].registered || len(r.users) != 0 || r.nActive != 0 || r.comp != nil {
-					t.Fatalf("resource %s after Reset: capacity %v (registered %v), %d users, nActive %d",
-						r.Name, r.Capacity(), r.registered, len(r.users), r.nActive)
+				if r.Capacity() != fresh.res[k].registered || len(r.users) != 0 || r.demand != 0 || r.offGrid != 0 || r.comp != nil {
+					t.Fatalf("resource %s after Reset: capacity %v (registered %v), %d users, demand %d, %d off-grid users",
+						r.Name, r.Capacity(), r.registered, len(r.users), r.demand, r.offGrid)
 				}
 			}
 			h := w.net.hier

@@ -39,7 +39,7 @@ type Resource struct {
 	// idx is the 1-based registration order within a Network. It gives
 	// the solver a stable, allocation-free resource ordering. It and the
 	// three fields after it are 32-bit or smaller so the struct keeps its
-	// 192-byte allocation size class.
+	// 176-byte allocation size class.
 	idx int32
 
 	// sep marks a declared separator resource (see Network.SetSeparators):
@@ -48,27 +48,33 @@ type Resource struct {
 	// rack-local subproblem. Plain solves ignore the flag entirely.
 	sep bool
 
-	// nActive counts in-flight flows whose usage vector touches this
-	// resource; the resource belongs to a component exactly while
-	// nActive > 0.
-	nActive int32
-
 	// uf is rebuild scratch: the resource's position within its
 	// component's resource list during a union-find pass.
 	uf int32
 
+	// offGrid counts the in-flight users whose weight here is off the
+	// demand grid (see gridUnits); demand is the sum of the other users'
+	// weights, in grid units. retain and release keep both in O(1) per
+	// usage entry. While offGrid is zero and demand is below
+	// maxExactDemand, every ordered sum of the users' weights is exact,
+	// and the flat solver reads its first-pass sums from demand (see
+	// solver.go).
+	offGrid int32
+	demand  int64
+
 	// comp is the connected component the resource currently belongs to,
-	// nil while no in-flight flow touches it.
+	// nil while no in-flight flow touches it. The resource belongs to a
+	// component exactly while users is non-empty.
 	comp *component
 
 	// users is the list of in-flight flows whose usage vector touches this
-	// resource, with their weights — the transpose of Flow.uses. It is
-	// maintained by retain/release in O(1) per edge (append on insert,
-	// swap-remove via the back-indices below) and gives the solver
-	// O(users) bottleneck freezing (instead of scanning every flow) and
-	// the fault injector O(matches) flow lookup. The list is unordered:
-	// freeze order within a pass has no floating-point effect, and the
-	// fault-injection accessors sort their output.
+	// resource — the transpose of Flow.uses. It is maintained by
+	// retain/release in O(1) per edge (append on insert, swap-remove via
+	// the back-indices below) and gives the solver O(users) bottleneck
+	// freezing (instead of scanning every flow) and the fault injector
+	// O(matches) flow lookup. The list is unordered: freeze order within a
+	// pass has no floating-point effect, and the fault-injection accessors
+	// sort their output.
 	users []resUse
 
 	// usersInline is the initial backing array of users (see insertUser):
@@ -82,13 +88,37 @@ type Resource struct {
 }
 
 // resUse is one entry of a resource's user index: an in-flight flow
-// touching the resource and the fraction of the flow's rate it consumes
-// here. ui is the index of this resource in f.uses, so a swap-remove can
-// repair the displaced entry's back-index in O(1).
+// touching the resource. ui is the index of this resource in f.uses,
+// where the entry's weight lives, so a swap-remove can repair the
+// displaced entry's back-index in O(1).
 type resUse struct {
 	f  *Flow
-	w  float64
 	ui int32
+}
+
+// gridUnit is the demand grid's spacing, 2^-32. maxGridWeight bounds an
+// on-grid weight, so one weight is at most 2^40 units and an int64 demand
+// cannot overflow below 2^23 concurrent users of one resource.
+// maxExactDemand is the demand, in units, up to which every partial sum
+// of on-grid weights is a float64.
+const (
+	gridUnit       = 0x1p-32
+	maxGridWeight  = 256
+	maxExactDemand = 1 << 53
+)
+
+// gridUnits returns a positive finite weight in grid units, and whether
+// the weight is on the grid: a whole number of units, and at most
+// maxGridWeight. Scaling by a power of two is exact, so the test is exact.
+func gridUnits(w float64) (int64, bool) {
+	if w > maxGridWeight {
+		return 0, false
+	}
+	u := w * (1 / gridUnit)
+	if u != math.Trunc(u) {
+		return 0, false
+	}
+	return int64(u), true
 }
 
 // reset returns r to the state AddResource creates it in — the registered
@@ -112,7 +142,7 @@ func (r *Resource) insertUser(f *Flow, ui int) {
 		r.users = r.usersInline[:0]
 	}
 	f.uses[ui].upos = int32(len(r.users))
-	r.users = append(r.users, resUse{f: f, w: f.uses[ui].w, ui: int32(ui)})
+	r.users = append(r.users, resUse{f: f, ui: int32(ui)})
 }
 
 // removeUser deletes the ui-th usage-vector entry of f from the user
@@ -226,7 +256,11 @@ type Flow struct {
 	//            touches no separator. Rebuilt in place, keeping its
 	//            backing array as uses does.
 	hroot int32
-	hseps []ResourceShare
+	// frozePass is flat-solver scratch: the pass of the last solve that
+	// froze the flow, which the exact-demand path reads (see solver.go).
+	// It fills the padding after hroot.
+	frozePass int32
+	hseps     []ResourceShare
 }
 
 // Rate returns the flow's fair-share rate in MiB/s as of the last solve of
@@ -279,8 +313,8 @@ func (f *Flow) buildUses() {
 		f.uses = f.uses[:0]
 	}
 	for _, e := range f.Usage {
-		if e.W <= 0 {
-			panic(fmt.Sprintf("simnet: non-positive usage weight %v on %s", e.W, e.Res.Name))
+		if !(e.W > 0) || math.IsInf(e.W, 1) {
+			panic(fmt.Sprintf("simnet: usage weight %v on %s is not positive and finite", e.W, e.Res.Name))
 		}
 		f.uses = append(f.uses, use{res: e.Res, w: e.W})
 	}
@@ -305,6 +339,9 @@ func (f *Flow) buildUses() {
 	for i := 0; i < len(f.uses); i++ {
 		if k > 0 && f.uses[k-1].res == f.uses[i].res {
 			f.uses[k-1].w += f.uses[i].w
+			if math.IsInf(f.uses[k-1].w, 1) {
+				panic(fmt.Sprintf("simnet: usage weights on %s add up to %v", f.uses[k-1].res.Name, f.uses[k-1].w))
+			}
 			continue
 		}
 		f.uses[k] = f.uses[i]
@@ -483,12 +520,17 @@ func (n *Network) Reset() {
 
 // AddResource registers a resource with the given capacity (MiB/s).
 func (n *Network) AddResource(name string, capacity float64) *Resource {
-	if capacity < 0 {
-		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, name))
-	}
+	checkCapacity(name, capacity)
 	r := &Resource{Name: name, capacity: capacity, registered: capacity, idx: int32(len(n.resources) + 1)}
 	n.resources = append(n.resources, r)
 	return r
+}
+
+// checkCapacity panics unless capacity is non-negative and finite.
+func checkCapacity(name string, capacity float64) {
+	if !(capacity >= 0) || math.IsInf(capacity, 1) {
+		panic(fmt.Sprintf("simnet: capacity %v for %s is not non-negative and finite", capacity, name))
+	}
 }
 
 // SetCapacity changes a resource's capacity and re-balances the connected
@@ -498,9 +540,7 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 // (concave controller capacity) or a target fails, and by the file system
 // for the client ramp and NIC flaps.
 func (n *Network) SetCapacity(r *Resource, capacity float64) {
-	if capacity < 0 {
-		panic(fmt.Sprintf("simnet: negative capacity %v for %s", capacity, r.Name))
-	}
+	checkCapacity(r.Name, capacity)
 	if r.capacity == capacity {
 		return
 	}
@@ -527,31 +567,40 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 // ActiveFlows returns the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return n.nActive }
 
-// retain bumps the refcount of every resource f touches, registering
-// newly touched resources in c's idx-ordered resource list.
+// retain adds f to the user index and the demand of every resource it
+// touches, registering newly touched resources in c's idx-ordered
+// resource list.
 func (n *Network) retain(f *Flow, c *component) {
 	for i := range f.uses {
 		r := f.uses[i].res
-		if r.nActive == 0 {
+		if len(r.users) == 0 {
 			r.comp = c
 			c.insertResource(r)
 		}
-		r.nActive++
 		r.insertUser(f, i)
+		if units, ok := gridUnits(f.uses[i].w); ok {
+			r.demand += units
+		} else {
+			r.offGrid++
+		}
 	}
 	if n.hier != nil {
 		n.hier.unionFlow(f)
 	}
 }
 
-// release drops the refcounts taken by retain, removing resources no
-// in-flight flow touches any more from their component.
+// release undoes retain, removing resources no in-flight flow touches any
+// more from their component.
 func (n *Network) release(f *Flow) {
 	for i := range f.uses {
 		r := f.uses[i].res
-		r.nActive--
 		r.removeUser(f, i)
-		if r.nActive == 0 {
+		if units, ok := gridUnits(f.uses[i].w); ok {
+			r.demand -= units
+		} else {
+			r.offGrid--
+		}
+		if len(r.users) == 0 {
 			r.comp.removeResource(r)
 			r.comp = nil
 			if n.resObserver != nil {

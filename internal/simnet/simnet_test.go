@@ -347,6 +347,46 @@ func TestNetworkNegativeUsagePanics(t *testing.T) {
 	n.Start(&Flow{Name: "bad", Volume: 10, Usage: []ResourceShare{{l, -1}}})
 }
 
+// A weight must be positive and finite, and a capacity non-negative and
+// finite: a NaN or infinite value would leave its flows at rate zero
+// forever without an error.
+func TestNetworkRejectsInvalidWeightsAndCapacities(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		do   func(n *Network, l *Resource)
+	}{
+		{"weight zero", func(n *Network, l *Resource) { n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, 0}}}) }},
+		{"weight negative", func(n *Network, l *Resource) { n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, -0.5}}}) }},
+		{"weight NaN", func(n *Network, l *Resource) { n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, nan}}}) }},
+		{"weight +Inf", func(n *Network, l *Resource) { n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, inf}}}) }},
+		{"weight -Inf", func(n *Network, l *Resource) { n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, -inf}}}) }},
+		{"repeated weights overflow", func(n *Network, l *Resource) {
+			n.Start(&Flow{Name: "f", Volume: 1, Usage: []ResourceShare{{l, math.MaxFloat64}, {l, math.MaxFloat64}}})
+		}},
+		{"AddResource negative", func(n *Network, _ *Resource) { n.AddResource("r", -1) }},
+		{"AddResource NaN", func(n *Network, _ *Resource) { n.AddResource("r", nan) }},
+		{"AddResource +Inf", func(n *Network, _ *Resource) { n.AddResource("r", inf) }},
+		{"AddResource -Inf", func(n *Network, _ *Resource) { n.AddResource("r", -inf) }},
+		{"SetCapacity negative", func(n *Network, l *Resource) { n.SetCapacity(l, -1) }},
+		{"SetCapacity NaN", func(n *Network, l *Resource) { n.SetCapacity(l, nan) }},
+		{"SetCapacity +Inf", func(n *Network, l *Resource) { n.SetCapacity(l, inf) }},
+		{"SetCapacity -Inf", func(n *Network, l *Resource) { n.SetCapacity(l, -inf) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(simkernel.New())
+			l := n.AddResource("l", 10)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("accepted")
+				}
+			}()
+			tc.do(n, l)
+		})
+	}
+}
+
 func TestNetworkConservation(t *testing.T) {
 	// Total volume transferred equals sum of flow volumes, and the
 	// makespan matches an independent hand computation for a small case.

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -10,8 +11,10 @@ import (
 
 // steadyNet builds a network with nFlows long-running flows spread over 12
 // resources, each flow on 3 of them, and warms the solver once, so
-// subsequent rebalances measure the steady state.
-func steadyNet(nFlows int) (*Network, []*Resource) {
+// subsequent rebalances measure the steady state. The weights are off the
+// demand grid, so the solves sweep; onGrid rounds them to multiples of
+// 1/64, which the solver sums exactly (see solver.go).
+func steadyNet(nFlows int, onGrid bool) (*Network, []*Resource) {
 	src := rng.New(1)
 	net := New(simkernel.New())
 	resources := make([]*Resource, 12)
@@ -21,7 +24,11 @@ func steadyNet(nFlows int) (*Network, []*Resource) {
 	for i := 0; i < nFlows; i++ {
 		var usage []ResourceShare
 		for _, j := range src.Perm(len(resources))[:3] {
-			usage = append(usage, ResourceShare{resources[j], 0.25 + src.Float64()*0.75})
+			w := 0.25 + src.Float64()*0.75
+			if onGrid {
+				w = math.Round(w*64) / 64
+			}
+			usage = append(usage, ResourceShare{resources[j], w})
 		}
 		net.Start(&Flow{Name: fmt.Sprintf("f%d", i), Volume: 1e15, Usage: usage})
 	}
@@ -36,26 +43,31 @@ func steadyNet(nFlows int) (*Network, []*Resource) {
 // after a capacity change — must not allocate: campaigns spend almost all
 // of their time here.
 func TestSolveSteadyStateZeroAllocs(t *testing.T) {
-	for _, nFlows := range []int{8, 64, 256} {
-		net, resources := steadyNet(nFlows)
-		r := resources[0]
-		i := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			i++
-			if i&1 == 0 {
-				net.SetCapacity(r, 500)
-			} else {
-				net.SetCapacity(r, 700)
+	for _, onGrid := range []bool{false, true} {
+		for _, nFlows := range []int{8, 64, 256} {
+			net, resources := steadyNet(nFlows, onGrid)
+			r := resources[0]
+			i := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				i++
+				if i&1 == 0 {
+					net.SetCapacity(r, 500)
+				} else {
+					net.SetCapacity(r, 700)
+				}
+			})
+			if net.sv.lastExact != onGrid {
+				t.Errorf("%d flows, on grid %v: exact path %v", nFlows, onGrid, net.sv.lastExact)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%d flows: %.1f allocs per steady-state rebalance, want 0", nFlows, allocs)
+			if allocs != 0 {
+				t.Errorf("%d flows, on grid %v: %.1f allocs per steady-state rebalance, want 0", nFlows, onGrid, allocs)
+			}
 		}
 	}
 }
 
 func benchmarkSolve(b *testing.B, nFlows int) {
-	net, resources := steadyNet(nFlows)
+	net, resources := steadyNet(nFlows, false)
 	r := resources[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -143,6 +155,65 @@ func BenchmarkSolveSingleComponentReference(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				solveReference(c.flows, c.resources)
+			}
+		})
+	}
+}
+
+// rackChurnNet builds the component one rack of perfbench's churn
+// workload solves at every event: about 570 flows, each a write striped
+// over four of the rack's 32 targets, which sit on four storage hosts in
+// turn, so a flow touches four targets, four host controllers and four
+// host NICs, at a quarter each, plus the rack's client side, which every
+// flow shares at weight 1 and which binds first: the solve is one pass.
+// With onGrid unset every weight is scaled off the demand grid, so the
+// same solve sweeps.
+func rackChurnNet(onGrid bool) (*Network, *component) {
+	const flows, hosts, targets = 570, 4, 32
+	scale := 1.0
+	if !onGrid {
+		scale = 1.1
+	}
+	net := New(simkernel.New())
+	var ctl, nic, ost []*Resource
+	for h := range hosts {
+		ctl = append(ctl, net.AddResource(fmt.Sprintf("oss%d/ctl", h), 8000))
+		nic = append(nic, net.AddResource(fmt.Sprintf("oss%d/nic", h), 9000))
+	}
+	for i := range targets {
+		ost = append(ost, net.AddResource(fmt.Sprintf("ost%02d", i), 3000))
+	}
+	clients := net.AddResource("rack/clients", 5000)
+	for i := range flows {
+		usage := []ResourceShare{{clients, scale}}
+		for k := range 4 {
+			t := (4*i + k) % targets
+			h := t % hosts
+			usage = append(usage, ResourceShare{ost[t], 0.25 * scale}, ResourceShare{ctl[h], 0.25 * scale}, ResourceShare{nic[h], 0.25 * scale})
+		}
+		net.Start(&Flow{Name: fmt.Sprintf("f%04d", i), Volume: 1e15, Usage: usage})
+	}
+	return net, net.comps[0]
+}
+
+// BenchmarkSolveRackChurn measures one cold solve of rackChurnNet's
+// component, on the demand grid (the exact path: no usage vector is read)
+// and off it (the sweep). It is informational: no baseline gates it.
+func BenchmarkSolveRackChurn(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		onGrid bool
+	}{{"exact", true}, {"sweep", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			net, c := rackChurnNet(tc.onGrid)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.sv.solve(c.flows, c.resources)
+			}
+			b.StopTimer()
+			if net.sv.lastExact != tc.onGrid || net.sv.lastLive != 1 {
+				b.Fatalf("exact path %v in %d passes, want %v in 1", net.sv.lastExact, net.sv.lastLive, tc.onGrid)
 			}
 		})
 	}
